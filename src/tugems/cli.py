@@ -13,8 +13,9 @@ Exit codes: 0 on success, 1 for configuration or argument problems, 2 for
 runtime failures (missing snapshots, infeasible constraints, I/O).
 Artifacts (CSV tables, Q-table snapshots, ``manifest.json``) carry no
 timestamps, so rerunning a command over the same config reproduces them
-byte for byte.  Output files are written atomically (temp file, then
-rename) and the config file itself is never touched.
+byte for byte.  Output files, snapshots included, are written atomically
+(a uniquely named temp file, then rename) and the config file itself is
+never touched.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .ensemble import EnsemblePolicy
 from .experiment import (RunSetup, config_fingerprint, robustness_eval,
                          run_learning, sweep_weights, write_learning_curve_csv,
                          write_robustness_csv, write_sweep_csv, write_trace_csv)
-from .qlearn import Agent, LearnerConfig, load_qtable, make_rng, save_qtable
+from .qlearn import (Agent, LearnerConfig, load_qtable, make_rng, save_qtable,
+                     write_atomic)
 
 __all__ = ["main", "build_parser"]
 
@@ -99,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    tmp.replace(path)
-
-
 def _write_manifest(out: Path, command: str, config: RunConfig,
                     artifacts: list[str], extra: dict | None = None) -> None:
     doc = {
@@ -118,8 +114,8 @@ def _write_manifest(out: Path, command: str, config: RunConfig,
     }
     if extra:
         doc.update(extra)
-    _write_atomic(out / "manifest.json",
-                  json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_atomic(out / "manifest.json",
+                 json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _prepare(args: argparse.Namespace) -> tuple[RunConfig, Path]:
@@ -146,7 +142,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         result = run_learning(setup, seed, record_final_traces=args.traces)
         tag = f"_seed{seed}" if len(seeds) > 1 else ""
         curve = f"learning_curve{tag}.csv"
-        _write_atomic(out / curve, write_learning_curve_csv(result.episodes))
+        write_atomic(out / curve, write_learning_curve_csv(result.episodes))
         artifacts.append(curve)
         for name, agent in result.agents.items():
             snap = f"qtable_{name}{tag}.json"
@@ -157,7 +153,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             artifacts.append(snap)
         if args.traces and result.final_traces is not None:
             trace = f"trace{tag}.csv"
-            _write_atomic(out / trace, write_trace_csv(result.final_traces))
+            write_atomic(out / trace, write_trace_csv(result.final_traces))
             artifacts.append(trace)
         finals[str(seed)] = {
             "efficiency": result.final.energy_efficiency,
@@ -184,7 +180,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                          initial_soc=config.initial_soc,
                          base_seed=config.sweep_base_seed,
                          workers=args.workers)
-    _write_atomic(out / "sweep.csv", write_sweep_csv(rows))
+    write_atomic(out / "sweep.csv", write_sweep_csv(rows))
     best = max(rows, key=lambda r: r.mean_eff)
     print(f"best proportion mu={best.mu}: mean efficiency "
           f"{best.mean_eff:.4f} +/- {best.std_eff:.4f} over {best.repeats} repeats")
@@ -248,7 +244,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                            list(config.eval_initial_socs),
                            config.build_models(), grid, actions,
                            baseline_method=base_label)
-    _write_atomic(out / "robustness.csv", write_robustness_csv(rows))
+    write_atomic(out / "robustness.csv", write_robustness_csv(rows))
     for row in rows:
         print(f"{row.cycle} @ SoC {row.init_soc:.0%} [{row.method}]: "
               f"OEC {row.oec_mj:.2f} MJ, end SoC {row.end_soc:.3f}, "
@@ -269,7 +265,7 @@ def _cmd_dp(args: argparse.Namespace) -> int:
     lines = ["t_s,p_egu_w\n"]
     for t, idx in zip(cycle.times(), result.actions):
         lines.append(f"{float(t)!r},{actions.level(idx)!r}\n")
-    _write_atomic(out / "dp.csv", "".join(lines))
+    write_atomic(out / "dp.csv", "".join(lines))
     slack = dp_slack_energy_j(models, result.soc_node_spacing)
     print(f"dp cost {result.cost_j / 1e6:.4f} MJ "
           f"(rollout {result.rollout_cost_j / 1e6:.4f} MJ, "

@@ -4,7 +4,7 @@ Backward value iteration over a discretized SoC axis (plus the binary
 charge-sustain latch) gives a near-optimal lower bound on the cumulative
 engine-plus-battery loss any controller can achieve on the cycle, subject
 to the end SoC not dipping below the sustain reference.  The stage dynamics
-replicate :func:`tugems.powertrain.plant_step` operation for operation, so
+replicate :func:`tugems.powertrain.step_kernel` operation for operation, so
 learned policies can be compared against the bound directly; the remaining
 gap is the value-interpolation error, bounded by one SoC node of pack
 energy.

@@ -18,13 +18,14 @@ because every consumer draws from its own named RNG stream.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drive_cycle import DriveCycle
 from .metrics import EpisodeMetrics, episode_metrics
-from .powertrain import Plant
+from .powertrain import Plant, PlantState
 from .qlearn import ActionGrid, Agent, StateGrid, e2e_value
 
 __all__ = [
@@ -35,8 +36,8 @@ __all__ = [
     "combine_max",
     "combine_random",
     "combine_weighted",
-    "ensemble_step",
     "run_ensemble_episode",
+    "run_episode",
     "run_single_episode",
 ]
 
@@ -131,55 +132,137 @@ class EpisodeResult:
     traces: list[EnsembleStepTrace] | None
 
 
-def _combine(policy: EnsemblePolicy, agent_a: Agent, agent_b: Agent, state: int,
-             action_a: int, action_b: int, actions: ActionGrid,
-             combiner_rng: np.random.Generator) -> tuple[int, str]:
-    if policy.kind == "weighted":
-        return (combine_weighted(action_a, action_b, policy.mu, policy.delta, actions),
-                CHOOSER_BLEND)
-    if policy.kind == "maximum":
-        value_a = float(agent_a.q.values[state, action_a])
-        value_b = float(agent_b.q.values[state, action_b])
-        final = combine_max(action_a, value_a, action_b, value_b)
-        return final, (CHOOSER_MAX_A if value_a >= value_b else CHOOSER_MAX_B)
-    final = combine_random(action_a, action_b, policy.t, combiner_rng)
-    return final, (CHOOSER_A if final == action_a else CHOOSER_B)
+def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int,
+                plant: Plant, initial_soc: float, grid: StateGrid,
+                actions: ActionGrid, policy: EnsemblePolicy | None = None,
+                combiner_rng: np.random.Generator | None = None,
+                learn: bool = True, greedy: bool = False,
+                record_traces: bool = False) -> EpisodeResult:
+    """Run one full cycle under one agent or a two-agent ensemble.
 
-
-def ensemble_step(agent_a: Agent, agent_b: Agent, plant: Plant, grid: StateGrid,
-                  actions: ActionGrid, policy: EnsemblePolicy,
-                  p_dem_w: float, p_dem_next_w: float, dt_s: float,
-                  theta_a: float, theta_b: float,
-                  combiner_rng: np.random.Generator,
-                  t_s: float = 0.0, learn: bool = True,
-                  greedy: bool = False) -> EnsembleStepTrace:
-    """Propose, combine, execute, and (optionally) learn for one step.
-
-    Both agents are updated at the *executed* action with the single reward
-    the plant returned.  ``greedy`` bypasses exploration draws entirely for
-    frozen-policy evaluation.
+    With two agents, ``policy`` combines the proposals (``combiner_rng``
+    feeds ``random``) and both learn from the executed transition; one
+    agent's proposal is executed as is, mirrored into both trace columns
+    with chooser "A".  Exploration thresholds follow each agent's schedule
+    at ``episode_index``, frozen for the episode.  The plant is reset to
+    ``initial_soc`` and holds the episode-end ledger afterwards.  The last
+    sample bootstraps from its own demand.  Inputs are checked once per
+    episode, then every step calls the plant kernel directly on Q-rows kept
+    as Python lists, written back at the end when ``learn`` is set.
     """
-    soc = plant.state.soc
-    state = grid.state_index(grid.p_dem_bin(p_dem_w), grid.soc_bin(soc))
-    if greedy:
-        action_a = agent_a.greedy(state)
-        action_b = agent_b.greedy(state)
-    else:
-        action_a = agent_a.propose(state, theta_a)
-        action_b = agent_b.propose(state, theta_b)
-    action_final, chooser = _combine(policy, agent_a, agent_b, state,
-                                     action_a, action_b, actions, combiner_rng)
-    outcome = plant.step(p_dem_w, actions.level(action_final), dt_s)
-    next_state = grid.state_index(grid.p_dem_bin(p_dem_next_w),
-                                  grid.soc_bin(outcome.soc))
+    agent_a, agent_b = agents[0], agents[-1]
+    two = len(agents) == 2
+    theta_a = 0.0 if greedy else e2e_value(agent_a.config.schedule, episode_index)
+    theta_b = 0.0 if greedy else e2e_value(agent_b.config.schedule, episode_index)
+    kind = policy.kind if two else None
+    demand_w, n, dt = cycle.demand_w, len(cycle), cycle.dt_s
+    if n == 0:
+        raise ValueError("cannot run an episode on an empty cycle")
+    if dt <= 0.0:
+        raise ValueError(f"dt_s must be positive, got {dt}")
+    bad = np.flatnonzero(~(np.isfinite(demand_w) & (demand_w >= 0.0)))
+    if bad.size:
+        raise ValueError(f"p_dem_w must be finite and non-negative, got "
+                         f"{float(demand_w[bad[0]])} at sample {int(bad[0])}")
+    levels, models = actions.levels_w, plant.models
+    if levels[-1] > models.egu.max_power_w:
+        raise ValueError(f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], "
+                         f"got {levels[-1]}")
+    bad_q = [a.name for a in agents if kind == "maximum" and not np.isfinite(a.q.values).all()]
+    if bad_q:
+        raise ValueError(f"Q-values must be finite, got non-finite entries in {bad_q[0]}'s table")
+    plant.reset(initial_soc)
+
+    # Per-cycle inputs: demand, its link power and its state-axis bins.
+    demand = demand_w.tolist()
+    links = models.motor.link_power(demand_w).tolist()
+    p_bins = np.clip(np.searchsorted(grid.p_dem_edges_w, demand_w, side="right") - 1,
+                     0, grid.n_p_dem - 1).tolist()
+    rows_a = agent_a.q.values.tolist()
+    shared = agent_b.q.values is agent_a.q.values
+    rows_b = rows_a if shared else agent_b.q.values.tolist()
+    if kind == "weighted":  # the snapped blend depends on the two actions only
+        blend = [[actions.nearest(policy.mu * la + policy.delta * lb) for lb in levels]
+                 for la in levels]
+    lr_a, gamma_a, rng_a = agent_a.config.learning_rate, agent_a.config.discount, agent_a.rng
+    lr_b, gamma_b, rng_b = agent_b.config.learning_rate, agent_b.config.discount, agent_b.rng
+    n_actions, n_soc, soc_top = actions.n_actions, grid.n_soc, grid.n_soc - 1
+    soc_edges, kernel = grid.soc_edges, plant.kernel
+
+    traces: list[EnsembleStepTrace] | None = [] if record_traces else None
+    fuel_j = engine_j = battery_j = traction_j = served_j = demand_j = 0.0
+    draw_j = egu_j = short_j = total_reward = soc_sum = 0.0
+    soc, latch, forced_steps = plant.state.soc, plant.state.forced_charging, 0
+    state = p_bins[0] * n_soc + grid.soc_bin(soc)
+    for i in range(n):
+        if greedy or rng_a.random() >= theta_a:
+            row = rows_a[state]
+            action_a = row.index(max(row))
+        else:
+            action_a = int(rng_a.integers(n_actions))
+        if not two:
+            action_b = final = action_a
+            chooser = CHOOSER_A
+        else:
+            if greedy or rng_b.random() >= theta_b:
+                row = rows_b[state]
+                action_b = row.index(max(row))
+            else:
+                action_b = int(rng_b.integers(n_actions))
+            if kind == "weighted":
+                final, chooser = blend[action_a][action_b], CHOOSER_BLEND
+            elif kind == "maximum":  # own-value comparison, ties to agent A
+                final, chooser = ((action_a, CHOOSER_MAX_A)
+                                  if rows_a[state][action_a] >= rows_b[state][action_b]
+                                  else (action_b, CHOOSER_MAX_B))
+            else:
+                final = action_a if combiner_rng.random() >= policy.t else action_b
+                chooser = CHOOSER_A if final == action_a else CHOOSER_B
+        p_dem = demand[i]
+        (p_egu, p_batt, _, p_served, shortfall, _, fuel, engine_loss, battery_loss,
+         traction_loss, _, reward, latch, soc, _) = kernel(
+            soc, latch, p_dem, links[i], levels[final], dt)
+        fuel_j += fuel * dt
+        engine_j += engine_loss * dt
+        battery_j += battery_loss * dt
+        traction_j += traction_loss * dt
+        served_j += p_served * dt
+        demand_j += p_dem * dt
+        draw_j += p_batt * dt
+        egu_j += p_egu * dt
+        short_j += shortfall * dt
+        forced_steps += latch
+
+        s_bin = bisect_right(soc_edges, soc) - 1
+        s_bin = 0 if s_bin < 0 else (soc_top if s_bin > soc_top else s_bin)
+        next_state = p_bins[i + 1 if i + 1 < n else i] * n_soc + s_bin
+        if learn:
+            row = rows_a[state]
+            row[final] += lr_a * (reward + gamma_a * max(rows_a[next_state]) - row[final])
+            if two:
+                row = rows_b[state]
+                row[final] += lr_b * (reward + gamma_b * max(rows_b[next_state])
+                                      - row[final])
+        total_reward += reward
+        soc_sum += soc
+        if traces is not None:
+            traces.append(EnsembleStepTrace(
+                t_s=i * dt, state=state, action_a=action_a, action_b=action_b,
+                action_final=final, chooser=chooser, reward=reward, soc=soc,
+                p_egu_w=p_egu, p_batt_w=p_batt, forced_charging=latch))
+        state = next_state
+
     if learn:
-        agent_a.update(state, action_final, outcome.reward, next_state)
-        agent_b.update(state, action_final, outcome.reward, next_state)
-    return EnsembleStepTrace(
-        t_s=t_s, state=state, action_a=action_a, action_b=action_b,
-        action_final=action_final, chooser=chooser, reward=outcome.reward,
-        soc=outcome.soc, p_egu_w=outcome.p_egu_w, p_batt_w=outcome.p_batt_w,
-        forced_charging=outcome.forced_charging)
+        agent_a.q.values[:] = rows_a
+        if not shared:
+            agent_b.q.values[:] = rows_b
+    # PlantState fields in declaration order.
+    plant.state = ledger = PlantState(soc, latch, fuel_j, engine_j, battery_j, traction_j,
+                                      served_j, demand_j, draw_j, egu_j, short_j, n,
+                                      forced_steps)
+    metrics = episode_metrics(ledger, models.battery, initial_soc, soc_sum / n,
+                              total_reward)
+    return EpisodeResult(metrics=metrics, traces=traces)
 
 
 def run_ensemble_episode(cycle: DriveCycle, agent_a: Agent, agent_b: Agent,
@@ -189,77 +272,9 @@ def run_ensemble_episode(cycle: DriveCycle, agent_a: Agent, agent_b: Agent,
                          combiner_rng: np.random.Generator,
                          learn: bool = True, greedy: bool = False,
                          record_traces: bool = False) -> EpisodeResult:
-    """Run one full cycle under the two-agent ensemble.
-
-    The exploration thresholds come from each agent's own schedule at
-    ``episode_index`` and stay frozen for the whole episode.  The plant is
-    reset to ``initial_soc`` first.  For the final sample, where no next
-    demand exists, the bootstrap state holds the last demand value.
-    """
-    theta_a = 0.0 if greedy else e2e_value(agent_a.config.schedule, episode_index)
-    theta_b = 0.0 if greedy else e2e_value(agent_b.config.schedule, episode_index)
-    plant.reset(initial_soc)
-    demand = cycle.demand_w.tolist()
-    n = len(demand)
-    if n == 0:
-        raise ValueError("cannot run an episode on an empty cycle")
-    dt = cycle.dt_s
-    # The demand trace is fixed, so its axis can be binned once up front.
-    p_bins = [grid.p_dem_bin(p) for p in demand]
-
-    values_a = agent_a.q.values
-    values_b = agent_b.q.values
-    lr_a = agent_a.config.learning_rate
-    lr_b = agent_b.config.learning_rate
-    gamma_a = agent_a.config.discount
-    gamma_b = agent_b.config.discount
-    rng_a = agent_a.rng
-    rng_b = agent_b.rng
-    n_actions = actions.n_actions
-    n_soc = grid.n_soc
-    soc_bin = grid.soc_bin
-    step = plant.step
-    level = actions.levels_w
-
-    traces: list[EnsembleStepTrace] | None = [] if record_traces else None
-    total_reward = 0.0
-    soc_sum = 0.0
-    state = p_bins[0] * n_soc + soc_bin(plant.state.soc)
-    for i in range(n):
-        p_dem = demand[i]
-        if greedy:
-            action_a = int(values_a[state].argmax())
-            action_b = int(values_b[state].argmax())
-        else:
-            action_a = (int(values_a[state].argmax()) if rng_a.random() >= theta_a
-                        else int(rng_a.integers(n_actions)))
-            action_b = (int(values_b[state].argmax()) if rng_b.random() >= theta_b
-                        else int(rng_b.integers(n_actions)))
-        action_final, chooser = _combine(policy, agent_a, agent_b, state,
-                                         action_a, action_b, actions, combiner_rng)
-        outcome = step(p_dem, level[action_final], dt)
-        j = i + 1 if i + 1 < n else i
-        next_state = p_bins[j] * n_soc + soc_bin(outcome.soc)
-        reward = outcome.reward
-        if learn:
-            row = values_a[state]
-            row[action_final] += lr_a * (
-                reward + gamma_a * values_a[next_state].max() - row[action_final])
-            row = values_b[state]
-            row[action_final] += lr_b * (
-                reward + gamma_b * values_b[next_state].max() - row[action_final])
-        total_reward += reward
-        soc_sum += outcome.soc
-        if traces is not None:
-            traces.append(EnsembleStepTrace(
-                t_s=i * dt, state=state, action_a=action_a, action_b=action_b,
-                action_final=action_final, chooser=chooser, reward=reward,
-                soc=outcome.soc, p_egu_w=outcome.p_egu_w,
-                p_batt_w=outcome.p_batt_w, forced_charging=outcome.forced_charging))
-        state = next_state
-    metrics = episode_metrics(plant.state, plant.models.battery, initial_soc,
-                              soc_sum / n, total_reward)
-    return EpisodeResult(metrics=metrics, traces=traces)
+    """Two-agent :func:`run_episode`."""
+    return run_episode(cycle, (agent_a, agent_b), episode_index, plant, initial_soc,
+                       grid, actions, policy, combiner_rng, learn, greedy, record_traces)
 
 
 def run_single_episode(cycle: DriveCycle, agent: Agent, episode_index: int,
@@ -267,59 +282,6 @@ def run_single_episode(cycle: DriveCycle, agent: Agent, episode_index: int,
                        actions: ActionGrid, learn: bool = True,
                        greedy: bool = False,
                        record_traces: bool = False) -> EpisodeResult:
-    """Single-learner counterpart of :func:`run_ensemble_episode`.
-
-    Kept operation-for-operation aligned with the ensemble loop so that the
-    degenerate ensemble settings reproduce it exactly.  Trace rows mirror
-    the agent's action into both proposal columns with chooser "A".
-    """
-    theta = 0.0 if greedy else e2e_value(agent.config.schedule, episode_index)
-    plant.reset(initial_soc)
-    demand = cycle.demand_w.tolist()
-    n = len(demand)
-    if n == 0:
-        raise ValueError("cannot run an episode on an empty cycle")
-    dt = cycle.dt_s
-    p_bins = [grid.p_dem_bin(p) for p in demand]
-
-    values = agent.q.values
-    lr = agent.config.learning_rate
-    gamma = agent.config.discount
-    rng = agent.rng
-    n_actions = actions.n_actions
-    n_soc = grid.n_soc
-    soc_bin = grid.soc_bin
-    step = plant.step
-    level = actions.levels_w
-
-    traces: list[EnsembleStepTrace] | None = [] if record_traces else None
-    total_reward = 0.0
-    soc_sum = 0.0
-    state = p_bins[0] * n_soc + soc_bin(plant.state.soc)
-    for i in range(n):
-        p_dem = demand[i]
-        if greedy:
-            action = int(values[state].argmax())
-        else:
-            action = (int(values[state].argmax()) if rng.random() >= theta
-                      else int(rng.integers(n_actions)))
-        outcome = step(p_dem, level[action], dt)
-        j = i + 1 if i + 1 < n else i
-        next_state = p_bins[j] * n_soc + soc_bin(outcome.soc)
-        reward = outcome.reward
-        if learn:
-            row = values[state]
-            row[action] += lr * (
-                reward + gamma * values[next_state].max() - row[action])
-        total_reward += reward
-        soc_sum += outcome.soc
-        if traces is not None:
-            traces.append(EnsembleStepTrace(
-                t_s=i * dt, state=state, action_a=action, action_b=action,
-                action_final=action, chooser=CHOOSER_A, reward=reward,
-                soc=outcome.soc, p_egu_w=outcome.p_egu_w,
-                p_batt_w=outcome.p_batt_w, forced_charging=outcome.forced_charging))
-        state = next_state
-    metrics = episode_metrics(plant.state, plant.models.battery, initial_soc,
-                              soc_sum / n, total_reward)
-    return EpisodeResult(metrics=metrics, traces=traces)
+    """Single-agent :func:`run_episode`."""
+    return run_episode(cycle, (agent,), episode_index, plant, initial_soc, grid,
+                       actions, learn=learn, greedy=greedy, record_traces=record_traces)

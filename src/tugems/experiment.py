@@ -126,35 +126,28 @@ def run_learning(setup: RunSetup, seed: int,
     """
     started = time.perf_counter()
     plant = Plant(setup.models, setup.initial_soc)
-    agent_a = Agent.create("A", setup.grid, setup.actions, setup.config_a,
-                           seed, AGENT_A_STREAM)
-    agents = {"A": agent_a}
+    agents = {"A": Agent.create("A", setup.grid, setup.actions, setup.config_a,
+                                seed, AGENT_A_STREAM)}
+    if setup.mode == ENSEMBLE_MODE:
+        agents["B"] = Agent.create("B", setup.grid, setup.actions, setup.config_b,
+                                   seed, AGENT_B_STREAM)
+        combiner_rng = make_rng(seed, COMBINER_STREAM)
     metrics: list[EpisodeMetrics] = []
     traces = None
-    if setup.mode == SINGLE_MODE:
-        for k in range(setup.episodes):
-            record = record_final_traces and k == setup.episodes - 1
-            result = run_single_episode(setup.cycle, agent_a, k, plant,
-                                        setup.initial_soc, setup.grid,
-                                        setup.actions, record_traces=record)
-            metrics.append(result.metrics)
-            if record:
-                traces = result.traces
-    else:
-        agent_b = Agent.create("B", setup.grid, setup.actions, setup.config_b,
-                               seed, AGENT_B_STREAM)
-        agents["B"] = agent_b
-        combiner_rng = make_rng(seed, COMBINER_STREAM)
-        for k in range(setup.episodes):
-            record = record_final_traces and k == setup.episodes - 1
-            result = run_ensemble_episode(setup.cycle, agent_a, agent_b,
-                                          setup.policy, k, plant,
-                                          setup.initial_soc, setup.grid,
-                                          setup.actions, combiner_rng,
+    for k in range(setup.episodes):
+        record = record_final_traces and k == setup.episodes - 1
+        if "B" in agents:
+            result = run_ensemble_episode(setup.cycle, agents["A"], agents["B"],
+                                          setup.policy, k, plant, setup.initial_soc,
+                                          setup.grid, setup.actions, combiner_rng,
                                           record_traces=record)
-            metrics.append(result.metrics)
-            if record:
-                traces = result.traces
+        else:
+            result = run_single_episode(setup.cycle, agents["A"], k, plant,
+                                        setup.initial_soc, setup.grid, setup.actions,
+                                        record_traces=record)
+        metrics.append(result.metrics)
+        if record:
+            traces = result.traces
     return RunResult(seed=seed, mode=setup.mode, episodes=metrics, agents=agents,
                      wall_clock_s=time.perf_counter() - started,
                      final_traces=traces)

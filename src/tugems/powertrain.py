@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "power_losses",
     "merit",
     "plant_step",
+    "step_kernel",
     "motor_loss_from_efficiency_targets",
     "default_motor",
     "default_egu",
@@ -567,108 +569,130 @@ class StepOutcome:
     saturated: bool       # battery power was cut by an SoC bound this step
 
 
+def step_kernel(models: PlantModels) -> Callable[..., tuple]:
+    """Build the one scalar plant step for a parameter bundle (``dp._stage``
+    is its array twin).
+
+    ``kernel(soc, latch, p_dem_w, p_link_req_w, p_egu_cmd_w, dt_s)`` returns
+    the fields of :class:`StepOutcome` as a tuple, in declaration order;
+    ``latch`` is the charge-sustain flag before the step and
+    ``p_link_req_w`` is ``models.motor.link_power(p_dem_w)``.  The step
+    resolves, in order: the charge-sustain override (EGU at full power while
+    SoC is low, with hysteresis on release), battery capability at the
+    current SoC, and any residual the EGU must absorb; demand beyond that is
+    reported as shortfall.  The kernel checks no arguments and keeps no
+    state.  Its conditionals reproduce builtin ``min``/``max`` exactly.
+    """
+    battery, egu = models.battery, models.egu
+    cell_voltage = battery.voltage_curve.__call__
+    cell_resistance = battery.resistance_curve.__call__
+    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
+    soc_min, soc_max = battery.soc_min, battery.soc_max
+    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
+    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
+    served_from_link = models.motor.power_from_link
+    sustain = models.charge_sustain_soc
+    release = models.charge_sustain_soc + models.charge_release_margin
+    baseline, soc_ref = models.reward_baseline, models.soc_ref
+    penalty = models.soc_penalty_coeff
+
+    def kernel(soc0: float, latch: bool, p_dem: float, p_link_req: float,
+               p_cmd: float, dt: float) -> tuple:
+        # Charge-sustain override with hysteresis: engage strictly below the
+        # sustain threshold, stay engaged until SoC clears threshold + margin.
+        if latch and soc0 >= release:
+            latch = False
+        if soc0 < sustain:
+            latch = True
+        p_egu = p_max if latch else p_cmd
+
+        # Battery capability this step, shrunk so the SoC window is never left.
+        pack_volt = cell_voltage(soc0) * n_cells  # V
+        dis_cap = (soc0 - soc_min) * coulomb / dt * pack_volt
+        dis_cap = dis_cap if dis_cap < max_dis else max_dis
+        chg_cap = (soc_max - soc0) * coulomb / dt * pack_volt
+        chg_cap = chg_cap if chg_cap < max_chg else max_chg
+
+        # The EGU absorbs whatever the battery cannot, within its own rating.
+        lo = p_link_req - dis_cap
+        p_egu = lo if lo > p_egu else p_egu
+        hi = p_link_req + chg_cap
+        p_egu = hi if hi < p_egu else p_egu
+        p_egu = p_egu if p_egu > 0.0 else 0.0
+        p_egu = p_egu if p_egu < p_max else p_max
+        p_batt_unclamped = p_link_req - p_egu
+        p_batt = p_batt_unclamped if p_batt_unclamped > -chg_cap else -chg_cap
+        p_batt = p_batt if p_batt < dis_cap else dis_cap
+
+        p_link = p_egu + p_batt  # == p_link_req unless demand falls short
+        # On a genuine shortfall, serve the largest demand the link can carry.
+        p_served = served_from_link(p_link) if p_batt_unclamped > dis_cap else p_dem
+        traction_loss = p_link - p_served
+
+        fuel = (b2 * p_egu + b1) * p_egu + b0 if p_egu > 0.0 else 0.0  # off at 0 W
+        engine_loss = fuel - p_egu
+        if engine_loss < 0.0:
+            raise ValueError(
+                f"engine loss is negative ({engine_loss:.6g} W); the EGU fuel curve "
+                "violates its fuel-power > output-power invariant")
+        current = p_batt / pack_volt  # A per cell
+        battery_loss = cell_resistance(soc0) * current * current * n_cells
+        # Capability clamps above keep this inside the window up to rounding.
+        soc = soc0 - current * dt / coulomb
+        soc = soc if soc > soc_min else soc_min
+        soc = soc if soc < soc_max else soc_max
+
+        p_loss_total = engine_loss + battery_loss  # never negative, see above
+        reward = baseline - p_loss_total / 1000.0
+        if soc < soc_ref:
+            reward -= penalty * (soc_ref - soc)
+        return (p_egu, p_batt, p_link, p_served, p_dem - p_served, current, fuel,
+                engine_loss, battery_loss, traction_loss, p_loss_total, reward,
+                latch, soc, p_batt != p_batt_unclamped)
+
+    return kernel
+
+
 def plant_step(state: PlantState, p_dem_w: float, p_egu_cmd_w: float, dt_s: float,
-               models: PlantModels) -> tuple[PlantState, StepOutcome]:
+               models: PlantModels,
+               kernel: Callable[..., tuple] | None = None) -> tuple[PlantState, StepOutcome]:
     """Advance the plant one step under a power demand and an EGU command.
 
-    The step resolves, in order: the charge-sustain override (EGU forced to
-    full power while SoC is low, with hysteresis on release), battery power
-    capability at the current SoC, and any residual the EGU must absorb.
-    If demand exceeds the combined EGU-plus-discharge capability the step
-    serves what it can and reports the shortfall instead of raising.
-
-    ``state`` is updated in place and returned together with the outcome.
+    Validates the arguments, runs :func:`step_kernel` (``kernel``, if given,
+    must be the one for ``models``) and books the step into ``state``,
+    which is updated in place and returned together with the outcome.
     """
     if p_dem_w < 0.0:
         raise ValueError(f"p_dem_w must be non-negative, got {p_dem_w}")
-    egu = models.egu
-    if p_egu_cmd_w < 0.0 or p_egu_cmd_w > egu.max_power_w:
+    if p_egu_cmd_w < 0.0 or p_egu_cmd_w > models.egu.max_power_w:
         raise ValueError(
-            f"p_egu_cmd_w must be within [0, {egu.max_power_w}], got {p_egu_cmd_w}")
+            f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], got {p_egu_cmd_w}")
     if dt_s <= 0.0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
-
-    battery = models.battery
-    motor = models.motor
-    soc0 = state.soc
-
-    # Charge-sustain override with hysteresis: engage strictly below the
-    # sustain threshold, stay engaged until SoC clears threshold + margin.
-    if state.forced_charging and soc0 >= models.charge_sustain_soc + models.charge_release_margin:
-        state.forced_charging = False
-    if soc0 < models.charge_sustain_soc:
-        state.forced_charging = True
-    forced = state.forced_charging
-
-    p_link_req = p_dem_w + motor.loss_at_power(p_dem_w)  # W
-    p_egu = egu.max_power_w if forced else p_egu_cmd_w
-
-    # Battery capability this step, shrunk so the SoC window is never left.
-    u_cell = battery.cell_voltage(soc0)  # V
-    pack_volt = u_cell * battery.num_cells
-    coulomb = battery.coulomb_capacity  # A.s
-    dis_cap = min(battery.max_discharge_power_w,
-                  (soc0 - battery.soc_min) * coulomb / dt_s * pack_volt)
-    chg_cap = min(battery.max_charge_power_w,
-                  (battery.soc_max - soc0) * coulomb / dt_s * pack_volt)
-
-    # The EGU absorbs whatever the battery cannot, within its own rating.
-    p_egu = min(egu.max_power_w,
-                max(0.0, min(max(p_egu, p_link_req - dis_cap), p_link_req + chg_cap)))
-    p_batt_unclamped = p_link_req - p_egu
-    p_batt = min(dis_cap, max(-chg_cap, p_batt_unclamped))
-    saturated = p_batt != p_batt_unclamped
-
-    if p_batt_unclamped > dis_cap:
-        # Genuine shortfall: serve the largest demand the link can carry.
-        p_link = p_egu + p_batt
-        p_served = motor.power_from_link(p_link)
-        traction_loss = p_link - p_served
-    else:
-        p_link = p_egu + p_batt  # == p_link_req in this branch
-        p_served = p_dem_w
-        traction_loss = p_link - p_served
-    shortfall = p_dem_w - p_served
-
-    fuel_power = egu._curve(p_egu) if p_egu > 0.0 else 0.0  # engine-off at 0 W
-    current = p_batt / pack_volt  # A per cell
-    engine_loss, battery_loss = power_losses(models, p_egu, fuel_power, current, soc0)
-    new_soc = soc0 - current * dt_s / coulomb
-    # Capability clamps above keep this inside the window up to rounding.
-    new_soc = min(battery.soc_max, max(battery.soc_min, new_soc))
-    state.soc = new_soc
-
-    p_loss_total = engine_loss + battery_loss
-    reward = merit(models.reward_baseline, p_loss_total, new_soc,
-                   models.soc_ref, models.soc_penalty_coeff)
-
-    state.cumulative_fuel_energy += fuel_power * dt_s
-    state.cumulative_engine_loss += engine_loss * dt_s
-    state.cumulative_battery_loss += battery_loss * dt_s
-    state.cumulative_traction_loss += traction_loss * dt_s
-    state.cumulative_traction_output += p_served * dt_s
+    kernel = kernel or step_kernel(models)
+    out = StepOutcome(*kernel(state.soc, state.forced_charging, p_dem_w,
+                              models.motor.link_power(p_dem_w), p_egu_cmd_w, dt_s))
+    state.soc, state.forced_charging = out.soc, out.forced_charging
+    state.cumulative_fuel_energy += out.fuel_power_w * dt_s
+    state.cumulative_engine_loss += out.engine_loss_w * dt_s
+    state.cumulative_battery_loss += out.battery_loss_w * dt_s
+    state.cumulative_traction_loss += out.traction_loss_w * dt_s
+    state.cumulative_traction_output += out.p_served_w * dt_s
     state.cumulative_demand_energy += p_dem_w * dt_s
-    state.cumulative_battery_draw += p_batt * dt_s
-    state.cumulative_egu_output += p_egu * dt_s
-    state.cumulative_shortfall += shortfall * dt_s
+    state.cumulative_battery_draw += out.p_batt_w * dt_s
+    state.cumulative_egu_output += out.p_egu_w * dt_s
+    state.cumulative_shortfall += out.shortfall_w * dt_s
     state.steps += 1
-    if forced:
-        state.forced_charge_steps += 1
-
-    outcome = StepOutcome(
-        p_egu_w=p_egu, p_batt_w=p_batt, p_link_w=p_link, p_served_w=p_served,
-        shortfall_w=shortfall, cell_current_a=current, fuel_power_w=fuel_power,
-        engine_loss_w=engine_loss, battery_loss_w=battery_loss,
-        traction_loss_w=traction_loss, p_loss_total_w=p_loss_total,
-        reward=reward, forced_charging=forced, soc=new_soc, saturated=saturated)
-    return state, outcome
+    state.forced_charge_steps += out.forced_charging
+    return state, out
 
 
 class Plant:
-    """Convenience wrapper pairing :class:`PlantModels` with a live state."""
+    """:class:`PlantModels` with a live state and their cached :func:`step_kernel`."""
 
     def __init__(self, models: PlantModels, initial_soc: float = 0.5) -> None:
         self.models = models
+        self.kernel = step_kernel(models)
         self.state = PlantState(soc=initial_soc)
 
     def reset(self, initial_soc: float) -> PlantState:
@@ -676,7 +700,8 @@ class Plant:
         return self.state
 
     def step(self, p_dem_w: float, p_egu_cmd_w: float, dt_s: float) -> StepOutcome:
-        _, outcome = plant_step(self.state, p_dem_w, p_egu_cmd_w, dt_s, self.models)
+        _, outcome = plant_step(self.state, p_dem_w, p_egu_cmd_w, dt_s, self.models,
+                                self.kernel)
         return outcome
 
 

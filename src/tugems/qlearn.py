@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import uuid
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +40,7 @@ __all__ = [
     "q_update",
     "save_qtable",
     "load_qtable",
+    "write_atomic",
     "make_rng",
     "AGENT_A_STREAM",
     "AGENT_B_STREAM",
@@ -417,7 +420,21 @@ def save_qtable(path: str | Path, q: QTable, grid: StateGrid, actions: ActionGri
     }
     if extra:
         doc["extra"] = extra
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    write_atomic(Path(path), json.dumps(doc))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write UTF-8 text to a uniquely named temp file beside ``path``, then
+    rename it over ``path``: readers see the old file or the new one, never
+    a torn one, and concurrent writers never share a temp file."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _reject_nan(token: str) -> float:
@@ -433,7 +450,8 @@ def load_qtable(path: str | Path,
     Raises
     ------
     ValueError
-        On a foreign format tag, ragged or non-finite values, or a grid /
+        On a foreign format tag, a missing or mistyped key (named in the
+        message), ragged or non-finite values, or a grid /
         action ladder that does not match ``expect_grid``/``expect_actions``.
     """
     path = Path(path)
@@ -442,6 +460,12 @@ def load_qtable(path: str | Path,
         raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} snapshot")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {doc.get('version')!r}")
+    for key in ("p_dem_edges_w", "soc_edges", "action_levels_w", "values"):
+        if not isinstance(doc.get(key), list):
+            problem = "is missing" if key not in doc else "must be a list"
+            raise ValueError(f"{path}: snapshot key {key!r} {problem}")
+    if not isinstance(doc.get("schedule"), (dict, type(None))):
+        raise ValueError(f"{path}: snapshot key 'schedule' must be a mapping or null")
     grid = StateGrid(doc["p_dem_edges_w"], doc["soc_edges"])
     actions = ActionGrid(doc["action_levels_w"])
     values = np.array(doc["values"], dtype=np.float64)

@@ -410,3 +410,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("tugems ")
+
+
+def test_eval_on_a_malformed_snapshot_exits_with_the_runtime_code(workspace, capsys):
+    tmp, cfg = workspace
+    run_dir = tmp / "run"
+    assert main(["learn", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    snap = run_dir / "qtable_A.json"
+    doc = json.loads(snap.read_text())
+    del doc["soc_edges"]
+    snap.write_text(json.dumps(doc))
+    code = main(["eval", "--config", str(cfg), "--out", str(tmp / "ev"),
+                 "--snapshots", str(run_dir)])
+    assert code == 2
+    assert "'soc_edges' is missing" in capsys.readouterr().err

@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tugems.dp import DpResult, dp_baseline, dp_slack_energy_j, episode_loss_j
+from tugems.dp import DpResult, _stage, dp_baseline, dp_slack_energy_j, episode_loss_j
 from tugems.drive_cycle import DriveCycle
 from tugems.metrics import episode_metrics
-from tugems.powertrain import Plant, TractionMotorModel, default_models
+from tugems.powertrain import (Plant, StepOutcome, TractionMotorModel, default_models,
+                               step_kernel)
 from tugems.qlearn import ActionGrid
 
 
@@ -168,3 +171,23 @@ def test_dp_result_is_deterministic(models, actions, flat_cycle):
     r1 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
     r2 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# the scalar plant kernel and the DP stage are one model
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(soc=st.floats(min_value=0.2, max_value=0.8), latch=st.booleans(),
+       action=st.integers(0, 10), p_dem=st.floats(min_value=0.0, max_value=253_000.0))
+def test_scalar_kernel_matches_the_dp_stage(soc, latch, action, p_dem):
+    models, actions = default_models(), ActionGrid.uniform()
+    out = StepOutcome(*step_kernel(models)(soc, latch, p_dem, models.motor.link_power(p_dem),
+                                           actions.level(action), 1.0))
+    cost, soc_next, mode_next = _stage(models, np.array([[soc]]), np.array([[latch]]),
+                                       np.asarray(actions.levels_w), p_dem, 1.0)
+    assert (out.engine_loss_w + out.battery_loss_w) * 1.0 == pytest.approx(
+        float(cost[0, 0, action]), rel=1e-12, abs=0.0)
+    assert abs(out.soc - float(soc_next[0, 0, action])) <= 1e-15
+    assert out.forced_charging == bool(mode_next[0, 0, action])

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tugems.drive_cycle import DriveCycle
 from tugems.ensemble import (EnsemblePolicy, combine_max, combine_random,
-                             combine_weighted, ensemble_step,
-                             run_ensemble_episode, run_single_episode)
+                             combine_weighted,
+                             run_ensemble_episode, run_episode, run_single_episode)
+from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
-                           make_rng)
+                           discretize, make_rng)
 
 # ---------------------------------------------------------------------------
 # combination rules
@@ -131,15 +133,17 @@ def _make_agents(grid, actions, seed=0, lr=0.5, gamma=0.95):
     return agent_a, agent_b
 
 
-def test_ensemble_step_updates_both_tables_at_the_executed_action(
+def _one_step(models, grid, actions, agents, soc0, p_dem_w, learn=True):
+    cycle = DriveCycle(1.0, np.array([p_dem_w]), "one-step")
+    return run_episode(cycle, agents, 0, Plant(models, soc0), soc0, grid, actions,
+                       EnsemblePolicy.weighted(0.5), make_rng(0, COMBINER_STREAM),
+                       learn=learn, greedy=True, record_traces=True).traces[0]
+
+
+def test_episode_step_updates_both_tables_at_the_executed_action(
         models, grid, actions):
     agent_a, agent_b = _make_agents(grid, actions)
-    plant = Plant(models, 0.5)
-    trace = ensemble_step(agent_a, agent_b, plant, grid, actions,
-                          EnsemblePolicy.weighted(0.5),
-                          p_dem_w=40_000.0, p_dem_next_w=40_000.0, dt_s=1.0,
-                          theta_a=0.0, theta_b=0.0,
-                          combiner_rng=make_rng(0, COMBINER_STREAM))
+    trace = _one_step(models, grid, actions, (agent_a, agent_b), 0.5, 40_000.0)
     for q in (agent_a.q, agent_b.q):
         touched = np.argwhere(q.values != 0.0)
         assert touched.shape == (1, 2)
@@ -148,29 +152,20 @@ def test_ensemble_step_updates_both_tables_at_the_executed_action(
             0.5 * trace.reward)
 
 
-def test_ensemble_step_forced_charging_overrides_the_chosen_action(
+def test_episode_step_forced_charging_overrides_the_chosen_action(
         models, grid, actions):
-    agent_a, agent_b = _make_agents(grid, actions)
-    plant = Plant(models, 0.25)  # below the sustain threshold
-    trace = ensemble_step(agent_a, agent_b, plant, grid, actions,
-                          EnsemblePolicy.weighted(0.5),
-                          p_dem_w=10_000.0, p_dem_next_w=10_000.0, dt_s=1.0,
-                          theta_a=0.0, theta_b=0.0,
-                          combiner_rng=make_rng(0, COMBINER_STREAM))
+    agents = _make_agents(grid, actions)
+    # below the sustain threshold
+    trace = _one_step(models, grid, actions, agents, 0.25, 10_000.0)
     assert trace.action_final == 0        # blank tables pick the off level
     assert trace.forced_charging
     assert trace.p_egu_w == models.egu.max_power_w
     assert trace.p_batt_w < 0.0           # surplus charges the pack
 
 
-def test_ensemble_step_learn_false_leaves_tables_blank(models, grid, actions):
+def test_episode_step_learn_false_leaves_tables_blank(models, grid, actions):
     agent_a, agent_b = _make_agents(grid, actions)
-    plant = Plant(models, 0.5)
-    ensemble_step(agent_a, agent_b, plant, grid, actions,
-                  EnsemblePolicy.weighted(0.5),
-                  p_dem_w=40_000.0, p_dem_next_w=40_000.0, dt_s=1.0,
-                  theta_a=0.0, theta_b=0.0,
-                  combiner_rng=make_rng(0, COMBINER_STREAM), learn=False)
+    _one_step(models, grid, actions, (agent_a, agent_b), 0.5, 40_000.0, learn=False)
     assert not agent_a.q.values.any()
     assert not agent_b.q.values.any()
 
@@ -333,3 +328,136 @@ def test_degenerate_policies_reproduce_agent_b(models, grid, actions,
                                             config_a=config_a, config_b=config_b)
     assert ens_metrics == solo_metrics
     np.testing.assert_array_equal(agent_b.q.values, solo.q.values)
+
+
+# ---------------------------------------------------------------------------
+# the fused episode loop against the unfused primitives
+# ---------------------------------------------------------------------------
+
+
+def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, combiner,
+                       learn, greedy):
+    """Step by step through Agent.propose/update, the combine_* rules and
+    Plant.step, with the tables in numpy throughout."""
+    plant.reset(soc0)
+    demand = [float(p) for p in cycle.demand_w]
+    thetas = [0.0 if greedy else a.config.schedule.value(k) for a in agents]
+    total = soc_sum = 0.0
+    for i, p in enumerate(demand):
+        state = discretize(grid, p, plant.state.soc)
+        props = [a.greedy(state) if greedy else a.propose(state, theta)
+                 for a, theta in zip(agents, thetas)]
+        if len(agents) == 1:
+            final = props[0]
+        elif policy.kind == "weighted":
+            final = combine_weighted(*props, policy.mu, policy.delta, actions)
+        elif policy.kind == "maximum":
+            final = combine_max(props[0], agents[0].q.values[state, props[0]],
+                                props[1], agents[1].q.values[state, props[1]])
+        else:
+            final = combine_random(*props, policy.t, combiner)
+        out = plant.step(p, actions.level(final), cycle.dt_s)
+        next_state = discretize(grid, demand[min(i + 1, len(demand) - 1)], out.soc)
+        if learn:
+            for agent in agents:
+                agent.update(state, final, out.reward, next_state)
+        total += out.reward
+        soc_sum += out.soc
+    return episode_metrics(plant.state, plant.models.battery, soc0,
+                           soc_sum / len(demand), total)
+
+
+@pytest.mark.parametrize("policy", [
+    EnsemblePolicy.weighted(0.3),
+    EnsemblePolicy(kind="maximum"),
+    EnsemblePolicy(kind="random", t=0.4),
+    None,
+], ids=["weighted", "maximum", "random", "single"])
+@pytest.mark.parametrize("learn,greedy", [(True, False), (False, True)],
+                         ids=["learn", "greedy"])
+@pytest.mark.parametrize("shared", [False, True], ids=["own-tables", "shared-table"])
+@pytest.mark.parametrize("soc0", [0.5, 0.285], ids=["mid-soc", "charge-sustain"])
+def test_run_episode_matches_the_step_by_step_primitives(
+        models, grid, actions, bumpy_cycle, policy, learn, greedy, shared, soc0):
+    def make(seed):
+        # coarse integer tables tie often, within rows and across agents
+        agent_a, agent_b = _make_agents(grid, actions, seed=seed)
+        rng = np.random.default_rng(seed)
+        agent_a.q.values[:] = rng.integers(-2, 3, size=agent_a.q.values.shape)
+        if shared:
+            agent_b.q = agent_a.q
+        else:
+            agent_b.q.values[:] = rng.integers(-2, 3, size=agent_b.q.values.shape)
+        return (agent_a,) if policy is None else (agent_a, agent_b)
+
+    fast, slow = make(6), make(6)
+    for k in range(3):
+        got = run_episode(bumpy_cycle, fast, k, Plant(models, soc0), soc0, grid, actions,
+                          policy, make_rng(6 + k, COMBINER_STREAM), learn, greedy).metrics
+        want = _reference_episode(bumpy_cycle, slow, k, Plant(models, soc0), soc0, grid,
+                                  actions, policy, make_rng(6 + k, COMBINER_STREAM),
+                                  learn, greedy)
+        assert got == want
+        for a, b in zip(fast, slow):
+            np.testing.assert_array_equal(a.q.values, b.q.values)
+
+
+def test_run_episode_leaves_the_episode_ledger_on_the_plant(models, grid, actions,
+                                                            bumpy_cycle):
+    agent_a, _ = _make_agents(grid, actions)
+    plant = Plant(models, 0.5)
+    result = run_single_episode(bumpy_cycle, agent_a, 0, plant, 0.5, grid, actions)
+    assert plant.state.steps == len(bumpy_cycle)
+    assert plant.state.soc == result.metrics.end_soc
+    assert plant.state.cumulative_fuel_energy == result.metrics.fuel_energy_j
+
+
+# ---------------------------------------------------------------------------
+# input checks, once per episode
+# ---------------------------------------------------------------------------
+
+
+def _run_once(models, grid, actions, cycle, policy=None, agents=None):
+    return run_episode(cycle, agents or _make_agents(grid, actions), 0,
+                       Plant(models, 0.5), 0.5, grid, actions,
+                       policy or EnsemblePolicy.weighted(0.5),
+                       make_rng(0, COMBINER_STREAM))
+
+
+@pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+def test_run_episode_rejects_negative_or_non_finite_demand(models, grid, actions, bad):
+    agents = _make_agents(grid, actions)
+    cycle = DriveCycle(1.0, np.array([10_000.0, bad, 10_000.0]), "bad")
+    with pytest.raises(ValueError, match="p_dem_w must be finite and non-negative"):
+        _run_once(models, grid, actions, cycle, agents=agents)
+    assert not agents[0].q.values.any()  # rejected before the first step
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_run_episode_rejects_a_non_positive_time_step(models, grid, actions, dt):
+    cycle = DriveCycle(dt, np.full(5, 10_000.0), "bad-dt")
+    with pytest.raises(ValueError, match="dt_s must be positive"):
+        _run_once(models, grid, actions, cycle)
+
+
+def test_run_episode_rejects_action_levels_above_the_egu_rating(models, grid, flat_cycle):
+    too_high = ActionGrid.uniform(max_power_w=models.egu.max_power_w + 1.0)
+    with pytest.raises(ValueError, match="p_egu_cmd_w must be within"):
+        _run_once(models, grid, too_high, flat_cycle,
+                  agents=_make_agents(grid, too_high))
+
+
+def test_run_episode_rejects_an_empty_cycle(models, grid, actions):
+    agent_a, _ = _make_agents(grid, actions)
+    with pytest.raises(ValueError, match="empty"):
+        run_episode(DriveCycle(1.0, np.array([]), "empty"), (agent_a,), 0,
+                    Plant(models, 0.5), 0.5, grid, actions)
+
+
+def test_run_episode_rejects_non_finite_q_values_under_maximum(models, grid, actions,
+                                                               flat_cycle):
+    agents = _make_agents(grid, actions)
+    agents[1].q.values[7, 3] = np.nan
+    with pytest.raises(ValueError, match="Q-values must be finite"):
+        _run_once(models, grid, actions, flat_cycle, EnsemblePolicy(kind="maximum"),
+                  agents=agents)

@@ -1,6 +1,8 @@
 """State/action grids, decay schedules, TD updates, and snapshots."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
                            QTable, StateGrid, discretize, e2e_value,
                            load_qtable, make_rng, q_update, save_qtable,
-                           select_action)
+                           select_action, write_atomic)
 
 # ---------------------------------------------------------------------------
 # state grid
@@ -437,3 +439,72 @@ def test_load_verifies_grid_and_action_identity(small_setup, tmp_path):
         load_qtable(path, expect_actions=ActionGrid.uniform(n_levels=6))
     # matching expectations pass through
     load_qtable(path, expect_grid=grid, expect_actions=actions)
+
+
+@pytest.mark.parametrize("key", ["p_dem_edges_w", "soc_edges", "action_levels_w",
+                                 "values"])
+def test_load_names_a_missing_or_mistyped_key(small_setup, tmp_path, key):
+    q, grid, actions = small_setup
+    path = tmp_path / "q.json"
+    save_qtable(path, q, grid, actions)
+    doc = json.loads(path.read_text())
+    doc[key] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"'{key}' must be a list"):
+        load_qtable(path)
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"'{key}' is missing"):
+        load_qtable(path)
+
+
+def test_load_rejects_a_schedule_that_is_not_a_mapping(small_setup, tmp_path):
+    q, grid, actions = small_setup
+    path = tmp_path / "q.json"
+    save_qtable(path, q, grid, actions)
+    doc = json.loads(path.read_text())
+    doc["schedule"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="'schedule' must be a mapping"):
+        load_qtable(path)
+
+
+def test_save_replaces_the_file_atomically_and_leaves_no_temp(small_setup, tmp_path,
+                                                             monkeypatch):
+    q, grid, actions = small_setup
+    path = tmp_path / "q.json"
+    save_qtable(path, q, grid, actions)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("tugems.qlearn.os.replace", interrupted)
+    q.values[:] = 0.0
+    with pytest.raises(OSError, match="disk full"):
+        save_qtable(path, q, grid, actions)
+    assert path.read_bytes() == before  # the old snapshot survives intact
+    assert [p.name for p in tmp_path.iterdir()] == ["q.json"]
+
+
+def test_concurrent_writers_use_distinct_temp_files(tmp_path, monkeypatch):
+    # a second writer runs to completion while the first sits between its
+    # write and its rename; with a shared temp name the first rename would
+    # find its file gone (or publish the other writer's text)
+    target = tmp_path / "out.csv"
+    real_replace = os.replace
+    calls = []
+
+    def interleaved(src, dst):
+        calls.append(Path(src))
+        if len(calls) == 1:
+            write_atomic(target, "second\n")
+            assert target.read_text() == "second\n"
+        real_replace(src, dst)
+
+    monkeypatch.setattr("tugems.qlearn.os.replace", interleaved)
+    write_atomic(target, "first\n")
+    assert len(set(calls)) == 2
+    assert all(c.parent == tmp_path for c in calls)  # same directory: atomic rename
+    assert target.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
