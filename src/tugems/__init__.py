@@ -31,9 +31,7 @@ from .ensemble import (EnsemblePolicy, combine_max, combine_random,
 from .metrics import EpisodeMetrics, energy_efficiency
 from .powertrain import (BatteryModel, EguModel, Plant, PlantModels,
                          PlantState, TractionMotorModel, VehicleParams,
-                         battery_current, default_models, egu_efficiency,
-                         egu_fuel_power, merit, plant_step, power_losses,
-                         soc_step, traction_efficiency, traction_power)
+                         default_models, egu_efficiency, egu_fuel_power)
 from .qlearn import (ActionGrid, Agent, E2ESchedule, LearnerConfig, QTable,
                      StateGrid, discretize, e2e_value, load_qtable, make_rng,
                      q_update, save_qtable, select_action)
@@ -46,9 +44,7 @@ __all__ = [
     "__version__",
     # powertrain
     "VehicleParams", "TractionMotorModel", "EguModel", "BatteryModel",
-    "PlantModels", "PlantState", "Plant", "traction_power",
-    "traction_efficiency", "egu_fuel_power", "egu_efficiency",
-    "battery_current", "soc_step", "power_losses", "merit", "plant_step",
+    "PlantModels", "PlantState", "Plant", "egu_fuel_power", "egu_efficiency",
     "default_models",
     # drive cycles
     "DriveCycle", "CycleError", "BUILTIN_CYCLE_NAMES", "builtin_cycle",

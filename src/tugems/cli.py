@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--snapshots", required=True, metavar="DIR",
                         help="directory holding qtable_A.json (and qtable_B.json "
                              "for ensemble snapshots); multi-seed runs fall "
-                             "back to the lowest _seedN snapshot")
+                             "back to the lowest _seedN snapshot of A and its B")
     p_eval.add_argument("--baseline-snapshots", metavar="DIR",
                         help="directory holding the baseline qtable_A.json "
                              "(defaults to the ensemble's own agent A)")
@@ -130,6 +130,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     seeds = tuple(args.seed) if args.seed else config.seeds
     if len(set(seeds)) != len(seeds):
         raise ConfigError([f"--seed: duplicate seeds in {list(seeds)}"])
+    if min(seeds) < 0:
+        raise ConfigError([f"--seed: must be >= 0, got {min(seeds)}"])
     grid, actions = config.build_grids()
     setup = RunSetup(cycle=config.build_cycle(), models=config.build_models(),
                      grid=grid, actions=actions, config_a=config.agent_a,
@@ -207,34 +209,41 @@ def _resolve_snapshot(snap_dir: Path, name: str) -> Path:
 
 
 def _load_agent(path: Path, name: str, config: RunConfig,
-                fallback: LearnerConfig) -> tuple[Agent, str]:
-    """Rebuild a frozen agent from a snapshot; returns it with a method label."""
+                fallback: LearnerConfig) -> tuple[Agent, str, dict]:
+    """Rebuild a frozen agent from a snapshot; returns it with a method label
+    and the snapshot's ``extra`` block."""
     if not path.is_file():
         raise FileNotFoundError(
             f"snapshot {path} not found; run 'tugems learn' first")
     grid, actions = config.build_grids()
-    q, _, _, schedule = load_qtable(path, expect_grid=grid, expect_actions=actions)
+    q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
     learner = fallback if schedule is None else LearnerConfig(
         learning_rate=fallback.learning_rate, discount=fallback.discount,
         schedule=schedule)
     agent = Agent(name=name, q=q, config=learner, rng=make_rng(0, 0))
     label = schedule.kind if schedule is not None else "baseline"
-    return agent, label
+    return agent, label, extra
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config, out = _prepare(args)
     snap_dir = Path(args.snapshots)
-    agent_a, label_a = _load_agent(_resolve_snapshot(snap_dir, "A"), "A",
-                                   config, config.agent_a)
+    path_a = _resolve_snapshot(snap_dir, "A")
+    agent_a, label_a, extra_a = _load_agent(path_a, "A", config, config.agent_a)
     ensemble = {"A": agent_a}
-    path_b = _resolve_snapshot(snap_dir, "B")
+    path_b = path_a.with_name(path_a.name.replace("_A", "_B", 1))  # same seed as A
     if path_b.is_file():
-        agent_b, _ = _load_agent(path_b, "B", config, config.agent_b)
+        agent_b, _, extra_b = _load_agent(path_b, "B", config, config.agent_b)
+        differ = [k for k in ("label", "mode", "seed") if extra_a.get(k) != extra_b.get(k)]
+        if differ:
+            raise ValueError(f"snapshots {path_a} and {path_b} do not pair: "
+                             f"their {', '.join(differ)} differ")
         ensemble["B"] = agent_b
+    elif extra_a.get("mode") == "ensemble":
+        raise ValueError(f"snapshot {path_b}, the ensemble partner of {path_a}, not found")
     if args.baseline_snapshots:
         base_path = _resolve_snapshot(Path(args.baseline_snapshots), "A")
-        baseline, base_label = _load_agent(base_path, "A", config, config.agent_a)
+        baseline, base_label, _ = _load_agent(base_path, "A", config, config.agent_a)
     else:
         baseline, base_label = agent_a, label_a
     grid, actions = config.build_grids()
@@ -281,6 +290,13 @@ def _cmd_dp(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    # The cycles learn and eval will load: a missing or malformed file is a config error.
+    for key, build in (("config.cycle", config.build_cycle),
+                       ("config.eval.cycles", config.build_eval_cycles)):
+        try:
+            build()
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"{key}: {exc}"]) from exc
     print(f"OK: {config.label} ({config_fingerprint(config.to_dict())})")
     return EXIT_OK
 

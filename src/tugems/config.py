@@ -28,6 +28,7 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,14 +173,19 @@ def _check_keys(data: dict, known: set, path: str, problems: list[str]) -> None:
             problems.append(f"{path}.{key}: unknown key")
 
 
+def _is_finite_number(value: object) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _number(data: dict, key: str, path: str, problems: list[str],
             default: float, low: float | None = None,
             high: float | None = None) -> float:
     if key not in data or data[key] is None:
         return default
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{path}.{key}: expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        problems.append(f"{path}.{key}: expected a finite number, got {value!r}")
         return default
     value = float(value)
     if low is not None and value < low:
@@ -279,9 +285,9 @@ def parse_config(data: object) -> RunConfig:
     if "seeds" in run and run["seeds"] is not None:
         raw = run["seeds"]
         if (not isinstance(raw, list) or not raw
-                or any(isinstance(s, bool) or not isinstance(s, int) for s in raw)):
+                or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in raw)):
             problems.append(
-                f"config.run.seeds: expected a non-empty list of integers, got {raw!r}")
+                f"config.run.seeds: expected a non-empty list of integers >= 0, got {raw!r}")
         elif len(set(raw)) != len(raw):
             problems.append(f"config.run.seeds: duplicate seeds in {raw!r}")
         else:
@@ -331,14 +337,8 @@ def parse_config(data: object) -> RunConfig:
 
     plant = _want_mapping(root.get("plant"), "config.plant", problems)
     _check_keys(plant, _SECTIONS["plant"], "config.plant", problems)
-    overrides = []
-    for key in _PLANT_KEYS:
-        if key in plant and plant[key] is not None:
-            value = plant[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"config.plant.{key}: expected a number, got {value!r}")
-            else:
-                overrides.append((key, float(value)))
+    overrides = [(key, _number(plant, key, "config.plant", problems, 0.0))
+                 for key in _PLANT_KEYS if plant.get(key) is not None]
 
     sweep = _want_mapping(root.get("sweep"), "config.sweep", problems)
     _check_keys(sweep, _SECTIONS["sweep"], "config.sweep", problems)
@@ -364,10 +364,9 @@ def parse_config(data: object) -> RunConfig:
     if "initial_socs" in ev and ev["initial_socs"] is not None:
         raw = ev["initial_socs"]
         if (not isinstance(raw, list) or not raw
-                or any(isinstance(s, bool) or not isinstance(s, (int, float))
-                       for s in raw)):
+                or not all(map(_is_finite_number, raw))):
             problems.append(
-                f"config.eval.initial_socs: expected a non-empty list of numbers, "
+                f"config.eval.initial_socs: expected a non-empty list of finite numbers, "
                 f"got {raw!r}")
         else:
             eval_socs = tuple(float(s) for s in raw)

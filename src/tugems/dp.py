@@ -186,7 +186,6 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     # Greedy rollout on the continuous plant, choosing each step by the
     # interpolated cost-to-go (not by snapping the state to a node).
     plant = Plant(models, initial_soc)
-    plant.reset(initial_soc)
     chosen: list[int] = []
     rollout_cost = 0.0
     for t in range(n_steps):

@@ -16,6 +16,7 @@ manufacturer cycles are not published.  Every built-in label carries a
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,35 +119,35 @@ def load_cycle(path: str | Path) -> DriveCycle:
     Raises
     ------
     CycleError
-        On a missing/wrong header, non-numeric fields, non-uniform or
-        non-increasing timestamps, or out-of-range demand.  Messages name
-        the offending CSV row (1-based, header is row 1).
+        On non-UTF-8 bytes, a missing/wrong header, non-numeric fields,
+        non-uniform or non-increasing timestamps, or out-of-range demand.
+        Messages name the offending CSV row (1-based, header is row 1).
     """
     path = Path(path)
     times: list[float] = []
     demand: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        rows = list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CycleError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+    if not rows:
+        raise CycleError(f"{path}: file is empty")
+    if tuple(h.strip() for h in rows[0]) != _HEADER:
+        raise CycleError(
+            f"{path}: expected header {','.join(_HEADER)!r}, got {','.join(rows[0])!r}")
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore a trailing blank line
+        if len(row) != 2:
+            raise CycleError(f"{path}: row {row_no}: expected 2 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CycleError(f"{path}: file is empty") from None
-        if tuple(h.strip() for h in header) != _HEADER:
+            t = float(row[0])
+            p = float(row[1])
+        except ValueError:
             raise CycleError(
-                f"{path}: expected header {','.join(_HEADER)!r}, got {','.join(header)!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore a trailing blank line
-            if len(row) != 2:
-                raise CycleError(f"{path}: row {row_no}: expected 2 fields, got {len(row)}")
-            try:
-                t = float(row[0])
-                p = float(row[1])
-            except ValueError:
-                raise CycleError(
-                    f"{path}: row {row_no}: non-numeric field in {row!r}") from None
-            times.append(t)
-            demand.append(p)
+                f"{path}: row {row_no}: non-numeric field in {row!r}") from None
+        times.append(t)
+        demand.append(p)
     if not times:
         raise CycleError(f"{path}: no samples after the header")
     if len(times) >= 2:

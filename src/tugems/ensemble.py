@@ -181,12 +181,12 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     rows_a = agent_a.q.values.tolist()
     shared = agent_b.q.values is agent_a.q.values
     rows_b = rows_a if shared else agent_b.q.values.tolist()
+    n_actions, n_soc, soc_top = actions.n_actions, grid.n_soc, grid.n_soc - 1
     if kind == "weighted":  # the snapped blend depends on the two actions only
-        blend = [[actions.nearest(policy.mu * la + policy.delta * lb) for lb in levels]
-                 for la in levels]
+        blend = [[combine_weighted(a, b, policy.mu, policy.delta, actions)
+                  for b in range(n_actions)] for a in range(n_actions)]
     lr_a, gamma_a, rng_a = agent_a.config.learning_rate, agent_a.config.discount, agent_a.rng
     lr_b, gamma_b, rng_b = agent_b.config.learning_rate, agent_b.config.discount, agent_b.rng
-    n_actions, n_soc, soc_top = actions.n_actions, grid.n_soc, grid.n_soc - 1
     soc_edges, kernel = grid.soc_edges, plant.kernel
 
     traces: list[EnsembleStepTrace] | None = [] if record_traces else None

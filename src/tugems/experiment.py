@@ -22,7 +22,7 @@ import numpy as np
 
 from .drive_cycle import DriveCycle
 from .ensemble import EnsemblePolicy, EpisodeResult, run_ensemble_episode, run_single_episode
-from .metrics import EpisodeMetrics, energy_efficiency
+from .metrics import EpisodeMetrics
 from .powertrain import Plant, PlantModels
 from .qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM, ActionGrid,
                      Agent, E2ESchedule, LearnerConfig, StateGrid, make_rng)
@@ -33,13 +33,11 @@ __all__ = [
     "SweepRow",
     "RobustnessRow",
     "savings",
-    "energy_efficiency",
     "run_learning",
     "sweep_weights",
     "robustness_eval",
     "evaluate_policy",
     "default_agent_configs",
-    "learning_curve_rows",
     "write_learning_curve_csv",
     "write_sweep_csv",
     "write_robustness_csv",
@@ -303,15 +301,11 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def learning_curve_rows(episodes: list[EpisodeMetrics]) -> list[tuple]:
-    return [(k, m.energy_efficiency, m.oec_j, m.end_soc)
-            for k, m in enumerate(episodes)]
-
-
 def write_learning_curve_csv(episodes: list[EpisodeMetrics]) -> str:
     """Render the per-episode curve as CSV text (episode index is 0-based)."""
     return _csv_text(("episode", "efficiency", "oec_j", "end_soc"),
-                     learning_curve_rows(episodes))
+                     [(k, m.energy_efficiency, m.oec_j, m.end_soc)
+                      for k, m in enumerate(episodes)])
 
 
 def write_sweep_csv(rows: list[SweepRow]) -> str:

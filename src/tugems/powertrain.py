@@ -35,22 +35,13 @@ __all__ = [
     "PlantState",
     "StepOutcome",
     "Plant",
-    "traction_power",
-    "traction_efficiency",
     "fuel_rate_to_power",
     "fit_egu_quadratic",
     "egu_fuel_power",
     "egu_efficiency",
-    "battery_current",
-    "soc_step",
-    "power_losses",
-    "merit",
-    "plant_step",
     "step_kernel",
     "motor_loss_from_efficiency_targets",
-    "default_motor",
     "default_egu",
-    "default_battery",
     "default_models",
 ]
 
@@ -206,15 +197,11 @@ class TractionMotorModel:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
-    def torque_at_power(self, power_w: float) -> float:
-        """Equivalent shaft torque (N.m) for an output power at rated speed."""
-        return power_w * _TORQUE_PER_W_RPM / self.rated_speed_rpm
-
-    def loss_at_torque(self, torque_nm: float) -> float:
-        return (self.loss_c2 * torque_nm + self.loss_c1) * torque_nm + self.loss_c0
-
     def loss_at_power(self, power_w: float) -> float:
-        return self.loss_at_torque(self.torque_at_power(power_w))
+        """Quadratic torque loss (W) at the equivalent shaft torque of an
+        output power at rated speed."""
+        torque_nm = power_w * _TORQUE_PER_W_RPM / self.rated_speed_rpm
+        return (self.loss_c2 * torque_nm + self.loss_c1) * torque_nm + self.loss_c0
 
     def link_power(self, power_w: float) -> float:
         """DC-link power needed to deliver ``power_w`` at the shaft."""
@@ -234,35 +221,6 @@ class TractionMotorModel:
         if a == 0.0:
             return -c / b
         return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-
-
-def traction_power(torque_nm: float, speed_rpm: float) -> float:
-    """Mechanical power (W) of a shaft: torque (N.m) times speed (rpm) / 9550.
-
-    The torque-speed product over 9550 yields kW; the result is converted
-    to W here so every interface stays in SI base units.
-
-    Examples
-    --------
-    >>> traction_power(100.0, 955.0)
-    10000.0
-    """
-    if torque_nm < 0.0:
-        raise ValueError(f"torque_nm must be non-negative, got {torque_nm}")
-    if speed_rpm < 0.0:
-        raise ValueError(f"speed_rpm must be non-negative, got {speed_rpm}")
-    return torque_nm * speed_rpm / 9550.0 * 1000.0  # W
-
-
-def traction_efficiency(motor: TractionMotorModel, torque_nm: float, speed_rpm: float) -> float:
-    """Output power over (output power + quadratic loss) at an operating point.
-
-    Zero output power returns 0.0 rather than dividing by the idle loss.
-    """
-    p_out = traction_power(torque_nm, speed_rpm)  # W
-    if p_out == 0.0:
-        return 0.0
-    return p_out / (p_out + motor.loss_at_torque(torque_nm))
 
 
 def fuel_rate_to_power(rate_l_per_h: float,
@@ -426,80 +384,15 @@ class BatteryModel:
     def cell_voltage(self, soc: float) -> float:
         return self.voltage_curve(soc)  # V
 
-    def cell_resistance(self, soc: float) -> float:
-        return self.resistance_curve(soc)  # ohm
-
     @property
     def coulomb_capacity(self) -> float:
         return self.cell_capacity_ah * _SECONDS_PER_HOUR  # A.s
 
 
-def battery_current(battery: BatteryModel, p_batt_w: float, soc: float) -> float:
-    """Per-cell current (A) delivering pack power ``p_batt_w`` at a given SoC.
-
-    Positive current discharges.  The pack is a single series-equivalent
-    string, so the cell current is pack power over (cell voltage x cells).
-    """
-    return p_batt_w / (battery.cell_voltage(soc) * battery.num_cells)
-
-
-def soc_step(battery: BatteryModel, soc: float, cell_current_a: float,
-             dt_s: float) -> tuple[float, bool]:
-    """Integrate SoC one step; clamp into [soc_min, soc_max].
-
-    Returns
-    -------
-    (new_soc, saturated)
-        ``saturated`` is True when the unclamped update left the window.
-    """
-    if dt_s <= 0.0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-    raw = soc - cell_current_a * dt_s / battery.coulomb_capacity
-    if raw < battery.soc_min:
-        return battery.soc_min, True
-    if raw > battery.soc_max:
-        return battery.soc_max, True
-    return raw, False
-
-
-def power_losses(models: "PlantModels", p_egu_w: float, fuel_power_w: float,
-                 cell_current_a: float, soc: float) -> tuple[float, float]:
-    """Instantaneous (engine_loss_w, battery_loss_w).
-
-    Engine loss is fuel power minus electrical output; battery loss is the
-    per-cell I^2.R dissipation summed over the pack.
-    """
-    engine_loss = fuel_power_w - p_egu_w
-    if engine_loss < 0.0:
-        raise ValueError(
-            f"engine loss is negative ({engine_loss:.6g} W); the EGU fuel curve "
-            "violates its fuel-power > output-power invariant")
-    r_cell = models.battery.cell_resistance(soc)  # ohm
-    battery_loss = r_cell * cell_current_a * cell_current_a * models.battery.num_cells
-    return engine_loss, battery_loss
-
-
-def merit(reward_baseline: float, p_loss_total_w: float, soc: float,
-          soc_ref: float = 0.28, penalty_coeff: float = 500.0) -> float:
-    """Step reward: baseline minus loss in kW, minus an SoC-deficit penalty.
-
-    The loss term enters in kW so that typical rewards sit in the -300..0
-    range; below ``soc_ref`` an extra ``penalty_coeff * (soc_ref - soc)``
-    is subtracted to make charge depletion unattractive.
-    """
-    if p_loss_total_w < 0.0:
-        raise ValueError(f"p_loss_total_w must be non-negative, got {p_loss_total_w}")
-    r = reward_baseline - p_loss_total_w / 1000.0
-    if soc < soc_ref:
-        r -= penalty_coeff * (soc_ref - soc)
-    return r
-
-
 @dataclass(frozen=True)
 class PlantModels:
-    """Immutable parameter bundle consumed by :func:`plant_step`."""
+    """Immutable parameter bundle consumed by :func:`step_kernel`."""
 
-    vehicle: VehicleParams
     motor: TractionMotorModel
     egu: EguModel
     battery: BatteryModel
@@ -562,7 +455,7 @@ class StepOutcome:
     engine_loss_w: float
     battery_loss_w: float
     traction_loss_w: float
-    p_loss_total_w: float  # engine + battery loss, the merit input
+    p_loss_total_w: float  # engine + battery loss, the reward's loss term
     reward: float
     forced_charging: bool
     soc: float            # post-step
@@ -585,7 +478,7 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     """
     battery, egu = models.battery, models.egu
     cell_voltage = battery.voltage_curve.__call__
-    cell_resistance = battery.resistance_curve.__call__
+    resistance = battery.resistance_curve.__call__
     n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
     soc_min, soc_max = battery.soc_min, battery.soc_max
     max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
@@ -636,7 +529,7 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
                 f"engine loss is negative ({engine_loss:.6g} W); the EGU fuel curve "
                 "violates its fuel-power > output-power invariant")
         current = p_batt / pack_volt  # A per cell
-        battery_loss = cell_resistance(soc0) * current * current * n_cells
+        battery_loss = resistance(soc0) * current * current * n_cells
         # Capability clamps above keep this inside the window up to rounding.
         soc = soc0 - current * dt / coulomb
         soc = soc if soc > soc_min else soc_min
@@ -653,40 +546,6 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     return kernel
 
 
-def plant_step(state: PlantState, p_dem_w: float, p_egu_cmd_w: float, dt_s: float,
-               models: PlantModels,
-               kernel: Callable[..., tuple] | None = None) -> tuple[PlantState, StepOutcome]:
-    """Advance the plant one step under a power demand and an EGU command.
-
-    Validates the arguments, runs :func:`step_kernel` (``kernel``, if given,
-    must be the one for ``models``) and books the step into ``state``,
-    which is updated in place and returned together with the outcome.
-    """
-    if p_dem_w < 0.0:
-        raise ValueError(f"p_dem_w must be non-negative, got {p_dem_w}")
-    if p_egu_cmd_w < 0.0 or p_egu_cmd_w > models.egu.max_power_w:
-        raise ValueError(
-            f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], got {p_egu_cmd_w}")
-    if dt_s <= 0.0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-    kernel = kernel or step_kernel(models)
-    out = StepOutcome(*kernel(state.soc, state.forced_charging, p_dem_w,
-                              models.motor.link_power(p_dem_w), p_egu_cmd_w, dt_s))
-    state.soc, state.forced_charging = out.soc, out.forced_charging
-    state.cumulative_fuel_energy += out.fuel_power_w * dt_s
-    state.cumulative_engine_loss += out.engine_loss_w * dt_s
-    state.cumulative_battery_loss += out.battery_loss_w * dt_s
-    state.cumulative_traction_loss += out.traction_loss_w * dt_s
-    state.cumulative_traction_output += out.p_served_w * dt_s
-    state.cumulative_demand_energy += p_dem_w * dt_s
-    state.cumulative_battery_draw += out.p_batt_w * dt_s
-    state.cumulative_egu_output += out.p_egu_w * dt_s
-    state.cumulative_shortfall += out.shortfall_w * dt_s
-    state.steps += 1
-    state.forced_charge_steps += out.forced_charging
-    return state, out
-
-
 class Plant:
     """:class:`PlantModels` with a live state and their cached :func:`step_kernel`."""
 
@@ -700,13 +559,35 @@ class Plant:
         return self.state
 
     def step(self, p_dem_w: float, p_egu_cmd_w: float, dt_s: float) -> StepOutcome:
-        _, outcome = plant_step(self.state, p_dem_w, p_egu_cmd_w, dt_s, self.models,
-                                self.kernel)
-        return outcome
+        """Advance the plant one step under a power demand and an EGU command.
 
-
-def default_motor() -> TractionMotorModel:
-    return TractionMotorModel()
+        Validates the arguments, runs the kernel and books the step into
+        :attr:`state`, the energy ledger, which is updated in place.
+        """
+        max_power = self.models.egu.max_power_w
+        if p_dem_w < 0.0:
+            raise ValueError(f"p_dem_w must be non-negative, got {p_dem_w}")
+        if p_egu_cmd_w < 0.0 or p_egu_cmd_w > max_power:
+            raise ValueError(f"p_egu_cmd_w must be within [0, {max_power}], got {p_egu_cmd_w}")
+        if dt_s <= 0.0:
+            raise ValueError(f"dt_s must be positive, got {dt_s}")
+        state = self.state
+        out = StepOutcome(*self.kernel(state.soc, state.forced_charging, p_dem_w,
+                                       self.models.motor.link_power(p_dem_w),
+                                       p_egu_cmd_w, dt_s))
+        state.soc, state.forced_charging = out.soc, out.forced_charging
+        state.cumulative_fuel_energy += out.fuel_power_w * dt_s
+        state.cumulative_engine_loss += out.engine_loss_w * dt_s
+        state.cumulative_battery_loss += out.battery_loss_w * dt_s
+        state.cumulative_traction_loss += out.traction_loss_w * dt_s
+        state.cumulative_traction_output += out.p_served_w * dt_s
+        state.cumulative_demand_energy += p_dem_w * dt_s
+        state.cumulative_battery_draw += out.p_batt_w * dt_s
+        state.cumulative_egu_output += out.p_egu_w * dt_s
+        state.cumulative_shortfall += out.shortfall_w * dt_s
+        state.steps += 1
+        state.forced_charge_steps += out.forced_charging
+        return out
 
 
 def default_egu() -> EguModel:
@@ -714,10 +595,5 @@ def default_egu() -> EguModel:
     return EguModel.from_fuel_rates(86_200.0, DEFAULT_EGU_FUEL_RATES_L_PER_H)
 
 
-def default_battery() -> BatteryModel:
-    return BatteryModel()
-
-
 def default_models() -> PlantModels:
-    return PlantModels(vehicle=VehicleParams(), motor=default_motor(),
-                       egu=default_egu(), battery=default_battery())
+    return PlantModels(motor=TractionMotorModel(), egu=default_egu(), battery=BatteryModel())

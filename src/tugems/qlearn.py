@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import uuid
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -125,9 +126,6 @@ class StateGrid:
     def soc_bin(self, soc: float) -> int:
         return _bin_index(self.soc_edges, soc)
 
-    def state_index(self, p_bin: int, soc_bin: int) -> int:
-        return p_bin * self.n_soc + soc_bin
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateGrid):
             return NotImplemented
@@ -224,12 +222,12 @@ class E2ESchedule:
         if self.kind == "step":
             if self.factor is None or not 0.0 < self.factor < 1.0:
                 raise ValueError(f"step schedule needs factor in (0, 1), got {self.factor}")
-            if self.width is None or self.width < 1:
-                raise ValueError(f"step schedule needs width >= 1, got {self.width}")
+            if not isinstance(self.width, int) or self.width < 1:
+                raise ValueError(f"step schedule needs an integer width >= 1, got {self.width}")
         if self.kind == "reciprocal":
-            if self.decay_rate is None or self.decay_rate < 0.0:
+            if self.decay_rate is None or not 0.0 <= self.decay_rate <= sys.float_info.max:
                 raise ValueError(
-                    f"reciprocal schedule needs decay_rate >= 0, got {self.decay_rate}")
+                    f"reciprocal schedule needs a finite decay_rate >= 0, got {self.decay_rate}")
 
     @classmethod
     def constant(cls, initial: float = 0.8) -> "E2ESchedule":
@@ -246,9 +244,6 @@ class E2ESchedule:
     @classmethod
     def reciprocal(cls, initial: float = 0.8, decay_rate: float = 0.1) -> "E2ESchedule":
         return cls(kind="reciprocal", initial=initial, decay_rate=decay_rate)
-
-    def value(self, k: int) -> float:
-        return e2e_value(self, k)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "initial": self.initial}
@@ -268,11 +263,6 @@ class E2ESchedule:
         return cls(**data)
 
 
-def _round_half_away(x: float) -> int:
-    # round-half-away-from-zero (x is never negative here)
-    return math.floor(x + 0.5)
-
-
 def e2e_value(schedule: E2ESchedule, k: int) -> float:
     """Exploration threshold theta for 0-based episode index ``k``."""
     if k < 0:
@@ -283,7 +273,8 @@ def e2e_value(schedule: E2ESchedule, k: int) -> float:
     if schedule.kind == "exponential":
         return a1 ** max(k, 1)
     if schedule.kind == "step":
-        return a1 * schedule.factor ** _round_half_away((1 + k) / schedule.width)
+        # round half away from zero ((1 + k) / width is never negative)
+        return a1 * schedule.factor ** math.floor((1 + k) / schedule.width + 0.5)
     # reciprocal
     return a1 / (1.0 + schedule.decay_rate * k)
 
@@ -299,10 +290,6 @@ class QTable:
                 f"table needs at least one state and action, got {n_states}x{n_actions}")
         self.values = np.zeros((n_states, n_actions), dtype=np.float64)
 
-    @classmethod
-    def for_grids(cls, grid: StateGrid, actions: ActionGrid) -> "QTable":
-        return cls(grid.n_states, actions.n_actions)
-
     @property
     def n_states(self) -> int:
         return int(self.values.shape[0])
@@ -310,18 +297,6 @@ class QTable:
     @property
     def n_actions(self) -> int:
         return int(self.values.shape[1])
-
-    def greedy_action(self, state: int) -> int:
-        """Argmax over actions; ties resolve to the lowest action index."""
-        return int(self.values[state].argmax())
-
-    def max_value(self, state: int) -> float:
-        return float(self.values[state].max())
-
-    def copy(self) -> "QTable":
-        out = QTable(self.n_states, self.n_actions)
-        out.values[:] = self.values
-        return out
 
 
 def select_action(q: QTable, state: int, theta: float,
@@ -384,17 +359,8 @@ class Agent:
     @classmethod
     def create(cls, name: str, grid: StateGrid, actions: ActionGrid,
                config: LearnerConfig, seed: int, stream: int) -> "Agent":
-        return cls(name=name, q=QTable.for_grids(grid, actions), config=config,
+        return cls(name=name, q=QTable(grid.n_states, actions.n_actions), config=config,
                    rng=make_rng(seed, stream))
-
-    def propose(self, state: int, theta: float) -> int:
-        return select_action(self.q, state, theta, self.rng)
-
-    def greedy(self, state: int) -> int:
-        return self.q.greedy_action(state)
-
-    def update(self, state: int, action: int, reward: float, next_state: int) -> float:
-        return q_update(self.q, state, action, reward, next_state, self.config)
 
 
 SNAPSHOT_FORMAT = "tugems-qtable"
@@ -444,8 +410,11 @@ def _reject_nan(token: str) -> float:
 def load_qtable(path: str | Path,
                 expect_grid: StateGrid | None = None,
                 expect_actions: ActionGrid | None = None,
-                ) -> tuple[QTable, StateGrid, ActionGrid, E2ESchedule | None]:
+                ) -> tuple[QTable, StateGrid, ActionGrid, E2ESchedule | None, dict]:
     """Read a snapshot back; validate shape, finiteness, and grid identity.
+
+    Returns the table, its grids, its schedule and its ``extra`` block
+    (empty when the snapshot has none).
 
     Raises
     ------
@@ -464,8 +433,9 @@ def load_qtable(path: str | Path,
         if not isinstance(doc.get(key), list):
             problem = "is missing" if key not in doc else "must be a list"
             raise ValueError(f"{path}: snapshot key {key!r} {problem}")
-    if not isinstance(doc.get("schedule"), (dict, type(None))):
-        raise ValueError(f"{path}: snapshot key 'schedule' must be a mapping or null")
+    for key in ("schedule", "extra"):
+        if not isinstance(doc.get(key), (dict, type(None))):
+            raise ValueError(f"{path}: snapshot key {key!r} must be a mapping or null")
     grid = StateGrid(doc["p_dem_edges_w"], doc["soc_edges"])
     actions = ActionGrid(doc["action_levels_w"])
     values = np.array(doc["values"], dtype=np.float64)
@@ -484,4 +454,4 @@ def load_qtable(path: str | Path,
         schedule = E2ESchedule.from_dict(doc["schedule"])
     q = QTable(grid.n_states, actions.n_actions)
     q.values[:] = values
-    return q, grid, actions, schedule
+    return q, grid, actions, schedule, doc.get("extra") or {}

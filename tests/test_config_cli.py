@@ -1,10 +1,14 @@
 """YAML config parsing and the command-line front end."""
 
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tugems.cli import main
 from tugems.config import (DEFAULT_CONFIG, ConfigError, load_config,
@@ -130,6 +134,27 @@ def test_seed_list_validation():
                for p in validate_config({"run": {"seeds": []}}))
 
 
+@pytest.mark.parametrize("data,key", [
+    ({"ensemble": {"kind": "weighted", "mu": math.nan}}, "config.ensemble.mu"),
+    ({"ensemble": {"kind": "random", "t": math.inf}}, "config.ensemble.t"),
+    ({"plant": {"reward_baseline": math.inf}}, "config.plant.reward_baseline"),
+    ({"plant": {"charge_release_margin": math.inf}}, "config.plant.charge_release_margin"),
+    ({"cycle": {"dt_s": math.nan}}, "config.cycle.dt_s"),
+    ({"run": {"initial_soc": 10 ** 400}}, "config.run.initial_soc"),
+    ({"agents": {"a": {"discount": math.nan}}}, "config.agents.a.discount"),
+    ({"agents": {"b": {"schedule": {"kind": "reciprocal", "decay_rate": math.inf}}}},
+     "config.agents.b.schedule"),
+    ({"agents": {"b": {"schedule": {"kind": "step", "factor": 0.5, "width": math.nan}}}},
+     "config.agents.b.schedule"),
+    ({"eval": {"initial_socs": [0.5, math.nan]}}, "config.eval.initial_socs"),
+    ({"run": {"seeds": [0, -1]}}, "config.run.seeds"),
+], ids=["mu-nan", "t-inf", "baseline-inf", "margin-inf", "dt-nan", "soc-huge-int",
+        "discount-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed"])
+def test_non_finite_numbers_and_negative_seeds_are_named(data, key):
+    problems = validate_config(data)
+    assert len(problems) == 1 and problems[0].startswith(key), problems
+
+
 def test_initial_soc_must_sit_inside_the_battery_window():
     problems = validate_config({"run": {"initial_soc": 0.9}})
     assert len(problems) == 1
@@ -179,6 +204,74 @@ def test_to_dict_fingerprint_is_stable():
 # ---------------------------------------------------------------------------
 
 
+_WORDS = ["weighted", "maximum", "random", "single", "ensemble", "constant",
+          "exponential", "step", "reciprocal", "PRDC-1-synthetic", "kind"]
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.text(max_size=6), st.sampled_from(_WORDS))
+_ANY = st.recursive(_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+# Mostly plausible values, so that whole configs get accepted often enough
+# for the finiteness check to bite; sometimes anything at all.
+_NUMBER = st.one_of(st.floats(0.0, 1.0), st.integers(0, 30),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -1]))
+_VALUE = st.one_of(_NUMBER, _NUMBER, st.lists(_NUMBER, min_size=1, max_size=3),
+                   st.sampled_from(_WORDS), _ANY)
+
+
+def _section(keys, values=_VALUE):
+    mapping = st.dictionaries(st.sampled_from(keys), values, max_size=len(keys))
+    return st.one_of(mapping, mapping, mapping, _ANY)
+
+
+_SCHEDULE = _section(["kind", "initial", "factor", "width", "decay_rate"])
+_AGENT = _section(["learning_rate", "discount", "schedule"],
+                  st.one_of(_LEAF, _SCHEDULE))
+_CONFIG = st.fixed_dictionaries({}, optional={
+    "label": _LEAF,
+    "cycle": _section(["builtin", "path", "dt_s"]),
+    "run": _section(["mode", "episodes", "initial_soc", "seeds"]),
+    "grids": _section(["p_dem_bins", "soc_bins", "action_levels"]),
+    "agents": _section(["a", "b"], _AGENT),
+    "ensemble": _section(["kind", "mu", "delta", "t"]),
+    "plant": _section(["soc_ref", "charge_sustain_soc", "charge_release_margin",
+                       "soc_penalty_coeff", "reward_baseline"]),
+    "sweep": _section(["repeats", "base_seed", "episodes"]),
+    "eval": _section(["cycles", "initial_socs"]),
+    "dp": _section(["soc_nodes"]),
+})
+
+# One field set on the stock config: a bad value is then the only problem.
+_FIELDS = [(section, key) for section, keys in (
+    ("cycle", ["dt_s"]), ("run", ["episodes", "initial_soc", "seeds"]),
+    ("grids", ["p_dem_bins", "soc_bins", "action_levels"]),
+    ("ensemble", ["mu", "delta", "t"]),
+    ("plant", ["soc_ref", "charge_sustain_soc", "charge_release_margin",
+               "soc_penalty_coeff", "reward_baseline"]),
+    ("sweep", ["repeats", "base_seed", "episodes"]), ("eval", ["initial_socs"]),
+    ("dp", ["soc_nodes"])) for key in keys]
+_ONE_FIELD = st.one_of(
+    st.tuples(st.sampled_from(_FIELDS), _VALUE).map(lambda f: {f[0][0]: {f[0][1]: f[1]}}),
+    st.tuples(st.sampled_from(["learning_rate", "discount"]), _VALUE).map(
+        lambda f: {"agents": {"a": {f[0]: f[1]}}}),
+    st.tuples(st.sampled_from(["constant", "exponential", "step", "reciprocal"]),
+              st.sampled_from(["initial", "factor", "width", "decay_rate"]), _VALUE).map(
+        lambda f: {"agents": {"b": {"schedule": {"kind": f[0], "factor": 0.5,
+                                                 "width": 10, "decay_rate": 0.1,
+                                                 f[1]: f[2]}}}}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(_CONFIG, _ONE_FIELD))
+def test_parse_config_raises_only_config_error_and_accepts_only_finite_numbers(data):
+    try:
+        config = parse_config(data)
+    except ConfigError:
+        return
+    json.dumps(config.to_dict(), allow_nan=False)  # raises on NaN or infinity
+    assert min(config.seeds) >= 0
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """A tiny cycle CSV plus a config file pointing at it."""
@@ -216,6 +309,63 @@ def test_validate_rejects_a_broken_config(tmp_path, capsys):
 def test_missing_config_file_is_a_validation_failure(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "none.yaml")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def _write_config(tmp, base, **sections):
+    data = yaml.safe_load(base.read_text())
+    data.update(sections)
+    path = tmp / "variant.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+@pytest.mark.parametrize("sections,key", [
+    ({"ensemble": {"kind": "weighted", "mu": math.nan}}, "config.ensemble.mu"),
+    ({"plant": {"reward_baseline": math.inf}}, "config.plant.reward_baseline"),
+    ({"cycle": {"builtin": "PRDC-1-synthetic", "dt_s": math.nan}}, "config.cycle.dt_s"),
+    ({"run": {"episodes": 1, "seeds": [-1]}}, "config.run.seeds"),
+], ids=["mu-nan", "baseline-inf", "dt-nan", "negative-seed"])
+def test_learn_and_validate_reject_bad_numbers_as_config_errors(workspace, capsys,
+                                                                sections, key):
+    tmp, cfg = workspace
+    bad = _write_config(tmp, cfg, **sections)
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert key in capsys.readouterr().err
+    assert main(["learn", "--config", str(bad), "--out", str(tmp / "run")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp / "run").exists()
+
+
+def test_learn_rejects_a_negative_seed_override(workspace, capsys):
+    tmp, cfg = workspace
+    assert main(["learn", "--config", str(cfg), "--out", str(tmp / "neg"),
+                 "--seed", "-1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "nan", "missing-eval"])
+def test_validate_loads_the_cycles_learn_and_eval_will_use(workspace, capsys, case):
+    tmp, cfg = workspace
+    nan_csv = tmp / "nan.csv"
+    nan_csv.write_text("t_s,p_dem_w\n0,1000\n1,nan\n")
+    sections, key, name = {
+        "missing": ({"cycle": {"path": "nope.csv"}}, "config.cycle", "nope.csv"),
+        "nan": ({"cycle": {"path": str(nan_csv)}}, "config.cycle", "nan.csv"),
+        "missing-eval": ({"eval": {"cycles": ["nope.csv"]}}, "config.eval.cycles",
+                         "nope.csv"),
+    }[case]
+    bad = _write_config(tmp, cfg, **sections)
+    assert main(["validate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and name in err
+    # learn and eval keep the runtime exit code for the same file
+    run = tmp / "run"
+    if case == "missing-eval":
+        assert main(["learn", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["eval", "--config", str(bad), "--out", str(tmp / "ev"),
+                     "--snapshots", str(run)]) == 2
+    else:
+        assert main(["learn", "--config", str(bad), "--out", str(run)]) == 2
 
 
 def test_usage_errors_exit_with_the_validation_code():
@@ -351,6 +501,32 @@ def test_eval_falls_back_to_the_lowest_seed_snapshot(workspace):
                  "--snapshots", str(single)]) == 0
     assert ((out / "robustness.csv").read_text()
             == (direct / "robustness.csv").read_text())
+
+
+def test_eval_pairs_agent_b_with_agent_a_by_seed(workspace, capsys):
+    tmp, cfg = workspace
+    run_dir = tmp / "multi"
+    assert main(["learn", "--config", str(cfg), "--out", str(run_dir),
+                 "--seed", "3", "--seed", "4"]) == 0
+    args = ["eval", "--config", str(cfg), "--out", str(tmp / "ev"),
+            "--snapshots", str(run_dir)]
+    (run_dir / "qtable_B_seed3.json").unlink()
+    assert main(args) == 2  # not silently paired with seed 4's agent B
+    assert "qtable_B_seed3.json" in capsys.readouterr().err
+    shutil.copy(run_dir / "qtable_B_seed4.json", run_dir / "qtable_B_seed3.json")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "do not pair" in err and "seed" in err
+
+
+def test_eval_runs_a_single_mode_snapshot_without_agent_b(workspace):
+    tmp, cfg = workspace
+    single_cfg = _write_config(tmp, cfg, run={"mode": "single", "episodes": 2})
+    run_dir = tmp / "single"
+    assert main(["learn", "--config", str(single_cfg), "--out", str(run_dir)]) == 0
+    assert not (run_dir / "qtable_B.json").exists()
+    assert main(["eval", "--config", str(single_cfg), "--out", str(tmp / "ev"),
+                 "--snapshots", str(run_dir)]) == 0
 
 
 def test_eval_with_a_separately_trained_baseline(workspace):

@@ -167,6 +167,32 @@ def test_load_rejects_out_of_range_demand(tmp_path):
         load_cycle(path)
 
 
+def test_load_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("t_s,p_dem_w\n0,1\u00e9\n".encode("latin-1"))
+    with pytest.raises(CycleError, match="not a UTF-8 CSV file"):
+        load_cycle(path)
+
+
+_CSV_ROWS = st.lists(st.tuples(st.floats(), st.floats()), max_size=6).map(
+    lambda rows: "t_s,p_dem_w\n" + "".join(f"{t!r},{p!r}\n" for t, p in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=300),
+                      st.binary(max_size=300).map(lambda b: b"t_s,p_dem_w\n" + b),
+                      st.text(max_size=300).map(lambda t: ("t_s,p_dem_w\n" + t).encode()),
+                      _CSV_ROWS.map(str.encode)))
+def test_load_cycle_raises_only_cycle_error_on_arbitrary_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-cycle.csv"
+    path.write_bytes(data)
+    try:
+        cycle = load_cycle(path)
+    except CycleError:
+        return
+    assert validate_cycle(cycle) == [] and np.isfinite(cycle.dt_s) and cycle.dt_s > 0.0
+
+
 def test_load_tolerates_trailing_blank_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("t_s,p_dem_w\n0,5\n1,6\n\n")

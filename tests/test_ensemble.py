@@ -15,7 +15,8 @@ from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
-                           discretize, make_rng)
+                           discretize, e2e_value, make_rng, q_update,
+                           select_action)
 
 # ---------------------------------------------------------------------------
 # combination rules
@@ -337,15 +338,16 @@ def test_degenerate_policies_reproduce_agent_b(models, grid, actions,
 
 def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, combiner,
                        learn, greedy):
-    """Step by step through Agent.propose/update, the combine_* rules and
+    """Step by step through select_action/q_update, the combine_* rules and
     Plant.step, with the tables in numpy throughout."""
     plant.reset(soc0)
     demand = [float(p) for p in cycle.demand_w]
-    thetas = [0.0 if greedy else a.config.schedule.value(k) for a in agents]
+    thetas = [0.0 if greedy else e2e_value(a.config.schedule, k) for a in agents]
     total = soc_sum = 0.0
     for i, p in enumerate(demand):
         state = discretize(grid, p, plant.state.soc)
-        props = [a.greedy(state) if greedy else a.propose(state, theta)
+        props = [int(a.q.values[state].argmax()) if greedy
+                 else select_action(a.q, state, theta, a.rng)
                  for a, theta in zip(agents, thetas)]
         if len(agents) == 1:
             final = props[0]
@@ -360,7 +362,7 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
         next_state = discretize(grid, demand[min(i + 1, len(demand) - 1)], out.soc)
         if learn:
             for agent in agents:
-                agent.update(state, final, out.reward, next_state)
+                q_update(agent.q, state, final, out.reward, next_state, agent.config)
         total += out.reward
         soc_sum += out.soc
     return episode_metrics(plant.state, plant.models.battery, soc0,

@@ -1,7 +1,6 @@
 """Powertrain component models and the per-step plant dispatch."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,49 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tugems.powertrain import (BatteryModel, EguModel, PiecewiseLinear, Plant,
-                               PlantModels, PlantState, TractionMotorModel,
-                               VehicleParams, battery_current,
-                               default_battery, default_egu, default_models,
-                               default_motor, egu_efficiency, egu_fuel_power,
-                               fit_egu_quadratic, fuel_rate_to_power, merit,
-                               motor_loss_from_efficiency_targets, plant_step,
-                               power_losses, soc_step, traction_efficiency,
-                               traction_power)
+                               PlantState, TractionMotorModel, VehicleParams,
+                               default_egu, default_models, egu_efficiency,
+                               egu_fuel_power, fit_egu_quadratic,
+                               fuel_rate_to_power,
+                               motor_loss_from_efficiency_targets)
 
 # ---------------------------------------------------------------------------
-# traction power and motor losses
+# traction motor losses
 # ---------------------------------------------------------------------------
-
-
-def test_traction_power_torque_speed_product():
-    # 100 N.m at 955 rpm: 100 * 955 / 9550 = 10 kW
-    assert traction_power(100.0, 955.0) == pytest.approx(10_000.0, rel=1e-12)
-
-
-def test_traction_power_zero_torque_is_zero():
-    assert traction_power(0.0, 3000.0) == 0.0
-
-
-def test_traction_power_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        traction_power(-1.0, 100.0)
-    with pytest.raises(ValueError):
-        traction_power(10.0, -5.0)
 
 
 def test_motor_loss_calibration_hits_both_efficiency_targets():
-    motor = default_motor()
-    t_rated = motor.torque_at_power(motor.nominal_power_w)
-    assert traction_efficiency(motor, t_rated, motor.rated_speed_rpm) \
-        == pytest.approx(0.95, abs=1e-9)
-    assert traction_efficiency(motor, 0.1 * t_rated, motor.rated_speed_rpm) \
-        == pytest.approx(0.85, abs=1e-9)
+    motor = TractionMotorModel()
+    for p, eta in ((motor.nominal_power_w, 0.95), (0.1 * motor.nominal_power_w, 0.85)):
+        assert p / (p + motor.loss_at_power(p)) == pytest.approx(eta, abs=1e-9)
 
 
 def test_motor_idle_loss_is_the_constant_term():
-    motor = default_motor()
+    motor = TractionMotorModel()
     assert motor.loss_at_power(0.0) == pytest.approx(motor.loss_c0)
-    assert traction_efficiency(motor, 0.0, motor.rated_speed_rpm) == 0.0
 
 
 def test_motor_loss_solver_rejects_infeasible_targets():
@@ -62,7 +38,7 @@ def test_motor_loss_solver_rejects_infeasible_targets():
 
 
 def test_link_power_round_trip_through_inverse():
-    motor = default_motor()
+    motor = TractionMotorModel()
     for p_w in (0.0, 5_000.0, 40_000.0, 245_000.0):
         p_link = motor.link_power(p_w)
         assert p_link >= p_w
@@ -71,7 +47,7 @@ def test_link_power_round_trip_through_inverse():
 
 @given(st.floats(min_value=0.0, max_value=253_000.0))
 def test_motor_loss_nonnegative_and_link_power_monotone(p_w):
-    motor = default_motor()
+    motor = TractionMotorModel()
     assert motor.loss_at_power(p_w) > 0.0
     assert motor.link_power(p_w + 1.0) > motor.link_power(p_w)
 
@@ -133,40 +109,8 @@ def test_egu_model_rejects_decreasing_fuel_curve():
 # ---------------------------------------------------------------------------
 
 
-def test_battery_current_at_midband_voltage():
-    battery = default_battery()
-    # 3.6 V/cell at SoC 0.5, 8200 cells: 29 520 W across the pack is 1 A/cell
-    assert battery_current(battery, 29_520.0, 0.5) == pytest.approx(1.0, rel=1e-12)
-    assert battery_current(battery, -29_520.0, 0.5) == pytest.approx(-1.0, rel=1e-12)
-
-
-def test_soc_step_half_hour_discharge():
-    battery = default_battery()
-    # 0.49 A for 1800 s = 882 A.s = 10 % of the 2.45 Ah cell
-    soc, saturated = soc_step(battery, 0.5, 0.49, 1800.0)
-    assert soc == pytest.approx(0.4, abs=1e-12)
-    assert not saturated
-
-
-def test_soc_step_clamps_at_window_and_flags_it():
-    battery = default_battery()
-    low, sat_low = soc_step(battery, 0.21, 5.0, 1800.0)
-    assert low == battery.soc_min and sat_low
-    high, sat_high = soc_step(battery, 0.79, -5.0, 1800.0)
-    assert high == battery.soc_max and sat_high
-
-
-@given(st.floats(min_value=0.2, max_value=0.8),
-       st.floats(min_value=-50.0, max_value=50.0),
-       st.floats(min_value=0.1, max_value=3600.0))
-def test_soc_step_always_inside_window(soc, current, dt):
-    battery = default_battery()
-    new_soc, _ = soc_step(battery, soc, current, dt)
-    assert battery.soc_min <= new_soc <= battery.soc_max
-
-
 def test_voltage_curve_interpolation_and_clamping():
-    battery = default_battery()
+    battery = BatteryModel()
     assert battery.cell_voltage(0.5) == pytest.approx(3.6)
     assert battery.cell_voltage(0.35) == pytest.approx(3.5)  # halfway 3.4 -> 3.6
     assert battery.cell_voltage(0.2) == pytest.approx(3.4)
@@ -179,51 +123,47 @@ def test_battery_rejects_bad_window():
 
 
 # ---------------------------------------------------------------------------
-# losses and merit
-# ---------------------------------------------------------------------------
-
-
-def test_power_losses_full_load_engine_and_unit_current_battery(models):
-    engine_loss, battery_loss = power_losses(
-        models, 86_200.0, 256_263.3333333333, 1.0, 0.5)
-    # fuel minus electrical output at full load
-    assert engine_loss == pytest.approx(170_063.33, abs=0.01)
-    # 1 A through 0.03 ohm in each of 8200 cells
-    assert battery_loss == pytest.approx(246.0, rel=1e-9)
-
-
-def test_power_losses_rejects_negative_engine_loss(models):
-    with pytest.raises(ValueError):
-        power_losses(models, 86_200.0, 80_000.0, 0.0, 0.5)
-
-
-def test_merit_is_negative_loss_in_kilowatts():
-    assert merit(0.0, 100_000.0, 0.5) == pytest.approx(-100.0)
-
-
-def test_merit_adds_soc_deficit_penalty():
-    # 0.1 below the reference at coefficient 500 adds 50 to the penalty
-    assert merit(0.0, 100_000.0, 0.18) == pytest.approx(-150.0)
-    assert merit(0.0, 100_000.0, 0.28) == pytest.approx(-100.0)
-
-
-@given(st.floats(min_value=0.0, max_value=3e5),
-       st.floats(min_value=0.0, max_value=3e5),
-       st.floats(min_value=0.2, max_value=0.8))
-def test_merit_monotone_in_loss_and_soc(loss_a, loss_b, soc):
-    lo, hi = sorted((loss_a, loss_b))
-    assert merit(0.0, hi, soc) <= merit(0.0, lo, soc)
-    assert merit(0.0, lo, soc) <= merit(0.0, lo, min(0.8, soc + 0.05))
-
-
-def test_merit_rejects_negative_loss():
-    with pytest.raises(ValueError):
-        merit(0.0, -1.0, 0.5)
-
-
-# ---------------------------------------------------------------------------
 # plant step
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("soc0,demand,cmd", [
+    (0.5, 30_000.0, 43_100.0),    # mid window, battery discharges
+    (0.5, 5_000.0, 86_200.0),     # mid window, battery charges
+    (0.35, 120_000.0, 0.0),       # engine off, battery carries all
+    (0.25, 200_000.0, 0.0),       # low SoC: forced charging, deficit penalty
+    (0.2, 0.0, 0.0),              # bottom edge of the window
+    (0.2, 250_000.0, 86_200.0),   # bottom edge under a shortfall
+    (0.8, 0.0, 86_200.0),         # top edge: no room to charge
+    (0.8, 150_000.0, 0.0),        # top edge, discharging
+])
+def test_plant_step_physics_at_operating_points(models, soc0, demand, cmd):
+    models = dataclasses.replace(models, reward_baseline=5.0)
+    battery, dt = models.battery, 1.0
+    plant = Plant(models, soc0)
+    out = plant.step(demand, cmd, dt)
+    current = out.p_batt_w / (battery.cell_voltage(soc0) * battery.num_cells)
+    assert out.cell_current_a == current
+    raw = soc0 - current * dt / battery.coulomb_capacity
+    assert out.soc == min(max(raw, battery.soc_min), battery.soc_max)
+    assert out.engine_loss_w == out.fuel_power_w - out.p_egu_w
+    assert out.battery_loss_w == pytest.approx(
+        battery.resistance_curve(soc0) * current ** 2 * battery.num_cells, rel=1e-12)
+    loss = out.engine_loss_w + out.battery_loss_w
+    assert out.p_loss_total_w == loss
+    penalty = models.soc_penalty_coeff * max(0.0, models.soc_ref - out.soc)
+    assert (penalty > 0.0) == (soc0 < models.soc_ref)
+    assert out.reward == pytest.approx(5.0 - loss / 1000.0 - penalty, rel=1e-12, abs=1e-12)
+    assert plant.state.soc == out.soc and plant.state.steps == 1
+    assert battery.soc_min <= out.soc <= battery.soc_max
+
+
+def test_plant_step_rejects_a_fuel_curve_below_output():
+    egu = default_egu()
+    object.__setattr__(egu, "fuel_b0", -1e6)  # bypass the model's own check
+    models = dataclasses.replace(default_models(), egu=egu)
+    with pytest.raises(ValueError, match="engine loss is negative"):
+        Plant(models, 0.5).step(0.0, 8_620.0, 1.0)
 
 
 def test_plant_step_link_balance_is_exact(models):
@@ -346,10 +286,3 @@ def test_plant_state_starts_clean():
     assert s.steps == 0 and not s.forced_charging
     assert s.cumulative_fuel_energy == 0.0
 
-
-def test_plant_step_free_function_mutates_state(models):
-    state = PlantState(soc=0.5)
-    state2, out = plant_step(state, 10_000.0, 43_100.0, 1.0, models)
-    assert state2 is state
-    assert state.steps == 1
-    assert math.isclose(state.soc, out.soc)

@@ -46,10 +46,9 @@ def test_binning_clamps_out_of_range_values():
 
 def test_state_index_is_row_major():
     grid = StateGrid.uniform()
-    assert grid.state_index(0, 0) == 0
-    assert grid.state_index(1, 12) == 37
-    assert grid.state_index(22, 24) == 574
-    assert discretize(grid, 11_000.0, 0.5) == 37  # soc 0.5 -> bin 12
+    assert discretize(grid, 0.0, 0.2) == 0
+    assert discretize(grid, 11_000.0, 0.5) == 37  # p bin 1, soc 0.5 -> bin 12
+    assert discretize(grid, 253_000.0, 0.8) == 574
 
 
 def test_grid_rejects_bad_edges():
@@ -106,29 +105,29 @@ def test_action_grid_rejects_bad_ladders():
 
 def test_exponential_schedule_examples():
     sched = E2ESchedule.exponential(0.8)
-    assert sched.value(0) == pytest.approx(0.8, abs=1e-12)   # k counts from 1
-    assert sched.value(1) == pytest.approx(0.8, abs=1e-12)
-    assert sched.value(2) == pytest.approx(0.64, abs=1e-12)  # 0.8**2
+    assert e2e_value(sched, 0) == pytest.approx(0.8, abs=1e-12)   # k counts from 1
+    assert e2e_value(sched, 1) == pytest.approx(0.8, abs=1e-12)
+    assert e2e_value(sched, 2) == pytest.approx(0.64, abs=1e-12)  # 0.8**2
 
 
 def test_step_schedule_examples():
     sched = E2ESchedule.step(0.8, factor=0.5, width=10)
-    assert sched.value(0) == pytest.approx(0.8, abs=1e-12)
+    assert e2e_value(sched, 0) == pytest.approx(0.8, abs=1e-12)
     # (1+4)/10 = 0.5 rounds half away from zero to 1, so theta halves
-    assert sched.value(4) == pytest.approx(0.4, abs=1e-12)
-    assert sched.value(13) == pytest.approx(0.4, abs=1e-12)
-    assert sched.value(14) == pytest.approx(0.2, abs=1e-12)  # (1+14)/10 -> 2
+    assert e2e_value(sched, 4) == pytest.approx(0.4, abs=1e-12)
+    assert e2e_value(sched, 13) == pytest.approx(0.4, abs=1e-12)
+    assert e2e_value(sched, 14) == pytest.approx(0.2, abs=1e-12)  # (1+14)/10 -> 2
 
 
 def test_reciprocal_schedule_example():
     sched = E2ESchedule.reciprocal(0.8, decay_rate=0.1)
-    assert sched.value(0) == pytest.approx(0.8, abs=1e-12)
-    assert sched.value(10) == pytest.approx(0.4, abs=1e-12)  # 0.8 / (1 + 1)
+    assert e2e_value(sched, 0) == pytest.approx(0.8, abs=1e-12)
+    assert e2e_value(sched, 10) == pytest.approx(0.4, abs=1e-12)  # 0.8 / (1 + 1)
 
 
 def test_constant_schedule_never_moves():
     sched = E2ESchedule.constant(0.3)
-    assert [sched.value(k) for k in (0, 1, 50)] == [0.3, 0.3, 0.3]
+    assert [e2e_value(sched, k) for k in (0, 1, 50)] == [0.3, 0.3, 0.3]
 
 
 @pytest.mark.parametrize("sched", [
@@ -138,7 +137,7 @@ def test_constant_schedule_never_moves():
     E2ESchedule.reciprocal(0.8, 0.1),
 ], ids=lambda s: s.kind)
 def test_schedules_start_at_initial_and_never_rise(sched):
-    values = [sched.value(k) for k in range(501)]
+    values = [e2e_value(sched, k) for k in range(501)]
     assert values[0] == pytest.approx(0.8, abs=1e-12)
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert all(0.0 < v <= 0.8 for v in values)
@@ -149,7 +148,7 @@ def test_schedules_start_at_initial_and_never_rise(sched):
 @settings(max_examples=60, deadline=None)
 def test_exponential_matches_closed_form(k, initial):
     sched = E2ESchedule.exponential(initial)
-    assert sched.value(k) == pytest.approx(initial ** max(k, 1), rel=1e-12)
+    assert e2e_value(sched, k) == pytest.approx(initial ** max(k, 1), rel=1e-12)
 
 
 def test_schedule_validation():
@@ -350,9 +349,10 @@ def test_agent_create_wires_grid_config_and_stream():
     agent = Agent.create("A", grid, actions, LearnerConfig(), seed=9, stream=0)
     assert agent.q.n_states == 12
     assert agent.q.n_actions == 5
-    assert agent.greedy(0) == 0  # blank table ties to action 0
+    assert agent.q.values[0].argmax() == 0  # blank table ties to action 0
     twin = Agent.create("A", grid, actions, LearnerConfig(), seed=9, stream=0)
-    assert agent.propose(0, 1.0) == twin.propose(0, 1.0)
+    assert (select_action(agent.q, 0, 1.0, agent.rng)
+            == select_action(twin.q, 0, 1.0, twin.rng))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def test_agent_create_wires_grid_config_and_stream():
 def small_setup():
     grid = StateGrid.uniform(n_p_dem=3, n_soc=2)
     actions = ActionGrid.uniform(n_levels=4)
-    q = QTable.for_grids(grid, actions)
+    q = QTable(grid.n_states, actions.n_actions)
     rng = np.random.default_rng(0)
     q.values[:] = rng.normal(size=q.values.shape)
     return q, grid, actions
@@ -374,11 +374,12 @@ def test_snapshot_round_trip_is_bit_exact(small_setup, tmp_path):
     q, grid, actions = small_setup
     path = tmp_path / "q.json"
     save_qtable(path, q, grid, actions, schedule=E2ESchedule.step(0.8, 0.5, 10))
-    q2, grid2, actions2, sched2 = load_qtable(path)
+    q2, grid2, actions2, sched2, extra2 = load_qtable(path)
     np.testing.assert_array_equal(q2.values, q.values)
     assert grid2 == grid
     assert actions2 == actions
     assert sched2 == E2ESchedule.step(0.8, 0.5, 10)
+    assert extra2 == {}
 
 
 def test_snapshot_extra_block_is_stored(small_setup, tmp_path):
@@ -387,6 +388,7 @@ def test_snapshot_extra_block_is_stored(small_setup, tmp_path):
     save_qtable(path, q, grid, actions, extra={"episodes": 125})
     doc = json.loads(path.read_text())
     assert doc["extra"] == {"episodes": 125}
+    assert load_qtable(path)[4] == {"episodes": 125}
     assert doc["schedule"] is None
 
 
