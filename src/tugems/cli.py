@@ -125,6 +125,16 @@ def _prepare(args: argparse.Namespace) -> tuple[RunConfig, Path]:
     return config, out
 
 
+def _setup(config: RunConfig, episodes: int) -> RunSetup:
+    """The learning-run setup a config describes, with ``episodes`` per run."""
+    grid, actions = config.build_grids()
+    return RunSetup(cycle=config.build_cycle(), models=config.build_models(),
+                    grid=grid, actions=actions, config_a=config.agent_a,
+                    config_b=config.agent_b, policy=config.policy,
+                    mode=config.mode, episodes=episodes,
+                    initial_soc=config.initial_soc)
+
+
 def _cmd_learn(args: argparse.Namespace) -> int:
     config, out = _prepare(args)
     seeds = tuple(args.seed) if args.seed else config.seeds
@@ -132,12 +142,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         raise ConfigError([f"--seed: duplicate seeds in {list(seeds)}"])
     if min(seeds) < 0:
         raise ConfigError([f"--seed: must be >= 0, got {min(seeds)}"])
-    grid, actions = config.build_grids()
-    setup = RunSetup(cycle=config.build_cycle(), models=config.build_models(),
-                     grid=grid, actions=actions, config_a=config.agent_a,
-                     config_b=config.agent_b, policy=config.policy,
-                     mode=config.mode, episodes=config.episodes,
-                     initial_soc=config.initial_soc)
+    setup = _setup(config, config.episodes)
     artifacts: list[str] = []
     finals = {}
     for seed in seeds:
@@ -148,7 +153,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         artifacts.append(curve)
         for name, agent in result.agents.items():
             snap = f"qtable_{name}{tag}.json"
-            save_qtable(out / snap, agent.q, grid, actions,
+            save_qtable(out / snap, agent.q, setup.grid, setup.actions,
                         schedule=agent.config.schedule,
                         extra={"label": config.label, "seed": seed,
                                "mode": config.mode})
@@ -174,14 +179,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config, out = _prepare(args)
-    grid, actions = config.build_grids()
-    rows = sweep_weights(config.build_cycle(), config.build_models(), grid,
-                         actions, config.agent_a, config.agent_b,
+    rows = sweep_weights(_setup(config, config.sweep_episodes),
                          repeats=config.sweep_repeats,
-                         episodes=config.sweep_episodes,
-                         initial_soc=config.initial_soc,
-                         base_seed=config.sweep_base_seed,
-                         workers=args.workers)
+                         base_seed=config.sweep_base_seed, workers=args.workers)
     write_atomic(out / "sweep.csv", write_sweep_csv(rows))
     best = max(rows, key=lambda r: r.mean_eff)
     print(f"best proportion mu={best.mu}: mean efficiency "

@@ -37,8 +37,7 @@ import yaml
 from .drive_cycle import BUILTIN_CYCLE_NAMES, DriveCycle, builtin_cycle, load_cycle
 from .ensemble import POLICY_KINDS, EnsemblePolicy
 from .powertrain import PlantModels, default_models
-from .qlearn import (SCHEDULE_KINDS, ActionGrid, E2ESchedule, LearnerConfig,
-                     StateGrid)
+from .qlearn import ActionGrid, E2ESchedule, LearnerConfig, StateGrid
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
            "validate_config", "DEFAULT_CONFIG"]
@@ -224,16 +223,10 @@ def _agent(data: object, path: str, problems: list[str],
     schedule = default.schedule
     if "schedule" in section and section["schedule"] is not None:
         sched = _want_mapping(section["schedule"], f"{path}.schedule", problems)
-        if "kind" not in sched:
-            problems.append(f"{path}.schedule.kind: required when schedule is given")
-        elif sched["kind"] not in SCHEDULE_KINDS:
-            problems.append(f"{path}.schedule.kind: must be one of "
-                            f"{SCHEDULE_KINDS}, got {sched['kind']!r}")
-        else:
-            try:
-                schedule = E2ESchedule.from_dict(dict(sched))
-            except (ValueError, TypeError) as exc:
-                problems.append(f"{path}.schedule: {exc}")
+        try:
+            schedule = E2ESchedule.from_dict(dict(sched))
+        except ValueError as exc:
+            problems.append(f"{path}.schedule: {exc}")
     try:
         return LearnerConfig(learning_rate=lr, discount=discount, schedule=schedule)
     except ValueError as exc:

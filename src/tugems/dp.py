@@ -123,17 +123,12 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     ------
     ValueError
         If even full generator power throughout the cycle cannot satisfy
-        the terminal constraint.
+        the terminal constraint, or (from :class:`Plant`) if ``initial_soc``
+        lies outside the battery window.
     """
-    if len(cycle) == 0:
-        raise ValueError("cannot run dynamic programming on an empty cycle")
     if soc_nodes < 2:
         raise ValueError(f"soc_nodes must be at least 2, got {soc_nodes}")
     battery = models.battery
-    if not battery.soc_min <= initial_soc <= battery.soc_max:
-        raise ValueError(
-            f"initial_soc {initial_soc} outside the battery window "
-            f"[{battery.soc_min}, {battery.soc_max}]")
     if end_soc_min is None:
         end_soc_min = models.soc_ref
 

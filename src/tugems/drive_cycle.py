@@ -31,7 +31,6 @@ __all__ = [
     "DriveCycle",
     "SynthSpec",
     "validate_cycle",
-    "check_cycle",
     "load_cycle",
     "save_cycle",
     "speed_to_power",
@@ -50,12 +49,13 @@ class CycleError(ValueError):
     """Malformed cycle data (file contents or constructed traces)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriveCycle:
-    """Fixed-timestep power-demand trace.
+    """Fixed-timestep power-demand trace, valid by construction.
 
-    The demand array is made read-only on construction; build a new cycle
-    instead of editing one in place.
+    The demand array is copied and made read-only; build a new cycle instead
+    of editing one in place.  Raises :class:`CycleError` listing every
+    problem :func:`validate_cycle` finds.
     """
 
     dt_s: float
@@ -66,7 +66,10 @@ class DriveCycle:
         arr = np.asarray(self.demand_w, dtype=np.float64)
         arr = arr.copy()
         arr.setflags(write=False)
-        self.demand_w = arr
+        object.__setattr__(self, "demand_w", arr)
+        problems = validate_cycle(self.dt_s, arr)
+        if problems:
+            raise CycleError("; ".join(problems))
 
     def __len__(self) -> int:
         return int(self.demand_w.size)
@@ -79,38 +82,29 @@ class DriveCycle:
         return np.arange(len(self)) * self.dt_s
 
 
-def validate_cycle(cycle: DriveCycle) -> list[str]:
-    """Check a cycle against the trace invariants; return violation messages.
+def validate_cycle(dt_s: float, demand_w: np.ndarray) -> list[str]:
+    """Check a time step and demand array against the trace invariants.
 
-    An empty list means the cycle is valid.  Violations name the offending
-    sample index where one exists.
+    Returns violation messages, naming the offending sample index where one
+    exists; an empty list means a valid cycle.
     """
     problems: list[str] = []
-    if not np.isfinite(cycle.dt_s) or cycle.dt_s <= 0.0:
-        problems.append(f"dt_s must be a positive finite number, got {cycle.dt_s}")
-    if len(cycle) == 0:
+    if not np.isfinite(dt_s) or dt_s <= 0.0:
+        problems.append(f"dt_s must be a positive finite number, got {dt_s}")
+    if demand_w.size == 0:
         problems.append("cycle has no samples")
-    demand = cycle.demand_w
-    bad = np.flatnonzero(~np.isfinite(demand))
+    bad = np.flatnonzero(~np.isfinite(demand_w))
     for i in bad[:5]:
         problems.append(f"sample {int(i)}: demand is not finite")
-    low = np.flatnonzero(np.isfinite(demand) & (demand < 0.0))
+    low = np.flatnonzero(np.isfinite(demand_w) & (demand_w < 0.0))
     for i in low[:5]:
-        problems.append(f"sample {int(i)}: demand {demand[i]!r} W is negative")
-    high = np.flatnonzero(np.isfinite(demand) & (demand > CYCLE_POWER_MAX_W))
+        problems.append(f"sample {int(i)}: demand {float(demand_w[i])!r} W is negative")
+    high = np.flatnonzero(np.isfinite(demand_w) & (demand_w > CYCLE_POWER_MAX_W))
     for i in high[:5]:
         problems.append(
-            f"sample {int(i)}: demand {demand[i]!r} W exceeds the "
+            f"sample {int(i)}: demand {float(demand_w[i])!r} W exceeds the "
             f"{CYCLE_POWER_MAX_W:.0f} W envelope")
     return problems
-
-
-def check_cycle(cycle: DriveCycle) -> DriveCycle:
-    """Raise :class:`CycleError` if the cycle is invalid, else return it."""
-    problems = validate_cycle(cycle)
-    if problems:
-        raise CycleError("; ".join(problems))
-    return cycle
 
 
 def load_cycle(path: str | Path) -> DriveCycle:
@@ -148,8 +142,6 @@ def load_cycle(path: str | Path) -> DriveCycle:
                 f"{path}: row {row_no}: non-numeric field in {row!r}") from None
         times.append(t)
         demand.append(p)
-    if not times:
-        raise CycleError(f"{path}: no samples after the header")
     if len(times) >= 2:
         dt = times[1] - times[0]
         if dt <= 0.0:
@@ -164,11 +156,10 @@ def load_cycle(path: str | Path) -> DriveCycle:
                     f"{step!r} s (expected {dt!r} s)")
     else:
         dt = 1.0  # a single sample carries no spacing; 1 s is the convention
-    cycle = DriveCycle(dt_s=dt, demand_w=np.array(demand), label=path.stem)
-    problems = validate_cycle(cycle)
-    if problems:
-        raise CycleError(f"{path}: " + "; ".join(problems))
-    return cycle
+    try:
+        return DriveCycle(dt_s=dt, demand_w=np.array(demand), label=path.stem)
+    except CycleError as exc:
+        raise CycleError(f"{path}: {exc}") from None
 
 
 def save_cycle(cycle: DriveCycle, path: str | Path) -> None:
@@ -177,7 +168,6 @@ def save_cycle(cycle: DriveCycle, path: str | Path) -> None:
     Values are written with ``repr`` so a save/load round trip reproduces
     the demand bit-exactly.
     """
-    check_cycle(cycle)
     path = Path(path)
     lines = [",".join(_HEADER)]
     dt = cycle.dt_s
@@ -203,7 +193,8 @@ def speed_to_power(speeds_m_s: object, dt_s: float,
     Raises
     ------
     CycleError
-        If a sample exceeds the demand envelope; the message names it.
+        On a negative speed, or from :class:`DriveCycle` if a sample exceeds
+        the demand envelope; the message names the sample.
     """
     if params is None:
         params = VehicleParams()
@@ -222,12 +213,6 @@ def speed_to_power(speeds_m_s: object, dt_s: float,
     inertia = params.mass_kg * accel * v
     p = (rolling + aero + inertia) / params.driveline_efficiency
     p = np.maximum(p, 0.0)
-    over = np.flatnonzero(p > CYCLE_POWER_MAX_W)
-    if over.size:
-        i = int(over[0])
-        raise CycleError(
-            f"sample {i}: computed demand {p[i]:.1f} W exceeds the "
-            f"{CYCLE_POWER_MAX_W:.0f} W envelope")
     return DriveCycle(dt_s=dt_s, demand_w=p, label=label)
 
 
@@ -284,8 +269,6 @@ def synth_cycle(spec: SynthSpec) -> DriveCycle:
     n_total = len(levels)
     if spec.duration_s is not None:
         n_total = int(round(spec.duration_s / spec.dt_s))
-        if n_total <= 0:
-            raise CycleError("duration shorter than one time step")
         reps = -(-n_total // len(levels))
         levels = (levels * reps)[:n_total]
     demand = np.array(levels, dtype=np.float64)
@@ -293,7 +276,7 @@ def synth_cycle(spec: SynthSpec) -> DriveCycle:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
         noise = rng.uniform(-spec.noise_amplitude_w, spec.noise_amplitude_w, size=n_total)
         demand = demand + noise
-    return check_cycle(DriveCycle(dt_s=spec.dt_s, demand_w=demand, label=spec.label))
+    return DriveCycle(dt_s=spec.dt_s, demand_w=demand, label=spec.label)
 
 
 # Duty patterns for the built-in synthetic towing cycles.  Each models a

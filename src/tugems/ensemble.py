@@ -136,34 +136,27 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
                 plant: Plant, initial_soc: float, grid: StateGrid,
                 actions: ActionGrid, policy: EnsemblePolicy | None = None,
                 combiner_rng: np.random.Generator | None = None,
-                learn: bool = True, greedy: bool = False,
-                record_traces: bool = False) -> EpisodeResult:
+                learn: bool = True, record_traces: bool = False) -> EpisodeResult:
     """Run one full cycle under one agent or a two-agent ensemble.
 
     With two agents, ``policy`` combines the proposals (``combiner_rng``
     feeds ``random``) and both learn from the executed transition; one
     agent's proposal is executed as is, mirrored into both trace columns
-    with chooser "A".  Exploration thresholds follow each agent's schedule
-    at ``episode_index``, frozen for the episode.  The plant is reset to
-    ``initial_soc`` and holds the episode-end ledger afterwards.  The last
-    sample bootstraps from its own demand.  Inputs are checked once per
-    episode, then every step calls the plant kernel directly on Q-rows kept
-    as Python lists, written back at the end when ``learn`` is set.
+    with chooser "A".  With ``learn``, exploration thresholds follow each
+    agent's schedule at ``episode_index``, frozen for the episode; without
+    it, proposals are greedy (no draws) and the tables stay frozen.  The
+    plant is reset to ``initial_soc`` and holds the episode-end ledger
+    afterwards.  The last sample bootstraps from its own demand.  Ladder
+    and tables are checked once per episode, then every step calls the
+    plant kernel directly on Q-rows kept as Python lists, written back at
+    the end when ``learn`` is set.
     """
     agent_a, agent_b = agents[0], agents[-1]
-    two = len(agents) == 2
+    two, greedy = len(agents) == 2, not learn
     theta_a = 0.0 if greedy else e2e_value(agent_a.config.schedule, episode_index)
     theta_b = 0.0 if greedy else e2e_value(agent_b.config.schedule, episode_index)
     kind = policy.kind if two else None
     demand_w, n, dt = cycle.demand_w, len(cycle), cycle.dt_s
-    if n == 0:
-        raise ValueError("cannot run an episode on an empty cycle")
-    if dt <= 0.0:
-        raise ValueError(f"dt_s must be positive, got {dt}")
-    bad = np.flatnonzero(~(np.isfinite(demand_w) & (demand_w >= 0.0)))
-    if bad.size:
-        raise ValueError(f"p_dem_w must be finite and non-negative, got "
-                         f"{float(demand_w[bad[0]])} at sample {int(bad[0])}")
     levels, models = actions.levels_w, plant.models
     if levels[-1] > models.egu.max_power_w:
         raise ValueError(f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], "
@@ -270,18 +263,17 @@ def run_ensemble_episode(cycle: DriveCycle, agent_a: Agent, agent_b: Agent,
                          plant: Plant, initial_soc: float, grid: StateGrid,
                          actions: ActionGrid,
                          combiner_rng: np.random.Generator,
-                         learn: bool = True, greedy: bool = False,
+                         learn: bool = True,
                          record_traces: bool = False) -> EpisodeResult:
     """Two-agent :func:`run_episode`."""
     return run_episode(cycle, (agent_a, agent_b), episode_index, plant, initial_soc,
-                       grid, actions, policy, combiner_rng, learn, greedy, record_traces)
+                       grid, actions, policy, combiner_rng, learn, record_traces)
 
 
 def run_single_episode(cycle: DriveCycle, agent: Agent, episode_index: int,
                        plant: Plant, initial_soc: float, grid: StateGrid,
                        actions: ActionGrid, learn: bool = True,
-                       greedy: bool = False,
                        record_traces: bool = False) -> EpisodeResult:
     """Single-agent :func:`run_episode`."""
     return run_episode(cycle, (agent,), episode_index, plant, initial_soc, grid,
-                       actions, learn=learn, greedy=greedy, record_traces=record_traces)
+                       actions, learn=learn, record_traces=record_traces)

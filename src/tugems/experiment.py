@@ -16,7 +16,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,15 +87,6 @@ class RunSetup:
                 f"mode must be {SINGLE_MODE!r} or {ENSEMBLE_MODE!r}, got {self.mode!r}")
         if self.episodes < 1:
             raise ValueError(f"episodes must be at least 1, got {self.episodes}")
-        battery = self.models.battery
-        if not battery.soc_min <= self.initial_soc <= battery.soc_max:
-            raise ValueError(
-                f"initial_soc {self.initial_soc} outside the battery window "
-                f"[{battery.soc_min}, {battery.soc_max}]")
-        if self.actions.levels_w[-1] > self.models.egu.max_power_w:
-            raise ValueError(
-                f"top action level {self.actions.levels_w[-1]} W exceeds the "
-                f"EGU rating {self.models.egu.max_power_w} W")
 
 
 @dataclass
@@ -167,11 +158,10 @@ def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
         combiner_rng = make_rng(combiner_seed, COMBINER_STREAM)
         return run_ensemble_episode(cycle, agents["A"], agents["B"], policy, 0,
                                     plant, initial_soc, grid, actions,
-                                    combiner_rng, learn=False, greedy=True,
+                                    combiner_rng, learn=False,
                                     record_traces=record_traces)
     return run_single_episode(cycle, agents["A"], 0, plant, initial_soc, grid,
-                              actions, learn=False, greedy=True,
-                              record_traces=record_traces)
+                              actions, learn=False, record_traces=record_traces)
 
 
 @dataclass(frozen=True)
@@ -183,57 +173,41 @@ class SweepRow:
     repeats: int
 
 
-def _sweep_repeat(args: tuple) -> tuple[int, int, float]:
+def _sweep_repeat(args: tuple[RunSetup, int]) -> float:
     """Worker for one (proportion, repeat) cell of the weight sweep."""
-    setup_args, mu, mu_idx, repeat, seed = args
-    setup = RunSetup(**setup_args, policy=EnsemblePolicy.weighted(mu))
-    result = run_learning(setup, seed)
-    eff = result.final.energy_efficiency
+    setup, seed = args
+    eff = run_learning(setup, seed).final.energy_efficiency
     if eff is None:
-        raise ValueError(
-            f"degenerate episode (no energy drawn) in sweep at mu={mu}, seed={seed}")
-    return mu_idx, repeat, eff
+        raise ValueError(f"degenerate episode (no energy drawn) in sweep at "
+                         f"mu={setup.policy.mu}, seed={seed}")
+    return eff
 
 
-def sweep_weights(cycle: DriveCycle, models: PlantModels, grid: StateGrid,
-                  actions: ActionGrid, config_a: LearnerConfig,
-                  config_b: LearnerConfig,
+def sweep_weights(setup: RunSetup,
                   proportions: tuple[float, ...] = tuple(round(0.1 * i, 1)
                                                          for i in range(1, 10)),
-                  repeats: int = 25, episodes: int = 125,
-                  initial_soc: float = 0.5, base_seed: int = 0,
+                  repeats: int = 25, base_seed: int = 0,
                   workers: int = 1) -> list[SweepRow]:
     """Grid the weighted-combination proportion and average over repeats.
 
-    Every proportion row reuses the same ``repeats`` seeds
+    Each cell runs ``setup`` in ensemble mode under the weighted policy of
+    its proportion.  Every proportion row reuses the same ``repeats`` seeds
     (``base_seed .. base_seed + repeats - 1``), so rows are paired and the
     result is independent of execution order or worker count.  The reported
     spread is the population standard deviation.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    setup_args = dict(cycle=cycle, models=models, grid=grid, actions=actions,
-                      config_a=config_a, config_b=config_b, mode=ENSEMBLE_MODE,
-                      episodes=episodes, initial_soc=initial_soc)
-    tasks = [(setup_args, mu, mu_idx, r, base_seed + r)
-             for mu_idx, mu in enumerate(proportions)
-             for r in range(repeats)]
-    if workers > 1:
+    tasks = [(replace(setup, mode=ENSEMBLE_MODE, policy=EnsemblePolicy.weighted(mu)),
+              base_seed + r) for mu in proportions for r in range(repeats)]
+    if workers > 1:  # map yields results in task order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_repeat, tasks, chunksize=1))
+            effs = list(pool.map(_sweep_repeat, tasks, chunksize=1))
     else:
-        outcomes = [_sweep_repeat(t) for t in tasks]
-    by_mu: dict[int, list[float]] = {i: [] for i in range(len(proportions))}
-    for mu_idx, _, eff in outcomes:
-        by_mu[mu_idx].append(eff)
-    rows = []
-    for mu_idx, mu in enumerate(proportions):
-        effs = np.array(by_mu[mu_idx])
-        rows.append(SweepRow(mu=mu, delta=round(1.0 - mu, 12),
-                             mean_eff=float(effs.mean()),
-                             std_eff=float(effs.std()),
-                             repeats=repeats))
-    return rows
+        effs = [_sweep_repeat(t) for t in tasks]
+    return [SweepRow(mu=mu, delta=round(1.0 - mu, 12), mean_eff=float(row.mean()),
+                     std_eff=float(row.std()), repeats=repeats)
+            for mu, row in zip(proportions, np.reshape(effs, (len(proportions), repeats)))]
 
 
 @dataclass(frozen=True)

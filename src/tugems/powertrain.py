@@ -547,14 +547,22 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
 
 
 class Plant:
-    """:class:`PlantModels` with a live state and their cached :func:`step_kernel`."""
+    """:class:`PlantModels` with a live state and their cached :func:`step_kernel`.
+
+    Construction and :meth:`reset` raise ``ValueError`` for an initial SoC
+    outside the battery window.
+    """
 
     def __init__(self, models: PlantModels, initial_soc: float = 0.5) -> None:
         self.models = models
         self.kernel = step_kernel(models)
-        self.state = PlantState(soc=initial_soc)
+        self.reset(initial_soc)
 
     def reset(self, initial_soc: float) -> PlantState:
+        battery = self.models.battery
+        if not battery.soc_min <= initial_soc <= battery.soc_max:
+            raise ValueError(f"initial_soc {initial_soc} outside the battery window "
+                             f"[{battery.soc_min}, {battery.soc_max}]")
         self.state = PlantState(soc=initial_soc)
         return self.state
 

@@ -259,7 +259,12 @@ class E2ESchedule:
         known = {"kind", "initial", "factor", "width", "decay_rate"}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown schedule keys: {sorted(unknown)}")
+            raise ValueError(f"unknown schedule keys: {sorted(unknown, key=str)}")
+        if "kind" not in data:
+            raise ValueError("kind is missing")
+        for key, value in data.items():
+            if key != "kind" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         return cls(**data)
 
 
@@ -451,7 +456,10 @@ def load_qtable(path: str | Path,
         raise ValueError(f"{path}: snapshot action levels do not match the configuration")
     schedule = None
     if doc.get("schedule") is not None:
-        schedule = E2ESchedule.from_dict(doc["schedule"])
+        try:
+            schedule = E2ESchedule.from_dict(doc["schedule"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: snapshot schedule: {exc}") from None
     q = QTable(grid.n_states, actions.n_actions)
     q.values[:] = values
     return q, grid, actions, schedule, doc.get("extra") or {}

@@ -3,6 +3,7 @@
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tugems.cli import main
-from tugems.config import (DEFAULT_CONFIG, ConfigError, load_config,
+from tugems.config import (DEFAULT_CONFIG, ConfigError, RunConfig, load_config,
                            parse_config, validate_config)
 from tugems.drive_cycle import DriveCycle, save_cycle
 from tugems.experiment import config_fingerprint
@@ -99,9 +100,16 @@ def test_schedule_initial_out_of_range_is_named():
     assert "initial" in problems[0]
 
 
+def test_readme_configuration_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert parse_config(yaml.safe_load(block)) == RunConfig()
+
+
 def test_schedule_requires_its_kind():
     problems = validate_config({"agents": {"b": {"schedule": {"initial": 0.5}}}})
-    assert any("config.agents.b.schedule.kind" in p for p in problems)
+    assert problems == ["config.agents.b.schedule: kind is missing"]
 
 
 def test_all_problems_come_back_at_once():
@@ -586,6 +594,38 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("tugems ")
+
+
+def test_a_boolean_schedule_width_is_a_config_error(workspace, capsys):
+    tmp, cfg = workspace
+    doc = yaml.safe_load(cfg.read_text())
+    doc["agents"] = {"a": {"schedule": {"kind": "step", "factor": 0.5, "width": True}}}
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert main(["learn", "--config", str(cfg), "--out", str(tmp / "run")]) == 1
+    assert "width must be a number, got True" in capsys.readouterr().err
+    assert not (tmp / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda sched: sched.update(initial="x"), "initial must be a number, got 'x'"),
+    (lambda sched: sched.pop("kind"), "kind is missing"),
+], ids=["string-initial", "no-kind"])
+def test_eval_on_a_malformed_snapshot_schedule_exits_with_the_runtime_code(
+        workspace, capsys, edit, message):
+    tmp, cfg = workspace
+    run_dir = tmp / "run"
+    assert main(["learn", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    snap = run_dir / "qtable_A.json"
+    doc = json.loads(snap.read_text())
+    edit(doc["schedule"])
+    snap.write_text(json.dumps(doc))
+    code = main(["eval", "--config", str(cfg), "--out", str(tmp / "ev"),
+                 "--snapshots", str(run_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{snap}: snapshot schedule: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_eval_on_a_malformed_snapshot_exits_with_the_runtime_code(workspace, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tugems.drive_cycle import (BUILTIN_CYCLE_NAMES, CYCLE_POWER_MAX_W,
                                 CycleError, DriveCycle, SynthSpec,
-                                builtin_cycle, check_cycle, load_cycle,
+                                builtin_cycle, load_cycle,
                                 save_cycle, speed_to_power, synth_cycle,
                                 validate_cycle)
 from tugems.powertrain import VehicleParams
@@ -44,45 +44,63 @@ def test_cycle_copies_its_input_array():
 
 def test_validate_accepts_a_good_cycle():
     cycle = DriveCycle(dt_s=1.0, demand_w=np.array([0.0, 50_000.0, CYCLE_POWER_MAX_W]))
-    assert validate_cycle(cycle) == []
-    assert check_cycle(cycle) is cycle
+    assert validate_cycle(cycle.dt_s, cycle.demand_w) == []
 
 
 def test_validate_names_the_negative_sample():
-    cycle = DriveCycle(dt_s=1.0, demand_w=np.array([0.0, -3.0, 5.0]))
-    problems = validate_cycle(cycle)
+    problems = validate_cycle(1.0, np.array([0.0, -3.0, 5.0]))
     assert len(problems) == 1
     assert "sample 1" in problems[0]
     assert "negative" in problems[0]
 
 
 def test_validate_names_the_over_envelope_sample():
-    cycle = DriveCycle(dt_s=1.0, demand_w=np.array([1.0, 2.0, 260_000.0]))
-    problems = validate_cycle(cycle)
+    problems = validate_cycle(1.0, np.array([1.0, 2.0, 260_000.0]))
     assert len(problems) == 1
     assert "sample 2" in problems[0]
     assert "exceeds" in problems[0]
 
 
 def test_validate_flags_non_finite_and_bad_dt():
-    cycle = DriveCycle(dt_s=0.0, demand_w=np.array([np.nan, np.inf]))
-    problems = validate_cycle(cycle)
+    problems = validate_cycle(0.0, np.array([np.nan, np.inf]))
     joined = "\n".join(problems)
     assert "dt_s" in joined
     assert "sample 0" in joined and "sample 1" in joined
 
 
 def test_validate_rejects_empty_cycle():
-    problems = validate_cycle(DriveCycle(dt_s=1.0, demand_w=np.array([])))
+    problems = validate_cycle(1.0, np.array([]))
     assert any("no samples" in p for p in problems)
 
 
-def test_check_cycle_raises_with_all_problems_joined():
-    cycle = DriveCycle(dt_s=-1.0, demand_w=np.array([-5.0]))
+@pytest.mark.parametrize("dt,demand,match", [
+    (1.0, [10_000.0, np.nan, 10_000.0], "sample 1: demand is not finite"),
+    (1.0, [10_000.0, np.inf, 10_000.0], "sample 1: demand is not finite"),
+    (1.0, [10_000.0, -np.inf, 10_000.0], "sample 1: demand is not finite"),
+    (1.0, [10_000.0, -5.0, 10_000.0], "sample 1: demand -5.0 W is negative"),
+    (1.0, [10_000.0, 260_000.0], "sample 1: demand 260000.0 W exceeds"),
+    (1.0, [], "no samples"),
+    (0.0, [10_000.0], "dt_s must be a positive finite number"),
+    (-1.0, [10_000.0], "dt_s must be a positive finite number"),
+    (np.nan, [10_000.0], "dt_s must be a positive finite number"),
+], ids=["nan", "inf", "-inf", "negative", "over-envelope", "empty", "dt-0", "dt-neg",
+        "dt-nan"])
+def test_cycle_construction_rejects_invalid_traces(dt, demand, match):
+    with pytest.raises(CycleError, match=match):
+        DriveCycle(dt, np.array(demand, dtype=np.float64), "bad")
+
+
+def test_cycle_construction_lists_every_problem():
     with pytest.raises(CycleError) as exc:
-        check_cycle(cycle)
+        DriveCycle(dt_s=-1.0, demand_w=np.array([-5.0]))
     assert "dt_s" in str(exc.value)
     assert "negative" in str(exc.value)
+
+
+def test_cycle_is_frozen():
+    cycle = DriveCycle(dt_s=1.0, demand_w=np.zeros(2))
+    with pytest.raises(AttributeError):
+        cycle.demand_w = np.full(2, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +208,7 @@ def test_load_cycle_raises_only_cycle_error_on_arbitrary_bytes(tmp_path_factory,
         cycle = load_cycle(path)
     except CycleError:
         return
-    assert validate_cycle(cycle) == [] and np.isfinite(cycle.dt_s) and cycle.dt_s > 0.0
+    assert validate_cycle(cycle.dt_s, cycle.demand_w) == []
 
 
 def test_load_tolerates_trailing_blank_line(tmp_path):
@@ -333,7 +351,7 @@ def test_builtin_names_and_labels():
     for name in BUILTIN_CYCLE_NAMES:
         cycle = builtin_cycle(name)
         assert cycle.label == name
-        assert validate_cycle(cycle) == []
+        assert validate_cycle(cycle.dt_s, cycle.demand_w) == []
 
 
 def test_builtin_cycles_are_reproducible_and_distinct():

@@ -1,7 +1,5 @@
 """Action-combination rules and the two-learner episode loop."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,10 +133,12 @@ def _make_agents(grid, actions, seed=0, lr=0.5, gamma=0.95):
 
 
 def _one_step(models, grid, actions, agents, soc0, p_dem_w, learn=True):
+    # by episode 10 000 both schedules have decayed to (almost) 0, so the
+    # proposals are greedy even while the tables learn
     cycle = DriveCycle(1.0, np.array([p_dem_w]), "one-step")
-    return run_episode(cycle, agents, 0, Plant(models, soc0), soc0, grid, actions,
+    return run_episode(cycle, agents, 10_000, Plant(models, soc0), soc0, grid, actions,
                        EnsemblePolicy.weighted(0.5), make_rng(0, COMBINER_STREAM),
-                       learn=learn, greedy=True, record_traces=True).traces[0]
+                       learn=learn, record_traces=True).traces[0]
 
 
 def test_episode_step_updates_both_tables_at_the_executed_action(
@@ -204,20 +204,6 @@ def test_episode_on_a_single_sample_cycle(models, grid, actions):
     assert result.metrics.steps == 1
 
 
-def test_episode_rejects_an_empty_cycle(models, grid, actions):
-    from tugems.drive_cycle import DriveCycle
-    cycle = DriveCycle(1.0, np.array([]), "empty")
-    agent_a, agent_b = _make_agents(grid, actions)
-    with pytest.raises(ValueError, match="empty"):
-        run_ensemble_episode(cycle, agent_a, agent_b,
-                             EnsemblePolicy.weighted(0.5), 0,
-                             Plant(models, 0.5), 0.5, grid, actions,
-                             make_rng(0, COMBINER_STREAM))
-    with pytest.raises(ValueError, match="empty"):
-        run_single_episode(cycle, agent_a, 0, Plant(models, 0.5), 0.5,
-                           grid, actions)
-
-
 def test_episode_runs_are_deterministic(models, grid, actions, bumpy_cycle):
     def run_once():
         agent_a, agent_b = _make_agents(grid, actions, seed=8)
@@ -261,11 +247,11 @@ def test_greedy_episode_ignores_exploration_and_learning(
     r1 = run_ensemble_episode(flat_cycle, agent_a, agent_b,
                               EnsemblePolicy.weighted(0.5), 0, plant, 0.5,
                               grid, actions, make_rng(2, COMBINER_STREAM),
-                              learn=False, greedy=True)
+                              learn=False)
     r2 = run_ensemble_episode(flat_cycle, agent_a, agent_b,
                               EnsemblePolicy.weighted(0.5), 99, plant, 0.5,
                               grid, actions, make_rng(77, COMBINER_STREAM),
-                              learn=False, greedy=True)
+                              learn=False)
     np.testing.assert_array_equal(agent_a.q.values, before_a)
     assert r1.metrics == r2.metrics  # episode index and rng are irrelevant
 
@@ -337,11 +323,12 @@ def test_degenerate_policies_reproduce_agent_b(models, grid, actions,
 
 
 def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, combiner,
-                       learn, greedy):
+                       learn):
     """Step by step through select_action/q_update, the combine_* rules and
     Plant.step, with the tables in numpy throughout."""
     plant.reset(soc0)
     demand = [float(p) for p in cycle.demand_w]
+    greedy = not learn
     thetas = [0.0 if greedy else e2e_value(a.config.schedule, k) for a in agents]
     total = soc_sum = 0.0
     for i, p in enumerate(demand):
@@ -375,12 +362,11 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
     EnsemblePolicy(kind="random", t=0.4),
     None,
 ], ids=["weighted", "maximum", "random", "single"])
-@pytest.mark.parametrize("learn,greedy", [(True, False), (False, True)],
-                         ids=["learn", "greedy"])
+@pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
 @pytest.mark.parametrize("shared", [False, True], ids=["own-tables", "shared-table"])
 @pytest.mark.parametrize("soc0", [0.5, 0.285], ids=["mid-soc", "charge-sustain"])
 def test_run_episode_matches_the_step_by_step_primitives(
-        models, grid, actions, bumpy_cycle, policy, learn, greedy, shared, soc0):
+        models, grid, actions, bumpy_cycle, policy, learn, shared, soc0):
     def make(seed):
         # coarse integer tables tie often, within rows and across agents
         agent_a, agent_b = _make_agents(grid, actions, seed=seed)
@@ -395,10 +381,10 @@ def test_run_episode_matches_the_step_by_step_primitives(
     fast, slow = make(6), make(6)
     for k in range(3):
         got = run_episode(bumpy_cycle, fast, k, Plant(models, soc0), soc0, grid, actions,
-                          policy, make_rng(6 + k, COMBINER_STREAM), learn, greedy).metrics
+                          policy, make_rng(6 + k, COMBINER_STREAM), learn).metrics
         want = _reference_episode(bumpy_cycle, slow, k, Plant(models, soc0), soc0, grid,
                                   actions, policy, make_rng(6 + k, COMBINER_STREAM),
-                                  learn, greedy)
+                                  learn)
         assert got == want
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a.q.values, b.q.values)
@@ -415,7 +401,7 @@ def test_run_episode_leaves_the_episode_ledger_on_the_plant(models, grid, action
 
 
 # ---------------------------------------------------------------------------
-# input checks, once per episode
+# input checks, once per episode (cycles are checked when they are built)
 # ---------------------------------------------------------------------------
 
 
@@ -426,34 +412,11 @@ def _run_once(models, grid, actions, cycle, policy=None, agents=None):
                        make_rng(0, COMBINER_STREAM))
 
 
-@pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
-def test_run_episode_rejects_negative_or_non_finite_demand(models, grid, actions, bad):
-    agents = _make_agents(grid, actions)
-    cycle = DriveCycle(1.0, np.array([10_000.0, bad, 10_000.0]), "bad")
-    with pytest.raises(ValueError, match="p_dem_w must be finite and non-negative"):
-        _run_once(models, grid, actions, cycle, agents=agents)
-    assert not agents[0].q.values.any()  # rejected before the first step
-
-
-@pytest.mark.parametrize("dt", [0.0, -1.0])
-def test_run_episode_rejects_a_non_positive_time_step(models, grid, actions, dt):
-    cycle = DriveCycle(dt, np.full(5, 10_000.0), "bad-dt")
-    with pytest.raises(ValueError, match="dt_s must be positive"):
-        _run_once(models, grid, actions, cycle)
-
-
 def test_run_episode_rejects_action_levels_above_the_egu_rating(models, grid, flat_cycle):
     too_high = ActionGrid.uniform(max_power_w=models.egu.max_power_w + 1.0)
     with pytest.raises(ValueError, match="p_egu_cmd_w must be within"):
         _run_once(models, grid, too_high, flat_cycle,
                   agents=_make_agents(grid, too_high))
-
-
-def test_run_episode_rejects_an_empty_cycle(models, grid, actions):
-    agent_a, _ = _make_agents(grid, actions)
-    with pytest.raises(ValueError, match="empty"):
-        run_episode(DriveCycle(1.0, np.array([]), "empty"), (agent_a,), 0,
-                    Plant(models, 0.5), 0.5, grid, actions)
 
 
 def test_run_episode_rejects_non_finite_q_values_under_maximum(models, grid, actions,

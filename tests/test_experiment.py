@@ -15,7 +15,7 @@ from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, RunSetup,
                                write_trace_csv)
 from tugems.metrics import energy_efficiency, episode_metrics
 from tugems.powertrain import Plant
-from tugems.qlearn import ActionGrid, E2ESchedule, LearnerConfig, StateGrid
+from tugems.qlearn import ActionGrid
 
 # ---------------------------------------------------------------------------
 # episode metrics
@@ -123,13 +123,12 @@ def test_run_setup_validation(models, grid, actions, flat_cycle):
         RunSetup(**common, mode="triple")
     with pytest.raises(ValueError, match="episodes"):
         RunSetup(**common, episodes=0)
-    with pytest.raises(ValueError, match="initial_soc"):
-        RunSetup(**common, initial_soc=0.05)
-    with pytest.raises(ValueError, match="top action level"):
-        RunSetup(cycle=flat_cycle, models=models, grid=grid,
-                 actions=ActionGrid.uniform(max_power_w=90_000.0),
-                 config_a=config_a, config_b=config_b,
-                 policy=EnsemblePolicy.weighted(0.5))
+    # the plant owns the battery window, the episode loop the EGU rating
+    with pytest.raises(ValueError, match="initial_soc 0.05 outside the battery window"):
+        run_learning(RunSetup(**common, initial_soc=0.05), seed=0)
+    with pytest.raises(ValueError, match="p_egu_cmd_w must be within"):
+        run_learning(RunSetup(**dict(common, actions=ActionGrid.uniform(max_power_w=90_000.0))),
+                     seed=0)
 
 
 def test_run_learning_is_deterministic(models, grid, actions, bumpy_cycle):
@@ -195,9 +194,10 @@ def test_evaluate_policy_is_frozen_and_repeatable(models, grid, actions,
 def test_sweep_rows_match_individually_run_repeats(models, grid, actions,
                                                    bumpy_cycle):
     config_a, config_b = default_agent_configs()
-    rows = sweep_weights(bumpy_cycle, models, grid, actions, config_a, config_b,
-                         proportions=(0.3, 0.7), repeats=2, episodes=2,
-                         base_seed=10)
+    # the sweep replaces the setup's mode and policy in every cell
+    rows = sweep_weights(_setup(bumpy_cycle, models, grid, actions, mode=SINGLE_MODE,
+                                episodes=2),
+                         proportions=(0.3, 0.7), repeats=2, base_seed=10)
     assert [r.mu for r in rows] == [0.3, 0.7]
     for row in rows:
         assert row.mu + row.delta == pytest.approx(1.0, abs=1e-12)
@@ -215,20 +215,17 @@ def test_sweep_rows_match_individually_run_repeats(models, grid, actions,
 
 
 def test_sweep_is_worker_count_invariant(models, grid, actions, flat_cycle):
-    config_a, config_b = default_agent_configs()
-    kwargs = dict(proportions=(0.2, 0.8), repeats=2, episodes=1, base_seed=3)
-    serial = sweep_weights(flat_cycle, models, grid, actions, config_a,
-                           config_b, workers=1, **kwargs)
-    parallel = sweep_weights(flat_cycle, models, grid, actions, config_a,
-                             config_b, workers=2, **kwargs)
+    setup = _setup(flat_cycle, models, grid, actions, episodes=1)
+    kwargs = dict(proportions=(0.2, 0.8, 0.5), repeats=3, base_seed=3)
+    serial = sweep_weights(setup, workers=1, **kwargs)
+    parallel = sweep_weights(setup, workers=2, **kwargs)
     assert serial == parallel
+    assert [r.mu for r in parallel] == [0.2, 0.8, 0.5]
 
 
 def test_sweep_rejects_zero_repeats(models, grid, actions, flat_cycle):
-    config_a, config_b = default_agent_configs()
     with pytest.raises(ValueError, match="repeats"):
-        sweep_weights(flat_cycle, models, grid, actions, config_a, config_b,
-                      repeats=0)
+        sweep_weights(_setup(flat_cycle, models, grid, actions), repeats=0)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,16 @@ def test_plant_step_validates_inputs(models):
         plant.step(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("soc", [0.05, 0.81, float("nan")])
+def test_plant_rejects_an_initial_soc_outside_the_battery_window(models, soc):
+    with pytest.raises(ValueError, match="outside the battery window"):
+        Plant(models, soc)
+    plant = Plant(models, 0.5)
+    with pytest.raises(ValueError, match="outside the battery window"):
+        plant.reset(soc)
+    assert plant.state.soc == 0.5  # a rejected reset leaves the state alone
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.2, max_value=0.8),
        st.lists(st.tuples(st.floats(min_value=0.0, max_value=253_000.0),

@@ -174,6 +174,20 @@ def test_schedule_dict_round_trip():
         assert E2ESchedule.from_dict(sched.to_dict()) == sched
     with pytest.raises(ValueError, match="unknown schedule keys"):
         E2ESchedule.from_dict({"kind": "constant", "initial": 0.5, "speed": 2})
+    with pytest.raises(ValueError, match="unknown schedule keys: \\[1, 'x'\\]"):
+        E2ESchedule.from_dict({"kind": "constant", 1: 0, "x": 0})
+
+
+@pytest.mark.parametrize("data,match", [
+    ({"initial": 0.5}, "kind is missing"),
+    ({"kind": "constant", "initial": "x"}, "initial must be a number, got 'x'"),
+    ({"kind": "constant", "initial": None}, "initial must be a number, got None"),
+    ({"kind": "step", "factor": 0.5, "width": True}, "width must be a number, got True"),
+    ({"kind": "reciprocal", "decay_rate": [0.1]}, "decay_rate must be a number"),
+])
+def test_schedule_from_dict_owns_the_schema(data, match):
+    with pytest.raises(ValueError, match=match):
+        E2ESchedule.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
