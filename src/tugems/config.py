@@ -221,12 +221,14 @@ def _agent(data: object, path: str, problems: list[str],
     discount = _number(section, "discount", path, problems,
                        default.discount, low=0.0, high=1.0)
     schedule = default.schedule
-    if "schedule" in section and section["schedule"] is not None:
-        sched = _want_mapping(section["schedule"], f"{path}.schedule", problems)
+    sched = section.get("schedule")
+    if isinstance(sched, dict):
         try:
             schedule = E2ESchedule.from_dict(dict(sched))
         except ValueError as exc:
             problems.append(f"{path}.schedule: {exc}")
+    else:
+        _want_mapping(sched, f"{path}.schedule", problems)  # None keeps the default
     try:
         return LearnerConfig(learning_rate=lr, discount=discount, schedule=schedule)
     except ValueError as exc:

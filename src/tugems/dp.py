@@ -18,6 +18,11 @@ ride just above the floor from absorbing enormous interpolation error out
 of the penalized cell.  Genuine infeasibility is detected separately by a
 forward pass at full generator power, which maximizes the reachable end
 SoC step by step.
+
+The backward pass keeps the ``T x 2 x S`` value table and stages a block of
+steps per call over distinct rows only: a node's two latch modes share one
+row unless the latch engages there.  Scratch is ``O(block x S x A)``, and
+each float operation is the per-step form's, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ __all__ = ["DpResult", "dp_baseline", "dp_slack_energy_j", "episode_loss_j"]
 # about 2.2 J at the worst in-range operating point, plus small battery
 # round-trip terms; pricing it at 3 keeps deficits strictly unprofitable.
 _DEFICIT_PRICE_PER_J = 3.0
+
+# Steps per backward-pass _stage call.  Blocks of 8 to 64 steps solved PRDC-1
+# and PRDC-4 equally fast within noise, and 1 step took 1.7x as long; 16
+# keeps each (16, 101, 11) scratch array near 140 kB.
+_BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -62,20 +72,25 @@ def episode_loss_j(metrics) -> float:
     return metrics.engine_loss_j + metrics.battery_loss_j
 
 
-def _stage(models: PlantModels, soc: np.ndarray, mode: np.ndarray,
-           levels: np.ndarray, p_dem: float, dt: float
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized plant stage over (mode, soc node, action) combinations.
+def _latched(models: PlantModels, soc, latch: bool):
+    """The kernel's latch rule at ``soc`` (float or array): engaged strictly
+    below the sustain threshold, held until SoC clears threshold + margin."""
+    if latch:
+        return soc < models.charge_sustain_soc + models.charge_release_margin
+    return soc < models.charge_sustain_soc
 
-    ``soc`` and ``mode`` broadcast against ``levels``; returns per-action
-    cost (J), next SoC, and the next charge-sustain latch.
+
+def _stage(models: PlantModels, soc: np.ndarray, base_w: np.ndarray,
+           p_link_w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized plant stage over (step, soc node, EGU command) combinations.
+
+    ``soc`` (S,) are SoC nodes, ``base_w`` (A,) the EGU commands after the
+    charge-sustain override (the ladder, or full power on a latched row) and
+    ``p_link_w`` (K,) the DC-link demand of K steps; returns the cost (J)
+    and the next SoC, both of shape (K, S, A).
     """
     battery = models.battery
     egu = models.egu
-    p_link = models.motor.link_power(p_dem)  # W, scalar
-
-    active = np.where(mode, soc < models.charge_sustain_soc + models.charge_release_margin,
-                      soc < models.charge_sustain_soc)
     u = np.interp(soc, battery.voltage_curve.xs, battery.voltage_curve.ys)  # V
     r = np.interp(soc, battery.resistance_curve.xs, battery.resistance_curve.ys)
     pack_volt = u * battery.num_cells
@@ -85,25 +100,22 @@ def _stage(models: PlantModels, soc: np.ndarray, mode: np.ndarray,
     chg_cap = np.minimum(battery.max_charge_power_w,
                          (battery.soc_max - soc) * coulomb / dt * pack_volt)
 
-    p_egu_base = np.where(active[..., None], egu.max_power_w, levels)
-    lo = (p_link - dis_cap)[..., None]
-    hi = (p_link + chg_cap)[..., None]
+    p_link = p_link_w[:, None, None]
+    lo = p_link - dis_cap[:, None]
+    hi = p_link + chg_cap[:, None]
     p_egu = np.minimum(egu.max_power_w,
-                       np.maximum(0.0, np.minimum(np.maximum(p_egu_base, lo), hi)))
-    p_batt = np.minimum(dis_cap[..., None],
-                        np.maximum(-chg_cap[..., None], p_link - p_egu))
+                       np.maximum(0.0, np.minimum(np.maximum(base_w, lo), hi)))
+    p_batt = np.minimum(dis_cap[:, None], np.maximum(-chg_cap[:, None], p_link - p_egu))
 
     fuel = np.where(p_egu > 0.0,
                     (egu.fuel_b2 * p_egu + egu.fuel_b1) * p_egu + egu.fuel_b0, 0.0)
     engine_loss = fuel - p_egu
-    i_cell = p_batt / pack_volt[..., None]  # A
-    battery_loss = r[..., None] * i_cell * i_cell * battery.num_cells
+    i_cell = p_batt / pack_volt[:, None]  # A
+    battery_loss = r[:, None] * i_cell * i_cell * battery.num_cells
     cost = (engine_loss + battery_loss) * dt  # J
 
-    soc_next = soc[..., None] - i_cell * dt / coulomb
-    soc_next = np.clip(soc_next, battery.soc_min, battery.soc_max)
-    mode_next = np.broadcast_to(active[..., None], p_egu.shape)
-    return cost, soc_next, mode_next
+    soc_next = soc[:, None] - i_cell * dt / coulomb
+    return cost, np.clip(soc_next, battery.soc_min, battery.soc_max)
 
 
 def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
@@ -135,11 +147,11 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     nodes = np.linspace(battery.soc_min, battery.soc_max, soc_nodes)
     spacing = float(nodes[1] - nodes[0])
     levels = np.asarray(actions.levels_w)
+    p_max = np.array([models.egu.max_power_w])
     demand = cycle.demand_w
+    links = models.motor.link_power(demand)
     dt = cycle.dt_s
     n_steps = len(demand)
-    mode_grid = np.array([[False], [True]])  # (2, 1) broadcasts over nodes
-    soc_grid = nodes[None, :]  # (1, S)
 
     # The terminal floor is rounded DOWN to the grid: a kink between nodes
     # cannot be represented under linear interpolation, and penalizing the
@@ -164,17 +176,24 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
              * battery.cell_voltage(end_floor) * battery.num_cells)
 
     # Backward pass, keeping every step's value table (T x 2 x S is a few
-    # MB at most) so the rollout can steer by interpolated cost-to-go.
+    # MB at most) so the rollout can steer by interpolated cost-to-go.  Free
+    # rows (ladder, mode-0 table) cover the nodes the latch spares in mode 0,
+    # latched rows (full power, mode-1 table) those it holds in mode 1; both
+    # sets are runs of the ascending nodes, so a mode's row splits at a count.
+    n_sus, n_rel = (int(_latched(models, nodes, latch).sum()) for latch in (False, True))
     terminal = price * np.maximum(0.0, end_floor - nodes)
     values = np.empty((n_steps + 1, 2, soc_nodes))
     values[n_steps] = np.stack([terminal, terminal])
-    for t in range(n_steps - 1, -1, -1):
-        cost, soc_next, mode_next = _stage(models, soc_grid, mode_grid,
-                                           levels, float(demand[t]), dt)
-        flat = soc_next.ravel()
-        v0 = np.interp(flat, nodes, values[t + 1][0]).reshape(soc_next.shape)
-        v1 = np.interp(flat, nodes, values[t + 1][1]).reshape(soc_next.shape)
-        values[t] = (cost + np.where(mode_next, v1, v0)).min(axis=-1)
+    for stop in range(n_steps, 0, -_BLOCK_STEPS):
+        start = max(0, stop - _BLOCK_STEPS)
+        cost_f, next_f = _stage(models, nodes[n_sus:], levels, links[start:stop], dt)
+        cost_l, next_l = _stage(models, nodes[:n_rel], p_max, links[start:stop], dt)
+        for k in range(stop - start - 1, -1, -1):
+            free = (cost_f[k] + np.interp(next_f[k], nodes, values[start + k + 1, 0])).min(axis=-1)
+            held = cost_l[k, :, 0] + np.interp(next_l[k, :, 0], nodes, values[start + k + 1, 1])
+            row = values[start + k]
+            row[0, :n_sus], row[0, n_sus:] = held[:n_sus], free
+            row[1, :n_rel], row[1, n_rel:] = held, free[n_rel - n_sus:]
 
     cost_j = float(np.interp(initial_soc, nodes, values[0][0]))
 
@@ -184,15 +203,11 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     chosen: list[int] = []
     rollout_cost = 0.0
     for t in range(n_steps):
-        soc_now = np.array([[plant.state.soc]])
-        mode_now = np.array([[plant.state.forced_charging]])
-        cost, soc_next, mode_next = _stage(models, soc_now, mode_now,
-                                           levels, float(demand[t]), dt)
-        flat = soc_next.ravel()
-        v0 = np.interp(flat, nodes, values[t + 1][0]).reshape(soc_next.shape)
-        v1 = np.interp(flat, nodes, values[t + 1][1]).reshape(soc_next.shape)
-        total = (cost + np.where(mode_next, v1, v0))[0, 0]
-        a = int(total.argmin())
+        a = 0  # a latched step runs at full power, so every action ties
+        if not _latched(models, plant.state.soc, plant.state.forced_charging):
+            cost, soc_next = _stage(models, np.array([plant.state.soc]), levels,
+                                    links[t:t + 1], dt)
+            a = int((cost + np.interp(soc_next, nodes, values[t + 1, 0])).argmin())
         chosen.append(a)
         outcome = plant.step(float(demand[t]), actions.level(a), dt)
         rollout_cost += (outcome.engine_loss_w + outcome.battery_loss_w) * dt

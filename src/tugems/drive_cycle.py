@@ -71,6 +71,10 @@ class DriveCycle:
         if problems:
             raise CycleError("; ".join(problems))
 
+    def __reduce__(self):
+        # Rebuild through the constructor: an unpickled cycle is checked and read-only.
+        return (DriveCycle, (self.dt_s, self.demand_w, self.label))
+
     def __len__(self) -> int:
         return int(self.demand_w.size)
 

@@ -214,6 +214,11 @@ class E2ESchedule:
     decay_rate: float | None = None
 
     def __post_init__(self) -> None:
+        for key in ("initial", "factor", "width", "decay_rate"):
+            value = getattr(self, key)
+            if ((value is not None or key == "initial")
+                    and (isinstance(value, bool) or not isinstance(value, (int, float)))):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(
                 f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
@@ -262,9 +267,6 @@ class E2ESchedule:
             raise ValueError(f"unknown schedule keys: {sorted(unknown, key=str)}")
         if "kind" not in data:
             raise ValueError("kind is missing")
-        for key, value in data.items():
-            if key != "kind" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-                raise ValueError(f"{key} must be a number, got {value!r}")
         return cls(**data)
 
 

@@ -112,6 +112,11 @@ def test_schedule_requires_its_kind():
     assert problems == ["config.agents.b.schedule: kind is missing"]
 
 
+def test_a_schedule_that_is_not_a_mapping_is_one_problem():
+    problems = validate_config({"agents": {"a": {"schedule": 5}}})
+    assert problems == ["config.agents.a.schedule: expected a mapping, got int"]
+
+
 def test_all_problems_come_back_at_once():
     problems = validate_config({
         "run": {"mode": "triple", "episodes": 0},

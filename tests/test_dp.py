@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tugems.dp import _stage, dp_baseline, dp_slack_energy_j, episode_loss_j
+from tugems.config import builtin_cycle
+from tugems.dp import (DpResult, _latched, _stage, dp_baseline, dp_slack_energy_j,
+                       episode_loss_j)
 from tugems.drive_cycle import DriveCycle
 from tugems.metrics import episode_metrics
 from tugems.powertrain import (Plant, StepOutcome, TractionMotorModel, default_models,
@@ -179,13 +181,129 @@ def test_dp_result_is_deterministic(models, actions, flat_cycle):
 @settings(max_examples=300, deadline=None)
 @given(soc=st.floats(min_value=0.2, max_value=0.8), latch=st.booleans(),
        action=st.integers(0, 10), p_dem=st.floats(min_value=0.0, max_value=253_000.0))
+@example(soc=0.28, latch=False, action=3, p_dem=40_000.0)  # the sustain threshold
+@example(soc=0.2799, latch=False, action=3, p_dem=40_000.0)
+@example(soc=0.2849, latch=True, action=3, p_dem=40_000.0)  # held below the release
+@example(soc=0.285, latch=True, action=3, p_dem=40_000.0)
 def test_scalar_kernel_matches_the_dp_stage(soc, latch, action, p_dem):
     models, actions = default_models(), ActionGrid.uniform()
-    out = StepOutcome(*step_kernel(models)(soc, latch, p_dem, models.motor.link_power(p_dem),
+    p_link = models.motor.link_power(p_dem)
+    out = StepOutcome(*step_kernel(models)(soc, latch, p_dem, p_link,
                                            actions.level(action), 1.0))
-    cost, soc_next, mode_next = _stage(models, np.array([[soc]]), np.array([[latch]]),
-                                       np.asarray(actions.levels_w), p_dem, 1.0)
+    latched = bool(_latched(models, soc, latch))
+    base = [models.egu.max_power_w] if latched else actions.levels_w
+    cost, soc_next = _stage(models, np.array([soc]), np.asarray(base),
+                            np.array([p_link]), 1.0)
+    column = 0 if latched else action
     assert (out.engine_loss_w + out.battery_loss_w) * 1.0 == pytest.approx(
-        float(cost[0, 0, action]), rel=1e-12, abs=0.0)
-    assert abs(out.soc - float(soc_next[0, 0, action])) <= 1e-15
-    assert out.forced_charging == bool(mode_next[0, 0, action])
+        float(cost[0, 0, column]), rel=1e-12, abs=0.0)
+    assert abs(out.soc - float(soc_next[0, 0, column])) <= 1e-15
+    assert out.forced_charging == latched
+
+
+# ---------------------------------------------------------------------------
+# the blocked backward pass is the per-step solver, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_stage(models, soc, mode, levels, p_dem, dt):
+    """The per-step DP stage over (mode, node, action), kept as the oracle."""
+    battery, egu = models.battery, models.egu
+    p_link = models.motor.link_power(p_dem)
+    active = np.where(mode, soc < models.charge_sustain_soc + models.charge_release_margin,
+                      soc < models.charge_sustain_soc)
+    u = np.interp(soc, battery.voltage_curve.xs, battery.voltage_curve.ys)
+    r = np.interp(soc, battery.resistance_curve.xs, battery.resistance_curve.ys)
+    pack_volt = u * battery.num_cells
+    coulomb = battery.coulomb_capacity
+    dis_cap = np.minimum(battery.max_discharge_power_w,
+                         (soc - battery.soc_min) * coulomb / dt * pack_volt)
+    chg_cap = np.minimum(battery.max_charge_power_w,
+                         (battery.soc_max - soc) * coulomb / dt * pack_volt)
+    p_egu_base = np.where(active[..., None], egu.max_power_w, levels)
+    lo = (p_link - dis_cap)[..., None]
+    hi = (p_link + chg_cap)[..., None]
+    p_egu = np.minimum(egu.max_power_w,
+                       np.maximum(0.0, np.minimum(np.maximum(p_egu_base, lo), hi)))
+    p_batt = np.minimum(dis_cap[..., None],
+                        np.maximum(-chg_cap[..., None], p_link - p_egu))
+    fuel = np.where(p_egu > 0.0,
+                    (egu.fuel_b2 * p_egu + egu.fuel_b1) * p_egu + egu.fuel_b0, 0.0)
+    i_cell = p_batt / pack_volt[..., None]
+    battery_loss = r[..., None] * i_cell * i_cell * battery.num_cells
+    cost = (fuel - p_egu + battery_loss) * dt
+    soc_next = np.clip(soc[..., None] - i_cell * dt / coulomb,
+                       battery.soc_min, battery.soc_max)
+    return cost, soc_next, np.broadcast_to(active[..., None], p_egu.shape)
+
+
+def _reference_dp(cycle, actions, models, initial_soc, soc_nodes):
+    """One full-grid stage per backward step and per rollout step."""
+    battery = models.battery
+    nodes = np.linspace(battery.soc_min, battery.soc_max, soc_nodes)
+    levels, dt = np.asarray(actions.levels_w), cycle.dt_s
+    end_floor = float(nodes[np.searchsorted(nodes, models.soc_ref + 1e-12) - 1])
+    price = (3.0 * battery.coulomb_capacity * battery.cell_voltage(end_floor)
+             * battery.num_cells)
+    terminal = price * np.maximum(0.0, end_floor - nodes)
+    values = np.empty((len(cycle) + 1, 2, soc_nodes))
+    values[-1] = np.stack([terminal, terminal])
+
+    def total(t, soc, mode):
+        cost, soc_next, mode_next = _reference_stage(models, soc, mode, levels,
+                                                     float(cycle.demand_w[t]), dt)
+        flat = soc_next.ravel()
+        v0 = np.interp(flat, nodes, values[t + 1][0]).reshape(soc_next.shape)
+        v1 = np.interp(flat, nodes, values[t + 1][1]).reshape(soc_next.shape)
+        return cost + np.where(mode_next, v1, v0)
+
+    for t in range(len(cycle) - 1, -1, -1):
+        values[t] = total(t, nodes[None, :], np.array([[False], [True]])).min(axis=-1)
+    plant, chosen, rollout_cost = Plant(models, initial_soc), [], 0.0
+    for t in range(len(cycle)):
+        a = int(total(t, np.array([[plant.state.soc]]),
+                      np.array([[plant.state.forced_charging]]))[0, 0].argmin())
+        chosen.append(a)
+        out = plant.step(float(cycle.demand_w[t]), actions.level(a), dt)
+        rollout_cost += (out.engine_loss_w + out.battery_loss_w) * dt
+    return DpResult(float(np.interp(initial_soc, nodes, values[0][0])), tuple(chosen),
+                    rollout_cost, plant.state.soc, float(nodes[1] - nodes[0]))
+
+
+def _assert_same_solution(cycle, actions, models, initial_soc, soc_nodes):
+    got = dp_baseline(cycle, actions, models, initial_soc, soc_nodes=soc_nodes)
+    want = _reference_dp(cycle, actions, models, initial_soc, soc_nodes)
+    assert got.cost_j == want.cost_j
+    assert got.actions == want.actions
+    assert got.rollout_cost_j == want.rollout_cost_j
+    assert got.rollout_end_soc == want.rollout_end_soc
+    assert got == want
+
+
+_SUSTAIN_VARIANTS = {
+    "stock": {},
+    "no-release-margin": {"charge_release_margin": 0.0},
+    "sustain-at-soc-min": {"charge_sustain_soc": 0.2},
+    "nothing-latched": {"charge_sustain_soc": 0.2, "charge_release_margin": 0.0},
+    "wide-hysteresis": {"charge_sustain_soc": 0.32, "charge_release_margin": 0.05},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_SUSTAIN_VARIANTS))
+@pytest.mark.parametrize("soc_nodes", [3, 7, 61, 101])
+@pytest.mark.parametrize("n_steps", [1, 15, 17, 53])
+def test_blocked_solver_equals_the_per_step_solver(actions, variant, soc_nodes, n_steps):
+    models = dataclasses.replace(default_models(), **_SUSTAIN_VARIANTS[variant])
+    rng = np.random.default_rng(1000 * n_steps + soc_nodes)
+    # random pulls; from SoC 0.282 the stock rollout engages and releases
+    # the latch in about half of the cases, from 0.5 it never does
+    cycle = DriveCycle(1.0, rng.uniform(0.0, 150_000.0, n_steps), "random")
+    for initial_soc in (0.282, 0.5):
+        _assert_same_solution(cycle, actions, models, initial_soc, soc_nodes)
+
+
+def test_blocked_solver_equals_the_per_step_solver_on_a_builtin_cycle(models, actions):
+    cycle = builtin_cycle("PRDC-3-synthetic")
+    _assert_same_solution(DriveCycle(cycle.dt_s, cycle.demand_w[:300], cycle.label),
+                          actions, models, 0.3, 101)
+

@@ -1,5 +1,7 @@
 """Drive-cycle I/O, validation, longitudinal dynamics, and synthesis."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,21 @@ def test_cycle_is_frozen():
     cycle = DriveCycle(dt_s=1.0, demand_w=np.zeros(2))
     with pytest.raises(AttributeError):
         cycle.demand_w = np.full(2, -1.0)
+
+
+def test_cycle_stays_frozen_and_valid_across_pickling():
+    cycle = builtin_cycle("PRDC-1-synthetic")
+    copy = pickle.loads(pickle.dumps(cycle))
+    assert not copy.demand_w.flags.writeable
+    with pytest.raises(ValueError):
+        copy.demand_w[0] = -1.0
+    assert (copy.dt_s, copy.label) == (cycle.dt_s, cycle.label)
+    np.testing.assert_array_equal(copy.demand_w, cycle.demand_w)
+    assert validate_cycle(copy.dt_s, copy.demand_w) == []
+    # unpickling rebuilds through the constructor, so bad state is rejected
+    rebuild, (dt_s, _, label) = cycle.__reduce__()
+    with pytest.raises(CycleError, match="sample 1: demand is not finite"):
+        rebuild(dt_s, np.array([1e4, np.nan]), label)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,19 @@ def test_schedule_from_dict_owns_the_schema(data, match):
         E2ESchedule.from_dict(data)
 
 
+@pytest.mark.parametrize("fields,match", [
+    ({"kind": "step", "factor": 0.5, "width": True}, "width must be a number, got True"),
+    ({"kind": "step", "factor": "0.5", "width": 2}, "factor must be a number, got '0.5'"),
+    ({"kind": "constant", "initial": None}, "initial must be a number, got None"),
+    ({"kind": "constant", "initial": False}, "initial must be a number, got False"),
+    ({"kind": "reciprocal", "decay_rate": [0.1]}, "decay_rate must be a number"),
+    ({"kind": "constant", "factor": "x"}, "factor must be a number, got 'x'"),
+])
+def test_schedule_constructor_checks_value_types(fields, match):
+    with pytest.raises(ValueError, match=match):
+        E2ESchedule(**fields)
+
+
 # ---------------------------------------------------------------------------
 # action selection
 # ---------------------------------------------------------------------------
