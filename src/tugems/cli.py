@@ -32,8 +32,8 @@ from .ensemble import EnsemblePolicy
 from .experiment import (RunSetup, config_fingerprint, robustness_eval,
                          run_learning, sweep_weights, write_learning_curve_csv,
                          write_robustness_csv, write_sweep_csv, write_trace_csv)
-from .qlearn import (Agent, LearnerConfig, load_qtable, make_rng, save_qtable,
-                     write_atomic)
+from .qlearn import (RNG_PROTOCOL, Agent, LearnerConfig, load_qtable, make_rng,
+                     save_qtable, write_atomic)
 
 __all__ = ["main", "build_parser"]
 
@@ -156,7 +156,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             save_qtable(out / snap, agent.q, setup.grid, setup.actions,
                         schedule=agent.config.schedule,
                         extra={"label": config.label, "seed": seed,
-                               "mode": config.mode})
+                               "mode": config.mode, "rng_protocol": RNG_PROTOCOL})
             artifacts.append(snap)
         if args.traces and result.final_traces is not None:
             trace = f"trace{tag}.csv"
@@ -173,7 +173,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
               f"OEC {result.final.oec_j / 1e6:.2f} MJ, "
               f"end SoC {result.final.end_soc:.3f}")
     _write_manifest(out, "learn", config, artifacts,
-                    extra={"seeds": list(seeds), "final_episode": finals})
+                    extra={"seeds": list(seeds), "final_episode": finals,
+                           "rng_protocol": RNG_PROTOCOL})
     return EXIT_OK
 
 
@@ -187,7 +188,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"best proportion mu={best.mu}: mean efficiency "
           f"{best.mean_eff:.4f} +/- {best.std_eff:.4f} over {best.repeats} repeats")
     _write_manifest(out, "sweep", config, ["sweep.csv"],
-                    extra={"best_mu": best.mu, "best_mean_eff": best.mean_eff})
+                    extra={"best_mu": best.mu, "best_mean_eff": best.mean_eff,
+                           "rng_protocol": RNG_PROTOCOL})
     return EXIT_OK
 
 

@@ -135,8 +135,9 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     ------
     ValueError
         If even full generator power throughout the cycle cannot satisfy
-        the terminal constraint, or (from :class:`Plant`) if ``initial_soc``
-        lies outside the battery window.
+        the terminal constraint, if the top action level exceeds the EGU
+        rating, or (from :class:`Plant`) if ``initial_soc`` lies outside the
+        battery window.
     """
     if soc_nodes < 2:
         raise ValueError(f"soc_nodes must be at least 2, got {soc_nodes}")
@@ -144,10 +145,14 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     if end_soc_min is None:
         end_soc_min = models.soc_ref
 
+    p_top = models.egu.max_power_w
+    if actions.levels_w[-1] > p_top:
+        raise ValueError(f"p_egu_cmd_w must be within [0, {p_top}], "
+                         f"got {actions.levels_w[-1]}")
     nodes = np.linspace(battery.soc_min, battery.soc_max, soc_nodes)
     spacing = float(nodes[1] - nodes[0])
     levels = np.asarray(actions.levels_w)
-    p_max = np.array([models.egu.max_power_w])
+    p_max = np.array([p_top])
     demand = cycle.demand_w
     links = models.motor.link_power(demand)
     dt = cycle.dt_s
@@ -162,15 +167,18 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
 
     # Feasibility check on the exact plant: commanding full power every
     # step maximizes charging (any other command can only lower the next
-    # SoC, and reachable end SoC is monotone in the current SoC).
-    probe = Plant(models, initial_soc)
-    for p in demand:
-        probe.step(float(p), models.egu.max_power_w, dt)
-    if probe.state.soc < end_floor - 1e-12:
+    # SoC, and reachable end SoC is monotone in the current SoC).  The cycle
+    # and the ladder check above vouch for the kernel's arguments.
+    kernel = Plant(models, initial_soc).kernel
+    demand_list, link_list = demand.tolist(), links.tolist()
+    soc, latch = initial_soc, False
+    for p, link in zip(demand_list, link_list):
+        *_, latch, soc, _ = kernel(soc, latch, p, link, p_top, dt)
+    if soc < end_floor - 1e-12:
         raise ValueError(
             f"terminal constraint end-SoC >= {end_soc_min} is infeasible for "
             f"cycle {cycle.label or '<unnamed>'!r} from SoC {initial_soc}: full "
-            f"generator power only reaches {probe.state.soc:.4f}")
+            f"generator power only reaches {soc:.4f}")
 
     price = (_DEFICIT_PRICE_PER_J * battery.coulomb_capacity
              * battery.cell_voltage(end_floor) * battery.num_cells)
@@ -199,20 +207,20 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
 
     # Greedy rollout on the continuous plant, choosing each step by the
     # interpolated cost-to-go (not by snapping the state to a node).
-    plant = Plant(models, initial_soc)
     chosen: list[int] = []
     rollout_cost = 0.0
+    soc, latch = initial_soc, False
     for t in range(n_steps):
         a = 0  # a latched step runs at full power, so every action ties
-        if not _latched(models, plant.state.soc, plant.state.forced_charging):
-            cost, soc_next = _stage(models, np.array([plant.state.soc]), levels,
-                                    links[t:t + 1], dt)
+        if not _latched(models, soc, latch):
+            cost, soc_next = _stage(models, np.array([soc]), levels, links[t:t + 1], dt)
             a = int((cost + np.interp(soc_next, nodes, values[t + 1, 0])).argmin())
         chosen.append(a)
-        outcome = plant.step(float(demand[t]), actions.level(a), dt)
-        rollout_cost += (outcome.engine_loss_w + outcome.battery_loss_w) * dt
+        (_, _, _, _, _, _, _, engine_loss, battery_loss, _, _, _, latch, soc,
+         _) = kernel(soc, latch, demand_list[t], link_list[t], actions.levels_w[a], dt)
+        rollout_cost += (engine_loss + battery_loss) * dt
 
     return DpResult(cost_j=cost_j, actions=tuple(chosen),
                     rollout_cost_j=rollout_cost,
-                    rollout_end_soc=plant.state.soc,
+                    rollout_end_soc=soc,
                     soc_node_spacing=spacing)

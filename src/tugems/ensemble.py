@@ -13,7 +13,8 @@ The executed action earns one reward, and both agents learn from that same
 (state, executed action, reward, next state) transition.  Degenerate
 settings reduce exactly to a single agent: ``weighted`` with mu = 1 and
 ``random`` with t = 0 reproduce agent A's solo trajectory bit for bit
-because every consumer draws from its own named RNG stream.
+because every consumer draws from its own named RNG stream, one block per
+episode (RNG protocol v2, see :func:`tugems.qlearn.exploration_draws`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .drive_cycle import DriveCycle
 from .metrics import EpisodeMetrics, episode_metrics
 from .powertrain import Plant, PlantState
-from .qlearn import ActionGrid, Agent, StateGrid, e2e_value
+from .qlearn import ActionGrid, Agent, StateGrid, e2e_value, exploration_draws
 
 __all__ = [
     "POLICY_KINDS",
@@ -90,12 +91,10 @@ def combine_max(action_a: int, value_a: float, action_b: int, value_b: float) ->
     return action_a if value_a >= value_b else action_b
 
 
-def combine_random(action_a: int, action_b: int, t: float,
-                   rng: np.random.Generator) -> int:
-    """Probabilistic pick: agent A when the U(0,1) draw clears ``t``."""
+def combine_random(action_a: int, action_b: int, t: float, y: float) -> int:
+    """Probabilistic pick: agent A when the U(0,1) draw ``y`` clears ``t``."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be within [0, 1], got {t}")
-    y = rng.random()
     return action_a if y >= t else action_b
 
 
@@ -143,19 +142,23 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     feeds ``random``) and both learn from the executed transition; one
     agent's proposal is executed as is, mirrored into both trace columns
     with chooser "A".  With ``learn``, exploration thresholds follow each
-    agent's schedule at ``episode_index``, frozen for the episode; without
-    it, proposals are greedy (no draws) and the tables stay frozen.  The
-    plant is reset to ``initial_soc`` and holds the episode-end ledger
+    agent's schedule at ``episode_index``, frozen for the episode, and each
+    agent draws its episode's block up front (:func:`exploration_draws`);
+    without it, proposals are greedy (no agent draws) and the tables stay
+    frozen.  ``random`` draws one combiner uniform per step, also up front.
+    The plant is reset to ``initial_soc`` and holds the episode-end ledger
     afterwards.  The last sample bootstraps from its own demand.  Ladder
     and tables are checked once per episode, then every step calls the
     plant kernel directly on Q-rows kept as Python lists, written back at
     the end when ``learn`` is set.
     """
     agent_a, agent_b = agents[0], agents[-1]
-    two, greedy = len(agents) == 2, not learn
-    theta_a = 0.0 if greedy else e2e_value(agent_a.config.schedule, episode_index)
-    theta_b = 0.0 if greedy else e2e_value(agent_b.config.schedule, episode_index)
+    two = len(agents) == 2
+    if two and policy is None:
+        raise ValueError("policy is required for a two-agent episode, got None")
     kind = policy.kind if two else None
+    if kind == "random" and combiner_rng is None:
+        raise ValueError("combiner_rng is required for the 'random' policy, got None")
     demand_w, n, dt = cycle.demand_w, len(cycle), cycle.dt_s
     levels, models = actions.levels_w, plant.models
     if levels[-1] > models.egu.max_power_w:
@@ -175,11 +178,19 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     shared = agent_b.q.values is agent_a.q.values
     rows_b = rows_a if shared else agent_b.q.values.tolist()
     n_actions, n_soc, soc_top = actions.n_actions, grid.n_soc, grid.n_soc - 1
+    # Per step, the action an agent explores with, or -1 where it exploits.
+    explore_a = explore_b = [-1] * n
+    if learn:
+        explore_a = _explore_actions(agent_a, episode_index, n, n_actions)
+        if two:
+            explore_b = _explore_actions(agent_b, episode_index, n, n_actions)
     if kind == "weighted":  # the snapped blend depends on the two actions only
         blend = [[combine_weighted(a, b, policy.mu, policy.delta, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
-    lr_a, gamma_a, rng_a = agent_a.config.learning_rate, agent_a.config.discount, agent_a.rng
-    lr_b, gamma_b, rng_b = agent_b.config.learning_rate, agent_b.config.discount, agent_b.rng
+    elif kind == "random":
+        pick_b = (combiner_rng.random(n) < policy.t).tolist()
+    lr_a, gamma_a = agent_a.config.learning_rate, agent_a.config.discount
+    lr_b, gamma_b = agent_b.config.learning_rate, agent_b.config.discount
     soc_edges, kernel = grid.soc_edges, plant.kernel
 
     traces: list[EnsembleStepTrace] | None = [] if record_traces else None
@@ -188,20 +199,18 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     soc, latch, forced_steps = plant.state.soc, plant.state.forced_charging, 0
     state = p_bins[0] * n_soc + grid.soc_bin(soc)
     for i in range(n):
-        if greedy or rng_a.random() >= theta_a:
+        action_a = explore_a[i]
+        if action_a < 0:
             row = rows_a[state]
             action_a = row.index(max(row))
-        else:
-            action_a = int(rng_a.integers(n_actions))
         if not two:
             action_b = final = action_a
             chooser = CHOOSER_A
         else:
-            if greedy or rng_b.random() >= theta_b:
+            action_b = explore_b[i]
+            if action_b < 0:
                 row = rows_b[state]
                 action_b = row.index(max(row))
-            else:
-                action_b = int(rng_b.integers(n_actions))
             if kind == "weighted":
                 final, chooser = blend[action_a][action_b], CHOOSER_BLEND
             elif kind == "maximum":  # own-value comparison, ties to agent A
@@ -209,7 +218,7 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
                                   if rows_a[state][action_a] >= rows_b[state][action_b]
                                   else (action_b, CHOOSER_MAX_B))
             else:
-                final = action_a if combiner_rng.random() >= policy.t else action_b
+                final = action_b if pick_b[i] else action_a
                 chooser = CHOOSER_A if final == action_a else CHOOSER_B
         p_dem = demand[i]
         (p_egu, p_batt, _, p_served, shortfall, _, fuel, engine_loss, battery_loss,
@@ -256,6 +265,14 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     metrics = episode_metrics(ledger, models.battery, initial_soc, soc_sum / n,
                               total_reward)
     return EpisodeResult(metrics=metrics, traces=traces)
+
+
+def _explore_actions(agent: Agent, episode_index: int, n: int, n_actions: int) -> list[int]:
+    """``agent``'s block for learning episode ``episode_index``, resolved
+    against its theta: each step's exploration action, or -1 where it exploits."""
+    theta = e2e_value(agent.config.schedule, episode_index)
+    uniforms, picks = exploration_draws(agent.rng, n, n_actions)
+    return np.where(uniforms < theta, picks, -1).tolist()
 
 
 def run_ensemble_episode(cycle: DriveCycle, agent_a: Agent, agent_b: Agent,

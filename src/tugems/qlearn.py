@@ -4,8 +4,10 @@ The controller state is the pair (power demand, SoC), discretized on a
 rectangular grid; actions are a fixed ladder of EGU output levels.  The
 exploration threshold theta follows one of four decay schedules in the
 episode index k and is frozen for the whole episode.  Action selection is
-threshold-greedy: draw T ~ U(0,1), exploit (argmax, lowest index on ties)
-when T >= theta, otherwise pick a uniform random action.
+threshold-greedy: given T ~ U(0,1), exploit (argmax, lowest index on ties)
+when T >= theta, otherwise take a uniform random action.  A learning episode
+draws its T values and random actions up front, one block per agent
+(:func:`exploration_draws`, RNG protocol v2).
 
 Q-table snapshots are JSON with a self-describing header (grid edges,
 action levels, schedule) so a restore can verify it matches the run setup.
@@ -37,6 +39,8 @@ __all__ = [
     "Agent",
     "discretize",
     "e2e_value",
+    "exploration_draws",
+    "threshold_greedy",
     "select_action",
     "q_update",
     "save_qtable",
@@ -46,6 +50,7 @@ __all__ = [
     "AGENT_A_STREAM",
     "AGENT_B_STREAM",
     "COMBINER_STREAM",
+    "RNG_PROTOCOL",
 ]
 
 # State-space envelope shared with the drive-cycle demand bound.
@@ -61,6 +66,11 @@ SCHEDULE_KINDS = ("constant", "exponential", "step", "reciprocal")
 AGENT_A_STREAM = 0
 AGENT_B_STREAM = 1
 COMBINER_STREAM = 2
+
+# Version of the draw order within the streams, recorded in manifests and
+# snapshots.  v2: each learning episode draws its blocks up front
+# (exploration_draws, and one combiner uniform per step).
+RNG_PROTOCOL = 2
 
 
 def make_rng(seed: int, stream: int) -> np.random.Generator:
@@ -306,19 +316,38 @@ class QTable:
         return int(self.values.shape[1])
 
 
-def select_action(q: QTable, state: int, theta: float,
-                  rng: np.random.Generator) -> int:
-    """Threshold-greedy selection: exploit when the U(0,1) draw clears theta.
+def exploration_draws(rng: np.random.Generator, n: int,
+                      n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """RNG protocol v2: one agent's draws for an ``n``-step learning episode.
 
-    theta = 0 always exploits (the draw is still consumed so stream
-    positions stay aligned across schedules); theta = 1 always explores.
+    ``rng.random(n)`` and then ``rng.integers(n_actions, size=n)``; step i
+    explores with action i of the second block when uniform i < theta.  The
+    stream advances by the same amount on every path, so an agent's draws
+    depend only on its seed and its count of learning episodes.
+    """
+    return rng.random(n), rng.integers(n_actions, size=n)
+
+
+def threshold_greedy(q: QTable, state: int, theta: float, uniform: float,
+                     explore_action: int) -> int:
+    """Threshold-greedy choice on pre-drawn values: the greedy action
+    (lowest index on ties) when ``uniform`` clears theta, else
+    ``explore_action``.  theta = 0 always exploits, theta = 1 always explores.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be within [0, 1], got {theta}")
-    t = rng.random()
-    if t >= theta:
+    if uniform >= theta:
         return int(q.values[state].argmax())
-    return int(rng.integers(q.n_actions))
+    return explore_action
+
+
+def select_action(q: QTable, state: int, theta: float,
+                  rng: np.random.Generator) -> int:
+    """:func:`threshold_greedy` on fresh draws, for a one-off step outside an
+    episode: one uniform, plus one action only when it explores."""
+    uniform = rng.random()
+    explore = int(rng.integers(q.n_actions)) if uniform < theta else -1
+    return threshold_greedy(q, state, theta, uniform, explore)
 
 
 @dataclass(frozen=True)

@@ -412,6 +412,10 @@ def test_learn_writes_curve_snapshots_and_manifest(workspace, capsys):
     assert manifest["config"] == load_config(cfg).to_dict()
     assert manifest["config_fingerprint"] == config_fingerprint(manifest["config"])
     assert "0" in manifest["final_episode"]
+    assert manifest["rng_protocol"] == 2
+    for name in ("A", "B"):
+        snapshot = json.loads((out / f"qtable_{name}.json").read_text())
+        assert snapshot["extra"]["rng_protocol"] == 2
     assert not any("time" in key or "date" in key for key in manifest)
     assert "seed 0: final efficiency" in capsys.readouterr().out
 
@@ -592,6 +596,7 @@ def test_sweep_writes_one_row_per_proportion(workspace, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "sweep"
     assert 0.1 <= manifest["best_mu"] <= 0.9
+    assert manifest["rng_protocol"] == 2
 
 
 def test_version_flag(capsys):

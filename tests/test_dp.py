@@ -159,6 +159,14 @@ def test_dp_rejects_bad_inputs(models, actions):
         dp_baseline(cycle, actions, models, 0.05)
 
 
+def test_dp_rejects_action_levels_above_the_egu_rating(models):
+    # checked once up front, whether or not the rollout would pick the top level
+    too_high = ActionGrid.uniform(max_power_w=models.egu.max_power_w + 1.0)
+    cycle = DriveCycle(1.0, np.full(5, 1_000.0), "tiny")
+    with pytest.raises(ValueError, match="p_egu_cmd_w must be within"):
+        dp_baseline(cycle, too_high, models, 0.5)
+
+
 def test_dp_detects_an_unreachable_terminal_constraint(models, actions):
     # from the window floor with a demand far beyond the generator rating,
     # the pack can never climb back to the sustain reference

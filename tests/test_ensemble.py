@@ -13,8 +13,8 @@ from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
-                           discretize, e2e_value, make_rng, q_update,
-                           select_action)
+                           discretize, e2e_value, exploration_draws, make_rng,
+                           q_update, threshold_greedy)
 
 # ---------------------------------------------------------------------------
 # combination rules
@@ -40,21 +40,26 @@ def test_combine_max_rejects_non_finite_values():
 
 
 def test_combine_random_endpoints():
-    rng = make_rng(0, COMBINER_STREAM)
-    assert all(combine_random(1, 2, 0.0, rng) == 1 for _ in range(100))
-    assert all(combine_random(1, 2, 1.0, rng) == 2 for _ in range(100))
+    draws = make_rng(0, COMBINER_STREAM).random(100).tolist() + [0.0]
+    assert all(combine_random(1, 2, 0.0, y) == 1 for y in draws)
+    assert all(combine_random(1, 2, 1.0, y) == 2 for y in draws)
 
 
 def test_combine_random_frequency_tracks_t():
-    rng = make_rng(5, COMBINER_STREAM)
     n = 100_000
-    picked_b = sum(combine_random(0, 1, 0.7, rng) for _ in range(n))
+    draws = make_rng(5, COMBINER_STREAM).random(n).tolist()
+    picked_b = sum(combine_random(0, 1, 0.7, y) for y in draws)
     assert picked_b / n == pytest.approx(0.70, abs=0.01)
+
+
+def test_combine_random_takes_agent_a_exactly_when_the_draw_clears_t():
+    assert combine_random(3, 8, 0.4, 0.4) == 3
+    assert combine_random(3, 8, 0.4, 0.3999) == 8
 
 
 def test_combine_random_rejects_bad_t():
     with pytest.raises(ValueError, match="t must be"):
-        combine_random(0, 1, 1.7, make_rng(0, 0))
+        combine_random(0, 1, 1.7, 0.5)
 
 
 def test_combine_weighted_snaps_the_blend_to_the_ladder(actions):
@@ -324,18 +329,24 @@ def test_degenerate_policies_reproduce_agent_b(models, grid, actions,
 
 def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, combiner,
                        learn):
-    """Step by step through select_action/q_update, the combine_* rules and
-    Plant.step, with the tables in numpy throughout."""
+    """Step by step through threshold_greedy/q_update, the combine_* rules and
+    Plant.step, with the tables in numpy throughout; each episode's random
+    values are drawn up front (the agents' through exploration_draws) and
+    handed to the primitives step by step."""
     plant.reset(soc0)
     demand = [float(p) for p in cycle.demand_w]
+    n = len(demand)
     greedy = not learn
     thetas = [0.0 if greedy else e2e_value(a.config.schedule, k) for a in agents]
+    # greedy episodes draw nothing from the agent streams: theta 0 never explores
+    draws = [(np.ones(n), np.zeros(n, dtype=int)) if greedy
+             else exploration_draws(a.rng, n, actions.n_actions) for a in agents]
+    ys = combiner.random(n) if policy is not None and policy.kind == "random" else None
     total = soc_sum = 0.0
     for i, p in enumerate(demand):
         state = discretize(grid, p, plant.state.soc)
-        props = [int(a.q.values[state].argmax()) if greedy
-                 else select_action(a.q, state, theta, a.rng)
-                 for a, theta in zip(agents, thetas)]
+        props = [threshold_greedy(a.q, state, theta, float(u[i]), int(x[i]))
+                 for a, theta, (u, x) in zip(agents, thetas, draws)]
         if len(agents) == 1:
             final = props[0]
         elif policy.kind == "weighted":
@@ -344,16 +355,16 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
             final = combine_max(props[0], agents[0].q.values[state, props[0]],
                                 props[1], agents[1].q.values[state, props[1]])
         else:
-            final = combine_random(*props, policy.t, combiner)
+            final = combine_random(*props, policy.t, float(ys[i]))
         out = plant.step(p, actions.level(final), cycle.dt_s)
-        next_state = discretize(grid, demand[min(i + 1, len(demand) - 1)], out.soc)
+        next_state = discretize(grid, demand[min(i + 1, n - 1)], out.soc)
         if learn:
             for agent in agents:
                 q_update(agent.q, state, final, out.reward, next_state, agent.config)
         total += out.reward
         soc_sum += out.soc
     return episode_metrics(plant.state, plant.models.battery, soc0,
-                           soc_sum / len(demand), total)
+                           soc_sum / n, total)
 
 
 @pytest.mark.parametrize("policy", [
@@ -388,6 +399,68 @@ def test_run_episode_matches_the_step_by_step_primitives(
         assert got == want
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a.q.values, b.q.values)
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# RNG protocol v2: per-episode blocks, path independent
+# ---------------------------------------------------------------------------
+
+
+def _episode_traces(cycle, models, grid, actions, config_b, episodes=4):
+    config_a = LearnerConfig(schedule=E2ESchedule.step(0.8, 0.5, 10))
+    agent_a = Agent.create("A", grid, actions, config_a, 5, AGENT_A_STREAM)
+    agent_b = Agent.create("B", grid, actions, config_b, 5, AGENT_B_STREAM)
+    plant = Plant(models, 0.5)
+    traces = [[(tr.state, tr.action_a, tr.action_final, tr.reward, tr.soc)
+               for tr in run_episode(cycle, (agent_a, agent_b), k, plant, 0.5, grid,
+                                     actions, EnsemblePolicy.weighted(1.0),
+                                     make_rng(5, COMBINER_STREAM),
+                                     record_traces=True).traces]
+              for k in range(episodes)]
+    return traces, agent_a
+
+
+def test_agent_a_does_not_depend_on_agent_b_schedule(models, grid, actions,
+                                                     bumpy_cycle):
+    # under weighted mu = 1 agent A's blocks, and so its whole trajectory,
+    # stay the same whether agent B always explores or hardly ever does
+    runs = [_episode_traces(bumpy_cycle, models, grid, actions,
+                            LearnerConfig(schedule=schedule))
+            for schedule in (E2ESchedule.constant(1.0), E2ESchedule.constant(0.01),
+                             E2ESchedule.step(0.9, 0.5, 1))]
+    (traces, agent_a), others = runs[0], runs[1:]
+    for other_traces, other_a in others:
+        assert other_traces == traces
+        np.testing.assert_array_equal(other_a.q.values, agent_a.q.values)
+        assert other_a.rng.bit_generator.state == agent_a.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("policy", [
+    EnsemblePolicy.weighted(0.5),
+    EnsemblePolicy(kind="maximum"),
+    EnsemblePolicy(kind="random", t=0.5),
+], ids=["weighted", "maximum", "random"])
+def test_stream_positions_count_learning_episodes_only(models, grid, actions,
+                                                       bumpy_cycle, policy):
+    # each learning episode consumes exactly one block per stream, whatever
+    # the path; greedy episodes consume nothing from the agent streams
+    agent_a, agent_b = _make_agents(grid, actions, seed=9)
+    combiner = make_rng(9, COMBINER_STREAM)
+    plant, n, learned = Plant(models, 0.5), len(bumpy_cycle), 0
+    for k, learn in enumerate([True, False, True, True, False]):
+        run_episode(bumpy_cycle, (agent_a, agent_b), k, plant, 0.5, grid, actions,
+                    policy, combiner, learn)
+        learned += learn
+    for agent, stream in ((agent_a, AGENT_A_STREAM), (agent_b, AGENT_B_STREAM)):
+        fresh = make_rng(9, stream)
+        for _ in range(learned):
+            exploration_draws(fresh, n, actions.n_actions)
+        assert agent.rng.bit_generator.state == fresh.bit_generator.state
+    fresh = make_rng(9, COMBINER_STREAM)
+    if policy.kind == "random":
+        fresh.random(5 * n)
+    assert combiner.bit_generator.state == fresh.bit_generator.state
 
 
 def test_run_episode_leaves_the_episode_ledger_on_the_plant(models, grid, actions,
@@ -426,3 +499,17 @@ def test_run_episode_rejects_non_finite_q_values_under_maximum(models, grid, act
     with pytest.raises(ValueError, match="Q-values must be finite"):
         _run_once(models, grid, actions, flat_cycle, EnsemblePolicy(kind="maximum"),
                   agents=agents)
+
+
+def test_two_agents_without_a_policy_name_the_policy(models, grid, actions, flat_cycle):
+    with pytest.raises(ValueError, match="policy is required"):
+        run_episode(flat_cycle, _make_agents(grid, actions), 0, Plant(models, 0.5), 0.5,
+                    grid, actions)
+
+
+@pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
+def test_random_policy_without_a_combiner_rng_names_it(models, grid, actions, flat_cycle,
+                                                       learn):
+    with pytest.raises(ValueError, match="combiner_rng is required"):
+        run_episode(flat_cycle, _make_agents(grid, actions), 0, Plant(models, 0.5), 0.5,
+                    grid, actions, EnsemblePolicy(kind="random", t=0.5), None, learn)

@@ -45,27 +45,27 @@ PINNED_FIT = ("-0x1.3350d2623ca16p-20", "0x1.717a3d0f53093p+1", "0x1.f26ffffffff
 GOLDEN = {
     "ensemble-maximum": {
         "run/learning_curve_seed0.csv":
-            "ac9c33120b536dd207931075430a0c4b45902c79ec46fad8f4aa8a0fe85a6045",
+            "6fea1ca9ba2e54c82f0c5b2db530091901db6aea02b3ed95640913039c9693b5",
         "run/learning_curve_seed1.csv":
-            "6fda418881655d3270530a8617536de17b13838feb743c52dd390e26fcd34c0c",
+            "31e504363f86d93632dc1df9461e590e255f4cbd0513b669f48d186121ab831b",
         "run/manifest.json":
-            "1fd32ac8cb9d202be31c1744eb5106f483cb83824428f909e84a50efb8fa9a2c",
+            "d2f05442bad25a52661d2e1f87cc2f863e68c37139e39c223facca94628445fa",
         "run/qtable_A_seed0.json":
-            "dfa1e4efea9f80bed8295b5561e75aa20bd0b1a511c4ebcc922bf326375f2733",
+            "aedfd199027a6d8c429d803e7c147bfdbaf0fa892f63215ec1d625c850b7b955",
         "run/qtable_A_seed1.json":
-            "1fc0dced7e6b1fcc968a10d9f452fba4103647bc8f1d59d6862f058901849443",
+            "04e055a75bdeeb0ef9dad7baddafbc07342d3e07841bc83ce03654eea0894f7b",
         "run/qtable_B_seed0.json":
-            "3168a499b6cd2fb0f9c581a69a51e45bc50c9b978b368970b69ec3159f9503ce",
+            "036ec8d52c8740d3cdfeb251ae2576e5e735d6fdf7b87ff5dcae4e5cb025b547",
         "run/qtable_B_seed1.json":
-            "f4d991767e7f7fd72b3fc0eb7c0c09912670e940bdc87b098daf64c017a4207f",
+            "31ca69d88247548c9a3775b39389fd44bde6fc0e0de29382d1cb9c0ac8368eeb",
         "run/trace_seed0.csv":
-            "b85b92e3e04b2cb6887826aa7becf55d9c841772d30e0cd4591fbba7fa953703",
+            "5ab03fd55b0c39cd59cc61ef258f18c676176c91cc6f06a0c7f095e935508a08",
         "run/trace_seed1.csv":
-            "ad16e8fe708bbfff8e8cbedfbb0a94550e74ef5029bdada1cf069bd1bbce7f77",
+            "cd0d169fdcee8536fd0b595e4359806dd14f8ff0362a9904df9c3d7fd3c8bbab",
         "eval/manifest.json":
             "03add9acf429f528e51655fb618f5712b93fb5624c65f5fb9f9d535ac5911599",
         "eval/robustness.csv":
-            "d06cee588ca3f46c8c506779b594e6b42937a0b8bc81dac948c675aa42d28adb",
+            "a6f65ec6ff04ea588d29640a3f627be034f93c0d79337f5dee74162f260bb888",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
@@ -73,27 +73,27 @@ GOLDEN = {
     },
     "ensemble-random": {
         "run/learning_curve_seed0.csv":
-            "5fcf589705c72fd5b0c3ba8fd7799eff1309cd90ce17e89ee2bb5f83208ce88b",
+            "427ccf7f4b34951001dcc2408314d89ac7317a0881969461d5f5f0dd9ac49a8b",
         "run/learning_curve_seed1.csv":
-            "eac5ea5c2fc3a6b26d8598bc559e46540371d5057c1d520c578ae672da802ac5",
+            "80b6ee190f02dff7d1a3fbfa01cfd74b824829bee0bd5b58b470775788c4265f",
         "run/manifest.json":
-            "f492adceefaf05fc0a8d2c54e9a6e00e24cf1d81791d6fcff77cc4947c931eba",
+            "ef183f2152530de25a599f02663bb527ac7135c3f5b90c7d60ed27e0c2edaa80",
         "run/qtable_A_seed0.json":
-            "8fe093ba335d492d674620055ec4f1f69d08228c496b71b92741fccdc49c8246",
+            "577527c5afc64ca00608293af2e7f6e9e6f830c15ec40f9e845cbd8b8940c678",
         "run/qtable_A_seed1.json":
-            "ecca8dc5ee4737210ae801149707a955963d71e45d0e9da9f9e459d759795d1c",
+            "3de18a4dadc401d75c2416cbca12274ae6146f554300bd3996b1c026e821607f",
         "run/qtable_B_seed0.json":
-            "6ecd8d5ba954acf781b00c747bb3cdb449b5ed097e385e857ee7e9199fb3aa33",
+            "f231e680f6a69619804703d74f2dc7b630e48982b1522ea14e1bcd62ae9dddda",
         "run/qtable_B_seed1.json":
-            "b110e45c3d529131576984c6f0bacae33a13dabb3b787dacfc5ece6e2b82c938",
+            "3d91ccfefc110a7acdc4bf5adea1c446a67a74a917613dce76ede9b9dfa18cf9",
         "run/trace_seed0.csv":
-            "d70cdfc213e37a852b05f2990f5af9af79397f4914021e52070f47f66d91f05b",
+            "d4944a2aea9c47f4ab22cf1f5bc715562c21042602b0b1bf5aa8d97b49245dec",
         "run/trace_seed1.csv":
-            "90df6a3d1facb266ebb4170e163a3a4985bf3670e292d81567fbebffcc315676",
+            "59ff39a92c2ec5e8c84aab9e5983ebc7bb9716e7327a1be906c9e45310564a69",
         "eval/manifest.json":
             "95b119a1c06d0e2ef03bbaf375813c326ce87878b26f64798f576e3b2c1e9b1b",
         "eval/robustness.csv":
-            "cef5473857c06f2c7b420f7221e6020b647813e60417f113d7bd9a0668449cce",
+            "ec800491d0133da62fdd31440527b26f6a93bf95fe5af6adc9b537ebc35de4d0",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
@@ -101,27 +101,27 @@ GOLDEN = {
     },
     "ensemble-weighted": {
         "run/learning_curve_seed0.csv":
-            "517e09b5fc25aa5f8ea11fe1f7d85929ddcb05d4f00b0bfec0549271b92ab812",
+            "d058cc19fa2c16d8081209a0f853024368db3eac8e976737e68deddd93ea3163",
         "run/learning_curve_seed1.csv":
-            "31595e2ed4db466e7d900ff3083b2d963c4337c80999a50e4612197a42a8dedf",
+            "28020a0c7134191cfac768569067a84a446e822eb5e7295b0f98ad0b4ab370ae",
         "run/manifest.json":
-            "567abdb602dcbc933f9f8605a21dc21fa32bd4f7cc7f2885fcf786ed2010636b",
+            "56a28337b14c09b259732032372ffdb0b1fe2b295b27357f21179e7f9cbd83c2",
         "run/qtable_A_seed0.json":
-            "8db95def86cede7a94495b7f55824b530a8fbb1f94ddfa42c21d11fcffde6995",
+            "fc0dc13a90466ad1b2dbf0f0eb27710fddab8061026129b8b2ff026773aff18e",
         "run/qtable_A_seed1.json":
-            "75cb0bd3a881c01255bfb634d12149b48cdc20fa2050ae3ca52534fc2826ee6b",
+            "0a819e5a31fa88417841b5923d2ec7da53ad8753c2e2b96b3cf590527dd05d14",
         "run/qtable_B_seed0.json":
-            "9ec21253370113ca531d5d79063af61d38fe3515e1abb9103a503ae162c40408",
+            "f0a56cf19d630220c34f4d5d154d88d3cf0f5c18de9ff36031e67ddb7effd7af",
         "run/qtable_B_seed1.json":
-            "9f7f892710e418a119b595b315e738c309adc3ce2cec80957ec523822848421c",
+            "0fffef29980f4d3d378ce7b75794b5f704ce98ab5450f2e1f12446c14b6527c9",
         "run/trace_seed0.csv":
-            "432be647686427fbf89198763ce8629a559fcc1e02d9b258a585c001e8415208",
+            "1e2c9df81ba581edcbe09d136c65bbbd2d3c37fab610fb842a724500b9ba24c2",
         "run/trace_seed1.csv":
-            "b280b1ad6d00a7563a0c8cdcebf73f712b726cf748506ac3bc16375d73e4061d",
+            "aa91f1e4c8a77fb71875636a860dac353d8d7a720cd975df69758cedc3304fca",
         "eval/manifest.json":
             "2bfd02883ef432ce07a4d6f26b3059f4f0883875d977eb14aef6516dd1af8ebe",
         "eval/robustness.csv":
-            "33d16b8aad374715c796bcce4cd7f3ab4bdf0105dcb7a2210bc0e00719296f24",
+            "bc71cb3d1eee2c13ec911d00b7a8e073b34bc74800e2b5088a879f4a434c2485",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
@@ -129,23 +129,23 @@ GOLDEN = {
     },
     "single": {
         "run/learning_curve_seed0.csv":
-            "b5dff1fcd04982f2158dcd15d96043faabbfb643d5b2766f688db8ac05607885",
+            "29c82a36fce1b453cd98df18fc98467a378ee6db18c6a93fe76ec85705eaa0eb",
         "run/learning_curve_seed1.csv":
-            "ea133115bf23abc620e3580db1c79cd56646ac415ef76ec9f61f1812e8add7b5",
+            "3dff1eac2e2afc7963d47f4e7366ff8a70e995357a250c115cf5743e20dfeecc",
         "run/manifest.json":
-            "937aef4df4ace3db752e1bfadd91b47941e027593c470b01d2bf145a7223af58",
+            "de6e4185c3793be7618adfb8263a43cbd8d16aa4fbe0d138b21879f31f95f1ca",
         "run/qtable_A_seed0.json":
-            "2b2719e2b1daf479b88b58d90c5f9949392fd29a6a0e6280c759c2348b115d7e",
+            "366d4de932fc4c8c5bb9d2ab8b64a83206985c3410ca103ff90987b57ec5cfc1",
         "run/qtable_A_seed1.json":
-            "b959d54037872d0412fa4201f17e377748a858a0c044a8f7cc92522764ed2c8d",
+            "1ffdab99cc50f65ce2aefae959a4fac99fbc64ea20e7dd4ad572736cb2607074",
         "run/trace_seed0.csv":
-            "36ad9d6c1dd5096f57745ef79721b2a290281d388bc9a2d8f99a8604e414a4c1",
+            "7aa29d61e23272ccf0b404f399bd38abc50ed9629911b4d72c5619c423102908",
         "run/trace_seed1.csv":
-            "7c2ee17436a78a9e550a7fa848b6d3e61d1c2509a052f14bb2c3cae6af47c30f",
+            "922c8142a872fa6813f0dc6c03856dbf31cad744ba0e539dcf81ad3c58a50650",
         "eval/manifest.json":
             "ba9060e0b3649c28ff3ec12d4b14ef559d5c2dfb94f080ed9ec2d7b9b399843a",
         "eval/robustness.csv":
-            "93fe454197f4947ebb2f5f45bfd97c14e8bd5c5f960744cb7ddc4ee25bee8d99",
+            "3fe6cce34c5aea26df6c7ebe923499ed03e2a56d0833f8e9d370fabf9312136a",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":

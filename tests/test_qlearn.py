@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
                            QTable, StateGrid, discretize, e2e_value,
-                           load_qtable, make_rng, q_update, save_qtable,
-                           select_action, write_atomic)
+                           exploration_draws, load_qtable, make_rng, q_update,
+                           save_qtable, select_action, threshold_greedy, write_atomic)
 
 # ---------------------------------------------------------------------------
 # state grid
@@ -368,6 +368,32 @@ def test_make_rng_is_reproducible_and_streams_differ():
     np.testing.assert_array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, other_seed)
+
+
+@pytest.mark.parametrize("seed,stream,n", [(0, 0, 1), (7, 1, 13), (123, 2, 960)])
+def test_a_block_of_uniforms_equals_as_many_scalar_draws(seed, stream, n):
+    block = make_rng(seed, stream).random(n)
+    scalar = make_rng(seed, stream)
+    assert block.tolist() == [scalar.random() for _ in range(n)]
+
+
+def test_exploration_draws_take_uniforms_then_actions_from_one_stream():
+    got_u, got_x = exploration_draws(make_rng(4, 0), 50, 11)
+    rng = make_rng(4, 0)
+    np.testing.assert_array_equal(got_u, rng.random(50))
+    np.testing.assert_array_equal(got_x, rng.integers(11, size=50))
+    assert got_x.min() >= 0 and got_x.max() <= 10
+
+
+def test_threshold_greedy_explores_exactly_below_theta():
+    q = QTable(1, 4)
+    q.values[0] = [0.0, 3.0, 3.0, 2.0]
+    assert threshold_greedy(q, 0, 0.5, 0.5, 3) == 1   # clears theta: argmax, low tie
+    assert threshold_greedy(q, 0, 0.5, 0.4999, 3) == 3
+    assert threshold_greedy(q, 0, 0.0, 0.0, 3) == 1
+    assert threshold_greedy(q, 0, 1.0, 0.9999, 0) == 0
+    with pytest.raises(ValueError, match="theta"):
+        threshold_greedy(q, 0, -0.1, 0.5, 0)
 
 
 def test_agent_create_wires_grid_config_and_stream():
