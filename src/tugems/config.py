@@ -6,6 +6,10 @@ hard errors (reported with their dotted path) so a typo like
 ``episods: 250`` cannot silently run the default.  ``load_config`` raises
 ``ConfigError`` carrying *all* problems found, not just the first.
 
+Each key is one row of ``_KEYS``; its known-key sets, checks and
+``RunConfig.to_dict`` are built from that table, and only rules that span
+keys are written out by hand in ``parse_config``.
+
 Example::
 
     label: prdc1-weighted
@@ -31,6 +35,7 @@ import dataclasses
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, NamedTuple, Sequence
 
 import yaml
 
@@ -51,23 +56,63 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n  " + "\n  ".join(self.problems))
 
 
+class _Key(NamedTuple):
+    """One config key: where it sits in the file, where its value goes, and
+    what it accepts.
+
+    ``field`` names a ``RunConfig`` attribute, or ``policy.<name>`` /
+    ``plant.<name>`` for a key that builds the ensemble policy or overrides
+    a plant parameter.  A ``many`` key takes a non-empty list of such values.
+    """
+
+    section: str  # "" for a top-level key
+    key: str
+    field: str
+    type: type
+    low: float | None = None
+    high: float | None = None
+    choices: Sequence[str] | None = None
+    many: bool = False
+
+
 _PLANT_KEYS = ("soc_ref", "charge_sustain_soc", "charge_release_margin",
                "soc_penalty_coeff", "reward_baseline")
 
-_SECTIONS = {
-    "label": None,
-    "cycle": {"builtin", "path", "dt_s"},
-    "run": {"mode", "episodes", "initial_soc", "seeds"},
-    "grids": {"p_dem_bins", "soc_bins", "action_levels"},
-    "agents": {"a", "b"},
-    "ensemble": {"kind", "mu", "delta", "t"},
-    "plant": set(_PLANT_KEYS),
-    "sweep": {"repeats", "base_seed", "episodes"},
-    "eval": {"cycles", "initial_socs"},
-    "dp": {"soc_nodes"},
-}
+# The config schema: every key but the agent sub-schema, in file order.
+_KEYS = (
+    _Key("", "label", "label", str),
+    _Key("cycle", "builtin", "cycle_builtin", str,
+         choices=sorted(BUILTIN_CYCLE_NAMES)),
+    _Key("cycle", "path", "cycle_path", str),
+    _Key("cycle", "dt_s", "cycle_dt_s", float, low=1e-9),
+    _Key("run", "mode", "mode", str, choices=("single", "ensemble")),
+    _Key("run", "episodes", "episodes", int, low=1),
+    _Key("run", "initial_soc", "initial_soc", float, 0.0, 1.0),
+    _Key("run", "seeds", "seeds", int, low=0, many=True),
+    _Key("grids", "p_dem_bins", "p_dem_bins", int, low=2),
+    _Key("grids", "soc_bins", "soc_bins", int, low=2),
+    _Key("grids", "action_levels", "action_levels", int, low=2),
+    _Key("ensemble", "kind", "policy.kind", str, choices=POLICY_KINDS),
+    _Key("ensemble", "mu", "policy.mu", float, 0.0, 1.0),
+    _Key("ensemble", "t", "policy.t", float, 0.0, 1.0),
+    *(_Key("plant", key, f"plant.{key}", float) for key in _PLANT_KEYS),
+    _Key("sweep", "repeats", "sweep_repeats", int, low=1),
+    _Key("sweep", "base_seed", "sweep_base_seed", int, low=0),
+    _Key("sweep", "episodes", "sweep_episodes", int, low=1),
+    _Key("eval", "cycles", "eval_cycles", str, many=True),
+    _Key("eval", "initial_socs", "eval_initial_socs", float, many=True),
+    _Key("dp", "soc_nodes", "dp_soc_nodes", int, low=3),
+)
+_AGENT_KEYS = (_Key("agents", "learning_rate", "learning_rate", float, 1e-12, 1.0),
+               _Key("agents", "discount", "discount", float, 0.0, 1.0))
 
-_AGENT_KEYS = {"learning_rate", "discount", "schedule"}
+_SECTIONS: dict[str, list[_Key]] = {}
+for _row in _KEYS:
+    _SECTIONS.setdefault(_row.section, []).append(_row)
+
+# What a value of each type is called in a problem: one, and a list of them.
+_NOUNS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          str: ("a non-empty string", "names")}
 
 
 @dataclass(frozen=True)
@@ -126,32 +171,22 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Canonical plain-data form, used for the run fingerprint."""
-        return {
-            "label": self.label,
-            "cycle": {"builtin": self.cycle_builtin, "path": self.cycle_path,
-                      "dt_s": self.cycle_dt_s},
-            "run": {"mode": self.mode, "episodes": self.episodes,
-                    "initial_soc": self.initial_soc, "seeds": list(self.seeds)},
-            "grids": {"p_dem_bins": self.p_dem_bins, "soc_bins": self.soc_bins,
-                      "action_levels": self.action_levels},
-            "agents": {
-                "a": {"learning_rate": self.agent_a.learning_rate,
-                      "discount": self.agent_a.discount,
-                      "schedule": self.agent_a.schedule.to_dict()},
-                "b": {"learning_rate": self.agent_b.learning_rate,
-                      "discount": self.agent_b.discount,
-                      "schedule": self.agent_b.schedule.to_dict()},
-            },
-            "ensemble": {"kind": self.policy.kind, "mu": self.policy.mu,
-                         "t": self.policy.t},
-            "plant": dict(self.plant_overrides),
-            "sweep": {"repeats": self.sweep_repeats,
-                      "base_seed": self.sweep_base_seed,
-                      "episodes": self.sweep_episodes},
-            "eval": {"cycles": list(self.eval_cycles),
-                     "initial_socs": list(self.eval_initial_socs)},
-            "dp": {"soc_nodes": self.dp_soc_nodes},
-        }
+        plant = dict(self.plant_overrides)
+        out: dict = {section: {} for section in _SECTIONS}
+        for row in _KEYS:
+            owner, _, name = row.field.rpartition(".")
+            if owner == "plant":  # only the parameters the config overrides
+                if name in plant:
+                    out["plant"][name] = plant[name]
+                continue
+            value = getattr(self.policy if owner else self, name)
+            out[row.section][row.key] = list(value) if row.many else value
+        out.update(out.pop(""))
+        out["agents"] = {
+            name: {**{row.key: getattr(agent, row.field) for row in _AGENT_KEYS},
+                   "schedule": agent.schedule.to_dict()}
+            for name, agent in (("a", self.agent_a), ("b", self.agent_b))}
+        return out
 
 
 DEFAULT_CONFIG = RunConfig()
@@ -172,56 +207,58 @@ def _check_keys(data: dict, known: set, path: str, problems: list[str]) -> None:
             problems.append(f"{path}.{key}: unknown key")
 
 
-def _is_finite_number(value: object) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def _scalar(row: _Key, value: object) -> tuple[object, str | None]:
+    """Check one value against its row: (value, None), or (value, problem)."""
+    if row.choices is not None:
+        return value, (None if value in row.choices
+                       else f"must be one of {row.choices}, got {value!r}")
+    if row.type is str:
+        fits = isinstance(value, str) and value != ""
+    else:
+        fits = (isinstance(value, (row.type, int)) and not isinstance(value, bool)
+                and (row.type is int or abs(value) <= sys.float_info.max))
+    if not fits:
+        return value, f"expected {_NOUNS[row.type][0]}, got {value!r}"
+    value = row.type(value)
+    if row.low is not None and value < row.low:
+        return value, f"must be >= {row.low}, got {value}"
+    if row.high is not None and value > row.high:
+        return value, f"must be <= {row.high}, got {value}"
+    return value, None
 
 
-def _number(data: dict, key: str, path: str, problems: list[str],
-            default: float, low: float | None = None,
-            high: float | None = None) -> float:
-    if key not in data or data[key] is None:
-        return default
-    value = data[key]
-    if not _is_finite_number(value):
-        problems.append(f"{path}.{key}: expected a finite number, got {value!r}")
-        return default
-    value = float(value)
-    if low is not None and value < low:
-        problems.append(f"{path}.{key}: must be >= {low}, got {value}")
-        return default
-    if high is not None and value > high:
-        problems.append(f"{path}.{key}: must be <= {high}, got {value}")
-        return default
-    return value
+def _list(row: _Key, raw: object) -> tuple[object, str | None]:
+    """Check a non-empty list whose every item passes ``_scalar``."""
+    checked = [_scalar(row, item) for item in raw] if isinstance(raw, list) else []
+    if checked and all(problem is None for _, problem in checked):
+        return tuple(value for value, _ in checked), None
+    bounds = "".join(f" {op} {bound}" for op, bound in ((">=", row.low), ("<=", row.high))
+                     if bound is not None)
+    return raw, f"expected a non-empty list of {_NOUNS[row.type][1]}{bounds}, got {raw!r}"
 
 
-def _integer(data: dict, key: str, path: str, problems: list[str],
-             default: int, low: int = 1) -> int:
-    if key not in data or data[key] is None:
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{path}.{key}: expected an integer, got {value!r}")
-        return default
-    if value < low:
-        problems.append(f"{path}.{key}: must be >= {low}, got {value}")
-        return default
-    return value
+def _read(data: object, path: str, rows: Sequence[_Key], problems: list[str],
+          extra: Iterable[str] = ()) -> dict:
+    """Check one section against its rows; return the checked values it sets,
+    by field.  A null value stands for the default."""
+    section = _want_mapping(data, path, problems)
+    _check_keys(section, {row.key for row in rows}.union(extra), path, problems)
+    values = {}
+    for row in rows:
+        if section.get(row.key) is not None:
+            value, problem = (_list if row.many else _scalar)(row, section[row.key])
+            if problem is None:
+                values[row.field] = value
+            else:
+                problems.append(f"{path}.{row.key}: {problem}")
+    return values
 
 
 def _agent(data: object, path: str, problems: list[str],
            default: LearnerConfig) -> LearnerConfig:
-    section = _want_mapping(data, path, problems)
-    if not section:
-        return default
-    _check_keys(section, _AGENT_KEYS, path, problems)
-    lr = _number(section, "learning_rate", path, problems,
-                 default.learning_rate, low=1e-12, high=1.0)
-    discount = _number(section, "discount", path, problems,
-                       default.discount, low=0.0, high=1.0)
+    values = _read(data, path, _AGENT_KEYS, problems, {"schedule"})
     schedule = default.schedule
-    sched = section.get("schedule")
+    sched = data.get("schedule") if isinstance(data, dict) else None
     if isinstance(sched, dict):
         try:
             schedule = E2ESchedule.from_dict(dict(sched))
@@ -229,11 +266,7 @@ def _agent(data: object, path: str, problems: list[str],
             problems.append(f"{path}.schedule: {exc}")
     else:
         _want_mapping(sched, f"{path}.schedule", problems)  # None keeps the default
-    try:
-        return LearnerConfig(learning_rate=lr, discount=discount, schedule=schedule)
-    except ValueError as exc:
-        problems.append(f"{path}: {exc}")
-        return default
+    return dataclasses.replace(default, schedule=schedule, **values)
 
 
 def parse_config(data: object) -> RunConfig:
@@ -242,149 +275,42 @@ def parse_config(data: object) -> RunConfig:
     root = _want_mapping(data, "config", problems)
     if problems:
         raise ConfigError(problems)
-    _check_keys(root, set(_SECTIONS), "config", problems)
-
-    label = root.get("label", DEFAULT_CONFIG.label)
-    if not isinstance(label, str) or not label:
-        problems.append(f"config.label: expected a non-empty string, got {label!r}")
-        label = DEFAULT_CONFIG.label
-
-    cycle = _want_mapping(root.get("cycle"), "config.cycle", problems)
-    _check_keys(cycle, _SECTIONS["cycle"], "config.cycle", problems)
-    cycle_builtin = cycle.get("builtin")
-    cycle_path = cycle.get("path")
-    if cycle_builtin is not None and cycle_path is not None:
-        problems.append("config.cycle: give either builtin or path, not both")
-    if cycle_builtin is None and cycle_path is None:
-        cycle_builtin = DEFAULT_CONFIG.cycle_builtin
-    if cycle_builtin is not None and cycle_builtin not in BUILTIN_CYCLE_NAMES:
-        problems.append(
-            f"config.cycle.builtin: must be one of {sorted(BUILTIN_CYCLE_NAMES)}, "
-            f"got {cycle_builtin!r}")
-    if cycle_path is not None and not isinstance(cycle_path, str):
-        problems.append(f"config.cycle.path: expected a string, got {cycle_path!r}")
-    cycle_dt = _number(cycle, "dt_s", "config.cycle", problems,
-                       DEFAULT_CONFIG.cycle_dt_s, low=1e-9)
-
-    run = _want_mapping(root.get("run"), "config.run", problems)
-    _check_keys(run, _SECTIONS["run"], "config.run", problems)
-    mode = run.get("mode", DEFAULT_CONFIG.mode)
-    if mode not in ("single", "ensemble"):
-        problems.append(f"config.run.mode: must be 'single' or 'ensemble', got {mode!r}")
-        mode = DEFAULT_CONFIG.mode
-    episodes = _integer(run, "episodes", "config.run", problems,
-                        DEFAULT_CONFIG.episodes)
-    initial_soc = _number(run, "initial_soc", "config.run", problems,
-                          DEFAULT_CONFIG.initial_soc, low=0.0, high=1.0)
-    seeds = DEFAULT_CONFIG.seeds
-    if "seeds" in run and run["seeds"] is not None:
-        raw = run["seeds"]
-        if (not isinstance(raw, list) or not raw
-                or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in raw)):
-            problems.append(
-                f"config.run.seeds: expected a non-empty list of integers >= 0, got {raw!r}")
-        elif len(set(raw)) != len(raw):
-            problems.append(f"config.run.seeds: duplicate seeds in {raw!r}")
-        else:
-            seeds = tuple(raw)
-
-    grids = _want_mapping(root.get("grids"), "config.grids", problems)
-    _check_keys(grids, _SECTIONS["grids"], "config.grids", problems)
-    p_dem_bins = _integer(grids, "p_dem_bins", "config.grids", problems,
-                          DEFAULT_CONFIG.p_dem_bins, low=2)
-    soc_bins = _integer(grids, "soc_bins", "config.grids", problems,
-                        DEFAULT_CONFIG.soc_bins, low=2)
-    action_levels = _integer(grids, "action_levels", "config.grids", problems,
-                             DEFAULT_CONFIG.action_levels, low=2)
-
+    values = _read(root, "config", _SECTIONS[""], problems,
+                   {*_SECTIONS, "agents"} - {""})
+    for section, rows in _SECTIONS.items():
+        if section:
+            values.update(_read(root.get(section), f"config.{section}", rows, problems))
     agents = _want_mapping(root.get("agents"), "config.agents", problems)
-    _check_keys(agents, _SECTIONS["agents"], "config.agents", problems)
-    agent_a = _agent(agents.get("a"), "config.agents.a", problems,
-                     DEFAULT_CONFIG.agent_a)
-    agent_b = _agent(agents.get("b"), "config.agents.b", problems,
-                     DEFAULT_CONFIG.agent_b)
+    _check_keys(agents, {"a", "b"}, "config.agents", problems)
+    values["agent_a"] = _agent(agents.get("a"), "config.agents.a", problems,
+                               DEFAULT_CONFIG.agent_a)
+    values["agent_b"] = _agent(agents.get("b"), "config.agents.b", problems,
+                               DEFAULT_CONFIG.agent_b)
 
-    ens = _want_mapping(root.get("ensemble"), "config.ensemble", problems)
-    _check_keys(ens, _SECTIONS["ensemble"], "config.ensemble", problems)
-    kind = ens.get("kind", DEFAULT_CONFIG.policy.kind)
-    policy = DEFAULT_CONFIG.policy
-    if kind not in POLICY_KINDS:
-        problems.append(
-            f"config.ensemble.kind: must be one of {POLICY_KINDS}, got {kind!r}")
-    else:
-        mu = _number(ens, "mu", "config.ensemble", problems,
-                     DEFAULT_CONFIG.policy.mu, low=0.0, high=1.0)
-        t = _number(ens, "t", "config.ensemble", problems,
-                    DEFAULT_CONFIG.policy.t, low=0.0, high=1.0)
-        delta = _number(ens, "delta", "config.ensemble", problems,
-                        1.0 - mu, low=0.0, high=1.0)
-        if abs(mu + delta - 1.0) > 1e-9:
-            problems.append(
-                f"config.ensemble: mu + delta must equal 1, got {mu} + {delta}")
-        else:
-            try:
-                if kind == "weighted":
-                    policy = EnsemblePolicy.weighted(mu)
-                else:
-                    policy = EnsemblePolicy(kind=kind, t=t)
-            except ValueError as exc:
-                problems.append(f"config.ensemble: {exc}")
-
-    plant = _want_mapping(root.get("plant"), "config.plant", problems)
-    _check_keys(plant, _SECTIONS["plant"], "config.plant", problems)
-    overrides = [(key, _number(plant, key, "config.plant", problems, 0.0))
-                 for key in _PLANT_KEYS if plant.get(key) is not None]
-
-    sweep = _want_mapping(root.get("sweep"), "config.sweep", problems)
-    _check_keys(sweep, _SECTIONS["sweep"], "config.sweep", problems)
-    sweep_repeats = _integer(sweep, "repeats", "config.sweep", problems,
-                             DEFAULT_CONFIG.sweep_repeats)
-    sweep_base_seed = _integer(sweep, "base_seed", "config.sweep", problems,
-                               DEFAULT_CONFIG.sweep_base_seed, low=0)
-    sweep_episodes = _integer(sweep, "episodes", "config.sweep", problems,
-                              DEFAULT_CONFIG.sweep_episodes)
-
-    ev = _want_mapping(root.get("eval"), "config.eval", problems)
-    _check_keys(ev, _SECTIONS["eval"], "config.eval", problems)
-    eval_cycles = DEFAULT_CONFIG.eval_cycles
-    if "cycles" in ev and ev["cycles"] is not None:
-        raw = ev["cycles"]
-        if (not isinstance(raw, list) or not raw
-                or any(not isinstance(c, str) for c in raw)):
-            problems.append(
-                f"config.eval.cycles: expected a non-empty list of names, got {raw!r}")
-        else:
-            eval_cycles = tuple(raw)
-    eval_socs = DEFAULT_CONFIG.eval_initial_socs
-    if "initial_socs" in ev and ev["initial_socs"] is not None:
-        raw = ev["initial_socs"]
-        if (not isinstance(raw, list) or not raw
-                or not all(map(_is_finite_number, raw))):
-            problems.append(
-                f"config.eval.initial_socs: expected a non-empty list of finite numbers, "
-                f"got {raw!r}")
-        else:
-            eval_socs = tuple(float(s) for s in raw)
-
-    dp = _want_mapping(root.get("dp"), "config.dp", problems)
-    _check_keys(dp, _SECTIONS["dp"], "config.dp", problems)
-    dp_nodes = _integer(dp, "soc_nodes", "config.dp", problems,
-                        DEFAULT_CONFIG.dp_soc_nodes, low=3)
-
+    # Rules beyond one value's type, range and choices.
+    cycle = root.get("cycle") if isinstance(root.get("cycle"), dict) else {}
+    if cycle.get("path") is not None:
+        if cycle.get("builtin") is not None:
+            problems.append("config.cycle: give either builtin or path, not both")
+        values.setdefault("cycle_builtin", None)
+    seeds = values.get("seeds", ())
+    if len(set(seeds)) != len(seeds):
+        problems.append(f"config.run.seeds: duplicate seeds in {list(seeds)!r}")
+    owned: dict[str, dict] = {"policy": {}, "plant": {}}
+    for name in [name for name in values if "." in name]:
+        owner, _, attr = name.partition(".")
+        owned[owner][attr] = values.pop(name)
+    policy, default = owned["policy"], DEFAULT_CONFIG.policy
+    kind = policy.get("kind", default.kind)
+    values["policy"] = (EnsemblePolicy.weighted(policy.get("mu", default.mu))
+                        if kind == "weighted"
+                        else EnsemblePolicy(kind=kind, t=policy.get("t", default.t)))
+    values["plant_overrides"] = tuple(owned["plant"].items())
     if problems:
         raise ConfigError(problems)
+    config = RunConfig(**values)
 
-    config = RunConfig(
-        label=label, cycle_builtin=cycle_builtin, cycle_path=cycle_path,
-        cycle_dt_s=cycle_dt, mode=mode, episodes=episodes,
-        initial_soc=initial_soc, seeds=seeds, p_dem_bins=p_dem_bins,
-        soc_bins=soc_bins, action_levels=action_levels, agent_a=agent_a,
-        agent_b=agent_b, policy=policy, plant_overrides=tuple(overrides),
-        sweep_repeats=sweep_repeats, sweep_base_seed=sweep_base_seed,
-        sweep_episodes=sweep_episodes, eval_cycles=eval_cycles,
-        eval_initial_socs=eval_socs, dp_soc_nodes=dp_nodes)
-
-    # Cross-field checks need the built objects; surface them the same way.
+    # The battery window needs the built models; surface it the same way.
     try:
         models = config.build_models()
     except ValueError as exc:

@@ -2,10 +2,7 @@
 
 A drive cycle is a fixed-timestep sequence of non-negative power demand in W.
 Cycles are exchanged as UTF-8 CSV files with LF line endings and the header
-``t_s,p_dem_w``; timestamps must rise uniformly.  Speed traces can be turned
-into demand via standard longitudinal dynamics (rolling resistance, aero
-drag, inertia), with negative tractive power clamped to zero since the
-tractor does not recuperate.
+``t_s,p_dem_w``; timestamps must rise uniformly.
 
 The four built-in towing cycles are synthetic stand-ins generated from
 piecewise-constant duty patterns with seeded bounded noise; the real
@@ -22,25 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .powertrain import VehicleParams
-
 __all__ = [
     "CYCLE_POWER_MAX_W",
-    "GRAVITY_M_S2",
     "CycleError",
     "DriveCycle",
     "SynthSpec",
     "validate_cycle",
     "load_cycle",
     "save_cycle",
-    "speed_to_power",
     "synth_cycle",
     "builtin_cycle",
     "BUILTIN_CYCLE_NAMES",
 ]
 
 CYCLE_POWER_MAX_W = 253_000.0  # plant envelope: demand above this is invalid
-GRAVITY_M_S2 = 9.81
 
 _HEADER = ("t_s", "p_dem_w")
 
@@ -178,46 +170,6 @@ def save_cycle(cycle: DriveCycle, path: str | Path) -> None:
     for i, p in enumerate(cycle.demand_w):
         lines.append(f"{i * dt!r},{float(p)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def speed_to_power(speeds_m_s: object, dt_s: float,
-                   params: VehicleParams | None = None,
-                   label: str = "") -> DriveCycle:
-    """Convert a speed trace (m/s) to a power-demand cycle.
-
-    Demand per sample is rolling resistance + aero drag + inertia, divided
-    by the driveline efficiency::
-
-        p = (m*g*c_r*v + 0.5*rho*c_d*A*v**3 + m*a*v) / eta
-
-    Acceleration uses the forward difference; the final sample coasts
-    (a = 0).  Negative results (deceleration) clamp to zero because the
-    machine has no regenerative path.
-
-    Raises
-    ------
-    CycleError
-        On a negative speed, or from :class:`DriveCycle` if a sample exceeds
-        the demand envelope; the message names the sample.
-    """
-    if params is None:
-        params = VehicleParams()
-    if dt_s <= 0.0:
-        raise CycleError(f"dt_s must be positive, got {dt_s}")
-    v = np.asarray(speeds_m_s, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise CycleError("speed trace must be a non-empty 1-D sequence")
-    if np.any(v < 0.0):
-        i = int(np.flatnonzero(v < 0.0)[0])
-        raise CycleError(f"sample {i}: speed {v[i]!r} m/s is negative")
-    accel = np.zeros_like(v)
-    accel[:-1] = np.diff(v) / dt_s  # m/s^2
-    rolling = params.mass_kg * GRAVITY_M_S2 * params.rolling_friction_coeff * v
-    aero = 0.5 * params.air_density_kg_m3 * params.drag_coeff * params.frontal_area_m2 * v ** 3
-    inertia = params.mass_kg * accel * v
-    p = (rolling + aero + inertia) / params.driveline_efficiency
-    p = np.maximum(p, 0.0)
-    return DriveCycle(dt_s=dt_s, demand_w=p, label=label)
 
 
 @dataclass(frozen=True)

@@ -234,13 +234,18 @@ def robustness_eval(ensemble_agents: dict[str, Agent], baseline_agent: Agent,
     are never updated, so repeated calls give identical rows.
     """
     rows: list[RobustnessRow] = []
+    # Agent A alone as the baseline: the ensemble episode is the baseline's.
+    alone = list(ensemble_agents) == ["A"] and ensemble_agents["A"] is baseline_agent
     for cycle in cycles:
         for soc0 in initial_socs:
             base = evaluate_policy(cycle, {"A": baseline_agent},
                                    EnsemblePolicy.weighted(1.0), models, grid,
                                    actions, soc0).metrics
-            cand = evaluate_policy(cycle, ensemble_agents, policy, models, grid,
-                                   actions, soc0, combiner_seed=combiner_seed).metrics
+            if alone:
+                cand = base
+            else:
+                cand = evaluate_policy(cycle, ensemble_agents, policy, models, grid,
+                                       actions, soc0, combiner_seed=combiner_seed).metrics
             rows.append(RobustnessRow(
                 cycle=cycle.label, init_soc=soc0, method=baseline_method,
                 end_soc=base.end_soc, oec_mj=base.oec_j / 1e6,

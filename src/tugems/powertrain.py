@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "PiecewiseLinear",
-    "VehicleParams",
     "TractionMotorModel",
     "EguModel",
     "BatteryModel",
@@ -92,34 +91,6 @@ class PiecewiseLinear:
 
     def __repr__(self) -> str:
         return f"PiecewiseLinear({list(self.points())!r})"
-
-
-@dataclass(frozen=True)
-class VehicleParams:
-    """Chassis-level parameters of the towing tractor.
-
-    Defaults describe a 16 t machine with a large frontal area and a fixed
-    single-ratio gearbox; ``driveline_efficiency`` covers the gears between
-    motor shaft and wheels and defaults to lossless (gear losses are folded
-    into the motor loss quadratic instead).
-    """
-
-    mass_kg: float = 16_000.0
-    frontal_area_m2: float = 6.8
-    drag_coeff: float = 0.8
-    rolling_friction_coeff: float = 0.02
-    gear_ratio: float = 25.0
-    driveline_efficiency: float = 1.0
-    air_density_kg_m3: float = 1.225
-
-    def __post_init__(self) -> None:
-        for name in ("mass_kg", "frontal_area_m2", "drag_coeff",
-                     "rolling_friction_coeff", "gear_ratio", "air_density_kg_m3"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.driveline_efficiency <= 1.0:
-            raise ValueError(
-                f"driveline_efficiency must be in (0, 1], got {self.driveline_efficiency}")
 
 
 def motor_loss_from_efficiency_targets(

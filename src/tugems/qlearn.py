@@ -58,7 +58,10 @@ P_DEM_STATE_MAX_W = 253_000.0
 SOC_STATE_MIN = 0.2
 SOC_STATE_MAX = 0.8
 
-SCHEDULE_KINDS = ("constant", "exponential", "step", "reciprocal")
+# Each schedule kind and the parameters it takes besides ``initial``.
+_KIND_PARAMS = {"constant": (), "exponential": (), "step": ("factor", "width"),
+                "reciprocal": ("decay_rate",)}
+SCHEDULE_KINDS = tuple(_KIND_PARAMS)
 
 # Named RNG streams, split off one run seed.  Agent A, agent B and the
 # action combiner each consume their own stream so that dropping any one
@@ -214,7 +217,8 @@ class E2ESchedule:
       rounding half away from zero
     * ``reciprocal``:   theta = alpha_1 / (1 + decay_rate * k)
 
-    All kinds give theta = alpha_1 at k = 0 and never rise with k.
+    All kinds give theta = alpha_1 at k = 0 and never rise with k.  A kind
+    takes only its own parameters; the others stay None.
     """
 
     kind: str
@@ -232,6 +236,10 @@ class E2ESchedule:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(
                 f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        foreign = [key for key in ("factor", "width", "decay_rate")
+                   if getattr(self, key) is not None and key not in _KIND_PARAMS[self.kind]]
+        if foreign:
+            raise ValueError(f"{self.kind} schedule takes no {', '.join(foreign)}")
         if not 0.0 < self.initial <= 1.0:
             raise ValueError(f"initial must be in (0, 1], got {self.initial}")
         if self.kind == "step":
@@ -261,13 +269,8 @@ class E2ESchedule:
         return cls(kind="reciprocal", initial=initial, decay_rate=decay_rate)
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "initial": self.initial}
-        if self.kind == "step":
-            out["factor"] = self.factor
-            out["width"] = self.width
-        if self.kind == "reciprocal":
-            out["decay_rate"] = self.decay_rate
-        return out
+        return {"kind": self.kind, "initial": self.initial,
+                **{key: getattr(self, key) for key in _KIND_PARAMS[self.kind]}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "E2ESchedule":

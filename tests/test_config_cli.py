@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tugems.cli import main
@@ -84,12 +84,10 @@ def test_unknown_keys_are_all_reported_with_dotted_paths():
     assert len(problems) == 3
 
 
-def test_weight_sum_violation_is_named():
+def test_ensemble_delta_is_an_unknown_key():
     problems = validate_config({"ensemble": {"kind": "weighted",
-                                             "mu": 0.6, "delta": 0.6}})
-    assert len(problems) == 1
-    assert "config.ensemble" in problems[0]
-    assert "mu + delta" in problems[0]
+                                             "mu": 0.6, "delta": 0.4}})
+    assert problems == ["config.ensemble.delta: unknown key"]
 
 
 def test_schedule_initial_out_of_range_is_named():
@@ -161,8 +159,11 @@ def test_seed_list_validation():
      "config.agents.b.schedule"),
     ({"eval": {"initial_socs": [0.5, math.nan]}}, "config.eval.initial_socs"),
     ({"run": {"seeds": [0, -1]}}, "config.run.seeds"),
+    ({"agents": {"b": {"schedule": {"kind": "exponential", "decay_rate": 0.1}}}},
+     "config.agents.b.schedule: exponential schedule takes no decay_rate"),
 ], ids=["mu-nan", "t-inf", "baseline-inf", "margin-inf", "dt-nan", "soc-huge-int",
-        "discount-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed"])
+        "discount-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed",
+        "foreign-schedule-parameter"])
 def test_non_finite_numbers_and_negative_seeds_are_named(data, key):
     problems = validate_config(data)
     assert len(problems) == 1 and problems[0].startswith(key), problems
@@ -237,6 +238,9 @@ def _section(keys, values=_VALUE):
     return st.one_of(mapping, mapping, mapping, _ANY)
 
 
+# A valid parameter set for each schedule kind.
+_KIND_PARAMS = {"constant": {}, "exponential": {}, "step": {"factor": 0.5, "width": 10},
+                "reciprocal": {"decay_rate": 0.1}}
 _SCHEDULE = _section(["kind", "initial", "factor", "width", "decay_rate"])
 _AGENT = _section(["learning_rate", "discount", "schedule"],
                   st.one_of(_LEAF, _SCHEDULE))
@@ -258,7 +262,7 @@ _CONFIG = st.fixed_dictionaries({}, optional={
 _FIELDS = [(section, key) for section, keys in (
     ("cycle", ["dt_s"]), ("run", ["episodes", "initial_soc", "seeds"]),
     ("grids", ["p_dem_bins", "soc_bins", "action_levels"]),
-    ("ensemble", ["mu", "delta", "t"]),
+    ("ensemble", ["mu", "t"]),
     ("plant", ["soc_ref", "charge_sustain_soc", "charge_release_margin",
                "soc_penalty_coeff", "reward_baseline"]),
     ("sweep", ["repeats", "base_seed", "episodes"]), ("eval", ["initial_socs"]),
@@ -267,22 +271,24 @@ _ONE_FIELD = st.one_of(
     st.tuples(st.sampled_from(_FIELDS), _VALUE).map(lambda f: {f[0][0]: {f[0][1]: f[1]}}),
     st.tuples(st.sampled_from(["learning_rate", "discount"]), _VALUE).map(
         lambda f: {"agents": {"a": {f[0]: f[1]}}}),
-    st.tuples(st.sampled_from(["constant", "exponential", "step", "reciprocal"]),
+    st.tuples(st.sampled_from(list(_KIND_PARAMS)),
               st.sampled_from(["initial", "factor", "width", "decay_rate"]), _VALUE).map(
-        lambda f: {"agents": {"b": {"schedule": {"kind": f[0], "factor": 0.5,
-                                                 "width": 10, "decay_rate": 0.1,
+        lambda f: {"agents": {"b": {"schedule": {"kind": f[0], **_KIND_PARAMS[f[0]],
                                                  f[1]: f[2]}}}}))
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.one_of(_CONFIG, _ONE_FIELD))
+@example(data={"agents": {"b": {"schedule": {"kind": "constant", "initial": 1.0, "factor": 0.5,
+                                             "width": 10, "decay_rate": 0.1}}}})
 def test_parse_config_raises_only_config_error_and_accepts_only_finite_numbers(data):
     try:
         config = parse_config(data)
     except ConfigError:
         return
-    json.dumps(config.to_dict(), allow_nan=False)  # raises on NaN or infinity
+    text = json.dumps(config.to_dict(), allow_nan=False)  # raises on NaN or infinity
     assert min(config.seeds) >= 0
+    assert parse_config(json.loads(text)) == config
 
 
 @pytest.fixture
@@ -620,7 +626,8 @@ def test_a_boolean_schedule_width_is_a_config_error(workspace, capsys):
 @pytest.mark.parametrize("edit,message", [
     (lambda sched: sched.update(initial="x"), "initial must be a number, got 'x'"),
     (lambda sched: sched.pop("kind"), "kind is missing"),
-], ids=["string-initial", "no-kind"])
+    (lambda sched: sched.update(decay_rate=0.1), "step schedule takes no decay_rate"),
+], ids=["string-initial", "no-kind", "foreign-parameter"])
 def test_eval_on_a_malformed_snapshot_schedule_exits_with_the_runtime_code(
         workspace, capsys, edit, message):
     tmp, cfg = workspace

@@ -1,4 +1,4 @@
-"""Drive-cycle I/O, validation, longitudinal dynamics, and synthesis."""
+"""Drive-cycle I/O, validation, and synthesis."""
 
 import pickle
 
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from tugems.drive_cycle import (BUILTIN_CYCLE_NAMES, CYCLE_POWER_MAX_W,
                                 CycleError, DriveCycle, SynthSpec,
-                                builtin_cycle, load_cycle,
-                                save_cycle, speed_to_power, synth_cycle,
-                                validate_cycle)
-from tugems.powertrain import VehicleParams
+                                builtin_cycle, load_cycle, save_cycle,
+                                synth_cycle, validate_cycle)
 
 # ---------------------------------------------------------------------------
 # the DriveCycle container
@@ -241,70 +239,6 @@ def test_load_single_sample_defaults_dt_to_one_second(tmp_path):
     cycle = load_cycle(path)
     assert cycle.dt_s == 1.0
     assert cycle.demand_w[0] == 42.0
-
-
-# ---------------------------------------------------------------------------
-# speed trace to power demand
-# ---------------------------------------------------------------------------
-
-
-def test_speed_to_power_steady_state_oracle():
-    # at a constant 5 m/s with the default 16 t chassis:
-    #   rolling = 16000 * 9.81 * 0.02 * 5           = 15696.0 W
-    #   aero    = 0.5 * 1.225 * 0.8 * 6.8 * 5**3    =   416.5 W
-    # inertia is zero, driveline efficiency is 1, so demand = 16112.5 W
-    cycle = speed_to_power([5.0, 5.0, 5.0], dt_s=1.0)
-    assert cycle.demand_w[0] == pytest.approx(16_112.5, rel=1e-12)
-    assert cycle.demand_w[1] == pytest.approx(16_112.5, rel=1e-12)
-
-
-def test_speed_to_power_includes_forward_difference_inertia():
-    # accelerating 5 -> 7 m/s over 1 s adds m*a*v = 16000 * 2 * 5 = 160 kW
-    cycle = speed_to_power([5.0, 7.0], dt_s=1.0)
-    assert cycle.demand_w[0] == pytest.approx(16_112.5 + 160_000.0, rel=1e-12)
-
-
-def test_speed_to_power_last_sample_coasts():
-    cycle = speed_to_power([5.0, 7.0], dt_s=1.0)
-    steady_7 = 16_000.0 * 9.81 * 0.02 * 7.0 + 0.5 * 1.225 * 0.8 * 6.8 * 7.0 ** 3
-    assert cycle.demand_w[-1] == pytest.approx(steady_7, rel=1e-12)
-
-
-def test_speed_to_power_clamps_deceleration_to_zero():
-    cycle = speed_to_power([5.0, 0.0], dt_s=1.0)
-    assert cycle.demand_w[0] == 0.0
-    assert cycle.demand_w[1] == 0.0  # standstill costs nothing at the wheels
-
-
-def test_speed_to_power_divides_by_driveline_efficiency():
-    params = VehicleParams(driveline_efficiency=0.5)
-    cycle = speed_to_power([5.0, 5.0], dt_s=1.0, params=params)
-    assert cycle.demand_w[0] == pytest.approx(2.0 * 16_112.5, rel=1e-12)
-
-
-def test_speed_to_power_rejects_negative_speed():
-    with pytest.raises(CycleError, match="sample 1"):
-        speed_to_power([3.0, -0.5], dt_s=1.0)
-
-
-def test_speed_to_power_rejects_envelope_violation_by_index():
-    # hard acceleration at speed: inertia alone is 16000*20*20 = 6.4 MW
-    with pytest.raises(CycleError, match="sample 0"):
-        speed_to_power([20.0, 40.0], dt_s=1.0)
-
-
-def test_speed_to_power_rejects_bad_dt_and_empty_trace():
-    with pytest.raises(CycleError):
-        speed_to_power([1.0], dt_s=0.0)
-    with pytest.raises(CycleError):
-        speed_to_power([], dt_s=1.0)
-
-
-@given(v=st.floats(min_value=0.0, max_value=12.0))
-@settings(max_examples=50, deadline=None)
-def test_speed_to_power_steady_demand_is_never_negative(v):
-    cycle = speed_to_power([v, v], dt_s=1.0)
-    assert np.all(cycle.demand_w >= 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,27 @@ def test_robustness_rows_pair_baseline_and_candidate(models, grid, actions,
     assert again == rows  # frozen policies, no table drift
 
 
+def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
+        models, grid, actions, bumpy_cycle, flat_cycle, monkeypatch):
+    agent = run_learning(_setup(bumpy_cycle, models, grid, actions,
+                                mode=SINGLE_MODE), seed=0).agents["A"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].label)
+        return evaluate_policy(*args, **kwargs)
+
+    monkeypatch.setattr("tugems.experiment.evaluate_policy", counting)
+    rows = robustness_eval({"A": agent}, agent, EnsemblePolicy.weighted(1.0),
+                           cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
+                           models=models, grid=grid, actions=actions)
+    assert len(calls) == 4  # one per (cycle, SoC), not two
+    assert len(rows) == 8
+    for base_row, cand_row in zip(rows[0::2], rows[1::2]):
+        assert (cand_row.end_soc, cand_row.oec_mj) == (base_row.end_soc, base_row.oec_mj)
+        assert cand_row.savings_pct == 0.0
+
+
 # ---------------------------------------------------------------------------
 # CSV rendering
 # ---------------------------------------------------------------------------

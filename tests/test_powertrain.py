@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tugems.powertrain import (BatteryModel, EguModel, PiecewiseLinear, Plant,
-                               PlantState, TractionMotorModel, VehicleParams,
-                               default_egu, default_models, egu_efficiency,
-                               egu_fuel_power, fit_egu_quadratic,
-                               fuel_rate_to_power,
+                               PlantState, TractionMotorModel, default_egu,
+                               default_models, egu_efficiency, egu_fuel_power,
+                               fit_egu_quadratic, fuel_rate_to_power,
                                motor_loss_from_efficiency_targets)
 
 # ---------------------------------------------------------------------------
@@ -270,13 +269,6 @@ def test_energy_ledger_closes_over_a_mixed_run(models, bumpy_cycle):
 # ---------------------------------------------------------------------------
 # parameter validation and small helpers
 # ---------------------------------------------------------------------------
-
-
-def test_vehicle_params_validate():
-    with pytest.raises(ValueError):
-        VehicleParams(mass_kg=-1.0)
-    with pytest.raises(ValueError):
-        VehicleParams(driveline_efficiency=0.0)
 
 
 def test_piecewise_linear_clamps_outside_range():

@@ -184,6 +184,11 @@ def test_schedule_dict_round_trip():
     ({"kind": "constant", "initial": None}, "initial must be a number, got None"),
     ({"kind": "step", "factor": 0.5, "width": True}, "width must be a number, got True"),
     ({"kind": "reciprocal", "decay_rate": [0.1]}, "decay_rate must be a number"),
+    ({"kind": "constant", "initial": 1.0, "factor": 0.5, "width": 10, "decay_rate": 0.1},
+     "constant schedule takes no factor, width, decay_rate"),
+    ({"kind": "exponential", "decay_rate": 0.1}, "exponential schedule takes no decay_rate"),
+    ({"kind": "step", "factor": 0.5, "width": 2, "decay_rate": 0.1},
+     "step schedule takes no decay_rate"),
 ])
 def test_schedule_from_dict_owns_the_schema(data, match):
     with pytest.raises(ValueError, match=match):
