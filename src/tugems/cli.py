@@ -50,6 +50,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tugems",
                      description="Tabular Q-learning energy management for a "
@@ -77,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep the weighted-combination "
                                            "proportion and write sweep.csv")
     common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, metavar="K",
+    p_sweep.add_argument("--workers", type=_worker_count, default=1, metavar="K",
                          help="parallel worker processes (default 1)")
 
     p_eval = sub.add_parser("eval", help="frozen-policy robustness table from "

@@ -84,7 +84,6 @@ _KEYS = (
     _Key("cycle", "builtin", "cycle_builtin", str,
          choices=sorted(BUILTIN_CYCLE_NAMES)),
     _Key("cycle", "path", "cycle_path", str),
-    _Key("cycle", "dt_s", "cycle_dt_s", float, low=1e-9),
     _Key("run", "mode", "mode", str, choices=("single", "ensemble")),
     _Key("run", "episodes", "episodes", int, low=1),
     _Key("run", "initial_soc", "initial_soc", float, 0.0, 1.0),
@@ -122,7 +121,6 @@ class RunConfig:
     label: str = "run"
     cycle_builtin: str | None = "PRDC-1-synthetic"
     cycle_path: str | None = None
-    cycle_dt_s: float = 1.0
     mode: str = "ensemble"
     episodes: int = 125
     initial_soc: float = 0.5
@@ -158,13 +156,13 @@ class RunConfig:
     def build_cycle(self) -> DriveCycle:
         if self.cycle_path is not None:
             return load_cycle(self.cycle_path)
-        return builtin_cycle(self.cycle_builtin, self.cycle_dt_s)
+        return builtin_cycle(self.cycle_builtin)
 
     def build_eval_cycles(self) -> list[DriveCycle]:
         out = []
         for name in self.eval_cycles:
             if name in BUILTIN_CYCLE_NAMES:
-                out.append(builtin_cycle(name, self.cycle_dt_s))
+                out.append(builtin_cycle(name))
             else:
                 out.append(load_cycle(name))
         return out
@@ -300,11 +298,7 @@ def parse_config(data: object) -> RunConfig:
     for name in [name for name in values if "." in name]:
         owner, _, attr = name.partition(".")
         owned[owner][attr] = values.pop(name)
-    policy, default = owned["policy"], DEFAULT_CONFIG.policy
-    kind = policy.get("kind", default.kind)
-    values["policy"] = (EnsemblePolicy.weighted(policy.get("mu", default.mu))
-                        if kind == "weighted"
-                        else EnsemblePolicy(kind=kind, t=policy.get("t", default.t)))
+    values["policy"] = dataclasses.replace(DEFAULT_CONFIG.policy, **owned["policy"])
     values["plant_overrides"] = tuple(owned["plant"].items())
     if problems:
         raise ConfigError(problems)

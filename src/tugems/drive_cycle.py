@@ -5,9 +5,10 @@ Cycles are exchanged as UTF-8 CSV files with LF line endings and the header
 ``t_s,p_dem_w``; timestamps must rise uniformly.
 
 The four built-in towing cycles are synthetic stand-ins generated from
-piecewise-constant duty patterns with seeded bounded noise; the real
-manufacturer cycles are not published.  Every built-in label carries a
-``-synthetic`` suffix to keep that visible in result tables.
+piecewise-constant duty patterns with seeded bounded noise, one sample per
+second; the real manufacturer cycles are not published.  Every built-in
+label carries a ``-synthetic`` suffix to keep that visible in result tables.
+A cycle read from a file keeps the time step of its CSV.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class DriveCycle:
 
     def __len__(self) -> int:
         return int(self.demand_w.size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.dt_s * len(self)
 
     def times(self) -> np.ndarray:
         return np.arange(len(self)) * self.dt_s
@@ -174,18 +171,15 @@ def save_cycle(cycle: DriveCycle, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for a synthetic piecewise-constant cycle.
+    """Recipe for a synthetic piecewise-constant cycle sampled every 1 s.
 
-    ``segments`` is a sequence of (level_w, hold_s) pairs.  When
-    ``duration_s`` is given the segment pattern repeats cyclically until the
-    duration is filled, otherwise the duration is the sum of the holds.
-    Uniform noise in [-noise_amplitude_w, +noise_amplitude_w] is added per
-    sample, so every sample stays within that band around its level.
+    ``segments`` is a sequence of (level_w, hold_s) pairs, each hold rounded
+    to whole seconds; the cycle lasts the sum of the holds.  Uniform noise in
+    [-noise_amplitude_w, +noise_amplitude_w] is added per sample, so every
+    sample stays within that band around its level.
     """
 
     segments: tuple[tuple[float, float], ...]
-    dt_s: float = 1.0
-    duration_s: float | None = None
     noise_amplitude_w: float = 0.0
     seed: int = 0
     label: str = ""
@@ -193,8 +187,6 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("segments must not be empty")
-        if self.dt_s <= 0.0:
-            raise ValueError(f"dt_s must be positive, got {self.dt_s}")
         if self.noise_amplitude_w < 0.0:
             raise ValueError(
                 f"noise_amplitude_w must be non-negative, got {self.noise_amplitude_w}")
@@ -208,8 +200,6 @@ class SynthSpec:
                 raise ValueError(
                     f"segment level {level} W plus noise exceeds the "
                     f"{CYCLE_POWER_MAX_W:.0f} W envelope")
-        if self.duration_s is not None and self.duration_s <= 0.0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
 
 
 def synth_cycle(spec: SynthSpec) -> DriveCycle:
@@ -219,20 +209,16 @@ def synth_cycle(spec: SynthSpec) -> DriveCycle:
     """
     levels: list[float] = []
     for level, hold in spec.segments:
-        levels.extend([level] * int(round(hold / spec.dt_s)))
+        levels.extend([level] * int(round(hold)))
     if not levels:
         raise CycleError("segments were too short to produce a sample")
-    n_total = len(levels)
-    if spec.duration_s is not None:
-        n_total = int(round(spec.duration_s / spec.dt_s))
-        reps = -(-n_total // len(levels))
-        levels = (levels * reps)[:n_total]
     demand = np.array(levels, dtype=np.float64)
     if spec.noise_amplitude_w > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        noise = rng.uniform(-spec.noise_amplitude_w, spec.noise_amplitude_w, size=n_total)
+        noise = rng.uniform(-spec.noise_amplitude_w, spec.noise_amplitude_w,
+                            size=demand.size)
         demand = demand + noise
-    return DriveCycle(dt_s=spec.dt_s, demand_w=demand, label=spec.label)
+    return DriveCycle(dt_s=1.0, demand_w=demand, label=spec.label)
 
 
 # Duty patterns for the built-in synthetic towing cycles.  Each models a
@@ -274,8 +260,8 @@ _BUILTIN_SPECS: dict[str, SynthSpec] = {
 BUILTIN_CYCLE_NAMES: tuple[str, ...] = tuple(_BUILTIN_SPECS)
 
 
-def builtin_cycle(name: str, dt_s: float = 1.0) -> DriveCycle:
-    """Return one of the built-in synthetic towing cycles by name.
+def builtin_cycle(name: str) -> DriveCycle:
+    """Return one of the built-in synthetic towing cycles by name, at 1 s.
 
     Names are ``PRDC-1-synthetic`` .. ``PRDC-4-synthetic``; cycle 1 is the
     learning cycle, 2-4 are held out for robustness evaluation.
@@ -285,9 +271,4 @@ def builtin_cycle(name: str, dt_s: float = 1.0) -> DriveCycle:
     except KeyError:
         known = ", ".join(BUILTIN_CYCLE_NAMES)
         raise CycleError(f"unknown built-in cycle {name!r} (known: {known})") from None
-    if dt_s != spec.dt_s:
-        spec = SynthSpec(segments=spec.segments, dt_s=dt_s,
-                         duration_s=spec.duration_s,
-                         noise_amplitude_w=spec.noise_amplitude_w,
-                         seed=spec.seed, label=spec.label)
     return synth_cycle(spec)

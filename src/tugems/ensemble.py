@@ -6,7 +6,7 @@ are provided:
 
 * ``maximum``: take the proposal whose own Q-value is higher (tie: agent A),
 * ``random``: take agent A's proposal with probability 1 - t,
-* ``weighted``: blend the two power levels as mu*p_A + delta*p_B and snap
+* ``weighted``: blend the two power levels as mu*p_A + (1 - mu)*p_B and snap
   to the nearest grid level (tie: lower power).
 
 The executed action earns one reward, and both agents learn from that same
@@ -55,30 +55,26 @@ CHOOSER_BLEND = "blend"
 class EnsemblePolicy:
     """Parameters of the action-combination rule.
 
-    ``t`` applies to ``random`` (probability of taking agent B); ``mu`` and
-    ``delta`` apply to ``weighted`` and must sum to 1.
+    ``t`` applies to ``random`` (probability of taking agent B) and ``mu``
+    to ``weighted`` (proportion of agent A; agent B gets ``1 - mu``).  Both
+    are range-checked and kept under every kind.
     """
 
     kind: str
     t: float = 0.5
     mu: float = 0.5
-    delta: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
-        if self.kind == "random" and not 0.0 <= self.t <= 1.0:
+        if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t must be within [0, 1], got {self.t}")
-        if self.kind == "weighted":
-            if self.mu < 0.0 or self.delta < 0.0:
-                raise ValueError(
-                    f"mu and delta must be non-negative, got {self.mu}, {self.delta}")
-            if abs(self.mu + self.delta - 1.0) > 1e-9:
-                raise ValueError(f"mu + delta must equal 1, got {self.mu + self.delta}")
+        if not 0.0 <= self.mu <= 1.0:
+            raise ValueError(f"mu must be within [0, 1], got {self.mu}")
 
     @classmethod
     def weighted(cls, mu: float) -> "EnsemblePolicy":
-        return cls(kind="weighted", mu=mu, delta=1.0 - mu)
+        return cls(kind="weighted", mu=mu)
 
 
 def combine_max(action_a: int, value_a: float, action_b: int, value_b: float) -> int:
@@ -98,13 +94,12 @@ def combine_random(action_a: int, action_b: int, t: float, y: float) -> int:
     return action_a if y >= t else action_b
 
 
-def combine_weighted(action_a: int, action_b: int, mu: float, delta: float,
-                     actions: ActionGrid) -> int:
-    """Blend the two power levels and snap back onto the action ladder."""
-    if mu < 0.0 or delta < 0.0 or abs(mu + delta - 1.0) > 1e-9:
-        raise ValueError(f"mu and delta must be non-negative and sum to 1, "
-                         f"got {mu}, {delta}")
-    blended = mu * actions.level(action_a) + delta * actions.level(action_b)  # W
+def combine_weighted(action_a: int, action_b: int, mu: float, actions: ActionGrid) -> int:
+    """Blend the two power levels as mu*p_A + (1 - mu)*p_B and snap back onto
+    the action ladder (tie: lower power)."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must be within [0, 1], got {mu}")
+    blended = mu * actions.level(action_a) + (1.0 - mu) * actions.level(action_b)  # W
     return actions.nearest(blended)
 
 
@@ -185,7 +180,7 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
         if two:
             explore_b = _explore_actions(agent_b, episode_index, n, n_actions)
     if kind == "weighted":  # the snapped blend depends on the two actions only
-        blend = [[combine_weighted(a, b, policy.mu, policy.delta, actions)
+        blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
     elif kind == "random":
         pick_b = (combiner_rng.random(n) < policy.t).tolist()
@@ -194,8 +189,8 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     soc_edges, kernel = grid.soc_edges, plant.kernel
 
     traces: list[EnsembleStepTrace] | None = [] if record_traces else None
-    fuel_j = engine_j = battery_j = traction_j = served_j = demand_j = 0.0
-    draw_j = egu_j = short_j = total_reward = soc_sum = 0.0
+    fuel_j = engine_j = battery_j = traction_j = served_j = 0.0
+    draw_j = short_j = total_reward = soc_sum = 0.0
     soc, latch, forced_steps = plant.state.soc, plant.state.forced_charging, 0
     state = p_bins[0] * n_soc + grid.soc_bin(soc)
     for i in range(n):
@@ -220,18 +215,15 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
             else:
                 final = action_b if pick_b[i] else action_a
                 chooser = CHOOSER_A if final == action_a else CHOOSER_B
-        p_dem = demand[i]
         (p_egu, p_batt, _, p_served, shortfall, _, fuel, engine_loss, battery_loss,
          traction_loss, _, reward, latch, soc, _) = kernel(
-            soc, latch, p_dem, links[i], levels[final], dt)
+            soc, latch, demand[i], links[i], levels[final], dt)
         fuel_j += fuel * dt
         engine_j += engine_loss * dt
         battery_j += battery_loss * dt
         traction_j += traction_loss * dt
         served_j += p_served * dt
-        demand_j += p_dem * dt
         draw_j += p_batt * dt
-        egu_j += p_egu * dt
         short_j += shortfall * dt
         forced_steps += latch
 
@@ -260,8 +252,7 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
             agent_b.q.values[:] = rows_b
     # PlantState fields in declaration order.
     plant.state = ledger = PlantState(soc, latch, fuel_j, engine_j, battery_j, traction_j,
-                                      served_j, demand_j, draw_j, egu_j, short_j, n,
-                                      forced_steps)
+                                      served_j, draw_j, short_j, n, forced_steps)
     metrics = episode_metrics(ledger, models.battery, initial_soc, soc_sum / n,
                               total_reward)
     return EpisodeResult(metrics=metrics, traces=traces)

@@ -93,7 +93,6 @@ class RunSetup:
 class RunResult:
     """Per-episode metrics of one seeded run, plus the trained agents."""
 
-    seed: int
     mode: str
     episodes: list[EpisodeMetrics]
     agents: dict[str, Agent]
@@ -137,7 +136,7 @@ def run_learning(setup: RunSetup, seed: int,
         metrics.append(result.metrics)
         if record:
             traces = result.traces
-    return RunResult(seed=seed, mode=setup.mode, episodes=metrics, agents=agents,
+    return RunResult(mode=setup.mode, episodes=metrics, agents=agents,
                      wall_clock_s=time.perf_counter() - started,
                      final_traces=traces)
 
@@ -145,17 +144,16 @@ def run_learning(setup: RunSetup, seed: int,
 def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
                     policy: EnsemblePolicy, models: PlantModels,
                     grid: StateGrid, actions: ActionGrid, initial_soc: float,
-                    combiner_seed: int = 0,
                     record_traces: bool = False) -> EpisodeResult:
     """One frozen-policy episode: greedy proposals, no table updates.
 
     With one agent in ``agents`` the episode is plain greedy single-agent
     control; with two, proposals go through the combination policy (whose
-    ``random`` kind draws from a combiner stream seeded here).
+    ``random`` kind draws from the combiner stream of seed 0).
     """
     plant = Plant(models, initial_soc)
     if "B" in agents:
-        combiner_rng = make_rng(combiner_seed, COMBINER_STREAM)
+        combiner_rng = make_rng(0, COMBINER_STREAM)
         return run_ensemble_episode(cycle, agents["A"], agents["B"], policy, 0,
                                     plant, initial_soc, grid, actions,
                                     combiner_rng, learn=False,
@@ -167,7 +165,6 @@ def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
 @dataclass(frozen=True)
 class SweepRow:
     mu: float
-    delta: float
     mean_eff: float
     std_eff: float
     repeats: int
@@ -198,6 +195,8 @@ def sweep_weights(setup: RunSetup,
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(replace(setup, mode=ENSEMBLE_MODE, policy=EnsemblePolicy.weighted(mu)),
               base_seed + r) for mu in proportions for r in range(repeats)]
     if workers > 1:  # map yields results in task order
@@ -205,8 +204,8 @@ def sweep_weights(setup: RunSetup,
             effs = list(pool.map(_sweep_repeat, tasks, chunksize=1))
     else:
         effs = [_sweep_repeat(t) for t in tasks]
-    return [SweepRow(mu=mu, delta=round(1.0 - mu, 12), mean_eff=float(row.mean()),
-                     std_eff=float(row.std()), repeats=repeats)
+    return [SweepRow(mu=mu, mean_eff=float(row.mean()), std_eff=float(row.std()),
+                     repeats=repeats)
             for mu, row in zip(proportions, np.reshape(effs, (len(proportions), repeats)))]
 
 
@@ -224,8 +223,7 @@ def robustness_eval(ensemble_agents: dict[str, Agent], baseline_agent: Agent,
                     policy: EnsemblePolicy, cycles: list[DriveCycle],
                     initial_socs: list[float], models: PlantModels,
                     grid: StateGrid, actions: ActionGrid,
-                    baseline_method: str = "exponential",
-                    combiner_seed: int = 0) -> list[RobustnessRow]:
+                    baseline_method: str = "exponential") -> list[RobustnessRow]:
     """Frozen-policy comparison across unseen cycles and initial SoCs.
 
     For every (cycle, initial SoC) pair, two rows come back: the
@@ -245,7 +243,7 @@ def robustness_eval(ensemble_agents: dict[str, Agent], baseline_agent: Agent,
                 cand = base
             else:
                 cand = evaluate_policy(cycle, ensemble_agents, policy, models, grid,
-                                       actions, soc0, combiner_seed=combiner_seed).metrics
+                                       actions, soc0).metrics
             rows.append(RobustnessRow(
                 cycle=cycle.label, init_soc=soc0, method=baseline_method,
                 end_soc=base.end_soc, oec_mj=base.oec_j / 1e6,
@@ -289,7 +287,8 @@ def write_learning_curve_csv(episodes: list[EpisodeMetrics]) -> str:
 
 def write_sweep_csv(rows: list[SweepRow]) -> str:
     return _csv_text(("mu", "delta", "mean_eff", "std_eff", "repeats"),
-                     [(r.mu, r.delta, r.mean_eff, r.std_eff, r.repeats) for r in rows])
+                     [(r.mu, round(1.0 - r.mu, 12), r.mean_eff, r.std_eff, r.repeats)
+                      for r in rows])
 
 
 def write_robustness_csv(rows: list[RobustnessRow]) -> str:

@@ -53,7 +53,6 @@ class EpisodeMetrics:
     fuel_energy_j: float
     battery_draw_j: float
     traction_output_j: float
-    demand_energy_j: float
     shortfall_j: float
     total_reward: float
     forced_charge_steps: int
@@ -90,7 +89,6 @@ def episode_metrics(state: PlantState, battery: BatteryModel, start_soc: float,
         fuel_energy_j=state.cumulative_fuel_energy,
         battery_draw_j=state.cumulative_battery_draw,
         traction_output_j=state.cumulative_traction_output,
-        demand_energy_j=state.cumulative_demand_energy,
         shortfall_j=state.cumulative_shortfall,
         total_reward=total_reward,
         forced_charge_steps=state.forced_charge_steps,

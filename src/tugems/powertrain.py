@@ -49,6 +49,10 @@ _TORQUE_PER_W_RPM = 9.55
 
 _SECONDS_PER_HOUR = 3600.0
 
+# Diesel fuel properties that turn a volumetric fuel rate into chemical power.
+FUEL_DENSITY_KG_PER_L = 0.87
+FUEL_HEATING_VALUE_J_PER_KG = 44.0e6
+
 
 class PiecewiseLinear:
     """Piecewise-linear map with clamped ends, for battery curves.
@@ -194,13 +198,12 @@ class TractionMotorModel:
         return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
-def fuel_rate_to_power(rate_l_per_h: float,
-                       density_kg_per_l: float = 0.87,
-                       heating_value_j_per_kg: float = 44.0e6) -> float:
-    """Convert a volumetric fuel rate (L/h) to chemical fuel power (W)."""
+def fuel_rate_to_power(rate_l_per_h: float) -> float:
+    """Convert a volumetric diesel rate (L/h) to chemical fuel power (W)."""
     if rate_l_per_h < 0.0:
         raise ValueError(f"rate_l_per_h must be non-negative, got {rate_l_per_h}")
-    return rate_l_per_h * density_kg_per_l * heating_value_j_per_kg / _SECONDS_PER_HOUR
+    return (rate_l_per_h * FUEL_DENSITY_KG_PER_L * FUEL_HEATING_VALUE_J_PER_KG
+            / _SECONDS_PER_HOUR)
 
 
 def fit_egu_quadratic(points: object) -> tuple[float, float, float]:
@@ -243,19 +246,10 @@ class EguModel:
     fuel_b2: float  # 1/W
     fuel_b1: float  # dimensionless
     fuel_b0: float  # W
-    fuel_density_kg_per_l: float = 0.87
-    fuel_heating_value_j_per_kg: float = 44.0e6
 
     def __post_init__(self) -> None:
         if self.max_power_w <= 0.0:
             raise ValueError(f"max_power_w must be positive, got {self.max_power_w}")
-        if self.fuel_density_kg_per_l <= 0.0:
-            raise ValueError(
-                f"fuel_density_kg_per_l must be positive, got {self.fuel_density_kg_per_l}")
-        if self.fuel_heating_value_j_per_kg <= 0.0:
-            raise ValueError(
-                f"fuel_heating_value_j_per_kg must be positive, "
-                f"got {self.fuel_heating_value_j_per_kg}")
         # The load curve must rise monotonically and always cost more fuel
         # power than it returns electrically; a quadratic lets both be
         # checked at the span ends plus the vertex.
@@ -277,23 +271,16 @@ class EguModel:
         return (self.fuel_b2 * p_egu_w + self.fuel_b1) * p_egu_w + self.fuel_b0
 
     @classmethod
-    def from_fuel_rates(cls,
-                        max_power_w: float,
-                        rates_l_per_h: dict[float, float],
-                        fuel_density_kg_per_l: float = 0.87,
-                        fuel_heating_value_j_per_kg: float = 44.0e6) -> "EguModel":
+    def from_fuel_rates(cls, max_power_w: float,
+                        rates_l_per_h: dict[float, float]) -> "EguModel":
         """Build the load curve from (load fraction -> L/h) anchor points."""
         pts = []
         for load_fraction, rate in sorted(rates_l_per_h.items()):
             if not 0.0 < load_fraction <= 1.0:
                 raise ValueError(f"load fraction must be in (0, 1], got {load_fraction}")
-            pts.append((load_fraction * max_power_w,
-                        fuel_rate_to_power(rate, fuel_density_kg_per_l,
-                                           fuel_heating_value_j_per_kg)))
+            pts.append((load_fraction * max_power_w, fuel_rate_to_power(rate)))
         b2, b1, b0 = fit_egu_quadratic(pts)
-        return cls(max_power_w=max_power_w, fuel_b2=b2, fuel_b1=b1, fuel_b0=b0,
-                   fuel_density_kg_per_l=fuel_density_kg_per_l,
-                   fuel_heating_value_j_per_kg=fuel_heating_value_j_per_kg)
+        return cls(max_power_w=max_power_w, fuel_b2=b2, fuel_b1=b1, fuel_b0=b0)
 
 
 def egu_fuel_power(egu: EguModel, p_egu_w: float) -> float:
@@ -400,9 +387,7 @@ class PlantState:
     cumulative_battery_loss: float = 0.0     # J
     cumulative_traction_loss: float = 0.0    # J
     cumulative_traction_output: float = 0.0  # J, demand actually served
-    cumulative_demand_energy: float = 0.0    # J, demand as requested
     cumulative_battery_draw: float = 0.0     # J, signed terminal energy
-    cumulative_egu_output: float = 0.0       # J
     cumulative_shortfall: float = 0.0        # J, unserved demand
     steps: int = 0
     forced_charge_steps: int = 0
@@ -560,9 +545,7 @@ class Plant:
         state.cumulative_battery_loss += out.battery_loss_w * dt_s
         state.cumulative_traction_loss += out.traction_loss_w * dt_s
         state.cumulative_traction_output += out.p_served_w * dt_s
-        state.cumulative_demand_energy += p_dem_w * dt_s
         state.cumulative_battery_draw += out.p_batt_w * dt_s
-        state.cumulative_egu_output += out.p_egu_w * dt_s
         state.cumulative_shortfall += out.shortfall_w * dt_s
         state.steps += 1
         state.forced_charge_steps += out.forced_charging

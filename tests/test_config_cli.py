@@ -36,7 +36,7 @@ def test_empty_config_resolves_to_the_stock_run():
 def test_full_config_overrides_everything():
     config = parse_config({
         "label": "exp-7",
-        "cycle": {"builtin": "PRDC-3-synthetic", "dt_s": 0.5},
+        "cycle": {"builtin": "PRDC-3-synthetic"},
         "run": {"mode": "single", "episodes": 10, "initial_soc": 0.6,
                 "seeds": [4, 5]},
         "grids": {"p_dem_bins": 10, "soc_bins": 8, "action_levels": 5},
@@ -88,6 +88,12 @@ def test_ensemble_delta_is_an_unknown_key():
     problems = validate_config({"ensemble": {"kind": "weighted",
                                              "mu": 0.6, "delta": 0.4}})
     assert problems == ["config.ensemble.delta: unknown key"]
+
+
+def test_cycle_dt_s_is_an_unknown_key():
+    # Built-in cycles are 1 s and a cycle file keeps its own spacing.
+    problems = validate_config({"cycle": {"builtin": "PRDC-1-synthetic", "dt_s": 1.0}})
+    assert problems == ["config.cycle.dt_s: unknown key"]
 
 
 def test_schedule_initial_out_of_range_is_named():
@@ -150,7 +156,6 @@ def test_seed_list_validation():
     ({"ensemble": {"kind": "random", "t": math.inf}}, "config.ensemble.t"),
     ({"plant": {"reward_baseline": math.inf}}, "config.plant.reward_baseline"),
     ({"plant": {"charge_release_margin": math.inf}}, "config.plant.charge_release_margin"),
-    ({"cycle": {"dt_s": math.nan}}, "config.cycle.dt_s"),
     ({"run": {"initial_soc": 10 ** 400}}, "config.run.initial_soc"),
     ({"agents": {"a": {"discount": math.nan}}}, "config.agents.a.discount"),
     ({"agents": {"b": {"schedule": {"kind": "reciprocal", "decay_rate": math.inf}}}},
@@ -161,7 +166,7 @@ def test_seed_list_validation():
     ({"run": {"seeds": [0, -1]}}, "config.run.seeds"),
     ({"agents": {"b": {"schedule": {"kind": "exponential", "decay_rate": 0.1}}}},
      "config.agents.b.schedule: exponential schedule takes no decay_rate"),
-], ids=["mu-nan", "t-inf", "baseline-inf", "margin-inf", "dt-nan", "soc-huge-int",
+], ids=["mu-nan", "t-inf", "baseline-inf", "margin-inf", "soc-huge-int",
         "discount-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed",
         "foreign-schedule-parameter"])
 def test_non_finite_numbers_and_negative_seeds_are_named(data, key):
@@ -246,7 +251,7 @@ _AGENT = _section(["learning_rate", "discount", "schedule"],
                   st.one_of(_LEAF, _SCHEDULE))
 _CONFIG = st.fixed_dictionaries({}, optional={
     "label": _LEAF,
-    "cycle": _section(["builtin", "path", "dt_s"]),
+    "cycle": _section(["builtin", "path"]),
     "run": _section(["mode", "episodes", "initial_soc", "seeds"]),
     "grids": _section(["p_dem_bins", "soc_bins", "action_levels"]),
     "agents": _section(["a", "b"], _AGENT),
@@ -260,7 +265,7 @@ _CONFIG = st.fixed_dictionaries({}, optional={
 
 # One field set on the stock config: a bad value is then the only problem.
 _FIELDS = [(section, key) for section, keys in (
-    ("cycle", ["dt_s"]), ("run", ["episodes", "initial_soc", "seeds"]),
+    ("run", ["episodes", "initial_soc", "seeds"]),
     ("grids", ["p_dem_bins", "soc_bins", "action_levels"]),
     ("ensemble", ["mu", "t"]),
     ("plant", ["soc_ref", "charge_sustain_soc", "charge_release_margin",
@@ -281,6 +286,8 @@ _ONE_FIELD = st.one_of(
 @given(data=st.one_of(_CONFIG, _ONE_FIELD))
 @example(data={"agents": {"b": {"schedule": {"kind": "constant", "initial": 1.0, "factor": 0.5,
                                              "width": 10, "decay_rate": 0.1}}}})
+@example(data={"ensemble": {"kind": "random", "mu": 0.3}})
+@example(data={"ensemble": {"kind": "weighted", "t": 0.2}})
 def test_parse_config_raises_only_config_error_and_accepts_only_finite_numbers(data):
     try:
         config = parse_config(data)
@@ -289,6 +296,11 @@ def test_parse_config_raises_only_config_error_and_accepts_only_finite_numbers(d
     text = json.dumps(config.to_dict(), allow_nan=False)  # raises on NaN or infinity
     assert min(config.seeds) >= 0
     assert parse_config(json.loads(text)) == config
+    # A given mu or t reaches the manifest under every kind, not only its own.
+    ensemble = data.get("ensemble") if isinstance(data, dict) else None
+    for key in ("mu", "t"):
+        if isinstance(ensemble, dict) and ensemble.get(key) is not None:
+            assert config.to_dict()["ensemble"][key] == ensemble[key]
 
 
 @pytest.fixture
@@ -341,9 +353,8 @@ def _write_config(tmp, base, **sections):
 @pytest.mark.parametrize("sections,key", [
     ({"ensemble": {"kind": "weighted", "mu": math.nan}}, "config.ensemble.mu"),
     ({"plant": {"reward_baseline": math.inf}}, "config.plant.reward_baseline"),
-    ({"cycle": {"builtin": "PRDC-1-synthetic", "dt_s": math.nan}}, "config.cycle.dt_s"),
     ({"run": {"episodes": 1, "seeds": [-1]}}, "config.run.seeds"),
-], ids=["mu-nan", "baseline-inf", "dt-nan", "negative-seed"])
+], ids=["mu-nan", "baseline-inf", "negative-seed"])
 def test_learn_and_validate_reject_bad_numbers_as_config_errors(workspace, capsys,
                                                                 sections, key):
     tmp, cfg = workspace
@@ -603,6 +614,19 @@ def test_sweep_writes_one_row_per_proportion(workspace, capsys):
     assert manifest["command"] == "sweep"
     assert 0.1 <= manifest["best_mu"] <= 0.9
     assert manifest["rng_protocol"] == 2
+
+
+@pytest.mark.parametrize("workers,problem", [
+    ("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"),
+    ("two", "expected an integer, got 'two'")])
+def test_sweep_rejects_fewer_than_one_worker(workspace, capsys, workers, problem):
+    tmp, cfg = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp / "sweep"),
+              "--workers", workers])
+    assert exc.value.code == 1
+    assert f"argument --workers: {problem}" in capsys.readouterr().err
+    assert not (tmp / "sweep").exists()
 
 
 def test_version_flag(capsys):

@@ -17,10 +17,9 @@ from tugems.drive_cycle import (BUILTIN_CYCLE_NAMES, CYCLE_POWER_MAX_W,
 # ---------------------------------------------------------------------------
 
 
-def test_cycle_length_duration_and_times():
+def test_cycle_length_and_times():
     cycle = DriveCycle(dt_s=0.5, demand_w=np.array([1.0, 2.0, 3.0]))
     assert len(cycle) == 3
-    assert cycle.duration_s == pytest.approx(1.5)
     np.testing.assert_array_equal(cycle.times(), [0.0, 0.5, 1.0])
 
 
@@ -255,22 +254,13 @@ def test_synth_spec_validation():
         SynthSpec(segments=((500.0, 10.0),), noise_amplitude_w=600.0)
     with pytest.raises(ValueError, match="envelope"):
         SynthSpec(segments=((252_900.0, 10.0),), noise_amplitude_w=600.0)
-    with pytest.raises(ValueError, match="dt_s"):
-        SynthSpec(segments=((1.0, 1.0),), dt_s=-1.0)
-    with pytest.raises(ValueError, match="duration_s"):
-        SynthSpec(segments=((1.0, 1.0),), duration_s=0.0)
 
 
 def test_synth_cycle_piecewise_levels_without_noise():
     spec = SynthSpec(segments=((10.0, 2.0), (20.0, 3.0)))
     cycle = synth_cycle(spec)
     np.testing.assert_array_equal(cycle.demand_w, [10.0, 10.0, 20.0, 20.0, 20.0])
-
-
-def test_synth_cycle_repeats_pattern_to_fill_duration():
-    spec = SynthSpec(segments=((1.0, 1.0), (2.0, 1.0)), duration_s=5.0)
-    cycle = synth_cycle(spec)
-    np.testing.assert_array_equal(cycle.demand_w, [1.0, 2.0, 1.0, 2.0, 1.0])
+    assert cycle.dt_s == 1.0
 
 
 def test_synth_cycle_is_deterministic_per_seed():
@@ -302,6 +292,7 @@ def test_builtin_names_and_labels():
     for name in BUILTIN_CYCLE_NAMES:
         cycle = builtin_cycle(name)
         assert cycle.label == name
+        assert cycle.dt_s == 1.0
         assert validate_cycle(cycle.dt_s, cycle.demand_w) == []
 
 

@@ -65,30 +65,30 @@ def test_combine_random_rejects_bad_t():
 def test_combine_weighted_snaps_the_blend_to_the_ladder(actions):
     # levels 6 and 10 are 51720 W and 86200 W; with mu = 0.9 the blend is
     # 0.9*51720 + 0.1*86200 = 55168 W, closer to 51720 than to 60340
-    assert combine_weighted(6, 10, 0.9, 0.1, actions) == 6
-    assert combine_weighted(6, 10, 0.5, 0.5, actions) == 8  # 68960 on-grid
+    assert combine_weighted(6, 10, 0.9, actions) == 6
+    assert combine_weighted(6, 10, 0.5, actions) == 8  # 68960 on-grid
 
 
 def test_combine_weighted_pure_weights_reproduce_each_agent(actions):
     for a, b in [(0, 10), (3, 7), (9, 2)]:
-        assert combine_weighted(a, b, 1.0, 0.0, actions) == a
-        assert combine_weighted(a, b, 0.0, 1.0, actions) == b
+        assert combine_weighted(a, b, 1.0, actions) == a
+        assert combine_weighted(a, b, 0.0, actions) == b
 
 
 def test_combine_weighted_agreement_is_a_fixed_point(actions):
-    assert combine_weighted(5, 5, 0.42, 0.58, actions) == 5
+    assert combine_weighted(5, 5, 0.42, actions) == 5
 
 
 def test_combine_weighted_halfway_tie_snaps_lower(actions):
     # blend of levels 0 and 1 at mu = 0.5 sits exactly on the midpoint
-    assert combine_weighted(0, 1, 0.5, 0.5, actions) == 0
+    assert combine_weighted(0, 1, 0.5, actions) == 0
 
 
 def test_combine_weighted_rejects_bad_weights(actions):
-    with pytest.raises(ValueError, match="sum to 1"):
-        combine_weighted(0, 1, 0.8, 0.1, actions)
-    with pytest.raises(ValueError, match="non-negative"):
-        combine_weighted(0, 1, 1.5, -0.5, actions)
+    with pytest.raises(ValueError, match="mu must be within"):
+        combine_weighted(0, 1, 1.5, actions)
+    with pytest.raises(ValueError, match="mu must be within"):
+        combine_weighted(0, 1, -0.1, actions)
 
 
 @given(a=st.integers(0, 10), b=st.integers(0, 10),
@@ -96,7 +96,7 @@ def test_combine_weighted_rejects_bad_weights(actions):
 @settings(max_examples=100, deadline=None)
 def test_combine_weighted_stays_between_the_proposals(a, b, mu):
     actions = ActionGrid.uniform()
-    final = combine_weighted(a, b, mu, 1.0 - mu, actions)
+    final = combine_weighted(a, b, mu, actions)
     assert min(a, b) <= final <= max(a, b)
 
 
@@ -110,16 +110,14 @@ def test_policy_validation():
         EnsemblePolicy(kind="vote")
     with pytest.raises(ValueError, match="t must be"):
         EnsemblePolicy(kind="random", t=-0.1)
-    with pytest.raises(ValueError, match="must equal 1"):
-        EnsemblePolicy(kind="weighted", mu=0.6, delta=0.6)
-    with pytest.raises(ValueError, match="non-negative"):
-        EnsemblePolicy(kind="weighted", mu=1.4, delta=-0.4)
-
-
-def test_policy_weighted_constructor_fills_delta():
-    policy = EnsemblePolicy.weighted(0.3)
-    assert policy.mu == 0.3
-    assert policy.delta == pytest.approx(0.7)
+    with pytest.raises(ValueError, match="mu must be"):
+        EnsemblePolicy(kind="weighted", mu=1.4)
+    # Both weights are checked and kept under every kind, not only their own.
+    with pytest.raises(ValueError, match="t must be"):
+        EnsemblePolicy(kind="weighted", t=1.5)
+    with pytest.raises(ValueError, match="mu must be"):
+        EnsemblePolicy(kind="maximum", mu=-0.2)
+    assert EnsemblePolicy(kind="random", t=0.2, mu=0.3).mu == 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +348,7 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
         if len(agents) == 1:
             final = props[0]
         elif policy.kind == "weighted":
-            final = combine_weighted(*props, policy.mu, policy.delta, actions)
+            final = combine_weighted(*props, policy.mu, actions)
         elif policy.kind == "maximum":
             final = combine_max(props[0], agents[0].q.values[state, props[0]],
                                 props[1], agents[1].q.values[state, props[1]])

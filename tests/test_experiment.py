@@ -200,7 +200,6 @@ def test_sweep_rows_match_individually_run_repeats(models, grid, actions,
                          proportions=(0.3, 0.7), repeats=2, base_seed=10)
     assert [r.mu for r in rows] == [0.3, 0.7]
     for row in rows:
-        assert row.mu + row.delta == pytest.approx(1.0, abs=1e-12)
         assert row.repeats == 2
         effs = []
         for seed in (10, 11):
@@ -226,6 +225,12 @@ def test_sweep_is_worker_count_invariant(models, grid, actions, flat_cycle):
 def test_sweep_rejects_zero_repeats(models, grid, actions, flat_cycle):
     with pytest.raises(ValueError, match="repeats"):
         sweep_weights(_setup(flat_cycle, models, grid, actions), repeats=0)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_rejects_fewer_than_one_worker(models, grid, actions, flat_cycle, workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        sweep_weights(_setup(flat_cycle, models, grid, actions), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +307,11 @@ def test_learning_curve_csv_round_trips(models, grid, actions, flat_cycle):
 
 def test_sweep_csv_layout():
     from tugems.experiment import SweepRow
-    text = write_sweep_csv([SweepRow(0.1, 0.9, 0.5, 0.01, 25)])
+    text = write_sweep_csv([SweepRow(0.1, 0.5, 0.01, 25), SweepRow(0.7, 0.5, 0.01, 25)])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["mu", "delta", "mean_eff", "std_eff", "repeats"]
     assert rows[1] == ["0.1", "0.9", "0.5", "0.01", "25"]
+    assert rows[2][:2] == ["0.7", "0.3"]  # 1 - 0.7 rounded to 12 places
 
 
 def test_robustness_csv_layout():
@@ -338,8 +344,7 @@ def test_none_efficiency_renders_as_an_empty_field():
         energy_efficiency=None, oec_j=0.0, oec_delta_soc_j=0.0, start_soc=0.5,
         end_soc=0.5, mean_soc=0.5, total_loss_j=0.0, engine_loss_j=0.0,
         battery_loss_j=0.0, traction_loss_j=0.0, fuel_energy_j=0.0,
-        battery_draw_j=0.0, traction_output_j=0.0, demand_energy_j=0.0,
-        shortfall_j=0.0, total_reward=0.0, forced_charge_steps=0, steps=0)
+        battery_draw_j=0.0, traction_output_j=0.0, shortfall_j=0.0, total_reward=0.0, forced_charge_steps=0, steps=0)
     text = write_learning_curve_csv([metrics])
     assert text.splitlines()[1].split(",")[1] == ""
 

@@ -1,5 +1,6 @@
-"""Every exported name resolves and every import is used, so a deletion
-leaves neither a dangling export nor a stale import."""
+"""Every exported name resolves, every import is used and every parameter
+is read, so a deletion leaves neither a dangling export, a stale import nor
+a parameter kept only for its signature."""
 
 import ast
 import importlib
@@ -35,3 +36,27 @@ def test_no_unused_module_level_import(path):
                      if isinstance(node, ast.Assign)
                      and any(getattr(t, "id", None) == "__all__" for t in node.targets)), [])
     assert sorted(imported - used - set(exported)) == []
+
+
+SRC = sorted(Path(tugems.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_function_parameter_goes_unread(path):
+    """Each parameter but ``self``, ``cls`` and ``_``-names is read in its body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for stmt in body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread += [f"{getattr(node, 'name', '<lambda>')}:{node.lineno} {p.arg}"
+                   for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_")]
+    assert unread == []

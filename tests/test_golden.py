@@ -49,7 +49,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "31e504363f86d93632dc1df9461e590e255f4cbd0513b669f48d186121ab831b",
         "run/manifest.json":
-            "d2f05442bad25a52661d2e1f87cc2f863e68c37139e39c223facca94628445fa",
+            "052239eb98c01d1fd7101c71fa13899965ea2410b36c316c9c596f591644bcbd",
         "run/qtable_A_seed0.json":
             "aedfd199027a6d8c429d803e7c147bfdbaf0fa892f63215ec1d625c850b7b955",
         "run/qtable_A_seed1.json":
@@ -63,13 +63,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "cd0d169fdcee8536fd0b595e4359806dd14f8ff0362a9904df9c3d7fd3c8bbab",
         "eval/manifest.json":
-            "03add9acf429f528e51655fb618f5712b93fb5624c65f5fb9f9d535ac5911599",
+            "1c60611a4f2758a5682717f0d4f091faa8c5f4e7ea2e2285165321637b29c8ba",
         "eval/robustness.csv":
             "a6f65ec6ff04ea588d29640a3f627be034f93c0d79337f5dee74162f260bb888",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "5ed0678f45830e49f40aa55e51704e755455f4684e42273f45727cc9d8aa0e78",
+            "6a5d2b75f502c67762811df04e297fb3ebc8ce87321c76edfe26ea79bccef41d",
     },
     "ensemble-random": {
         "run/learning_curve_seed0.csv":
@@ -77,7 +77,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "80b6ee190f02dff7d1a3fbfa01cfd74b824829bee0bd5b58b470775788c4265f",
         "run/manifest.json":
-            "ef183f2152530de25a599f02663bb527ac7135c3f5b90c7d60ed27e0c2edaa80",
+            "bbc3482eb90e85101ff079759a45023045e32c7660a28a93b877a3588fb4aee9",
         "run/qtable_A_seed0.json":
             "577527c5afc64ca00608293af2e7f6e9e6f830c15ec40f9e845cbd8b8940c678",
         "run/qtable_A_seed1.json":
@@ -91,13 +91,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "59ff39a92c2ec5e8c84aab9e5983ebc7bb9716e7327a1be906c9e45310564a69",
         "eval/manifest.json":
-            "95b119a1c06d0e2ef03bbaf375813c326ce87878b26f64798f576e3b2c1e9b1b",
+            "232ddade2fe0409793b0d85a62a5ccea1097c43a55adb038b8d1dcbf6166083f",
         "eval/robustness.csv":
             "ec800491d0133da62fdd31440527b26f6a93bf95fe5af6adc9b537ebc35de4d0",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "eb077b2753c3b02516bbabb78f402b04ad173ddf0d4287d035b00141953d43fa",
+            "fe43a56d592194070e81a4e27646c998e4677e97cabe370359dd0e39cd355fe8",
     },
     "ensemble-weighted": {
         "run/learning_curve_seed0.csv":
@@ -105,7 +105,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "28020a0c7134191cfac768569067a84a446e822eb5e7295b0f98ad0b4ab370ae",
         "run/manifest.json":
-            "56a28337b14c09b259732032372ffdb0b1fe2b295b27357f21179e7f9cbd83c2",
+            "f9aea316ddd532dd20b2597d166bd665cfe6dcdfad3a97fb84890fb099bdeba4",
         "run/qtable_A_seed0.json":
             "fc0dc13a90466ad1b2dbf0f0eb27710fddab8061026129b8b2ff026773aff18e",
         "run/qtable_A_seed1.json":
@@ -119,13 +119,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "aa91f1e4c8a77fb71875636a860dac353d8d7a720cd975df69758cedc3304fca",
         "eval/manifest.json":
-            "2bfd02883ef432ce07a4d6f26b3059f4f0883875d977eb14aef6516dd1af8ebe",
+            "adc7b08634ed6888878706dbcadda8959b22ae0801c9333100a3441df360daed",
         "eval/robustness.csv":
             "bc71cb3d1eee2c13ec911d00b7a8e073b34bc74800e2b5088a879f4a434c2485",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "87dedcb630d3c093b75edde64954793e226238e918df72b78406e9b2b6aa5b3f",
+            "faf54158f974abe7d323aae0f3bf520c2685a5e80c5af2b91fb91790266657a7",
     },
     "single": {
         "run/learning_curve_seed0.csv":
@@ -133,7 +133,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "3dff1eac2e2afc7963d47f4e7366ff8a70e995357a250c115cf5743e20dfeecc",
         "run/manifest.json":
-            "de6e4185c3793be7618adfb8263a43cbd8d16aa4fbe0d138b21879f31f95f1ca",
+            "41345dc78010ff7fcd6f341f292afbda30b57abdbc295fd6f64a4db6d95f5c24",
         "run/qtable_A_seed0.json":
             "366d4de932fc4c8c5bb9d2ab8b64a83206985c3410ca103ff90987b57ec5cfc1",
         "run/qtable_A_seed1.json":
@@ -143,13 +143,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "922c8142a872fa6813f0dc6c03856dbf31cad744ba0e539dcf81ad3c58a50650",
         "eval/manifest.json":
-            "ba9060e0b3649c28ff3ec12d4b14ef559d5c2dfb94f080ed9ec2d7b9b399843a",
+            "1d7ad3bff7d8c0e1443bf5202b5a48d7c8db85ed5ed6d34fbdf47e53b01a04db",
         "eval/robustness.csv":
             "3fe6cce34c5aea26df6c7ebe923499ed03e2a56d0833f8e9d370fabf9312136a",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "5443be7a68e4f295f2af648d2b849ff6c5e8b624cab219d6e1943868bd5061c6",
+            "bdb0a22e8a36b9bce174e489fbf7f43ad65a61cdcd3d7606762a5b07ab6ca8c3",
     },
 }
 
