@@ -129,8 +129,14 @@ def _write_manifest(out: Path, command: str, config: RunConfig,
                  json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _prepare(args: argparse.Namespace) -> tuple[RunConfig, Path]:
+def _prepare(args: argparse.Namespace,
+             seeds: list[int] | None = None) -> tuple[RunConfig, Path]:
+    """Load the config and check a ``--seed`` override, then create ``--out``."""
     config = load_config(args.config)
+    if seeds and len(set(seeds)) != len(seeds):
+        raise ConfigError([f"--seed: duplicate seeds in {seeds}"])
+    if seeds and min(seeds) < 0:
+        raise ConfigError([f"--seed: must be >= 0, got {min(seeds)}"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
@@ -147,12 +153,8 @@ def _setup(config: RunConfig, episodes: int) -> RunSetup:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    config, out = _prepare(args)
+    config, out = _prepare(args, args.seed)
     seeds = tuple(args.seed) if args.seed else config.seeds
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError([f"--seed: duplicate seeds in {list(seeds)}"])
-    if min(seeds) < 0:
-        raise ConfigError([f"--seed: must be >= 0, got {min(seeds)}"])
     setup = _setup(config, config.episodes)
     artifacts: list[str] = []
     finals = {}

@@ -3,11 +3,12 @@
 Backward value iteration over a discretized SoC axis (plus the binary
 charge-sustain latch) gives a near-optimal lower bound on the cumulative
 engine-plus-battery loss any controller can achieve on the cycle, subject
-to the end SoC not dipping below the sustain reference.  The stage dynamics
-replicate :func:`tugems.powertrain.step_kernel` operation for operation, so
-learned policies can be compared against the bound directly; the remaining
-gap is the value-interpolation error, bounded by one SoC node of pack
-energy.
+to the end SoC not dipping below the sustain reference.  The array stage
+repeats :func:`tugems.powertrain.step_kernel` but for ``np.interp``'s form of
+the battery curves (the two agree to 1e-12 relative), and the greedy rollout
+chooses and books each step on the kernel itself, so learned policies compare
+against the bound directly; the remaining gap is the value-interpolation
+error, bounded by one SoC node of pack energy.
 
 The terminal constraint enters as a finite linear price on the end-SoC
 deficit.  The price per joule of missing charge exceeds the steepest
@@ -82,12 +83,12 @@ def _latched(models: PlantModels, soc, latch: bool):
 
 def _stage(models: PlantModels, soc: np.ndarray, base_w: np.ndarray,
            p_link_w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized plant stage over (step, soc node, EGU command) combinations.
+    """Vectorized plant stage over (step, EGU command, soc node) combinations.
 
     ``soc`` (S,) are SoC nodes, ``base_w`` (A,) the EGU commands after the
     charge-sustain override (the ladder, or full power on a latched row) and
     ``p_link_w`` (K,) the DC-link demand of K steps; returns the cost (J)
-    and the next SoC, both of shape (K, S, A).
+    and the next SoC, both of shape (K, A, S).
     """
     battery = models.battery
     egu = models.egu
@@ -101,20 +102,20 @@ def _stage(models: PlantModels, soc: np.ndarray, base_w: np.ndarray,
                          (battery.soc_max - soc) * coulomb / dt * pack_volt)
 
     p_link = p_link_w[:, None, None]
-    lo = p_link - dis_cap[:, None]
-    hi = p_link + chg_cap[:, None]
+    lo = p_link - dis_cap
+    hi = p_link + chg_cap
     p_egu = np.minimum(egu.max_power_w,
-                       np.maximum(0.0, np.minimum(np.maximum(base_w, lo), hi)))
-    p_batt = np.minimum(dis_cap[:, None], np.maximum(-chg_cap[:, None], p_link - p_egu))
+                       np.maximum(0.0, np.minimum(np.maximum(base_w[:, None], lo), hi)))
+    p_batt = np.minimum(dis_cap, np.maximum(-chg_cap, p_link - p_egu))
 
     fuel = np.where(p_egu > 0.0,
                     (egu.fuel_b2 * p_egu + egu.fuel_b1) * p_egu + egu.fuel_b0, 0.0)
     engine_loss = fuel - p_egu
-    i_cell = p_batt / pack_volt[:, None]  # A
-    battery_loss = r[:, None] * i_cell * i_cell * battery.num_cells
+    i_cell = p_batt / pack_volt  # A
+    battery_loss = r * i_cell * i_cell * battery.num_cells
     cost = (engine_loss + battery_loss) * dt  # J
 
-    soc_next = soc[:, None] - i_cell * dt / coulomb
+    soc_next = soc - i_cell * dt / coulomb
     return cost, np.clip(soc_next, battery.soc_min, battery.soc_max)
 
 
@@ -197,28 +198,32 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
         cost_f, next_f = _stage(models, nodes[n_sus:], levels, links[start:stop], dt)
         cost_l, next_l = _stage(models, nodes[:n_rel], p_max, links[start:stop], dt)
         for k in range(stop - start - 1, -1, -1):
-            free = (cost_f[k] + np.interp(next_f[k], nodes, values[start + k + 1, 0])).min(axis=-1)
-            held = cost_l[k, :, 0] + np.interp(next_l[k, :, 0], nodes, values[start + k + 1, 1])
+            free = (cost_f[k] + np.interp(next_f[k], nodes, values[start + k + 1, 0])).min(axis=0)
+            held = cost_l[k, 0] + np.interp(next_l[k, 0], nodes, values[start + k + 1, 1])
             row = values[start + k]
             row[0, :n_sus], row[0, n_sus:] = held[:n_sus], free
             row[1, :n_rel], row[1, n_rel:] = held, free[n_rel - n_sus:]
 
     cost_j = float(np.interp(initial_soc, nodes, values[0][0]))
 
-    # Greedy rollout on the continuous plant, choosing each step by the
-    # interpolated cost-to-go (not by snapping the state to a node).
+    # Greedy rollout on the kernel by loss plus interpolated cost-to-go (no
+    # snapping to a node); out[10], [12], [13] are the loss, latch and SoC.
     chosen: list[int] = []
     rollout_cost = 0.0
     soc, latch = initial_soc, False
     for t in range(n_steps):
-        a = 0  # a latched step runs at full power, so every action ties
-        if not _latched(models, soc, latch):
-            cost, soc_next = _stage(models, np.array([soc]), levels, links[t:t + 1], dt)
-            a = int((cost + np.interp(soc_next, nodes, values[t + 1, 0])).argmin())
+        p, link = demand_list[t], link_list[t]
+        if _latched(models, soc, latch):  # full power, so every action ties
+            a, out = 0, kernel(soc, latch, p, link, actions.levels_w[0], dt)
+        else:
+            outs = [kernel(soc, latch, p, link, level, dt) for level in actions.levels_w]
+            to_go = np.interp([o[13] for o in outs], nodes, values[t + 1, 0]).tolist()
+            totals = [o[10] * dt + v for o, v in zip(outs, to_go)]
+            a = totals.index(min(totals))
+            out = outs[a]
         chosen.append(a)
-        (_, _, _, _, _, _, _, engine_loss, battery_loss, _, _, _, latch, soc,
-         _) = kernel(soc, latch, demand_list[t], link_list[t], actions.levels_w[a], dt)
-        rollout_cost += (engine_loss + battery_loss) * dt
+        rollout_cost += out[10] * dt  # engine plus battery loss
+        latch, soc = out[12], out[13]
 
     return DpResult(cost_j=cost_j, actions=tuple(chosen),
                     rollout_cost_j=rollout_cost,

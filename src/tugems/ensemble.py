@@ -139,8 +139,9 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     with chooser "A".  With ``learn``, exploration thresholds follow each
     agent's schedule at ``episode_index``, frozen for the episode, and each
     agent draws its episode's block up front (:func:`exploration_draws`);
-    without it, proposals are greedy (no agent draws) and the tables stay
-    frozen.  ``random`` draws one combiner uniform per step, also up front.
+    without it, the tables stay frozen and each proposal is its state's first
+    greedy action, listed once up front (no agent draws).  ``random`` draws
+    one combiner uniform per step, also up front.
     The plant is reset to ``initial_soc`` and holds the episode-end ledger
     afterwards.  The last sample bootstraps from its own demand.  Ladder
     and tables are checked once per episode, then every step calls the
@@ -179,6 +180,9 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
         explore_a = _explore_actions(agent_a, episode_index, n, n_actions)
         if two:
             explore_b = _explore_actions(agent_b, episode_index, n, n_actions)
+    else:  # frozen tables: each state's greedy action, built once
+        greedy_a = [row.index(max(row)) for row in rows_a]
+        greedy_b = greedy_a if shared else [row.index(max(row)) for row in rows_b]
     if kind == "weighted":  # the snapped blend depends on the two actions only
         blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
@@ -197,7 +201,7 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
         action_a = explore_a[i]
         if action_a < 0:
             row = rows_a[state]
-            action_a = row.index(max(row))
+            action_a = row.index(max(row)) if learn else greedy_a[state]
         if not two:
             action_b = final = action_a
             chooser = CHOOSER_A
@@ -205,7 +209,7 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
             action_b = explore_b[i]
             if action_b < 0:
                 row = rows_b[state]
-                action_b = row.index(max(row))
+                action_b = row.index(max(row)) if learn else greedy_b[state]
             if kind == "weighted":
                 final, chooser = blend[action_a][action_b], CHOOSER_BLEND
             elif kind == "maximum":  # own-value comparison, ties to agent A

@@ -59,10 +59,11 @@ class PiecewiseLinear:
 
     Breakpoints must be strictly ascending in x.  Outside the covered span
     the end values are held constant, which keeps voltage and resistance
-    lookups well defined for any SoC the plant can reach.
+    lookups well defined for any SoC the plant can reach.  ``lookup`` is the
+    map as a closure over precomputed segments (a flat curve: its constant).
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "lookup")
 
     def __init__(self, points: object) -> None:
         pts = [(float(x), float(y)) for x, y in points]
@@ -72,18 +73,30 @@ class PiecewiseLinear:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError(f"breakpoint x values must be strictly ascending, got {xs}")
         self.xs = xs
-        self.ys = tuple(p[1] for p in pts)
+        self.ys = ys = tuple(p[1] for p in pts)
+        x_lo, x_hi, y_lo, y_hi = xs[0], xs[-1], ys[0], ys[-1]
+        # On a flat curve the formula gives y0 + 0.0: y0 unless -0.0 or not finite.
+        if math.isfinite(y_lo) and all(repr(y) == repr(y_lo + 0.0) for y in ys):
+            self.lookup = lambda _x: y_lo
+            return
+        segments = [(x0, y0, y1 - y0, x1 - x0)
+                    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+
+        def lookup(x: float) -> float:
+            if x <= x_lo:
+                return y_lo
+            if x >= x_hi:
+                return y_hi
+            x0, y0, dy, dx = segments[bisect_right(xs, x) - 1]
+            return y0 + dy * (x - x0) / dx
+
+        self.lookup = lookup
 
     def __call__(self, x: float) -> float:
-        xs = self.xs
-        if x <= xs[0]:
-            return self.ys[0]
-        if x >= xs[-1]:
-            return self.ys[-1]
-        i = bisect_right(xs, x) - 1
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return self.lookup(x)
+
+    def __reduce__(self) -> tuple:
+        return PiecewiseLinear, (self.points(),)
 
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.xs, self.ys))
@@ -433,8 +446,8 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     state.  Its conditionals reproduce builtin ``min``/``max`` exactly.
     """
     battery, egu = models.battery, models.egu
-    cell_voltage = battery.voltage_curve.__call__
-    resistance = battery.resistance_curve.__call__
+    cell_voltage = battery.voltage_curve.lookup
+    resistance = battery.resistance_curve.lookup
     n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
     soc_min, soc_max = battery.soc_min, battery.soc_max
     max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w

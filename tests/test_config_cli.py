@@ -371,6 +371,7 @@ def test_learn_rejects_a_negative_seed_override(workspace, capsys):
     assert main(["learn", "--config", str(cfg), "--out", str(tmp / "neg"),
                  "--seed", "-1"]) == 1
     assert "--seed" in capsys.readouterr().err
+    assert not (tmp / "neg").exists()  # checked before --out is created
 
 
 @pytest.mark.parametrize("case", ["missing", "nan", "missing-eval"])
@@ -469,6 +470,7 @@ def test_learn_rejects_duplicate_seed_overrides(workspace, capsys):
                  "--seed", "3", "--seed", "3"])
     assert code == 1
     assert "duplicate" in capsys.readouterr().err
+    assert not (tmp / "dup").exists()
 
 
 def test_learn_traces_flag_writes_the_final_episode(workspace):

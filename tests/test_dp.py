@@ -204,8 +204,8 @@ def test_scalar_kernel_matches_the_dp_stage(soc, latch, action, p_dem):
                             np.array([p_link]), 1.0)
     column = 0 if latched else action
     assert (out.engine_loss_w + out.battery_loss_w) * 1.0 == pytest.approx(
-        float(cost[0, 0, column]), rel=1e-12, abs=0.0)
-    assert abs(out.soc - float(soc_next[0, 0, column])) <= 1e-15
+        float(cost[0, column, 0]), rel=1e-12, abs=0.0)
+    assert abs(out.soc - float(soc_next[0, column, 0])) <= 1e-15
     assert out.forced_charging == latched
 
 
@@ -315,3 +315,18 @@ def test_blocked_solver_equals_the_per_step_solver_on_a_builtin_cycle(models, ac
     _assert_same_solution(DriveCycle(cycle.dt_s, cycle.demand_w[:300], cycle.label),
                           actions, models, 0.3, 101)
 
+
+def test_kernel_steered_rollout_equals_the_stage_steered_one_on_a_full_cycle(models, actions):
+    # all 960 steps of PRDC-1 from just above the sustain threshold, where
+    # the rollout engages the latch and later releases it
+    cycle = builtin_cycle("PRDC-1-synthetic")
+    assert len(cycle) == 960
+    result = dp_baseline(cycle, actions, models, 0.282)
+    kernel, soc, latches = step_kernel(models), 0.282, [False]
+    for p, a in zip(cycle.demand_w.tolist(), result.actions):
+        out = StepOutcome(*kernel(soc, latches[-1], p, models.motor.link_power(p),
+                                  actions.level(a), 1.0))
+        soc = out.soc
+        latches.append(out.forced_charging)
+    assert (True, False) in set(zip(latches, latches[1:]))
+    _assert_same_solution(cycle, actions, models, 0.282, 101)

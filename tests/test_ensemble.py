@@ -259,6 +259,27 @@ def test_greedy_episode_ignores_exploration_and_learning(
     assert r1.metrics == r2.metrics  # episode index and rng are irrelevant
 
 
+@pytest.mark.parametrize("n_agents", [1, 2])
+def test_frozen_episode_takes_each_tables_first_greedy_action(models, grid, actions,
+                                                              bumpy_cycle, n_agents):
+    agents = _make_agents(grid, actions, seed=3)[:n_agents]
+    rng = np.random.default_rng(11)
+    for agent in agents:  # three values per table: nearly every row has ties
+        agent.q.values[:] = rng.integers(-2, 1, agent.q.values.shape)
+    agents[0].q.values[::2] = 0.0  # and every other row of A is one tie
+    before = [agent.q.values.copy() for agent in agents]
+    result = run_episode(bumpy_cycle, agents, 0, Plant(models, 0.5), 0.5, grid,
+                         actions, EnsemblePolicy.weighted(0.5),
+                         make_rng(0, COMBINER_STREAM), learn=False, record_traces=True)
+    q_a, q_b = agents[0].q.values, agents[-1].q.values
+    assert len({trace.state for trace in result.traces}) > 1
+    for trace in result.traces:
+        assert trace.action_a == int(q_a[trace.state].argmax())
+        assert trace.action_b == int(q_b[trace.state].argmax())
+    for agent, values in zip(agents, before):
+        np.testing.assert_array_equal(agent.q.values, values)
+
+
 # ---------------------------------------------------------------------------
 # degenerate ensembles reduce to a single agent, bit for bit
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Powertrain component models and the per-step plant dispatch."""
 
 import dataclasses
+import math
+import pickle
+import struct
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tugems.powertrain import (BatteryModel, EguModel, PiecewiseLinear, Plant,
@@ -276,6 +280,52 @@ def test_piecewise_linear_clamps_outside_range():
     assert f(-5.0) == 1.0
     assert f(5.0) == 3.0
     assert f(0.5) == pytest.approx(2.0)
+
+
+def _interpolation_formula(xs, ys, x):
+    """Linear interpolation with clamped ends, written out as the oracle."""
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    i = bisect_right(xs, x) - 1
+    x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+@st.composite
+def _curves_and_inner_points(draw):
+    xs = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True)))
+    y = st.floats(allow_nan=False)  # infinities and both zeros included
+    ys = ([draw(y)] * len(xs) if draw(st.booleans())  # flat
+          else draw(st.lists(y, min_size=len(xs), max_size=len(xs))))
+    return xs, ys, draw(st.lists(st.floats(xs[0], xs[-1]), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(curve=_curves_and_inner_points(), probes=st.lists(st.floats(allow_nan=False),
+                                                         max_size=3))
+@example(curve=([0.2, 0.8], [0.03, 0.03], [0.5]), probes=[])  # stock resistance
+@example(curve=([0.2, 0.5, 0.8], [3.4, 3.6, 3.9], [0.35, 0.7]), probes=[])  # stock voltage
+@example(curve=([0.0, 1.0], [-0.0, -0.0], [0.5]), probes=[])  # inside, -0.0 + 0.0 is 0.0
+@example(curve=([0.0, 1.0], [0.0, -0.0], [0.5]), probes=[])
+@example(curve=([0.0, 1.0], [math.inf, math.inf], [0.5]), probes=[])  # inside, inf - inf
+def test_curve_lookup_is_the_interpolation_formula_bit_for_bit(curve, probes):
+    xs, ys, inner = curve
+    f = PiecewiseLinear(zip(xs, ys))
+    midpoints = [(x0 + x1) / 2 for x0, x1 in zip(xs, xs[1:])]
+    outer = [xs[0] - 1.0, xs[-1] + 1.0, -math.inf, math.inf]
+    for x in [*xs, *midpoints, *inner, *outer, *probes]:
+        want = struct.pack("<d", _interpolation_formula(xs, ys, x))
+        assert struct.pack("<d", f(x)) == want
+        assert struct.pack("<d", f.lookup(x)) == want
+
+
+def test_piecewise_linear_survives_pickling():
+    f = PiecewiseLinear([(0.2, 3.4), (0.5, 3.6), (0.8, 3.9)])
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f
+    assert copy(0.35) == f(0.35)
 
 
 def test_plant_models_validates_soc_ref():
