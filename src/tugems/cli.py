@@ -21,6 +21,7 @@ never touched.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -232,9 +233,8 @@ def _load_agent(path: Path, name: str, config: RunConfig,
             f"snapshot {path} not found; run 'tugems learn' first")
     grid, actions = config.build_grids()
     q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
-    learner = fallback if schedule is None else LearnerConfig(
-        learning_rate=fallback.learning_rate, discount=fallback.discount,
-        schedule=schedule)
+    learner = (fallback if schedule is None
+               else dataclasses.replace(fallback, schedule=schedule))
     agent = Agent(name=name, q=q, config=learner, rng=make_rng(0, 0))
     label = schedule.kind if schedule is not None else "baseline"
     return agent, label, extra

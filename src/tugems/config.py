@@ -44,8 +44,7 @@ from .ensemble import POLICY_KINDS, EnsemblePolicy
 from .powertrain import PlantModels, default_models
 from .qlearn import ActionGrid, E2ESchedule, LearnerConfig, StateGrid
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
-           "validate_config", "DEFAULT_CONFIG"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "DEFAULT_CONFIG"]
 
 
 class ConfigError(ValueError):
@@ -321,15 +320,6 @@ def parse_config(data: object) -> RunConfig:
             f"config.eval.initial_socs: {bad} outside the battery window "
             f"[{battery.soc_min}, {battery.soc_max}]"])
     return config
-
-
-def validate_config(data: object) -> list[str]:
-    """Like ``parse_config`` but returns the problem list instead of raising."""
-    try:
-        parse_config(data)
-    except ConfigError as exc:
-        return exc.problems
-    return []
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -1,4 +1,4 @@
-"""Driver power-demand traces: file I/O, validation, and synthesis.
+"""Driver power-demand traces: CSV loading, validation, and synthesis.
 
 A drive cycle is a fixed-timestep sequence of non-negative power demand in W.
 Cycles are exchanged as UTF-8 CSV files with LF line endings and the header
@@ -27,7 +27,6 @@ __all__ = [
     "SynthSpec",
     "validate_cycle",
     "load_cycle",
-    "save_cycle",
     "synth_cycle",
     "builtin_cycle",
     "BUILTIN_CYCLE_NAMES",
@@ -153,20 +152,6 @@ def load_cycle(path: str | Path) -> DriveCycle:
         return DriveCycle(dt_s=dt, demand_w=np.array(demand), label=path.stem)
     except CycleError as exc:
         raise CycleError(f"{path}: {exc}") from None
-
-
-def save_cycle(cycle: DriveCycle, path: str | Path) -> None:
-    """Write a cycle as ``t_s,p_dem_w`` CSV (UTF-8, LF, full float precision).
-
-    Values are written with ``repr`` so a save/load round trip reproduces
-    the demand bit-exactly.
-    """
-    path = Path(path)
-    lines = [",".join(_HEADER)]
-    dt = cycle.dt_s
-    for i, p in enumerate(cycle.demand_w):
-        lines.append(f"{i * dt!r},{float(p)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)

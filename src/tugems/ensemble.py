@@ -34,8 +34,6 @@ __all__ = [
     "EnsemblePolicy",
     "EnsembleStepTrace",
     "EpisodeResult",
-    "combine_max",
-    "combine_random",
     "combine_weighted",
     "run_ensemble_episode",
     "run_episode",
@@ -75,23 +73,6 @@ class EnsemblePolicy:
     @classmethod
     def weighted(cls, mu: float) -> "EnsemblePolicy":
         return cls(kind="weighted", mu=mu)
-
-
-def combine_max(action_a: int, value_a: float, action_b: int, value_b: float) -> int:
-    """Own-value comparison: the agent that rates its proposal higher wins.
-
-    Equal values fall to agent A.
-    """
-    if not (np.isfinite(value_a) and np.isfinite(value_b)):
-        raise ValueError(f"Q-values must be finite, got {value_a}, {value_b}")
-    return action_a if value_a >= value_b else action_b
-
-
-def combine_random(action_a: int, action_b: int, t: float, y: float) -> int:
-    """Probabilistic pick: agent A when the U(0,1) draw ``y`` clears ``t``."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be within [0, 1], got {t}")
-    return action_a if y >= t else action_b
 
 
 def combine_weighted(action_a: int, action_b: int, mu: float, actions: ActionGrid) -> int:
@@ -141,7 +122,8 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     agent draws its episode's block up front (:func:`exploration_draws`);
     without it, the tables stay frozen and each proposal is its state's first
     greedy action, listed once up front (no agent draws).  ``random`` draws
-    one combiner uniform per step, also up front.
+    one combiner uniform per step, also up front.  Tables must be finite
+    when frozen or under ``maximum``, whose picks rank Q-values.
     The plant is reset to ``initial_soc`` and holds the episode-end ledger
     afterwards.  The last sample bootstraps from its own demand.  Ladder
     and tables are checked once per episode, then every step calls the
@@ -160,7 +142,8 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     if levels[-1] > models.egu.max_power_w:
         raise ValueError(f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], "
                          f"got {levels[-1]}")
-    bad_q = [a.name for a in agents if kind == "maximum" and not np.isfinite(a.q.values).all()]
+    bad_q = [a.name for a in agents if (kind == "maximum" or not learn)
+             and not np.isfinite(a.q.values).all()]
     if bad_q:
         raise ValueError(f"Q-values must be finite, got non-finite entries in {bad_q[0]}'s table")
     plant.reset(initial_soc)
@@ -180,9 +163,9 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
         explore_a = _explore_actions(agent_a, episode_index, n, n_actions)
         if two:
             explore_b = _explore_actions(agent_b, episode_index, n, n_actions)
-    else:  # frozen tables: each state's greedy action, built once
-        greedy_a = [row.index(max(row)) for row in rows_a]
-        greedy_b = greedy_a if shared else [row.index(max(row)) for row in rows_b]
+    else:  # frozen tables: each state's first greedy action, built once
+        greedy_a = agent_a.q.values.argmax(axis=1).tolist()
+        greedy_b = greedy_a if shared else agent_b.q.values.argmax(axis=1).tolist()
     if kind == "weighted":  # the snapped blend depends on the two actions only
         blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]

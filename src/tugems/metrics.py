@@ -19,28 +19,14 @@ from dataclasses import dataclass
 
 from .powertrain import BatteryModel, PlantState
 
-__all__ = ["EpisodeMetrics", "energy_efficiency", "episode_metrics"]
-
-
-def energy_efficiency(state: PlantState) -> float | None:
-    """Served traction energy over total drawn energy, in [0, 1].
-
-    Returns None when the episode drew no energy at all (a degenerate,
-    lossless zero-demand run), since the ratio is undefined there.
-    """
-    oec = (state.cumulative_fuel_energy + state.cumulative_battery_draw
-           + state.cumulative_battery_loss)
-    if oec <= 0.0:
-        return None
-    eff = state.cumulative_traction_output / oec
-    return min(1.0, max(0.0, eff))
+__all__ = ["EpisodeMetrics", "episode_metrics"]
 
 
 @dataclass(frozen=True)
 class EpisodeMetrics:
     """Summary of one simulated episode."""
 
-    energy_efficiency: float | None
+    energy_efficiency: float | None  # traction output / OEC; None when nothing was drawn
     oec_j: float
     oec_delta_soc_j: float  # comparison figure, SoC swing valued at mean-SoC voltage
     start_soc: float
@@ -75,8 +61,11 @@ def episode_metrics(state: PlantState, battery: BatteryModel, start_soc: float,
                       * battery.cell_voltage(mean_soc) * battery.num_cells)  # J
     total_loss = (state.cumulative_engine_loss + state.cumulative_battery_loss
                   + state.cumulative_traction_loss)
+    # A lossless zero-demand run draws nothing, and the ratio is undefined.
+    efficiency = (None if oec <= 0.0
+                  else min(1.0, max(0.0, state.cumulative_traction_output / oec)))
     return EpisodeMetrics(
-        energy_efficiency=energy_efficiency(state),
+        energy_efficiency=efficiency,
         oec_j=oec,
         oec_delta_soc_j=state.cumulative_fuel_energy + delta_soc_draw,
         start_soc=start_soc,

@@ -527,13 +527,12 @@ class Plant:
         self.kernel = step_kernel(models)
         self.reset(initial_soc)
 
-    def reset(self, initial_soc: float) -> PlantState:
+    def reset(self, initial_soc: float) -> None:
         battery = self.models.battery
         if not battery.soc_min <= initial_soc <= battery.soc_max:
             raise ValueError(f"initial_soc {initial_soc} outside the battery window "
                              f"[{battery.soc_min}, {battery.soc_max}]")
         self.state = PlantState(soc=initial_soc)
-        return self.state
 
     def step(self, p_dem_w: float, p_egu_cmd_w: float, dt_s: float) -> StepOutcome:
         """Advance the plant one step under a power demand and an EGU command.

@@ -37,7 +37,6 @@ __all__ = [
     "E2ESchedule",
     "LearnerConfig",
     "Agent",
-    "discretize",
     "e2e_value",
     "exploration_draws",
     "threshold_greedy",
@@ -147,11 +146,6 @@ class StateGrid:
 
     def __repr__(self) -> str:
         return f"StateGrid({self.n_p_dem} p_dem bins x {self.n_soc} soc bins)"
-
-
-def discretize(grid: StateGrid, p_dem_w: float, soc: float) -> int:
-    """Flat (row-major) state index of a raw (demand, SoC) pair."""
-    return grid.p_dem_bin(p_dem_w) * grid.n_soc + grid.soc_bin(soc)
 
 
 class ActionGrid:
@@ -458,8 +452,9 @@ def load_qtable(path: str | Path,
     Raises
     ------
     ValueError
-        On a foreign format tag, a missing or mistyped key (named in the
-        message), ragged or non-finite values, or a grid /
+        On a foreign format tag, a missing or mistyped key or an entry
+        that is not a number (the key named in the message), ragged or
+        non-finite values, or a grid /
         action ladder that does not match ``expect_grid``/``expect_actions``.
     """
     path = Path(path)
@@ -469,9 +464,16 @@ def load_qtable(path: str | Path,
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {doc.get('version')!r}")
     for key in ("p_dem_edges_w", "soc_edges", "action_levels_w", "values"):
-        if not isinstance(doc.get(key), list):
+        entries = doc.get(key)
+        if not isinstance(entries, list):
             problem = "is missing" if key not in doc else "must be a list"
             raise ValueError(f"{path}: snapshot key {key!r} {problem}")
+        # JSON numbers load as int or float; a boolean is not a number here.
+        rows = entries if key == "values" else [entries]
+        if not all(isinstance(row, list) and {*map(type, row)} <= {int, float}
+                   for row in rows):
+            what = "rows of numbers" if key == "values" else "numbers"
+            raise ValueError(f"{path}: snapshot key {key!r} must hold {what} only")
     for key in ("schedule", "extra"):
         if not isinstance(doc.get(key), (dict, type(None))):
             raise ValueError(f"{path}: snapshot key {key!r} must be a mapping or null")

@@ -1,4 +1,7 @@
-"""Shared fixtures: stock models, grids, and small deterministic cycles."""
+"""Shared fixtures: stock models, grids, and small deterministic cycles, plus
+a cycle CSV writer."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,14 @@ import pytest
 from tugems.drive_cycle import DriveCycle
 from tugems.powertrain import PlantModels, default_models
 from tugems.qlearn import ActionGrid, StateGrid
+
+
+def write_cycle_csv(cycle: DriveCycle, path: str | Path) -> None:
+    """Write ``cycle`` in the ``t_s,p_dem_w`` CSV format that ``load_cycle``
+    reads, floats as ``repr``, so that loading it gives back the same bits."""
+    lines = ["t_s,p_dem_w", *(f"{i * cycle.dt_s!r},{p!r}"
+                              for i, p in enumerate(cycle.demand_w.tolist()))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 @pytest.fixture(scope="session")

@@ -11,15 +11,24 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_cycle_csv
 from tugems.cli import main
-from tugems.config import (DEFAULT_CONFIG, ConfigError, RunConfig, load_config,
-                           parse_config, validate_config)
-from tugems.drive_cycle import DriveCycle, save_cycle
+from tugems.config import DEFAULT_CONFIG, ConfigError, RunConfig, load_config, parse_config
+from tugems.drive_cycle import DriveCycle
 from tugems.experiment import config_fingerprint
 
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
+
+
+def _problems(data: object) -> list[str]:
+    """Every problem ``parse_config`` finds in ``data``, or none."""
+    try:
+        parse_config(data)
+    except ConfigError as exc:
+        return exc.problems
+    return []
 
 
 def test_empty_config_resolves_to_the_stock_run():
@@ -72,7 +81,7 @@ def test_full_config_overrides_everything():
 
 
 def test_unknown_keys_are_all_reported_with_dotted_paths():
-    problems = validate_config({
+    problems = _problems({
         "episods": 250,
         "run": {"mode": "ensemble", "warmup": 3},
         "grids": {"p_dem_bin": 23},
@@ -85,19 +94,18 @@ def test_unknown_keys_are_all_reported_with_dotted_paths():
 
 
 def test_ensemble_delta_is_an_unknown_key():
-    problems = validate_config({"ensemble": {"kind": "weighted",
-                                             "mu": 0.6, "delta": 0.4}})
+    problems = _problems({"ensemble": {"kind": "weighted", "mu": 0.6, "delta": 0.4}})
     assert problems == ["config.ensemble.delta: unknown key"]
 
 
 def test_cycle_dt_s_is_an_unknown_key():
     # Built-in cycles are 1 s and a cycle file keeps its own spacing.
-    problems = validate_config({"cycle": {"builtin": "PRDC-1-synthetic", "dt_s": 1.0}})
+    problems = _problems({"cycle": {"builtin": "PRDC-1-synthetic", "dt_s": 1.0}})
     assert problems == ["config.cycle.dt_s: unknown key"]
 
 
 def test_schedule_initial_out_of_range_is_named():
-    problems = validate_config({
+    problems = _problems({
         "agents": {"a": {"schedule": {"kind": "constant", "initial": 1.3}}}})
     assert len(problems) == 1
     assert problems[0].startswith("config.agents.a.schedule")
@@ -112,17 +120,17 @@ def test_readme_configuration_block_is_the_default_config():
 
 
 def test_schedule_requires_its_kind():
-    problems = validate_config({"agents": {"b": {"schedule": {"initial": 0.5}}}})
+    problems = _problems({"agents": {"b": {"schedule": {"initial": 0.5}}}})
     assert problems == ["config.agents.b.schedule: kind is missing"]
 
 
 def test_a_schedule_that_is_not_a_mapping_is_one_problem():
-    problems = validate_config({"agents": {"a": {"schedule": 5}}})
+    problems = _problems({"agents": {"a": {"schedule": 5}}})
     assert problems == ["config.agents.a.schedule: expected a mapping, got int"]
 
 
 def test_all_problems_come_back_at_once():
-    problems = validate_config({
+    problems = _problems({
         "run": {"mode": "triple", "episodes": 0},
         "cycle": {"builtin": "PRDC-9-synthetic"},
         "dp": {"soc_nodes": 1},
@@ -136,19 +144,18 @@ def test_all_problems_come_back_at_once():
 
 
 def test_cycle_source_must_be_unique():
-    problems = validate_config({"cycle": {"builtin": "PRDC-1-synthetic",
-                                          "path": "x.csv"}})
+    problems = _problems({"cycle": {"builtin": "PRDC-1-synthetic", "path": "x.csv"}})
     assert any("not both" in p for p in problems)
 
 
 def test_seed_list_validation():
-    assert validate_config({"run": {"seeds": [0, 1, 2]}}) == []
+    assert _problems({"run": {"seeds": [0, 1, 2]}}) == []
     assert any("duplicate" in p
-               for p in validate_config({"run": {"seeds": [1, 1]}}))
+               for p in _problems({"run": {"seeds": [1, 1]}}))
     assert any("list of integers" in p
-               for p in validate_config({"run": {"seeds": "abc"}}))
+               for p in _problems({"run": {"seeds": "abc"}}))
     assert any("list of integers" in p
-               for p in validate_config({"run": {"seeds": []}}))
+               for p in _problems({"run": {"seeds": []}}))
 
 
 @pytest.mark.parametrize("data,key", [
@@ -170,15 +177,15 @@ def test_seed_list_validation():
         "discount-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed",
         "foreign-schedule-parameter"])
 def test_non_finite_numbers_and_negative_seeds_are_named(data, key):
-    problems = validate_config(data)
+    problems = _problems(data)
     assert len(problems) == 1 and problems[0].startswith(key), problems
 
 
 def test_initial_soc_must_sit_inside_the_battery_window():
-    problems = validate_config({"run": {"initial_soc": 0.9}})
+    problems = _problems({"run": {"initial_soc": 0.9}})
     assert len(problems) == 1
     assert "battery" in problems[0] and "0.9" in problems[0]
-    problems = validate_config({"eval": {"initial_socs": [0.5, 0.1]}})
+    problems = _problems({"eval": {"initial_socs": [0.5, 0.1]}})
     assert any("initial_socs" in p and "battery" in p for p in problems)
 
 
@@ -307,7 +314,7 @@ def test_parse_config_raises_only_config_error_and_accepts_only_finite_numbers(d
 def workspace(tmp_path):
     """A tiny cycle CSV plus a config file pointing at it."""
     cycle_path = tmp_path / "cycle.csv"
-    save_cycle(DriveCycle(1.0, np.full(60, 40_000.0), "flat"), cycle_path)
+    write_cycle_csv(DriveCycle(1.0, np.full(60, 40_000.0), "flat"), cycle_path)
     config = {
         "label": "cli-test",
         "cycle": {"path": str(cycle_path)},
@@ -671,15 +678,23 @@ def test_eval_on_a_malformed_snapshot_schedule_exits_with_the_runtime_code(
     assert "Traceback" not in err
 
 
-def test_eval_on_a_malformed_snapshot_exits_with_the_runtime_code(workspace, capsys):
+@pytest.mark.parametrize("null_edge", [False, True], ids=["missing-key", "null-edge"])
+def test_eval_on_a_malformed_snapshot_exits_with_the_runtime_code(workspace, capsys,
+                                                                  null_edge):
     tmp, cfg = workspace
     run_dir = tmp / "run"
     assert main(["learn", "--config", str(cfg), "--out", str(run_dir)]) == 0
     snap = run_dir / "qtable_A.json"
     doc = json.loads(snap.read_text())
-    del doc["soc_edges"]
+    if null_edge:
+        doc["soc_edges"][1] = None
+    else:
+        del doc["soc_edges"]
     snap.write_text(json.dumps(doc))
     code = main(["eval", "--config", str(cfg), "--out", str(tmp / "ev"),
                  "--snapshots", str(run_dir)])
     assert code == 2
-    assert "'soc_edges' is missing" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    problem = "must hold numbers only" if null_edge else "is missing"
+    assert f"{snap}: snapshot key 'soc_edges' {problem}" in err
+    assert "Traceback" not in err

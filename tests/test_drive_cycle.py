@@ -1,4 +1,4 @@
-"""Drive-cycle I/O, validation, and synthesis."""
+"""Drive-cycle CSV loading, validation, and synthesis."""
 
 import pickle
 
@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_cycle_csv
 from tugems.drive_cycle import (BUILTIN_CYCLE_NAMES, CYCLE_POWER_MAX_W,
                                 CycleError, DriveCycle, SynthSpec,
-                                builtin_cycle, load_cycle, save_cycle,
-                                synth_cycle, validate_cycle)
+                                builtin_cycle, load_cycle, synth_cycle,
+                                validate_cycle)
 
 # ---------------------------------------------------------------------------
 # the DriveCycle container
@@ -127,7 +128,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     demand = rng.uniform(0.0, 250_000.0, size=50)
     cycle = DriveCycle(dt_s=0.25, demand_w=demand, label="rt")
     path = tmp_path / "rt.csv"
-    save_cycle(cycle, path)
+    write_cycle_csv(cycle, path)
     back = load_cycle(path)
     assert back.dt_s == cycle.dt_s
     np.testing.assert_array_equal(back.demand_w, cycle.demand_w)
@@ -137,7 +138,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
 def test_saved_file_header_and_line_endings(tmp_path):
     cycle = DriveCycle(dt_s=1.0, demand_w=np.array([0.0, 1.5]))
     path = tmp_path / "c.csv"
-    save_cycle(cycle, path)
+    write_cycle_csv(cycle, path)
     raw = path.read_bytes()
     assert raw.startswith(b"t_s,p_dem_w\n")
     assert b"\r" not in raw

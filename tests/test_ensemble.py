@@ -1,65 +1,25 @@
 """Action-combination rules and the two-learner episode loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tugems.drive_cycle import DriveCycle
-from tugems.ensemble import (EnsemblePolicy, combine_max, combine_random,
-                             combine_weighted,
-                             run_ensemble_episode, run_episode, run_single_episode)
+from tugems.ensemble import (EnsemblePolicy, combine_weighted, run_ensemble_episode,
+                             run_episode, run_single_episode)
 from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
-                           discretize, e2e_value, exploration_draws, make_rng,
+                           e2e_value, exploration_draws, make_rng,
                            q_update, threshold_greedy)
 
 # ---------------------------------------------------------------------------
 # combination rules
 # ---------------------------------------------------------------------------
-
-
-def test_combine_max_prefers_the_higher_own_value():
-    assert combine_max(2, 3.0, 7, 1.0) == 2
-    assert combine_max(2, 1.0, 7, 3.0) == 7
-
-
-def test_combine_max_tie_goes_to_agent_a():
-    assert combine_max(4, 5.0, 9, 5.0) == 4
-
-
-def test_combine_max_agreement_is_a_fixed_point():
-    assert combine_max(6, -1.0, 6, -2.0) == 6
-
-
-def test_combine_max_rejects_non_finite_values():
-    with pytest.raises(ValueError, match="finite"):
-        combine_max(0, float("nan"), 1, 0.0)
-
-
-def test_combine_random_endpoints():
-    draws = make_rng(0, COMBINER_STREAM).random(100).tolist() + [0.0]
-    assert all(combine_random(1, 2, 0.0, y) == 1 for y in draws)
-    assert all(combine_random(1, 2, 1.0, y) == 2 for y in draws)
-
-
-def test_combine_random_frequency_tracks_t():
-    n = 100_000
-    draws = make_rng(5, COMBINER_STREAM).random(n).tolist()
-    picked_b = sum(combine_random(0, 1, 0.7, y) for y in draws)
-    assert picked_b / n == pytest.approx(0.70, abs=0.01)
-
-
-def test_combine_random_takes_agent_a_exactly_when_the_draw_clears_t():
-    assert combine_random(3, 8, 0.4, 0.4) == 3
-    assert combine_random(3, 8, 0.4, 0.3999) == 8
-
-
-def test_combine_random_rejects_bad_t():
-    with pytest.raises(ValueError, match="t must be"):
-        combine_random(0, 1, 1.7, 0.5)
 
 
 def test_combine_weighted_snaps_the_blend_to_the_ladder(actions):
@@ -242,6 +202,26 @@ def test_traces_record_the_executed_step(models, grid, actions, flat_cycle):
     assert times == [float(i) for i in range(len(flat_cycle))]
 
 
+def _random_episode_traces(models, grid, actions, cycle, t, y):
+    draws = SimpleNamespace(random=lambda n: np.full(n, y))  # every combiner draw is y
+    return run_episode(cycle, _make_agents(grid, actions, seed=4), 0, Plant(models, 0.5),
+                       0.5, grid, actions, EnsemblePolicy(kind="random", t=t), draws,
+                       record_traces=True).traces
+
+
+@pytest.mark.parametrize("t", [0.0, 0.4, 1.0])
+def test_random_policy_takes_agent_a_when_the_draw_equals_t(models, grid, actions,
+                                                           bumpy_cycle, t):
+    traces = _random_episode_traces(models, grid, actions, bumpy_cycle, t, t)
+    assert any(trace.action_a != trace.action_b for trace in traces)
+    assert {trace.chooser for trace in traces} == {"A"}
+    if t > 0.0:  # one ulp below t: agent B wherever the proposals differ
+        traces = _random_episode_traces(models, grid, actions, bumpy_cycle, t,
+                                        np.nextafter(t, 0.0))
+        assert {trace.chooser for trace in traces
+                if trace.action_a != trace.action_b} == {"B"}
+
+
 def test_greedy_episode_ignores_exploration_and_learning(
         models, grid, actions, flat_cycle):
     agent_a, agent_b = _make_agents(grid, actions, seed=2)
@@ -348,10 +328,11 @@ def test_degenerate_policies_reproduce_agent_b(models, grid, actions,
 
 def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, combiner,
                        learn):
-    """Step by step through threshold_greedy/q_update, the combine_* rules and
-    Plant.step, with the tables in numpy throughout; each episode's random
-    values are drawn up front (the agents' through exploration_draws) and
-    handed to the primitives step by step."""
+    """Step by step through threshold_greedy/q_update, combine_weighted, the
+    maximum and random rules written out, and Plant.step, with the tables in
+    numpy throughout; each episode's random values are drawn up front (the
+    agents' through exploration_draws) and handed to the primitives step by
+    step."""
     plant.reset(soc0)
     demand = [float(p) for p in cycle.demand_w]
     n = len(demand)
@@ -361,22 +342,28 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
     draws = [(np.ones(n), np.zeros(n, dtype=int)) if greedy
              else exploration_draws(a.rng, n, actions.n_actions) for a in agents]
     ys = combiner.random(n) if policy is not None and policy.kind == "random" else None
+
+    def index(p_dem_w, soc):  # row-major (demand, SoC) state
+        return grid.p_dem_bin(p_dem_w) * grid.n_soc + grid.soc_bin(soc)
+
     total = soc_sum = 0.0
     for i, p in enumerate(demand):
-        state = discretize(grid, p, plant.state.soc)
+        state = index(p, plant.state.soc)
         props = [threshold_greedy(a.q, state, theta, float(u[i]), int(x[i]))
                  for a, theta, (u, x) in zip(agents, thetas, draws)]
         if len(agents) == 1:
             final = props[0]
         elif policy.kind == "weighted":
             final = combine_weighted(*props, policy.mu, actions)
-        elif policy.kind == "maximum":
-            final = combine_max(props[0], agents[0].q.values[state, props[0]],
-                                props[1], agents[1].q.values[state, props[1]])
-        else:
-            final = combine_random(*props, policy.t, float(ys[i]))
+        elif policy.kind == "maximum":  # own-value comparison, ties to agent A
+            a, b = props
+            final = (a if agents[0].q.values[state, a] >= agents[1].q.values[state, b]
+                     else b)
+        else:  # agent A when the draw clears t
+            a, b = props
+            final = a if ys[i] >= policy.t else b
         out = plant.step(p, actions.level(final), cycle.dt_s)
-        next_state = discretize(grid, demand[min(i + 1, n - 1)], out.soc)
+        next_state = index(demand[min(i + 1, n - 1)], out.soc)
         if learn:
             for agent in agents:
                 q_update(agent.q, state, final, out.reward, next_state, agent.config)
@@ -511,13 +498,20 @@ def test_run_episode_rejects_action_levels_above_the_egu_rating(models, grid, fl
                   agents=_make_agents(grid, too_high))
 
 
+@pytest.mark.parametrize("policy,learn", [
+    (EnsemblePolicy(kind="maximum"), True),
+    (EnsemblePolicy.weighted(0.5), False),
+    (EnsemblePolicy(kind="random", t=0.5), False),
+    (None, False),
+], ids=["maximum", "frozen-weighted", "frozen-random", "frozen-single"])
 def test_run_episode_rejects_non_finite_q_values_under_maximum(models, grid, actions,
-                                                               flat_cycle):
-    agents = _make_agents(grid, actions)
-    agents[1].q.values[7, 3] = np.nan
+                                                               flat_cycle, policy, learn):
+    # maximum compares Q-values and a frozen episode takes each row's argmax
+    agents = _make_agents(grid, actions)[:1 if policy is None else 2]
+    agents[-1].q.values[7, 3] = np.nan
     with pytest.raises(ValueError, match="Q-values must be finite"):
-        _run_once(models, grid, actions, flat_cycle, EnsemblePolicy(kind="maximum"),
-                  agents=agents)
+        run_episode(flat_cycle, agents, 0, Plant(models, 0.5), 0.5, grid, actions, policy,
+                    make_rng(0, COMBINER_STREAM), learn)
 
 
 def test_two_agents_without_a_policy_name_the_policy(models, grid, actions, flat_cycle):

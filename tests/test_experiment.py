@@ -13,7 +13,7 @@ from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, RunSetup,
                                savings, sweep_weights, write_learning_curve_csv,
                                write_robustness_csv, write_sweep_csv,
                                write_trace_csv)
-from tugems.metrics import energy_efficiency, episode_metrics
+from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
 from tugems.qlearn import ActionGrid
 
@@ -23,7 +23,8 @@ from tugems.qlearn import ActionGrid
 
 
 def test_energy_efficiency_is_none_before_any_draw(models):
-    assert energy_efficiency(Plant(models, 0.5).state) is None
+    metrics = episode_metrics(Plant(models, 0.5).state, models.battery, 0.5, 0.5, 0.0)
+    assert metrics.energy_efficiency is None
 
 
 def test_energy_efficiency_of_a_real_episode_is_a_proper_fraction(
@@ -31,7 +32,7 @@ def test_energy_efficiency_of_a_real_episode_is_a_proper_fraction(
     plant = Plant(models, 0.5)
     for p in bumpy_cycle.demand_w:
         plant.step(float(p), 43_100.0, 1.0)
-    eff = energy_efficiency(plant.state)
+    eff = episode_metrics(plant.state, models.battery, 0.5, 0.5, 0.0).energy_efficiency
     assert 0.0 < eff < 1.0
 
 

@@ -1,6 +1,7 @@
-"""Every exported name resolves, every import is used and every parameter
-is read, so a deletion leaves neither a dangling export, a stale import nor
-a parameter kept only for its signature."""
+"""Every exported name resolves, every import is used, every parameter is
+read and every function is called, so a deletion leaves neither a dangling
+export, a stale import nor a parameter kept only for its signature, and no
+uncalled copy of a function stays behind."""
 
 import ast
 import importlib
@@ -60,3 +61,31 @@ def test_no_function_parameter_goes_unread(path):
                    if p.arg not in read and p.arg not in ("self", "cls")
                    and not p.arg.startswith("_")]
     assert unread == []
+
+
+# Functions defined in src but loaded nowhere in it, each with its reason.
+UNCALLED_ALLOWED = {
+    "error": "argparse calls the parser's error method",
+    "constant": "the E2ESchedule constructor for a fixed theta, as the other kinds have",
+    "p_dem_bin": "the scalar oracle for run_episode's vectorized demand bins",
+}
+
+
+def test_every_function_is_called_or_allowed():
+    """Each function or method name defined in ``src/tugems`` is loaded there
+    or used by the acceptance tests, so an uncalled copy cannot settle in."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    loaded = {getattr(node, "id", getattr(node, "attr", None))
+              for tree in trees for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(
+        encoding="utf-8"))
+    used = {node.id for node in ast.walk(acceptance) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(acceptance) if isinstance(node, ast.Attribute)}
+    used |= {node.name for node in ast.walk(acceptance) if isinstance(node, ast.alias)}
+    assert sorted(defined - loaded - used - set(UNCALLED_ALLOWED)) == []
+    assert sorted(set(UNCALLED_ALLOWED) - (defined - loaded - used)) == []

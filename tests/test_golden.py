@@ -28,7 +28,8 @@ import pytest
 import yaml
 
 from tugems.cli import main
-from tugems.drive_cycle import DriveCycle, builtin_cycle, save_cycle
+from conftest import write_cycle_csv
+from tugems.drive_cycle import DriveCycle, builtin_cycle
 
 PREFIX_S = 480
 
@@ -157,8 +158,8 @@ GOLDEN = {
 def _run_case(name: str) -> dict[str, str]:
     case = CASES[name]
     full = builtin_cycle("PRDC-1-synthetic")
-    save_cycle(DriveCycle(full.dt_s, full.demand_w[:PREFIX_S], "PRDC-1-480"),
-               "prdc1_480.csv")
+    write_cycle_csv(DriveCycle(full.dt_s, full.demand_w[:PREFIX_S], "PRDC-1-480"),
+                    "prdc1_480.csv")
     config = {
         "label": f"golden-{name}",
         "cycle": {"path": "prdc1_480.csv"},

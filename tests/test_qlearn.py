@@ -1,7 +1,9 @@
 """State/action grids, decay schedules, TD updates, and snapshots."""
 
+import copy
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
-                           QTable, StateGrid, discretize, e2e_value,
+                           QTable, StateGrid, e2e_value,
                            exploration_draws, load_qtable, make_rng, q_update,
                            save_qtable, select_action, threshold_greedy, write_atomic)
 
@@ -42,13 +44,6 @@ def test_binning_clamps_out_of_range_values():
     assert grid.p_dem_bin(3e5) == 22
     assert grid.soc_bin(0.05) == 0
     assert grid.soc_bin(0.95) == 24
-
-
-def test_state_index_is_row_major():
-    grid = StateGrid.uniform()
-    assert discretize(grid, 0.0, 0.2) == 0
-    assert discretize(grid, 11_000.0, 0.5) == 37  # p bin 1, soc 0.5 -> bin 12
-    assert discretize(grid, 253_000.0, 0.8) == 574
 
 
 def test_grid_rejects_bad_edges():
@@ -501,17 +496,31 @@ def test_load_verifies_grid_and_action_identity(small_setup, tmp_path):
     load_qtable(path, expect_grid=grid, expect_actions=actions)
 
 
+@pytest.mark.parametrize("bad", [0.5, None, {}, "x", True],
+                         ids=["number", "null", "mapping", "string", "boolean"])
 @pytest.mark.parametrize("key", ["p_dem_edges_w", "soc_edges", "action_levels_w",
                                  "values"])
-def test_load_names_a_missing_or_mistyped_key(small_setup, tmp_path, key):
+def test_load_names_a_missing_or_mistyped_key(small_setup, tmp_path, key, bad):
     q, grid, actions = small_setup
     path = tmp_path / "q.json"
     save_qtable(path, q, grid, actions)
     doc = json.loads(path.read_text())
-    doc[key] = 0.5
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"'{key}' must be a list"):
-        load_qtable(path)
+
+    def rejects(value, problem):
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: snapshot key '{key}' "
+                                                       f"{problem}")):
+            load_qtable(path)
+
+    rejects(bad, "must be a list")
+    entries = copy.deepcopy(doc[key])
+    if key == "values":
+        rejects([entries[0], bad, *entries[2:]], "must hold rows of numbers only")
+        entries[1][0] = bad
+    else:
+        entries[1] = bad
+    if not isinstance(bad, float):  # a number is a fine entry
+        rejects(entries, f"must hold {'rows of ' if key == 'values' else ''}numbers only")
     del doc[key]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"'{key}' is missing"):
