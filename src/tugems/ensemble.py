@@ -15,6 +15,7 @@ settings reduce exactly to a single agent: ``weighted`` with mu = 1 and
 ``random`` with t = 0 reproduce agent A's solo trajectory bit for bit
 because every consumer draws from its own named RNG stream, one block per
 episode (RNG protocol v2, see :func:`tugems.qlearn.exploration_draws`).
+:func:`run_episodes` is the one episode loop; a learning run is one call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "EpisodeResult",
     "combine_weighted",
     "run_ensemble_episode",
-    "run_episode",
+    "run_episodes",
     "run_single_episode",
 ]
 
@@ -107,28 +108,30 @@ class EpisodeResult:
     traces: list[EnsembleStepTrace] | None
 
 
-def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int,
-                plant: Plant, initial_soc: float, grid: StateGrid,
-                actions: ActionGrid, policy: EnsemblePolicy | None = None,
-                combiner_rng: np.random.Generator | None = None,
-                learn: bool = True, record_traces: bool = False) -> EpisodeResult:
-    """Run one full cycle under one agent or a two-agent ensemble.
+def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
+                 plant: Plant, initial_soc: float, grid: StateGrid,
+                 actions: ActionGrid, policy: EnsemblePolicy | None = None,
+                 combiner_rng: np.random.Generator | None = None,
+                 learn: bool = True, record_traces: bool = False) -> list[EpisodeResult]:
+    """Run the full cycle once per index in ``episodes`` under one agent or a
+    two-agent ensemble: one result each, traces (if asked for) on the last.
 
     With two agents, ``policy`` combines the proposals (``combiner_rng``
     feeds ``random``) and both learn from the executed transition; one
     agent's proposal is executed as is, mirrored into both trace columns
     with chooser "A".  With ``learn``, exploration thresholds follow each
-    agent's schedule at ``episode_index``, frozen for the episode, and each
+    agent's schedule at the episode index, frozen for the episode, and each
     agent draws its episode's block up front (:func:`exploration_draws`);
     without it, the tables stay frozen and each proposal is its state's first
-    greedy action, listed once up front (no agent draws).  ``random`` draws
-    one combiner uniform per step, also up front.  Tables must be finite
-    when frozen or under ``maximum``, whose picks rank Q-values.
-    The plant is reset to ``initial_soc`` and holds the episode-end ledger
-    afterwards.  The last sample bootstraps from its own demand.  Ladder
-    and tables are checked once per episode, then every step calls the
-    plant kernel directly on Q-rows kept as Python lists, written back at
-    the end when ``learn`` is set.
+    greedy action (no agent draws).  ``random`` draws one combiner uniform
+    per step, per episode up front.  The plant is reset to ``initial_soc``
+    every episode and holds the last episode's ledger afterwards.  The last
+    sample bootstraps from its own demand.  Ladder and tables (finite) are
+    checked, and the cycle's inputs and the ``weighted`` blend table built,
+    once per call; every step then calls the plant kernel directly.  The
+    tables become Python rows once on entry, written back once on return
+    when ``learn`` is set, and each row's maximum and first argmax are kept
+    current under every update (:func:`_set_entry`).
     """
     agent_a, agent_b = agents[0], agents[-1]
     two = len(agents) == 2
@@ -142,107 +145,134 @@ def run_episode(cycle: DriveCycle, agents: tuple[Agent, ...], episode_index: int
     if levels[-1] > models.egu.max_power_w:
         raise ValueError(f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], "
                          f"got {levels[-1]}")
-    bad_q = [a.name for a in agents if (kind == "maximum" or not learn)
-             and not np.isfinite(a.q.values).all()]
+    bad_q = [a.name for a in agents if not np.isfinite(a.q.values).all()]
     if bad_q:
         raise ValueError(f"Q-values must be finite, got non-finite entries in {bad_q[0]}'s table")
-    plant.reset(initial_soc)
 
-    # Per-cycle inputs: demand, its link power and its state-axis bins.
+    # Per-cycle inputs: demand, its link power, and each step's next-state
+    # row offset from the demand bins (the last sample bootstraps from itself).
     demand = demand_w.tolist()
     links = models.motor.link_power(demand_w).tolist()
-    p_bins = np.clip(np.searchsorted(grid.p_dem_edges_w, demand_w, side="right") - 1,
-                     0, grid.n_p_dem - 1).tolist()
-    rows_a = agent_a.q.values.tolist()
-    shared = agent_b.q.values is agent_a.q.values
-    rows_b = rows_a if shared else agent_b.q.values.tolist()
     n_actions, n_soc, soc_top = actions.n_actions, grid.n_soc, grid.n_soc - 1
-    # Per step, the action an agent explores with, or -1 where it exploits.
-    explore_a = explore_b = [-1] * n
-    if learn:
-        explore_a = _explore_actions(agent_a, episode_index, n, n_actions)
-        if two:
-            explore_b = _explore_actions(agent_b, episode_index, n, n_actions)
-    else:  # frozen tables: each state's first greedy action, built once
-        greedy_a = agent_a.q.values.argmax(axis=1).tolist()
-        greedy_b = greedy_a if shared else agent_b.q.values.argmax(axis=1).tolist()
+    p_bins = np.clip(np.searchsorted(grid.p_dem_edges_w, demand_w, side="right") - 1,
+                     0, grid.n_p_dem - 1)
+    offsets = (np.append(p_bins[1:], p_bins[-1]) * n_soc).tolist()
+    # Per table: its rows, each row's first argmax and, when learning, its maximum.
+    shared = agent_b.q.values is agent_a.q.values
+    rows_a, arg_a, top_a = _table_lists(agent_a, learn)
+    rows_b, arg_b, top_b = (rows_a, arg_a, top_a) if shared else _table_lists(agent_b, learn)
     if kind == "weighted":  # the snapped blend depends on the two actions only
         blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
-    elif kind == "random":
-        pick_b = (combiner_rng.random(n) < policy.t).tolist()
     lr_a, gamma_a = agent_a.config.learning_rate, agent_a.config.discount
     lr_b, gamma_b = agent_b.config.learning_rate, agent_b.config.discount
     soc_edges, kernel = grid.soc_edges, plant.kernel
 
-    traces: list[EnsembleStepTrace] | None = [] if record_traces else None
-    fuel_j = engine_j = battery_j = traction_j = served_j = 0.0
-    draw_j = short_j = total_reward = soc_sum = 0.0
-    soc, latch, forced_steps = plant.state.soc, plant.state.forced_charging, 0
-    state = p_bins[0] * n_soc + grid.soc_bin(soc)
-    for i in range(n):
-        action_a = explore_a[i]
-        if action_a < 0:
-            row = rows_a[state]
-            action_a = row.index(max(row)) if learn else greedy_a[state]
-        if not two:
-            action_b = final = action_a
-            chooser = CHOOSER_A
-        else:
-            action_b = explore_b[i]
-            if action_b < 0:
-                row = rows_b[state]
-                action_b = row.index(max(row)) if learn else greedy_b[state]
-            if kind == "weighted":
-                final, chooser = blend[action_a][action_b], CHOOSER_BLEND
-            elif kind == "maximum":  # own-value comparison, ties to agent A
-                final, chooser = ((action_a, CHOOSER_MAX_A)
-                                  if rows_a[state][action_a] >= rows_b[state][action_b]
-                                  else (action_b, CHOOSER_MAX_B))
-            else:
-                final = action_b if pick_b[i] else action_a
-                chooser = CHOOSER_A if final == action_a else CHOOSER_B
-        (p_egu, p_batt, _, p_served, shortfall, _, fuel, engine_loss, battery_loss,
-         traction_loss, _, reward, latch, soc, _) = kernel(
-            soc, latch, demand[i], links[i], levels[final], dt)
-        fuel_j += fuel * dt
-        engine_j += engine_loss * dt
-        battery_j += battery_loss * dt
-        traction_j += traction_loss * dt
-        served_j += p_served * dt
-        draw_j += p_batt * dt
-        short_j += shortfall * dt
-        forced_steps += latch
-
-        s_bin = bisect_right(soc_edges, soc) - 1
-        s_bin = 0 if s_bin < 0 else (soc_top if s_bin > soc_top else s_bin)
-        next_state = p_bins[i + 1 if i + 1 < n else i] * n_soc + s_bin
+    results = []
+    for k in episodes:
+        # Per step, the action an agent explores with, or -1 where it exploits.
+        explore_a = explore_b = [-1] * n
         if learn:
-            row = rows_a[state]
-            row[final] += lr_a * (reward + gamma_a * max(rows_a[next_state]) - row[final])
+            explore_a = _explore_actions(agent_a, k, n, n_actions)
             if two:
-                row = rows_b[state]
-                row[final] += lr_b * (reward + gamma_b * max(rows_b[next_state])
-                                      - row[final])
-        total_reward += reward
-        soc_sum += soc
-        if traces is not None:
-            traces.append(EnsembleStepTrace(
-                t_s=i * dt, state=state, action_a=action_a, action_b=action_b,
-                action_final=final, chooser=chooser, reward=reward, soc=soc,
-                p_egu_w=p_egu, p_batt_w=p_batt, forced_charging=latch))
-        state = next_state
+                explore_b = _explore_actions(agent_b, k, n, n_actions)
+        if kind == "random":
+            pick_b = (combiner_rng.random(n) < policy.t).tolist()
+        traces: list[EnsembleStepTrace] | None = (
+            [] if record_traces and k == episodes[-1] else None)
+        fuel_j = engine_j = battery_j = traction_j = served_j = 0.0
+        draw_j = short_j = total_reward = soc_sum = 0.0
+        plant.reset(initial_soc)
+        soc, latch, forced_steps = plant.state.soc, plant.state.forced_charging, 0
+        state = int(p_bins[0]) * n_soc + grid.soc_bin(soc)
+        for i in range(n):
+            action_a = explore_a[i]
+            if action_a < 0:
+                action_a = arg_a[state]
+            if not two:
+                action_b = final = action_a
+                chooser = CHOOSER_A
+            else:
+                action_b = explore_b[i]
+                if action_b < 0:
+                    action_b = arg_b[state]
+                if kind == "weighted":
+                    final, chooser = blend[action_a][action_b], CHOOSER_BLEND
+                elif kind == "maximum":  # own-value comparison, ties to agent A
+                    final, chooser = ((action_a, CHOOSER_MAX_A)
+                                      if rows_a[state][action_a] >= rows_b[state][action_b]
+                                      else (action_b, CHOOSER_MAX_B))
+                else:
+                    final = action_b if pick_b[i] else action_a
+                    chooser = CHOOSER_A if final == action_a else CHOOSER_B
+            (p_egu, p_batt, _, p_served, shortfall, _, fuel, engine_loss, battery_loss,
+             traction_loss, _, reward, latch, soc, _) = kernel(
+                soc, latch, demand[i], links[i], levels[final], dt)
+            fuel_j += fuel * dt
+            engine_j += engine_loss * dt
+            battery_j += battery_loss * dt
+            traction_j += traction_loss * dt
+            served_j += p_served * dt
+            draw_j += p_batt * dt
+            short_j += shortfall * dt
+            forced_steps += latch
+
+            s_bin = bisect_right(soc_edges, soc) - 1
+            s_bin = 0 if s_bin < 0 else (soc_top if s_bin > soc_top else s_bin)
+            next_state = offsets[i] + s_bin
+            if learn:
+                row = rows_a[state]
+                _set_entry(row, top_a, arg_a, state, final, row[final] + lr_a * (
+                    reward + gamma_a * top_a[next_state] - row[final]))
+                if two:
+                    row = rows_b[state]
+                    _set_entry(row, top_b, arg_b, state, final, row[final] + lr_b * (
+                        reward + gamma_b * top_b[next_state] - row[final]))
+            total_reward += reward
+            soc_sum += soc
+            if traces is not None:
+                traces.append(EnsembleStepTrace(
+                    t_s=i * dt, state=state, action_a=action_a, action_b=action_b,
+                    action_final=final, chooser=chooser, reward=reward, soc=soc,
+                    p_egu_w=p_egu, p_batt_w=p_batt, forced_charging=latch))
+            state = next_state
+
+        # PlantState fields in declaration order.
+        plant.state = ledger = PlantState(soc, latch, fuel_j, engine_j, battery_j,
+                                          traction_j, served_j, draw_j, short_j, n,
+                                          forced_steps)
+        results.append(EpisodeResult(
+            metrics=episode_metrics(ledger, models.battery, initial_soc, soc_sum / n,
+                                    total_reward),
+            traces=traces))
 
     if learn:
         agent_a.q.values[:] = rows_a
         if not shared:
             agent_b.q.values[:] = rows_b
-    # PlantState fields in declaration order.
-    plant.state = ledger = PlantState(soc, latch, fuel_j, engine_j, battery_j, traction_j,
-                                      served_j, draw_j, short_j, n, forced_steps)
-    metrics = episode_metrics(ledger, models.battery, initial_soc, soc_sum / n,
-                              total_reward)
-    return EpisodeResult(metrics=metrics, traces=traces)
+    return results
+
+
+def _table_lists(agent: Agent, learn: bool) -> tuple[list, list, list | None]:
+    """``agent``'s finite table as Python rows, each row's first argmax and, for
+    ``learn``, its maximum: the entry there, so its zero has ``max(row)``'s sign."""
+    values = agent.q.values
+    rows, arg = values.tolist(), values.argmax(axis=1).tolist()
+    return rows, arg, ([row[a] for row, a in zip(rows, arg)] if learn else None)
+
+
+def _set_entry(row: list, top: list, arg: list, state: int, action: int,
+               value: float) -> None:
+    """Write ``value`` at ``action`` of ``row`` (the row of ``state``) and
+    keep ``top[state]``/``arg[state]`` equal to ``max(row)`` and
+    ``row.index(max(row))``; only a fallen maximum rescans the row."""
+    row[action] = value
+    first = arg[state]
+    if value > top[state] or (value == top[state] and action <= first):
+        top[state], arg[state] = value, action
+    elif action == first:
+        top[state] = best = max(row)
+        arg[state] = row.index(best)
 
 
 def _explore_actions(agent: Agent, episode_index: int, n: int, n_actions: int) -> list[int]:
@@ -256,19 +286,19 @@ def _explore_actions(agent: Agent, episode_index: int, n: int, n_actions: int) -
 def run_ensemble_episode(cycle: DriveCycle, agent_a: Agent, agent_b: Agent,
                          policy: EnsemblePolicy, episode_index: int,
                          plant: Plant, initial_soc: float, grid: StateGrid,
-                         actions: ActionGrid,
-                         combiner_rng: np.random.Generator,
-                         learn: bool = True,
-                         record_traces: bool = False) -> EpisodeResult:
-    """Two-agent :func:`run_episode`."""
-    return run_episode(cycle, (agent_a, agent_b), episode_index, plant, initial_soc,
-                       grid, actions, policy, combiner_rng, learn, record_traces)
+                         actions: ActionGrid, combiner_rng: np.random.Generator,
+                         learn: bool = True, record_traces: bool = False) -> EpisodeResult:
+    """Two-agent :func:`run_episodes` over the one episode ``episode_index``."""
+    return run_episodes(cycle, (agent_a, agent_b), range(episode_index, episode_index + 1),
+                        plant, initial_soc, grid, actions, policy, combiner_rng, learn,
+                        record_traces)[0]
 
 
 def run_single_episode(cycle: DriveCycle, agent: Agent, episode_index: int,
                        plant: Plant, initial_soc: float, grid: StateGrid,
                        actions: ActionGrid, learn: bool = True,
                        record_traces: bool = False) -> EpisodeResult:
-    """Single-agent :func:`run_episode`."""
-    return run_episode(cycle, (agent,), episode_index, plant, initial_soc, grid,
-                       actions, learn=learn, record_traces=record_traces)
+    """Single-agent :func:`run_episodes` over the one episode ``episode_index``."""
+    return run_episodes(cycle, (agent,), range(episode_index, episode_index + 1), plant,
+                        initial_soc, grid, actions, learn=learn,
+                        record_traces=record_traces)[0]

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .drive_cycle import DriveCycle
-from .ensemble import EnsemblePolicy, EpisodeResult, run_ensemble_episode, run_single_episode
+from .ensemble import (EnsemblePolicy, EpisodeResult, run_ensemble_episode, run_episodes,
+                       run_single_episode)
 from .metrics import EpisodeMetrics
 from .powertrain import Plant, PlantModels
 from .qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM, ActionGrid,
@@ -106,7 +107,8 @@ class RunResult:
 
 def run_learning(setup: RunSetup, seed: int,
                  record_final_traces: bool = False) -> RunResult:
-    """Train for ``setup.episodes`` episodes under one seed.
+    """Train for ``setup.episodes`` episodes under one seed, in one
+    :func:`run_episodes` call (tables converted once per run).
 
     In single mode only agent A exists and the combination policy is moot.
     Episode metrics are collected for every episode; per-step traces, when
@@ -116,36 +118,25 @@ def run_learning(setup: RunSetup, seed: int,
     plant = Plant(setup.models, setup.initial_soc)
     agents = {"A": Agent.create("A", setup.grid, setup.actions, setup.config_a,
                                 seed, AGENT_A_STREAM)}
+    combiner_rng = None
     if setup.mode == ENSEMBLE_MODE:
         agents["B"] = Agent.create("B", setup.grid, setup.actions, setup.config_b,
                                    seed, AGENT_B_STREAM)
         combiner_rng = make_rng(seed, COMBINER_STREAM)
-    metrics: list[EpisodeMetrics] = []
-    traces = None
-    for k in range(setup.episodes):
-        record = record_final_traces and k == setup.episodes - 1
-        if "B" in agents:
-            result = run_ensemble_episode(setup.cycle, agents["A"], agents["B"],
-                                          setup.policy, k, plant, setup.initial_soc,
-                                          setup.grid, setup.actions, combiner_rng,
-                                          record_traces=record)
-        else:
-            result = run_single_episode(setup.cycle, agents["A"], k, plant,
-                                        setup.initial_soc, setup.grid, setup.actions,
-                                        record_traces=record)
-        metrics.append(result.metrics)
-        if record:
-            traces = result.traces
-    return RunResult(mode=setup.mode, episodes=metrics, agents=agents,
+    results = run_episodes(setup.cycle, tuple(agents.values()), range(setup.episodes),
+                           plant, setup.initial_soc, setup.grid, setup.actions,
+                           setup.policy, combiner_rng, record_traces=record_final_traces)
+    return RunResult(mode=setup.mode, episodes=[r.metrics for r in results], agents=agents,
                      wall_clock_s=time.perf_counter() - started,
-                     final_traces=traces)
+                     final_traces=results[-1].traces)
 
 
 def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
                     policy: EnsemblePolicy, models: PlantModels,
                     grid: StateGrid, actions: ActionGrid, initial_soc: float,
                     record_traces: bool = False) -> EpisodeResult:
-    """One frozen-policy episode: greedy proposals, no table updates.
+    """One frozen-policy episode: greedy proposals, no table updates, as a
+    one-episode :func:`run_episodes` call (which builds no row-maximum cache).
 
     With one agent in ``agents`` the episode is plain greedy single-agent
     control; with two, proposals go through the combination policy (whose

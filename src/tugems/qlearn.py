@@ -452,13 +452,17 @@ def load_qtable(path: str | Path,
     Raises
     ------
     ValueError
-        On a foreign format tag, a missing or mistyped key or an entry
-        that is not a number (the key named in the message), ragged or
-        non-finite values, or a grid /
-        action ladder that does not match ``expect_grid``/``expect_actions``.
+        Naming ``path``: on a file that is not JSON, a foreign format tag,
+        a missing or mistyped key or an entry that is not a number (the key
+        named in the message), ragged or non-finite values, a grid or action
+        ladder that :class:`StateGrid`/:class:`ActionGrid` reject, or one
+        that does not match ``expect_grid``/``expect_actions``.
     """
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_nan)
+    try:  # not UTF-8, not JSON, or a NaN/Infinity token
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_nan)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} snapshot")
     if doc.get("version") != SNAPSHOT_VERSION:
@@ -477,8 +481,11 @@ def load_qtable(path: str | Path,
     for key in ("schedule", "extra"):
         if not isinstance(doc.get(key), (dict, type(None))):
             raise ValueError(f"{path}: snapshot key {key!r} must be a mapping or null")
-    grid = StateGrid(doc["p_dem_edges_w"], doc["soc_edges"])
-    actions = ActionGrid(doc["action_levels_w"])
+    try:
+        grid = StateGrid(doc["p_dem_edges_w"], doc["soc_edges"])
+        actions = ActionGrid(doc["action_levels_w"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = np.array(doc["values"], dtype=np.float64)
     if values.ndim != 2 or values.shape != (grid.n_states, actions.n_actions):
         raise ValueError(

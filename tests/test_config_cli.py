@@ -698,3 +698,32 @@ def test_eval_on_a_malformed_snapshot_exits_with_the_runtime_code(workspace, cap
     problem = "must hold numbers only" if null_edge else "is missing"
     assert f"{snap}: snapshot key 'soc_edges' {problem}" in err
     assert "Traceback" not in err
+
+
+def _swap_soc_edges(text):
+    doc = json.loads(text)
+    edges = doc["soc_edges"]
+    edges[1], edges[2] = edges[2], edges[1]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_swap_soc_edges, "soc_edges must be strictly ascending"),
+    (lambda text: text.replace('"values": [[0.0', '"values": [[NaN', 1),
+     "snapshot contains a non-finite number (NaN)"),
+    (lambda text: "{" + text[2:], "Expecting property name enclosed in double quotes"),
+], ids=["swapped-soc-edges", "nan-token", "not-json"])
+def test_eval_names_the_snapshot_that_fails_to_parse(workspace, capsys, edit, message):
+    tmp, cfg = workspace
+    run_dir = tmp / "run"
+    assert main(["learn", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    snap = run_dir / "qtable_A.json"
+    text = snap.read_text()
+    snap.write_text(edit(text))
+    assert snap.read_text() != text
+    code = main(["eval", "--config", str(cfg), "--out", str(tmp / "ev"),
+                 "--snapshots", str(run_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"tugems: {snap}: {message}" in err
+    assert "Traceback" not in err

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tugems.drive_cycle import DriveCycle
-from tugems.ensemble import (EnsemblePolicy, combine_weighted, run_ensemble_episode,
-                             run_episode, run_single_episode)
+from tugems.ensemble import (EnsemblePolicy, _set_entry, _table_lists, combine_weighted,
+                             run_ensemble_episode, run_episodes, run_single_episode)
 from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
@@ -85,6 +85,11 @@ def test_policy_validation():
 # ---------------------------------------------------------------------------
 
 
+def _episode(cycle, agents, k, *args, **kwargs):
+    """One :func:`run_episodes` call over the one episode ``k``."""
+    return run_episodes(cycle, agents, range(k, k + 1), *args, **kwargs)[0]
+
+
 def _make_agents(grid, actions, seed=0, lr=0.5, gamma=0.95):
     config_a = LearnerConfig(learning_rate=lr, discount=gamma,
                              schedule=E2ESchedule.step(0.8, 0.5, 10))
@@ -99,9 +104,9 @@ def _one_step(models, grid, actions, agents, soc0, p_dem_w, learn=True):
     # by episode 10 000 both schedules have decayed to (almost) 0, so the
     # proposals are greedy even while the tables learn
     cycle = DriveCycle(1.0, np.array([p_dem_w]), "one-step")
-    return run_episode(cycle, agents, 10_000, Plant(models, soc0), soc0, grid, actions,
-                       EnsemblePolicy.weighted(0.5), make_rng(0, COMBINER_STREAM),
-                       learn=learn, record_traces=True).traces[0]
+    return _episode(cycle, agents, 10_000, Plant(models, soc0), soc0, grid, actions,
+                    EnsemblePolicy.weighted(0.5), make_rng(0, COMBINER_STREAM),
+                    learn=learn, record_traces=True).traces[0]
 
 
 def test_episode_step_updates_both_tables_at_the_executed_action(
@@ -204,9 +209,9 @@ def test_traces_record_the_executed_step(models, grid, actions, flat_cycle):
 
 def _random_episode_traces(models, grid, actions, cycle, t, y):
     draws = SimpleNamespace(random=lambda n: np.full(n, y))  # every combiner draw is y
-    return run_episode(cycle, _make_agents(grid, actions, seed=4), 0, Plant(models, 0.5),
-                       0.5, grid, actions, EnsemblePolicy(kind="random", t=t), draws,
-                       record_traces=True).traces
+    return _episode(cycle, _make_agents(grid, actions, seed=4), 0, Plant(models, 0.5),
+                    0.5, grid, actions, EnsemblePolicy(kind="random", t=t), draws,
+                    record_traces=True).traces
 
 
 @pytest.mark.parametrize("t", [0.0, 0.4, 1.0])
@@ -248,9 +253,9 @@ def test_frozen_episode_takes_each_tables_first_greedy_action(models, grid, acti
         agent.q.values[:] = rng.integers(-2, 1, agent.q.values.shape)
     agents[0].q.values[::2] = 0.0  # and every other row of A is one tie
     before = [agent.q.values.copy() for agent in agents]
-    result = run_episode(bumpy_cycle, agents, 0, Plant(models, 0.5), 0.5, grid,
-                         actions, EnsemblePolicy.weighted(0.5),
-                         make_rng(0, COMBINER_STREAM), learn=False, record_traces=True)
+    result = _episode(bumpy_cycle, agents, 0, Plant(models, 0.5), 0.5, grid,
+                      actions, EnsemblePolicy.weighted(0.5),
+                      make_rng(0, COMBINER_STREAM), learn=False, record_traces=True)
     q_a, q_b = agents[0].q.values, agents[-1].q.values
     assert len({trace.state for trace in result.traces}) > 1
     for trace in result.traces:
@@ -397,8 +402,8 @@ def test_run_episode_matches_the_step_by_step_primitives(
 
     fast, slow = make(6), make(6)
     for k in range(3):
-        got = run_episode(bumpy_cycle, fast, k, Plant(models, soc0), soc0, grid, actions,
-                          policy, make_rng(6 + k, COMBINER_STREAM), learn).metrics
+        got = _episode(bumpy_cycle, fast, k, Plant(models, soc0), soc0, grid, actions,
+                       policy, make_rng(6 + k, COMBINER_STREAM), learn).metrics
         want = _reference_episode(bumpy_cycle, slow, k, Plant(models, soc0), soc0, grid,
                                   actions, policy, make_rng(6 + k, COMBINER_STREAM),
                                   learn)
@@ -406,6 +411,75 @@ def test_run_episode_matches_the_step_by_step_primitives(
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a.q.values, b.q.values)
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# a run in one call against successive one-episode calls
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy,shared", [
+    (None, False),
+    (EnsemblePolicy.weighted(0.3), False),
+    (EnsemblePolicy(kind="maximum"), False),
+    (EnsemblePolicy(kind="random", t=0.4), False),
+    (EnsemblePolicy(kind="maximum"), True),
+], ids=["single", "weighted", "maximum", "random", "shared-table"])
+@pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
+def test_run_episodes_equals_successive_one_episode_calls(models, grid, actions,
+                                                          bumpy_cycle, policy, shared,
+                                                          learn):
+    def make():
+        agents = _make_agents(grid, actions, seed=12)
+        rng = np.random.default_rng(12)  # ties, zeros of both signs
+        for agent in agents:
+            agent.q.values[:] = rng.choice([-1.0, -0.0, 0.0, 0.5], agent.q.values.shape)
+        if shared:
+            agents[1].q = agents[0].q
+        return agents[:1] if policy is None else agents
+
+    k0, m = 3, 4
+    whole, parts = make(), make()
+    plant, combiner = Plant(models, 0.5), make_rng(12, COMBINER_STREAM)
+    got = run_episodes(bumpy_cycle, whole, range(k0, k0 + m), plant, 0.5, grid, actions,
+                       policy, combiner, learn, record_traces=True)
+    plant_parts, combiner_parts = Plant(models, 0.5), make_rng(12, COMBINER_STREAM)
+    want = [_episode(bumpy_cycle, parts, k, plant_parts, 0.5, grid, actions, policy,
+                     combiner_parts, learn, record_traces=k == k0 + m - 1)
+            for k in range(k0, k0 + m)]
+    assert [r.metrics for r in got] == [r.metrics for r in want]
+    assert [r.traces is None for r in got] == [True] * (m - 1) + [False]
+    assert got[-1].traces == want[-1].traces
+    assert plant.state == plant_parts.state
+    for a, b in zip(whole, parts):
+        assert a.q.values.tobytes() == b.q.values.tobytes()
+        assert a.rng.random() == b.rng.random()
+    assert combiner.random() == combiner_parts.random()
+
+
+_ENTRIES = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0])
+
+
+@given(values=st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=3),
+       updates=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), _ENTRIES),
+                        max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_set_entry_keeps_each_rows_maximum_and_first_argmax(values, updates):
+    # the cache starts from the numpy table, as in run_episodes
+    agent = SimpleNamespace(q=SimpleNamespace(values=np.array(values)))
+    rows, arg, top = _table_lists(agent, learn=True)
+
+    def check():  # bit for bit: a cached -0.0 must not stand for 0.0
+        for s, row in enumerate(rows):
+            assert np.float64(top[s]).tobytes() == np.float64(max(row)).tobytes()
+            assert arg[s] == row.index(max(row))
+
+    check()
+    for state, action, value in updates:
+        state %= len(rows)
+        _set_entry(rows[state], top, arg, state, action, value)
+        assert rows[state][action] is value
+        check()
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +493,10 @@ def _episode_traces(cycle, models, grid, actions, config_b, episodes=4):
     agent_b = Agent.create("B", grid, actions, config_b, 5, AGENT_B_STREAM)
     plant = Plant(models, 0.5)
     traces = [[(tr.state, tr.action_a, tr.action_final, tr.reward, tr.soc)
-               for tr in run_episode(cycle, (agent_a, agent_b), k, plant, 0.5, grid,
-                                     actions, EnsemblePolicy.weighted(1.0),
-                                     make_rng(5, COMBINER_STREAM),
-                                     record_traces=True).traces]
+               for tr in _episode(cycle, (agent_a, agent_b), k, plant, 0.5, grid,
+                                  actions, EnsemblePolicy.weighted(1.0),
+                                  make_rng(5, COMBINER_STREAM),
+                                  record_traces=True).traces]
               for k in range(episodes)]
     return traces, agent_a
 
@@ -455,8 +529,8 @@ def test_stream_positions_count_learning_episodes_only(models, grid, actions,
     combiner = make_rng(9, COMBINER_STREAM)
     plant, n, learned = Plant(models, 0.5), len(bumpy_cycle), 0
     for k, learn in enumerate([True, False, True, True, False]):
-        run_episode(bumpy_cycle, (agent_a, agent_b), k, plant, 0.5, grid, actions,
-                    policy, combiner, learn)
+        _episode(bumpy_cycle, (agent_a, agent_b), k, plant, 0.5, grid, actions,
+                 policy, combiner, learn)
         learned += learn
     for agent, stream in ((agent_a, AGENT_A_STREAM), (agent_b, AGENT_B_STREAM)):
         fresh = make_rng(9, stream)
@@ -480,15 +554,15 @@ def test_run_episode_leaves_the_episode_ledger_on_the_plant(models, grid, action
 
 
 # ---------------------------------------------------------------------------
-# input checks, once per episode (cycles are checked when they are built)
+# input checks, once per call (cycles are checked when they are built)
 # ---------------------------------------------------------------------------
 
 
 def _run_once(models, grid, actions, cycle, policy=None, agents=None):
-    return run_episode(cycle, agents or _make_agents(grid, actions), 0,
-                       Plant(models, 0.5), 0.5, grid, actions,
-                       policy or EnsemblePolicy.weighted(0.5),
-                       make_rng(0, COMBINER_STREAM))
+    return _episode(cycle, agents or _make_agents(grid, actions), 0,
+                    Plant(models, 0.5), 0.5, grid, actions,
+                    policy or EnsemblePolicy.weighted(0.5),
+                    make_rng(0, COMBINER_STREAM))
 
 
 def test_run_episode_rejects_action_levels_above_the_egu_rating(models, grid, flat_cycle):
@@ -510,19 +584,36 @@ def test_run_episode_rejects_non_finite_q_values_under_maximum(models, grid, act
     agents = _make_agents(grid, actions)[:1 if policy is None else 2]
     agents[-1].q.values[7, 3] = np.nan
     with pytest.raises(ValueError, match="Q-values must be finite"):
-        run_episode(flat_cycle, agents, 0, Plant(models, 0.5), 0.5, grid, actions, policy,
-                    make_rng(0, COMBINER_STREAM), learn)
+        _episode(flat_cycle, agents, 0, Plant(models, 0.5), 0.5, grid, actions, policy,
+                 make_rng(0, COMBINER_STREAM), learn)
+
+
+@pytest.mark.parametrize("policy", [
+    EnsemblePolicy.weighted(0.5),
+    EnsemblePolicy(kind="random", t=0.5),
+    None,
+], ids=["weighted", "random", "single"])
+def test_learning_rejects_non_finite_q_values_under_every_kind(models, grid, actions,
+                                                              flat_cycle, policy):
+    # the cached row maxima equal max(row) only on finite rows
+    agents = _make_agents(grid, actions)[:1 if policy is None else 2]
+    agents[-1].q.values[7, 3] = np.nan
+    before = agents[-1].rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"non-finite entries in {agents[-1].name}'s"):
+        run_episodes(flat_cycle, agents, range(5), Plant(models, 0.5), 0.5, grid, actions,
+                     policy, make_rng(0, COMBINER_STREAM))
+    assert agents[-1].rng.bit_generator.state == before  # checked before any draw
 
 
 def test_two_agents_without_a_policy_name_the_policy(models, grid, actions, flat_cycle):
     with pytest.raises(ValueError, match="policy is required"):
-        run_episode(flat_cycle, _make_agents(grid, actions), 0, Plant(models, 0.5), 0.5,
-                    grid, actions)
+        _episode(flat_cycle, _make_agents(grid, actions), 0, Plant(models, 0.5), 0.5,
+                 grid, actions)
 
 
 @pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
 def test_random_policy_without_a_combiner_rng_names_it(models, grid, actions, flat_cycle,
                                                        learn):
     with pytest.raises(ValueError, match="combiner_rng is required"):
-        run_episode(flat_cycle, _make_agents(grid, actions), 0, Plant(models, 0.5), 0.5,
-                    grid, actions, EnsemblePolicy(kind="random", t=0.5), None, learn)
+        _episode(flat_cycle, _make_agents(grid, actions), 0, Plant(models, 0.5), 0.5,
+                 grid, actions, EnsemblePolicy(kind="random", t=0.5), None, learn)

@@ -67,7 +67,7 @@ def test_no_function_parameter_goes_unread(path):
 UNCALLED_ALLOWED = {
     "error": "argparse calls the parser's error method",
     "constant": "the E2ESchedule constructor for a fixed theta, as the other kinds have",
-    "p_dem_bin": "the scalar oracle for run_episode's vectorized demand bins",
+    "p_dem_bin": "the scalar oracle for run_episodes' vectorized demand bins",
 }
 
 
