@@ -328,6 +328,8 @@ def load_config(path: str | Path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ConfigError([f"config: file not found: {path}"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .drive_cycle import DriveCycle
 from .metrics import EpisodeMetrics, episode_metrics
-from .powertrain import Plant, PlantState
+from .powertrain import Plant, PlantModels, PlantState
 from .qlearn import ActionGrid, Agent, StateGrid, e2e_value, exploration_draws
 
 __all__ = [
@@ -36,9 +36,7 @@ __all__ = [
     "EnsembleStepTrace",
     "EpisodeResult",
     "combine_weighted",
-    "run_ensemble_episode",
     "run_episodes",
-    "run_single_episode",
 ]
 
 POLICY_KINDS = ("maximum", "random", "weighted")
@@ -109,7 +107,7 @@ class EpisodeResult:
 
 
 def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
-                 plant: Plant, initial_soc: float, grid: StateGrid,
+                 models: PlantModels, initial_soc: float, grid: StateGrid,
                  actions: ActionGrid, policy: EnsemblePolicy | None = None,
                  combiner_rng: np.random.Generator | None = None,
                  learn: bool = True, record_traces: bool = False) -> list[EpisodeResult]:
@@ -124,14 +122,15 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     agent draws its episode's block up front (:func:`exploration_draws`);
     without it, the tables stay frozen and each proposal is its state's first
     greedy action (no agent draws).  ``random`` draws one combiner uniform
-    per step, per episode up front.  The plant is reset to ``initial_soc``
-    every episode and holds the last episode's ledger afterwards.  The last
-    sample bootstraps from its own demand.  Ladder and tables (finite) are
-    checked, and the cycle's inputs and the ``weighted`` blend table built,
-    once per call; every step then calls the plant kernel directly.  The
-    tables become Python rows once on entry, written back once on return
-    when ``learn`` is set, and each row's maximum and first argmax are kept
-    current under every update (:func:`_set_entry`).
+    per step, per episode up front.  Every episode starts from
+    ``initial_soc`` with the charge-sustain latch off.  The last sample
+    bootstraps from its own demand.  Ladder, initial SoC and tables (finite)
+    are checked before any draw, and the cycle's inputs and the ``weighted``
+    blend table built, once per call; every step then calls the plant
+    kernel directly.  The tables become Python rows once on entry (frozen,
+    only for ``maximum``), written back once on return when ``learn`` is
+    set, and each row's maximum and first argmax are kept current under
+    every update (:func:`_set_entry`).
     """
     agent_a, agent_b = agents[0], agents[-1]
     two = len(agents) == 2
@@ -141,10 +140,11 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     if kind == "random" and combiner_rng is None:
         raise ValueError("combiner_rng is required for the 'random' policy, got None")
     demand_w, n, dt = cycle.demand_w, len(cycle), cycle.dt_s
-    levels, models = actions.levels_w, plant.models
+    levels = actions.levels_w
     if levels[-1] > models.egu.max_power_w:
         raise ValueError(f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], "
                          f"got {levels[-1]}")
+    kernel = Plant(models, initial_soc).kernel  # checks the battery window
     bad_q = [a.name for a in agents if not np.isfinite(a.q.values).all()]
     if bad_q:
         raise ValueError(f"Q-values must be finite, got non-finite entries in {bad_q[0]}'s table")
@@ -157,16 +157,19 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     p_bins = np.clip(np.searchsorted(grid.p_dem_edges_w, demand_w, side="right") - 1,
                      0, grid.n_p_dem - 1)
     offsets = (np.append(p_bins[1:], p_bins[-1]) * n_soc).tolist()
-    # Per table: its rows, each row's first argmax and, when learning, its maximum.
+    # Per table: its rows (read by learning and maximum), each row's first
+    # argmax and, when learning, its maximum.
     shared = agent_b.q.values is agent_a.q.values
-    rows_a, arg_a, top_a = _table_lists(agent_a, learn)
-    rows_b, arg_b, top_b = (rows_a, arg_a, top_a) if shared else _table_lists(agent_b, learn)
+    compare = kind == "maximum"
+    rows_a, arg_a, top_a = _table_lists(agent_a, learn, compare)
+    rows_b, arg_b, top_b = ((rows_a, arg_a, top_a) if shared
+                            else _table_lists(agent_b, learn, compare))
     if kind == "weighted":  # the snapped blend depends on the two actions only
         blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
     lr_a, gamma_a = agent_a.config.learning_rate, agent_a.config.discount
     lr_b, gamma_b = agent_b.config.learning_rate, agent_b.config.discount
-    soc_edges, kernel = grid.soc_edges, plant.kernel
+    soc_edges = grid.soc_edges
 
     results = []
     for k in episodes:
@@ -182,8 +185,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
             [] if record_traces and k == episodes[-1] else None)
         fuel_j = engine_j = battery_j = traction_j = served_j = 0.0
         draw_j = short_j = total_reward = soc_sum = 0.0
-        plant.reset(initial_soc)
-        soc, latch, forced_steps = plant.state.soc, plant.state.forced_charging, 0
+        soc, latch, forced_steps = initial_soc, False, 0
         state = int(p_bins[0]) * n_soc + grid.soc_bin(soc)
         for i in range(n):
             action_a = explore_a[i]
@@ -238,9 +240,8 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
             state = next_state
 
         # PlantState fields in declaration order.
-        plant.state = ledger = PlantState(soc, latch, fuel_j, engine_j, battery_j,
-                                          traction_j, served_j, draw_j, short_j, n,
-                                          forced_steps)
+        ledger = PlantState(soc, latch, fuel_j, engine_j, battery_j, traction_j,
+                            served_j, draw_j, short_j, n, forced_steps)
         results.append(EpisodeResult(
             metrics=episode_metrics(ledger, models.battery, initial_soc, soc_sum / n,
                                     total_reward),
@@ -253,11 +254,14 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     return results
 
 
-def _table_lists(agent: Agent, learn: bool) -> tuple[list, list, list | None]:
-    """``agent``'s finite table as Python rows, each row's first argmax and, for
-    ``learn``, its maximum: the entry there, so its zero has ``max(row)``'s sign."""
+def _table_lists(agent: Agent, learn: bool,
+                 compare: bool) -> tuple[list | None, list, list | None]:
+    """``agent``'s finite table as Python rows (for ``learn`` or ``compare``),
+    each row's first argmax and, for ``learn``, its maximum: the entry there,
+    so its zero has ``max(row)``'s sign."""
     values = agent.q.values
-    rows, arg = values.tolist(), values.argmax(axis=1).tolist()
+    arg = values.argmax(axis=1).tolist()
+    rows = values.tolist() if learn or compare else None
     return rows, arg, ([row[a] for row, a in zip(rows, arg)] if learn else None)
 
 
@@ -281,24 +285,3 @@ def _explore_actions(agent: Agent, episode_index: int, n: int, n_actions: int) -
     theta = e2e_value(agent.config.schedule, episode_index)
     uniforms, picks = exploration_draws(agent.rng, n, n_actions)
     return np.where(uniforms < theta, picks, -1).tolist()
-
-
-def run_ensemble_episode(cycle: DriveCycle, agent_a: Agent, agent_b: Agent,
-                         policy: EnsemblePolicy, episode_index: int,
-                         plant: Plant, initial_soc: float, grid: StateGrid,
-                         actions: ActionGrid, combiner_rng: np.random.Generator,
-                         learn: bool = True, record_traces: bool = False) -> EpisodeResult:
-    """Two-agent :func:`run_episodes` over the one episode ``episode_index``."""
-    return run_episodes(cycle, (agent_a, agent_b), range(episode_index, episode_index + 1),
-                        plant, initial_soc, grid, actions, policy, combiner_rng, learn,
-                        record_traces)[0]
-
-
-def run_single_episode(cycle: DriveCycle, agent: Agent, episode_index: int,
-                       plant: Plant, initial_soc: float, grid: StateGrid,
-                       actions: ActionGrid, learn: bool = True,
-                       record_traces: bool = False) -> EpisodeResult:
-    """Single-agent :func:`run_episodes` over the one episode ``episode_index``."""
-    return run_episodes(cycle, (agent,), range(episode_index, episode_index + 1), plant,
-                        initial_soc, grid, actions, learn=learn,
-                        record_traces=record_traces)[0]

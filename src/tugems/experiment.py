@@ -21,10 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .drive_cycle import DriveCycle
-from .ensemble import (EnsemblePolicy, EpisodeResult, run_ensemble_episode, run_episodes,
-                       run_single_episode)
+from .ensemble import EnsemblePolicy, EpisodeResult, run_episodes
 from .metrics import EpisodeMetrics
-from .powertrain import Plant, PlantModels
+from .powertrain import PlantModels
 from .qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM, ActionGrid,
                      Agent, E2ESchedule, LearnerConfig, StateGrid, make_rng)
 
@@ -115,7 +114,6 @@ def run_learning(setup: RunSetup, seed: int,
     asked for, only for the last one (they are bulky).
     """
     started = time.perf_counter()
-    plant = Plant(setup.models, setup.initial_soc)
     agents = {"A": Agent.create("A", setup.grid, setup.actions, setup.config_a,
                                 seed, AGENT_A_STREAM)}
     combiner_rng = None
@@ -124,7 +122,7 @@ def run_learning(setup: RunSetup, seed: int,
                                    seed, AGENT_B_STREAM)
         combiner_rng = make_rng(seed, COMBINER_STREAM)
     results = run_episodes(setup.cycle, tuple(agents.values()), range(setup.episodes),
-                           plant, setup.initial_soc, setup.grid, setup.actions,
+                           setup.models, setup.initial_soc, setup.grid, setup.actions,
                            setup.policy, combiner_rng, record_traces=record_final_traces)
     return RunResult(mode=setup.mode, episodes=[r.metrics for r in results], agents=agents,
                      wall_clock_s=time.perf_counter() - started,
@@ -142,15 +140,10 @@ def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
     control; with two, proposals go through the combination policy (whose
     ``random`` kind draws from the combiner stream of seed 0).
     """
-    plant = Plant(models, initial_soc)
-    if "B" in agents:
-        combiner_rng = make_rng(0, COMBINER_STREAM)
-        return run_ensemble_episode(cycle, agents["A"], agents["B"], policy, 0,
-                                    plant, initial_soc, grid, actions,
-                                    combiner_rng, learn=False,
-                                    record_traces=record_traces)
-    return run_single_episode(cycle, agents["A"], 0, plant, initial_soc, grid,
-                              actions, learn=False, record_traces=record_traces)
+    team = (agents["A"], agents["B"]) if "B" in agents else (agents["A"],)
+    return run_episodes(cycle, team, range(1), models, initial_soc, grid, actions, policy,
+                        make_rng(0, COMBINER_STREAM), learn=False,
+                        record_traces=record_traces)[0]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -215,6 +216,12 @@ def test_load_config_maps_missing_file_and_bad_yaml_to_config_errors(tmp_path):
     bad.write_text("label: [unclosed\n")
     with pytest.raises(ConfigError, match="YAML"):
         load_config(bad)
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes(b"label: \xff\n")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read {latin}: 'utf-8' codec")):
+        load_config(latin)
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read {tmp_path}: ")):
+        load_config(tmp_path)
 
 
 def test_to_dict_fingerprint_is_stable():
@@ -347,6 +354,17 @@ def test_validate_rejects_a_broken_config(tmp_path, capsys):
 def test_missing_config_file_is_a_validation_failure(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "none.yaml")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
+def test_unreadable_config_file_is_a_validation_failure(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.yaml"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"label: \xff\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert f"cannot read {cfg}" in capsys.readouterr().err
 
 
 def _write_config(tmp, base, **sections):
