@@ -31,8 +31,9 @@ from .config import ConfigError, RunConfig, load_config
 from .dp import dp_baseline, dp_slack_energy_j
 from .ensemble import EnsemblePolicy
 from .experiment import (RunSetup, config_fingerprint, robustness_eval,
-                         run_learning, sweep_weights, write_learning_curve_csv,
-                         write_robustness_csv, write_sweep_csv, write_trace_csv)
+                         run_learning, sweep_weights, write_dp_csv,
+                         write_learning_curve_csv, write_robustness_csv,
+                         write_sweep_csv, write_trace_csv)
 from .qlearn import (RNG_PROTOCOL, Agent, LearnerConfig, load_qtable, make_rng,
                      save_qtable, write_atomic)
 
@@ -286,10 +287,8 @@ def _cmd_dp(args: argparse.Namespace) -> int:
     _, actions = config.build_grids()
     result = dp_baseline(cycle, actions, models, config.initial_soc,
                          soc_nodes=config.dp_soc_nodes)
-    lines = ["t_s,p_egu_w\n"]
-    for t, idx in zip(cycle.times(), result.actions):
-        lines.append(f"{float(t)!r},{actions.level(idx)!r}\n")
-    write_atomic(out / "dp.csv", "".join(lines))
+    write_atomic(out / "dp.csv", write_dp_csv(
+        list(zip(cycle.times().tolist(), map(actions.level, result.actions)))))
     slack = dp_slack_energy_j(models, result.soc_node_spacing)
     print(f"dp cost {result.cost_j / 1e6:.4f} MJ "
           f"(rollout {result.rollout_cost_j / 1e6:.4f} MJ, "

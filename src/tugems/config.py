@@ -305,33 +305,29 @@ def parse_config(data: object) -> RunConfig:
 
     # The battery window needs the built models; surface it the same way.
     try:
-        models = config.build_models()
+        battery = config.build_models().battery
     except ValueError as exc:
         raise ConfigError([f"config.plant: {exc}"]) from exc
-    battery = models.battery
-    if not battery.soc_min <= config.initial_soc <= battery.soc_max:
-        raise ConfigError([
-            f"config.run.initial_soc: {config.initial_soc} outside the battery "
-            f"window [{battery.soc_min}, {battery.soc_max}]"])
-    bad = [s for s in config.eval_initial_socs
-           if not battery.soc_min <= s <= battery.soc_max]
-    if bad:
-        raise ConfigError([
-            f"config.eval.initial_socs: {bad} outside the battery window "
-            f"[{battery.soc_min}, {battery.soc_max}]"])
+    for section, key, soc in [("run", "initial_soc", config.initial_soc),
+                              *(("eval", "initial_socs", s) for s in config.eval_initial_socs)]:
+        try:
+            battery.check_in_window(key, soc)
+        except ValueError as exc:
+            problems.append(f"config.{section}: {exc}")
+    if problems:
+        raise ConfigError(problems)
     return config
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Read and parse a YAML config file; raises ``ConfigError`` on problems."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as stream:  # YAML errors name the file
+            data = yaml.safe_load(stream)
     except FileNotFoundError as exc:
         raise ConfigError([f"config: file not found: {path}"]) from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
-    try:
-        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError([f"config: not valid YAML: {exc}"]) from exc
     return parse_config(data)

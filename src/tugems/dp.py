@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive_cycle import DriveCycle
-from .powertrain import Plant, PlantModels
+from .powertrain import PlantModels, step_kernel
 from .qlearn import ActionGrid
 
 __all__ = ["DpResult", "dp_baseline", "dp_slack_energy_j", "episode_loss_j"]
@@ -92,8 +92,8 @@ def _stage(models: PlantModels, soc: np.ndarray, base_w: np.ndarray,
     """
     battery = models.battery
     egu = models.egu
-    u = np.interp(soc, battery.voltage_curve.xs, battery.voltage_curve.ys)  # V
-    r = np.interp(soc, battery.resistance_curve.xs, battery.resistance_curve.ys)
+    u = np.interp(soc, *zip(*battery.voltage_curve))  # V
+    r = np.interp(soc, *zip(*battery.resistance_curve))
     pack_volt = u * battery.num_cells
     coulomb = battery.coulomb_capacity
     dis_cap = np.minimum(battery.max_discharge_power_w,
@@ -136,20 +136,19 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     ------
     ValueError
         If even full generator power throughout the cycle cannot satisfy
-        the terminal constraint, if the top action level exceeds the EGU
-        rating, or (from :class:`Plant`) if ``initial_soc`` lies outside the
-        battery window.
+        the terminal constraint, if an action level lies outside the EGU
+        rating, or if ``initial_soc`` lies outside the battery window.
     """
     if soc_nodes < 2:
         raise ValueError(f"soc_nodes must be at least 2, got {soc_nodes}")
     battery = models.battery
+    battery.check_in_window("initial_soc", initial_soc)
+    for level in actions.levels_w:
+        models.egu.check_command(level)
     if end_soc_min is None:
         end_soc_min = models.soc_ref
 
     p_top = models.egu.max_power_w
-    if actions.levels_w[-1] > p_top:
-        raise ValueError(f"p_egu_cmd_w must be within [0, {p_top}], "
-                         f"got {actions.levels_w[-1]}")
     nodes = np.linspace(battery.soc_min, battery.soc_max, soc_nodes)
     spacing = float(nodes[1] - nodes[0])
     levels = np.asarray(actions.levels_w)
@@ -169,8 +168,8 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     # Feasibility check on the exact plant: commanding full power every
     # step maximizes charging (any other command can only lower the next
     # SoC, and reachable end SoC is monotone in the current SoC).  The cycle
-    # and the ladder check above vouch for the kernel's arguments.
-    kernel = Plant(models, initial_soc).kernel
+    # and the checks above vouch for the kernel's arguments.
+    kernel = step_kernel(models)
     demand_list, link_list = demand.tolist(), links.tolist()
     soc, latch = initial_soc, False
     for p, link in zip(demand_list, link_list):
@@ -208,15 +207,16 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
 
     # Greedy rollout on the kernel by loss plus interpolated cost-to-go (no
     # snapping to a node); out[10], [12], [13] are the loss, latch and SoC.
+    # Level 0 runs first; a latched step (full power whatever the command) stops there.
     chosen: list[int] = []
     rollout_cost = 0.0
     soc, latch = initial_soc, False
     for t in range(n_steps):
         p, link = demand_list[t], link_list[t]
-        if _latched(models, soc, latch):  # full power, so every action ties
-            a, out = 0, kernel(soc, latch, p, link, actions.levels_w[0], dt)
-        else:
-            outs = [kernel(soc, latch, p, link, level, dt) for level in actions.levels_w]
+        a, out = 0, kernel(soc, latch, p, link, actions.levels_w[0], dt)
+        if not out[12]:
+            outs = [out, *(kernel(soc, latch, p, link, level, dt)
+                           for level in actions.levels_w[1:])]
             to_go = np.interp([o[13] for o in outs], nodes, values[t + 1, 0]).tolist()
             totals = [o[10] * dt + v for o, v in zip(outs, to_go)]
             a = totals.index(min(totals))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .drive_cycle import DriveCycle
 from .metrics import EpisodeMetrics, episode_metrics
-from .powertrain import Plant, PlantModels, PlantState
+from .powertrain import PlantModels, PlantState, step_kernel
 from .qlearn import ActionGrid, Agent, StateGrid, e2e_value, exploration_draws
 
 __all__ = [
@@ -141,10 +141,9 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
         raise ValueError("combiner_rng is required for the 'random' policy, got None")
     demand_w, n, dt = cycle.demand_w, len(cycle), cycle.dt_s
     levels = actions.levels_w
-    if levels[-1] > models.egu.max_power_w:
-        raise ValueError(f"p_egu_cmd_w must be within [0, {models.egu.max_power_w}], "
-                         f"got {levels[-1]}")
-    kernel = Plant(models, initial_soc).kernel  # checks the battery window
+    for level in levels:
+        models.egu.check_command(level)
+    models.battery.check_in_window("initial_soc", initial_soc)
     bad_q = [a.name for a in agents if not np.isfinite(a.q.values).all()]
     if bad_q:
         raise ValueError(f"Q-values must be finite, got non-finite entries in {bad_q[0]}'s table")
@@ -170,6 +169,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     lr_a, gamma_a = agent_a.config.learning_rate, agent_a.config.discount
     lr_b, gamma_b = agent_b.config.learning_rate, agent_b.config.discount
     soc_edges = grid.soc_edges
+    kernel = step_kernel(models)
 
     results = []
     for k in episodes:

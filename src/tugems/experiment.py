@@ -42,6 +42,7 @@ __all__ = [
     "write_sweep_csv",
     "write_robustness_csv",
     "write_trace_csv",
+    "write_dp_csv",
     "config_fingerprint",
 ]
 
@@ -288,3 +289,8 @@ def write_trace_csv(traces: list) -> str:
         [(tr.t_s, tr.state, tr.action_a, tr.action_b, tr.action_final,
           tr.chooser, tr.reward, tr.soc, tr.p_egu_w, tr.p_batt_w,
           int(tr.forced_charging)) for tr in traces])
+
+
+def write_dp_csv(steps: list[tuple[float, float]]) -> str:
+    """Render a DP rollout, (time in s, EGU command in W) per step, as CSV text."""
+    return _csv_text(("t_s", "p_egu_w"), steps)

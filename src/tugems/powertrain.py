@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "PiecewiseLinear",
+    "curve_lookup",
     "TractionMotorModel",
     "EguModel",
     "BatteryModel",
@@ -54,60 +54,32 @@ FUEL_DENSITY_KG_PER_L = 0.87
 FUEL_HEATING_VALUE_J_PER_KG = 44.0e6
 
 
-class PiecewiseLinear:
-    """Piecewise-linear map with clamped ends, for battery curves.
+def curve_lookup(points: tuple[tuple[float, float], ...]) -> Callable[[float], float]:
+    """Piecewise-linear map through ``(x, y)`` points, x strictly ascending,
+    as a closure over precomputed segments (a flat curve: its constant).
+    Beyond the end points the end values hold, so a battery curve is defined
+    for any SoC the plant can reach."""
+    if not points:
+        raise ValueError("a curve needs at least one point")
+    xs, ys = (tuple(map(float, column)) for column in zip(*points))
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"breakpoint x values must be strictly ascending, got {xs}")
+    x_lo, x_hi, y_lo, y_hi = xs[0], xs[-1], ys[0], ys[-1]
+    # On a flat curve the formula gives y0 + 0.0: y0 unless -0.0 or not finite.
+    if math.isfinite(y_lo) and all(repr(y) == repr(y_lo + 0.0) for y in ys):
+        return lambda _x: y_lo
+    segments = [(x0, y0, y1 - y0, x1 - x0)
+                for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
 
-    Breakpoints must be strictly ascending in x.  Outside the covered span
-    the end values are held constant, which keeps voltage and resistance
-    lookups well defined for any SoC the plant can reach.  ``lookup`` is the
-    map as a closure over precomputed segments (a flat curve: its constant).
-    """
+    def lookup(x: float) -> float:
+        if x <= x_lo:
+            return y_lo
+        if x >= x_hi:
+            return y_hi
+        x0, y0, dy, dx = segments[bisect_right(xs, x) - 1]
+        return y0 + dy * (x - x0) / dx
 
-    __slots__ = ("xs", "ys", "lookup")
-
-    def __init__(self, points: object) -> None:
-        pts = [(float(x), float(y)) for x, y in points]
-        if not pts:
-            raise ValueError("PiecewiseLinear needs at least one breakpoint")
-        xs = tuple(p[0] for p in pts)
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError(f"breakpoint x values must be strictly ascending, got {xs}")
-        self.xs = xs
-        self.ys = ys = tuple(p[1] for p in pts)
-        x_lo, x_hi, y_lo, y_hi = xs[0], xs[-1], ys[0], ys[-1]
-        # On a flat curve the formula gives y0 + 0.0: y0 unless -0.0 or not finite.
-        if math.isfinite(y_lo) and all(repr(y) == repr(y_lo + 0.0) for y in ys):
-            self.lookup = lambda _x: y_lo
-            return
-        segments = [(x0, y0, y1 - y0, x1 - x0)
-                    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
-
-        def lookup(x: float) -> float:
-            if x <= x_lo:
-                return y_lo
-            if x >= x_hi:
-                return y_hi
-            x0, y0, dy, dx = segments[bisect_right(xs, x) - 1]
-            return y0 + dy * (x - x0) / dx
-
-        self.lookup = lookup
-
-    def __call__(self, x: float) -> float:
-        return self.lookup(x)
-
-    def __reduce__(self) -> tuple:
-        return PiecewiseLinear, (self.points(),)
-
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.xs, self.ys))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PiecewiseLinear):
-            return NotImplemented
-        return self.xs == other.xs and self.ys == other.ys
-
-    def __repr__(self) -> str:
-        return f"PiecewiseLinear({list(self.points())!r})"
+    return lookup
 
 
 def motor_loss_from_efficiency_targets(
@@ -280,6 +252,12 @@ class EguModel:
         if min(margins) <= 0.0:
             raise ValueError("fuel power must exceed output power on (0, max_power_w]")
 
+    def check_command(self, p_egu_cmd_w: float) -> None:
+        """Raise ``ValueError`` unless ``0 <= p_egu_cmd_w <= max_power_w`` (not NaN)."""
+        if not 0.0 <= p_egu_cmd_w <= self.max_power_w:
+            raise ValueError(
+                f"p_egu_cmd_w must be within [0, {self.max_power_w}], got {p_egu_cmd_w}")
+
     def _curve(self, p_egu_w: float) -> float:
         return (self.fuel_b2 * p_egu_w + self.fuel_b1) * p_egu_w + self.fuel_b0
 
@@ -319,17 +297,16 @@ def egu_efficiency(egu: EguModel, p_egu_w: float) -> float:
 class BatteryModel:
     """Battery pack of identical cells wired as one equivalent string.
 
-    Voltage and internal resistance are piecewise-linear per-cell curves in
-    SoC.  Pack power limits are symmetric defaults; SoC itself is tracked as
-    a fraction of ``cell_capacity_ah``.
+    Voltage (V) and internal resistance (ohm) are per-cell curves in SoC,
+    given as ``(soc, value)`` points and read through :func:`curve_lookup`.
+    Pack power limits are symmetric defaults; SoC itself is tracked as a
+    fraction of ``cell_capacity_ah``.
     """
 
     cell_capacity_ah: float = 2.45
     num_cells: int = 8200
-    voltage_curve: PiecewiseLinear = field(
-        default_factory=lambda: PiecewiseLinear([(0.2, 3.4), (0.5, 3.6), (0.8, 3.9)]))
-    resistance_curve: PiecewiseLinear = field(
-        default_factory=lambda: PiecewiseLinear([(0.2, 0.03), (0.8, 0.03)]))
+    voltage_curve: tuple[tuple[float, float], ...] = ((0.2, 3.4), (0.5, 3.6), (0.8, 3.9))
+    resistance_curve: tuple[tuple[float, float], ...] = ((0.2, 0.03), (0.8, 0.03))
     soc_min: float = 0.2
     soc_max: float = 0.8
     max_charge_power_w: float = 150_000.0
@@ -345,15 +322,22 @@ class BatteryModel:
                 f"need 0 <= soc_min < soc_max <= 1, got {self.soc_min}, {self.soc_max}")
         if self.max_charge_power_w < 0.0 or self.max_discharge_power_w < 0.0:
             raise ValueError("pack power limits must be non-negative")
-        for soc in (self.soc_min, self.soc_max, *self.voltage_curve.xs):
-            if self.voltage_curve(soc) <= 0.0:
+        for soc in (self.soc_min, self.soc_max, *(x for x, _ in self.voltage_curve)):
+            if self.cell_voltage(soc) <= 0.0:
                 raise ValueError(f"cell voltage must be positive, is not at soc={soc}")
-        for soc in (self.soc_min, self.soc_max, *self.resistance_curve.xs):
-            if self.resistance_curve(soc) < 0.0:
+        resistance = curve_lookup(self.resistance_curve)
+        for soc in (self.soc_min, self.soc_max, *(x for x, _ in self.resistance_curve)):
+            if resistance(soc) < 0.0:
                 raise ValueError(f"cell resistance must be non-negative, is not at soc={soc}")
 
+    def check_in_window(self, name: str, soc: float) -> None:
+        """Raise ``ValueError``, naming ``name``, unless ``soc_min <= soc <= soc_max``."""
+        if not self.soc_min <= soc <= self.soc_max:
+            raise ValueError(f"{name} {soc} outside the battery window "
+                             f"[{self.soc_min}, {self.soc_max}]")
+
     def cell_voltage(self, soc: float) -> float:
-        return self.voltage_curve(soc)  # V
+        return curve_lookup(self.voltage_curve)(soc)  # V
 
     @property
     def coulomb_capacity(self) -> float:
@@ -374,13 +358,8 @@ class PlantModels:
     soc_penalty_coeff: float = 500.0
 
     def __post_init__(self) -> None:
-        if not self.battery.soc_min <= self.soc_ref <= self.battery.soc_max:
-            raise ValueError(
-                f"soc_ref {self.soc_ref} outside battery window "
-                f"[{self.battery.soc_min}, {self.battery.soc_max}]")
-        if not self.battery.soc_min <= self.charge_sustain_soc <= self.battery.soc_max:
-            raise ValueError(
-                f"charge_sustain_soc {self.charge_sustain_soc} outside battery window")
+        self.battery.check_in_window("soc_ref", self.soc_ref)
+        self.battery.check_in_window("charge_sustain_soc", self.charge_sustain_soc)
         if self.charge_release_margin < 0.0:
             raise ValueError(
                 f"charge_release_margin must be non-negative, got {self.charge_release_margin}")
@@ -446,8 +425,8 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     state.  Its conditionals reproduce builtin ``min``/``max`` exactly.
     """
     battery, egu = models.battery, models.egu
-    cell_voltage = battery.voltage_curve.lookup
-    resistance = battery.resistance_curve.lookup
+    cell_voltage = curve_lookup(battery.voltage_curve)
+    resistance = curve_lookup(battery.resistance_curve)
     n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
     soc_min, soc_max = battery.soc_min, battery.soc_max
     max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
@@ -516,11 +495,8 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
 
 
 class Plant:
-    """:class:`PlantModels` with a live state and their cached :func:`step_kernel`.
-
-    Construction and :meth:`reset` raise ``ValueError`` for an initial SoC
-    outside the battery window.
-    """
+    """:class:`PlantModels` with a live state and their cached :func:`step_kernel`;
+    construction and :meth:`reset` check the initial SoC against the battery window."""
 
     def __init__(self, models: PlantModels, initial_soc: float = 0.5) -> None:
         self.models = models
@@ -528,10 +504,7 @@ class Plant:
         self.reset(initial_soc)
 
     def reset(self, initial_soc: float) -> None:
-        battery = self.models.battery
-        if not battery.soc_min <= initial_soc <= battery.soc_max:
-            raise ValueError(f"initial_soc {initial_soc} outside the battery window "
-                             f"[{battery.soc_min}, {battery.soc_max}]")
+        self.models.battery.check_in_window("initial_soc", initial_soc)
         self.state = PlantState(soc=initial_soc)
 
     def step(self, p_dem_w: float, p_egu_cmd_w: float, dt_s: float) -> StepOutcome:
@@ -540,11 +513,9 @@ class Plant:
         Validates the arguments, runs the kernel and books the step into
         :attr:`state`, the energy ledger, which is updated in place.
         """
-        max_power = self.models.egu.max_power_w
         if p_dem_w < 0.0:
             raise ValueError(f"p_dem_w must be non-negative, got {p_dem_w}")
-        if p_egu_cmd_w < 0.0 or p_egu_cmd_w > max_power:
-            raise ValueError(f"p_egu_cmd_w must be within [0, {max_power}], got {p_egu_cmd_w}")
+        self.models.egu.check_command(p_egu_cmd_w)
         if dt_s <= 0.0:
             raise ValueError(f"dt_s must be positive, got {dt_s}")
         state = self.state

@@ -224,6 +224,14 @@ def test_load_config_maps_missing_file_and_bad_yaml_to_config_errors(tmp_path):
         load_config(tmp_path)
 
 
+def test_a_yaml_syntax_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("label: [unclosed")
+    assert main(["validate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f'in "{bad}", line 1, column 8' in err and "<unicode string>" not in err
+
+
 def test_to_dict_fingerprint_is_stable():
     a = config_fingerprint(parse_config({"label": "x"}).to_dict())
     b = config_fingerprint(parse_config({"label": "x"}).to_dict())

@@ -220,8 +220,8 @@ def _reference_stage(models, soc, mode, levels, p_dem, dt):
     p_link = models.motor.link_power(p_dem)
     active = np.where(mode, soc < models.charge_sustain_soc + models.charge_release_margin,
                       soc < models.charge_sustain_soc)
-    u = np.interp(soc, battery.voltage_curve.xs, battery.voltage_curve.ys)
-    r = np.interp(soc, battery.resistance_curve.xs, battery.resistance_curve.ys)
+    u = np.interp(soc, *zip(*battery.voltage_curve))
+    r = np.interp(soc, *zip(*battery.resistance_curve))
     pack_volt = u * battery.num_cells
     coulomb = battery.coulomb_capacity
     dis_cap = np.minimum(battery.max_discharge_power_w,

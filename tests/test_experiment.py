@@ -124,7 +124,7 @@ def test_run_setup_validation(models, grid, actions, flat_cycle):
         RunSetup(**common, mode="triple")
     with pytest.raises(ValueError, match="episodes"):
         RunSetup(**common, episodes=0)
-    # the plant owns the battery window, the episode loop the EGU rating
+    # the battery model owns the window check, the EGU model the rating check
     with pytest.raises(ValueError, match="initial_soc 0.05 outside the battery window"):
         run_learning(RunSetup(**common, initial_soc=0.05), seed=0)
     with pytest.raises(ValueError, match="p_egu_cmd_w must be within"):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import struct
 from bisect import bisect_right
 
@@ -11,11 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tugems.powertrain import (BatteryModel, EguModel, PiecewiseLinear, Plant,
-                               PlantState, TractionMotorModel, default_egu,
+from tugems.config import parse_config
+from tugems.dp import dp_baseline
+from tugems.drive_cycle import DriveCycle
+from tugems.ensemble import run_episodes
+from tugems.powertrain import (BatteryModel, EguModel, Plant, PlantState,
+                               TractionMotorModel, curve_lookup, default_egu,
                                default_models, egu_efficiency, egu_fuel_power,
                                fit_egu_quadratic, fuel_rate_to_power,
                                motor_loss_from_efficiency_targets)
+from tugems.qlearn import AGENT_A_STREAM, ActionGrid, Agent, LearnerConfig, StateGrid
 
 # ---------------------------------------------------------------------------
 # traction motor losses
@@ -151,7 +157,8 @@ def test_plant_step_physics_at_operating_points(models, soc0, demand, cmd):
     assert out.soc == min(max(raw, battery.soc_min), battery.soc_max)
     assert out.engine_loss_w == out.fuel_power_w - out.p_egu_w
     assert out.battery_loss_w == pytest.approx(
-        battery.resistance_curve(soc0) * current ** 2 * battery.num_cells, rel=1e-12)
+        curve_lookup(battery.resistance_curve)(soc0) * current ** 2 * battery.num_cells,
+        rel=1e-12)
     loss = out.engine_loss_w + out.battery_loss_w
     assert out.p_loss_total_w == loss
     penalty = models.soc_penalty_coeff * max(0.0, models.soc_ref - out.soc)
@@ -275,8 +282,8 @@ def test_energy_ledger_closes_over_a_mixed_run(models, bumpy_cycle):
 # ---------------------------------------------------------------------------
 
 
-def test_piecewise_linear_clamps_outside_range():
-    f = PiecewiseLinear(((0.0, 1.0), (1.0, 3.0)))
+def test_curve_lookup_clamps_outside_range():
+    f = curve_lookup(((0.0, 1.0), (1.0, 3.0)))
     assert f(-5.0) == 1.0
     assert f(5.0) == 3.0
     assert f(0.5) == pytest.approx(2.0)
@@ -312,25 +319,96 @@ def _curves_and_inner_points(draw):
 @example(curve=([0.0, 1.0], [math.inf, math.inf], [0.5]), probes=[])  # inside, inf - inf
 def test_curve_lookup_is_the_interpolation_formula_bit_for_bit(curve, probes):
     xs, ys, inner = curve
-    f = PiecewiseLinear(zip(xs, ys))
+    f = curve_lookup(tuple(zip(xs, ys)))
     midpoints = [(x0 + x1) / 2 for x0, x1 in zip(xs, xs[1:])]
     outer = [xs[0] - 1.0, xs[-1] + 1.0, -math.inf, math.inf]
     for x in [*xs, *midpoints, *inner, *outer, *probes]:
         want = struct.pack("<d", _interpolation_formula(xs, ys, x))
         assert struct.pack("<d", f(x)) == want
-        assert struct.pack("<d", f.lookup(x)) == want
 
 
-def test_piecewise_linear_survives_pickling():
-    f = PiecewiseLinear([(0.2, 3.4), (0.5, 3.6), (0.8, 3.9)])
-    copy = pickle.loads(pickle.dumps(f))
-    assert copy == f
-    assert copy(0.35) == f(0.35)
+def test_battery_model_survives_pickling_and_compares_by_value():
+    # sweep --workers sends the models to worker processes by pickle
+    battery = BatteryModel(voltage_curve=((0.2, 3.3), (0.6, 3.7), (0.8, 3.9)))
+    copy = pickle.loads(pickle.dumps(battery))
+    assert copy == battery and copy != BatteryModel()
+    assert copy.cell_voltage(0.35) == battery.cell_voltage(0.35)
+    assert pickle.loads(pickle.dumps(default_models())) == default_models()
 
 
 def test_plant_models_validates_soc_ref():
     with pytest.raises(ValueError):
         dataclasses.replace(default_models(), soc_ref=0.1)
+
+
+def test_plant_step_rejects_a_nan_command(models):
+    # a NaN command used to pass the rating check and run as 0 W
+    plant = Plant(models, 0.5)
+    with pytest.raises(ValueError, match="p_egu_cmd_w must be within"):
+        plant.step(10_000.0, math.nan, 1.0)
+    assert plant.state.steps == 0
+
+
+# ---------------------------------------------------------------------------
+# one check per rule: every entry point raises the same text
+# ---------------------------------------------------------------------------
+
+
+def _run_episodes(models, soc, actions):
+    grid = StateGrid.uniform()
+    agent = Agent.create("A", grid, actions, LearnerConfig(), 0, AGENT_A_STREAM)
+    run_episodes(DriveCycle(1.0, np.full(5, 1_000.0), "tiny"), (agent,), range(1),
+                 models, soc, grid, actions)
+
+
+def _dp(models, soc, actions):
+    dp_baseline(DriveCycle(1.0, np.full(5, 1_000.0), "tiny"), actions, models, soc)
+
+
+# entry point -> (the name its window error gives, a call with that SoC)
+_WINDOW_ENTRY_POINTS = {
+    "Plant": ("initial_soc", lambda models, soc: Plant(models, soc)),
+    "Plant.reset": ("initial_soc", lambda models, soc: Plant(models, 0.5).reset(soc)),
+    "PlantModels.soc_ref": (
+        "soc_ref", lambda models, soc: dataclasses.replace(models, soc_ref=soc)),
+    "PlantModels.charge_sustain_soc": (
+        "charge_sustain_soc",
+        lambda models, soc: dataclasses.replace(models, charge_sustain_soc=soc)),
+    "run_episodes": ("initial_soc",
+                     lambda models, soc: _run_episodes(models, soc, ActionGrid.uniform())),
+    "dp_baseline": ("initial_soc", lambda models, soc: _dp(models, soc, ActionGrid.uniform())),
+    "parse_config run.initial_soc": (
+        "config.run: initial_soc",
+        lambda models, soc: parse_config({"run": {"initial_soc": soc}})),
+    "parse_config eval.initial_socs": (
+        "config.eval: initial_socs",
+        lambda models, soc: parse_config({"eval": {"initial_socs": [0.5, soc]}})),
+}
+
+
+@pytest.mark.parametrize("soc", [0.1, 0.9])
+@pytest.mark.parametrize("entry", sorted(_WINDOW_ENTRY_POINTS))
+def test_every_entry_point_raises_the_one_window_text(models, entry, soc):
+    name, call = _WINDOW_ENTRY_POINTS[entry]
+    text = f"{name} {soc} outside the battery window [0.2, 0.8]"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        call(models, soc)
+
+
+# entry point -> a call with that EGU command (a ladder's top level for the loops)
+_COMMAND_ENTRY_POINTS = {
+    "Plant.step": lambda models, cmd: Plant(models, 0.5).step(10_000.0, cmd, 1.0),
+    "run_episodes": lambda models, cmd: _run_episodes(models, 0.5, ActionGrid((0.0, cmd))),
+    "dp_baseline": lambda models, cmd: _dp(models, 0.5, ActionGrid((0.0, cmd))),
+}
+
+
+@pytest.mark.parametrize("cmd", [86_200.5, math.nan])
+@pytest.mark.parametrize("entry", sorted(_COMMAND_ENTRY_POINTS))
+def test_every_entry_point_raises_the_one_command_text(models, entry, cmd):
+    text = f"p_egu_cmd_w must be within [0, 86200.0], got {cmd}"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        _COMMAND_ENTRY_POINTS[entry](models, cmd)
 
 
 def test_plant_state_starts_clean():
