@@ -23,8 +23,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "curve_lookup",
     "TractionMotorModel",
@@ -34,12 +32,9 @@ __all__ = [
     "PlantState",
     "StepOutcome",
     "Plant",
-    "fuel_rate_to_power",
-    "fit_egu_quadratic",
     "egu_fuel_power",
     "egu_efficiency",
     "step_kernel",
-    "motor_loss_from_efficiency_targets",
     "default_egu",
     "default_models",
 ]
@@ -48,10 +43,6 @@ __all__ = [
 _TORQUE_PER_W_RPM = 9.55
 
 _SECONDS_PER_HOUR = 3600.0
-
-# Diesel fuel properties that turn a volumetric fuel rate into chemical power.
-FUEL_DENSITY_KG_PER_L = 0.87
-FUEL_HEATING_VALUE_J_PER_KG = 44.0e6
 
 
 def curve_lookup(points: tuple[tuple[float, float], ...]) -> Callable[[float], float]:
@@ -62,7 +53,7 @@ def curve_lookup(points: tuple[tuple[float, float], ...]) -> Callable[[float], f
     if not points:
         raise ValueError("a curve needs at least one point")
     xs, ys = (tuple(map(float, column)) for column in zip(*points))
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if any(not b > a for a, b in zip(xs, xs[1:])):
         raise ValueError(f"breakpoint x values must be strictly ascending, got {xs}")
     x_lo, x_hi, y_lo, y_hi = xs[0], xs[-1], ys[0], ys[-1]
     # On a flat curve the formula gives y0 + 0.0: y0 unless -0.0 or not finite.
@@ -82,56 +73,6 @@ def curve_lookup(points: tuple[tuple[float, float], ...]) -> Callable[[float], f
     return lookup
 
 
-def motor_loss_from_efficiency_targets(
-    nominal_power_w: float,
-    rated_speed_rpm: float,
-    eta_rated: float = 0.95,
-    eta_part: float = 0.85,
-    part_load: float = 0.1,
-    idle_loss_w: float = 3500.0,
-) -> tuple[float, float, float]:
-    """Calibrate quadratic torque-loss coefficients from two efficiency targets.
-
-    Solves for ``(c2, c1, c0)`` of ``loss = c2*T**2 + c1*T + c0`` such that the
-    motor reaches ``eta_rated`` at rated torque and ``eta_part`` at
-    ``part_load`` of rated torque, with ``c0`` fixed to the idle loss.
-
-    Returns
-    -------
-    tuple of float
-        ``(c2, c1, c0)`` with units W/(N.m)^2, W/(N.m), W.
-
-    Raises
-    ------
-    ValueError
-        If the targets are unreachable with non-negative coefficients.
-    """
-    if not 0.0 < eta_part < eta_rated < 1.0:
-        raise ValueError(
-            f"need 0 < eta_part < eta_rated < 1, got {eta_part}, {eta_rated}")
-    if not 0.0 < part_load < 1.0:
-        raise ValueError(f"part_load must be in (0, 1), got {part_load}")
-    t_rated = nominal_power_w * _TORQUE_PER_W_RPM / rated_speed_rpm  # N.m
-    loss_rated = nominal_power_w * (1.0 / eta_rated - 1.0)  # W
-    p_part = part_load * nominal_power_w
-    loss_part = p_part * (1.0 / eta_part - 1.0)  # W
-    # Two linear equations in (c2, c1) once c0 is pinned.
-    a_full = loss_rated - idle_loss_w
-    a_part = loss_part - idle_loss_w
-    t_part = part_load * t_rated
-    denom = t_rated * t_rated * t_part - t_part * t_part * t_rated
-    c2 = (a_full * t_part - a_part * t_rated) / denom
-    c1 = (a_part - c2 * t_part * t_part) / t_part
-    if c2 < 0.0 or c1 < 0.0:
-        raise ValueError(
-            "efficiency targets produce a negative loss coefficient; "
-            f"solved c2={c2:.6g}, c1={c1:.6g} (raise idle_loss_w or eta_part)")
-    return c2, c1, idle_loss_w
-
-
-_DEFAULT_MOTOR_LOSS = motor_loss_from_efficiency_targets(245_000.0, 3000.0)
-
-
 @dataclass(frozen=True)
 class TractionMotorModel:
     """Traction motor with a quadratic copper/iron loss model in torque.
@@ -144,9 +85,11 @@ class TractionMotorModel:
 
     nominal_power_w: float = 245_000.0
     rated_speed_rpm: float = 3000.0
-    loss_c2: float = _DEFAULT_MOTOR_LOSS[0]  # W/(N.m)^2
-    loss_c1: float = _DEFAULT_MOTOR_LOSS[1]  # W/(N.m)
-    loss_c0: float = _DEFAULT_MOTOR_LOSS[2]  # W
+    # The default loss coefficients: 95 % efficiency at rated torque, 85 % at
+    # 10 % of it, and 3.5 kW idle loss, solved for (c2, c1) at this rating.
+    loss_c2: float = float.fromhex("0x1.1599bd4dc5ea8p-9")  # W/(N.m)^2
+    loss_c1: float = float.fromhex("0x1.4c9bc9b0eba52p+3")  # W/(N.m)
+    loss_c0: float = 3500.0  # W
 
     def __post_init__(self) -> None:
         if self.nominal_power_w <= 0.0:
@@ -181,41 +124,6 @@ class TractionMotorModel:
         if a == 0.0:
             return -c / b
         return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-
-
-def fuel_rate_to_power(rate_l_per_h: float) -> float:
-    """Convert a volumetric diesel rate (L/h) to chemical fuel power (W)."""
-    if rate_l_per_h < 0.0:
-        raise ValueError(f"rate_l_per_h must be non-negative, got {rate_l_per_h}")
-    return (rate_l_per_h * FUEL_DENSITY_KG_PER_L * FUEL_HEATING_VALUE_J_PER_KG
-            / _SECONDS_PER_HOUR)
-
-
-def fit_egu_quadratic(points: object) -> tuple[float, float, float]:
-    """Least-squares quadratic ``fuel_power = b2*p**2 + b1*p + b0`` through
-    (EGU output power, fuel power) samples.
-
-    Parameters
-    ----------
-    points : iterable of (float, float)
-        At least three samples with distinct output powers, both in W.
-
-    Returns
-    -------
-    (b2, b1, b0)
-    """
-    pts = [(float(x), float(y)) for x, y in points]
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if np.unique(xs).size < 3:
-        raise ValueError(
-            f"need at least 3 samples with distinct output power, got {xs.tolist()}")
-    b2, b1, b0 = np.polyfit(xs, ys, 2)
-    return float(b2), float(b1), float(b0)
-
-
-# Factory-curve anchors: fuel rate (L/h) at a fraction of full EGU load.
-DEFAULT_EGU_FUEL_RATES_L_PER_H: dict[float, float] = {0.5: 13.0, 0.75: 18.6, 1.0: 24.1}
 
 
 @dataclass(frozen=True)
@@ -260,18 +168,6 @@ class EguModel:
 
     def _curve(self, p_egu_w: float) -> float:
         return (self.fuel_b2 * p_egu_w + self.fuel_b1) * p_egu_w + self.fuel_b0
-
-    @classmethod
-    def from_fuel_rates(cls, max_power_w: float,
-                        rates_l_per_h: dict[float, float]) -> "EguModel":
-        """Build the load curve from (load fraction -> L/h) anchor points."""
-        pts = []
-        for load_fraction, rate in sorted(rates_l_per_h.items()):
-            if not 0.0 < load_fraction <= 1.0:
-                raise ValueError(f"load fraction must be in (0, 1], got {load_fraction}")
-            pts.append((load_fraction * max_power_w, fuel_rate_to_power(rate)))
-        b2, b1, b0 = fit_egu_quadratic(pts)
-        return cls(max_power_w=max_power_w, fuel_b2=b2, fuel_b1=b1, fuel_b0=b0)
 
 
 def egu_fuel_power(egu: EguModel, p_egu_w: float) -> float:
@@ -513,10 +409,10 @@ class Plant:
         Validates the arguments, runs the kernel and books the step into
         :attr:`state`, the energy ledger, which is updated in place.
         """
-        if p_dem_w < 0.0:
+        if not p_dem_w >= 0.0:
             raise ValueError(f"p_dem_w must be non-negative, got {p_dem_w}")
         self.models.egu.check_command(p_egu_cmd_w)
-        if dt_s <= 0.0:
+        if not dt_s > 0.0:
             raise ValueError(f"dt_s must be positive, got {dt_s}")
         state = self.state
         out = StepOutcome(*self.kernel(state.soc, state.forced_charging, p_dem_w,
@@ -536,8 +432,12 @@ class Plant:
 
 
 def default_egu() -> EguModel:
-    """EGU fitted through the factory fuel-rate anchors at 50/75/100 % load."""
-    return EguModel.from_fuel_rates(86_200.0, DEFAULT_EGU_FUEL_RATES_L_PER_H)
+    """The stock 86.2 kW EGU; its load curve is a fixed constant."""
+    # The quadratic through the factory anchors 13.0 / 18.6 / 24.1 L/h at
+    # 50 / 75 / 100 % load, as fuel power at 0.87 kg/L and 44 MJ/kg.
+    return EguModel(86_200.0, float.fromhex("-0x1.3350d2623ca16p-20"),
+                    float.fromhex("0x1.717a3d0f53093p+1"),
+                    float.fromhex("0x1.f26ffffffff6dp+13"))
 
 
 def default_models() -> PlantModels:

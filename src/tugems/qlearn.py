@@ -115,7 +115,7 @@ class StateGrid:
     def _check_axis(name: str, edges: tuple[float, ...], lo: float, hi: float) -> None:
         if len(edges) < 3:
             raise ValueError(f"{name} needs at least 3 edges (2 bins), got {len(edges)}")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
+        if any(not b > a for a, b in zip(edges, edges[1:])):
             raise ValueError(f"{name} must be strictly ascending")
         span = hi - lo
         if abs(edges[0] - lo) > 1e-9 * span or abs(edges[-1] - hi) > 1e-9 * span:
@@ -157,7 +157,7 @@ class ActionGrid:
         levels = tuple(float(x) for x in levels_w)
         if len(levels) < 2:
             raise ValueError(f"need at least 2 action levels, got {len(levels)}")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        if any(not b > a for a, b in zip(levels, levels[1:])):
             raise ValueError("action levels must be strictly ascending")
         if levels[0] != 0.0:
             raise ValueError(f"the first action level must be 0 W (off), got {levels[0]}")

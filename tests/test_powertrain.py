@@ -18,9 +18,7 @@ from tugems.drive_cycle import DriveCycle
 from tugems.ensemble import run_episodes
 from tugems.powertrain import (BatteryModel, EguModel, Plant, PlantState,
                                TractionMotorModel, curve_lookup, default_egu,
-                               default_models, egu_efficiency, egu_fuel_power,
-                               fit_egu_quadratic, fuel_rate_to_power,
-                               motor_loss_from_efficiency_targets)
+                               default_models, egu_efficiency, egu_fuel_power)
 from tugems.qlearn import AGENT_A_STREAM, ActionGrid, Agent, LearnerConfig, StateGrid
 
 # ---------------------------------------------------------------------------
@@ -29,21 +27,16 @@ from tugems.qlearn import AGENT_A_STREAM, ActionGrid, Agent, LearnerConfig, Stat
 
 
 def test_motor_loss_calibration_hits_both_efficiency_targets():
+    # c0 is the 3.5 kW idle loss; with it fixed, the two targets fix (c2, c1)
     motor = TractionMotorModel()
+    assert motor.loss_c0 == 3500.0
     for p, eta in ((motor.nominal_power_w, 0.95), (0.1 * motor.nominal_power_w, 0.85)):
-        assert p / (p + motor.loss_at_power(p)) == pytest.approx(eta, abs=1e-9)
+        assert p / (p + motor.loss_at_power(p)) == pytest.approx(eta, rel=1e-12, abs=0.0)
 
 
 def test_motor_idle_loss_is_the_constant_term():
     motor = TractionMotorModel()
     assert motor.loss_at_power(0.0) == pytest.approx(motor.loss_c0)
-
-
-def test_motor_loss_solver_rejects_infeasible_targets():
-    with pytest.raises(ValueError):
-        # 99.9 % at rated implies less total loss than the idle loss alone
-        motor_loss_from_efficiency_targets(245_000.0, 3000.0, eta_rated=0.999,
-                                           eta_part=0.85)
 
 
 def test_link_power_round_trip_through_inverse():
@@ -66,19 +59,13 @@ def test_motor_loss_nonnegative_and_link_power_monotone(p_w):
 # ---------------------------------------------------------------------------
 
 
-def test_fuel_rate_to_power_conversion():
-    # 13.0 L/h * 0.87 kg/L * 44 MJ/kg / 3600 s/h = 138 233.33 W
-    assert fuel_rate_to_power(13.0) == pytest.approx(138_233.3333, abs=0.01)
-    assert fuel_rate_to_power(18.6) == pytest.approx(197_780.0, abs=0.01)
-    assert fuel_rate_to_power(24.1) == pytest.approx(256_263.3333, abs=0.01)
-
-
 def test_egu_curve_reproduces_all_three_anchors():
+    # a quadratic through three points is unique, so the constants are the fit
     egu = default_egu()
     for load, rate_l_h in ((0.5, 13.0), (0.75, 18.6), (1.0, 24.1)):
         p = load * egu.max_power_w
-        want = fuel_rate_to_power(rate_l_h)
-        assert egu_fuel_power(egu, p) == pytest.approx(want, rel=1e-9)
+        want = rate_l_h * 0.87 * 44e6 / 3600.0  # L/h * kg/L * J/kg / s/h = W
+        assert egu_fuel_power(egu, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_egu_efficiency_anchors():
@@ -101,11 +88,6 @@ def test_egu_fuel_power_range_checked():
         egu_fuel_power(egu, -1.0)
     with pytest.raises(ValueError):
         egu_fuel_power(egu, egu.max_power_w + 1.0)
-
-
-def test_fit_egu_quadratic_needs_three_distinct_points():
-    with pytest.raises(ValueError):
-        fit_egu_quadratic([(1.0, 2.0), (1.0, 3.0)])
 
 
 def test_egu_model_rejects_decreasing_fuel_curve():
@@ -234,6 +216,17 @@ def test_plant_step_validates_inputs(models):
         plant.step(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((math.nan, 0.0, 1.0), "p_dem_w must be non-negative, got nan"),
+    ((1000.0, 0.0, math.nan), "dt_s must be positive, got nan"),
+], ids=["demand", "dt"])
+def test_plant_step_rejects_a_nan_demand_or_step_length(models, args, match):
+    plant = Plant(models, 0.5)
+    with pytest.raises(ValueError, match=match):
+        plant.step(*args)
+    assert plant.state == PlantState(soc=0.5)  # a rejected step books nothing
+
+
 @pytest.mark.parametrize("soc", [0.05, 0.81, float("nan")])
 def test_plant_rejects_an_initial_soc_outside_the_battery_window(models, soc):
     with pytest.raises(ValueError, match="outside the battery window"):
@@ -280,6 +273,14 @@ def test_energy_ledger_closes_over_a_mixed_run(models, bumpy_cycle):
 # ---------------------------------------------------------------------------
 # parameter validation and small helpers
 # ---------------------------------------------------------------------------
+
+
+def test_curve_lookup_and_battery_reject_a_nan_breakpoint():
+    curve = ((0.2, 3.4), (math.nan, 3.6), (0.8, 3.9))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        curve_lookup(curve)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        BatteryModel(voltage_curve=curve)
 
 
 def test_curve_lookup_clamps_outside_range():
@@ -407,6 +408,8 @@ _COMMAND_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(_COMMAND_ENTRY_POINTS))
 def test_every_entry_point_raises_the_one_command_text(models, entry, cmd):
     text = f"p_egu_cmd_w must be within [0, 86200.0], got {cmd}"
+    if entry != "Plant.step" and math.isnan(cmd):
+        text = "action levels must be strictly ascending"  # no NaN ladder gets built
     with pytest.raises(ValueError, match=re.escape(text)):
         _COMMAND_ENTRY_POINTS[entry](models, cmd)
 

@@ -57,6 +57,13 @@ def test_grid_rejects_bad_edges():
         StateGrid(np.linspace(0.0, 253_000.0, 5), np.linspace(0.3, 0.8, 4))
 
 
+def test_grid_rejects_a_nan_edge():
+    with pytest.raises(ValueError, match="p_dem_edges_w must be strictly ascending"):
+        StateGrid([0.0, float("nan"), 253_000.0], np.linspace(0.2, 0.8, 4))
+    with pytest.raises(ValueError, match="soc_edges must be strictly ascending"):
+        StateGrid(np.linspace(0.0, 253_000.0, 5), [0.2, float("nan"), 0.8])
+
+
 def test_grid_equality_is_by_edges():
     assert StateGrid.uniform() == StateGrid.uniform()
     assert StateGrid.uniform() != StateGrid.uniform(n_p_dem=10)
@@ -91,6 +98,11 @@ def test_action_grid_rejects_bad_ladders():
         ActionGrid([0.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="first action level must be 0"):
         ActionGrid([10.0, 20.0])
+
+
+def test_action_grid_rejects_a_nan_level():
+    with pytest.raises(ValueError, match="action levels must be strictly ascending"):
+        ActionGrid([0.0, float("nan"), 5.0])
 
 
 # ---------------------------------------------------------------------------
