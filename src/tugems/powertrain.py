@@ -23,6 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "curve_lookup",
     "TractionMotorModel",
@@ -35,6 +37,7 @@ __all__ = [
     "egu_fuel_power",
     "egu_efficiency",
     "step_kernel",
+    "array_kernel",
     "default_egu",
     "default_models",
 ]
@@ -43,6 +46,9 @@ __all__ = [
 _TORQUE_PER_W_RPM = 9.55
 
 _SECONDS_PER_HOUR = 3600.0
+
+_NEGATIVE_ENGINE_LOSS = ("engine loss is negative ({:.6g} W); the EGU fuel curve "
+                         "violates its fuel-power > output-power invariant")
 
 
 def curve_lookup(points: tuple[tuple[float, float], ...]) -> Callable[[float], float]:
@@ -144,20 +150,22 @@ class EguModel:
         if self.max_power_w <= 0.0:
             raise ValueError(f"max_power_w must be positive, got {self.max_power_w}")
         # The load curve must rise monotonically and always cost more fuel
-        # power than it returns electrically; a quadratic lets both be
-        # checked at the span ends plus the vertex.
+        # power than it returns electrically: a quadratic's margin is checked
+        # at max, at the vertex and as p -> 0+, where the first nonzero of its
+        # coefficients (b0, b1 - 1, b2) must be positive.
         d0 = self.fuel_b1  # derivative at 0
         d1 = 2.0 * self.fuel_b2 * self.max_power_w + self.fuel_b1
         if d0 <= 0.0 or d1 <= 0.0:
             raise ValueError(
                 "fuel curve must be strictly increasing on [0, max_power_w]; "
                 f"derivative spans {d0:.6g}..{d1:.6g}")
-        margins = [self._curve(p) - p for p in (self.max_power_w / 1000.0, self.max_power_w)]
+        margins = [self._curve(self.max_power_w) - self.max_power_w]
         if self.fuel_b2 != 0.0:
             vertex = (1.0 - self.fuel_b1) / (2.0 * self.fuel_b2)
             if 0.0 < vertex < self.max_power_w:
                 margins.append(self._curve(vertex) - vertex)
-        if min(margins) <= 0.0:
+        near_zero = (self.fuel_b0, self.fuel_b1 - 1.0, self.fuel_b2) > (0.0, 0.0, 0.0)
+        if min(margins) <= 0.0 or not near_zero:
             raise ValueError("fuel power must exceed output power on (0, max_power_w]")
 
     def check_command(self, p_egu_cmd_w: float) -> None:
@@ -176,17 +184,13 @@ def egu_fuel_power(egu: EguModel, p_egu_w: float) -> float:
     This is the bare load curve: it returns ``fuel_b0`` at zero output.
     The plant treats a commanded 0 W as engine-off and charges no fuel.
     """
-    if p_egu_w < 0.0 or p_egu_w > egu.max_power_w:
-        raise ValueError(
-            f"p_egu_w must be within [0, {egu.max_power_w}], got {p_egu_w}")
+    egu.check_command(p_egu_w)
     return egu._curve(p_egu_w)
 
 
 def egu_efficiency(egu: EguModel, p_egu_w: float) -> float:
     """Fuel-to-electric efficiency at an output power; 0.0 at zero output."""
-    if p_egu_w == 0.0:
-        return 0.0
-    return p_egu_w / egu_fuel_power(egu, p_egu_w)
+    return p_egu_w / egu_fuel_power(egu, p_egu_w) if p_egu_w != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -307,8 +311,8 @@ class StepOutcome:
 
 
 def step_kernel(models: PlantModels) -> Callable[..., tuple]:
-    """Build the one scalar plant step for a parameter bundle (``dp._stage``
-    is its array twin).
+    """Build the one scalar plant step for a parameter bundle
+    (:func:`array_kernel` is its array twin).
 
     ``kernel(soc, latch, p_dem_w, p_link_req_w, p_egu_cmd_w, dt_s)`` returns
     the fields of :class:`StepOutcome` as a tuple, in declaration order;
@@ -369,9 +373,7 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
         fuel = (b2 * p_egu + b1) * p_egu + b0 if p_egu > 0.0 else 0.0  # off at 0 W
         engine_loss = fuel - p_egu
         if engine_loss < 0.0:
-            raise ValueError(
-                f"engine loss is negative ({engine_loss:.6g} W); the EGU fuel curve "
-                "violates its fuel-power > output-power invariant")
+            raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss))
         current = p_batt / pack_volt  # A per cell
         battery_loss = resistance(soc0) * current * current * n_cells
         # Capability clamps above keep this inside the window up to rounding.
@@ -386,6 +388,63 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
         return (p_egu, p_batt, p_link, p_served, p_dem - p_served, current, fuel,
                 engine_loss, battery_loss, traction_loss, p_loss_total, reward,
                 latch, soc, p_batt != p_batt_unclamped)
+
+    return kernel
+
+
+def array_kernel(models: PlantModels) -> Callable[..., tuple]:
+    """Build :func:`step_kernel`'s array twin, equal to it bit for bit.
+
+    ``kernel(soc, latch, p_link_req_w, p_egu_cmd_w, dt_s)`` broadcasts its
+    arguments and returns the kernel's ``p_loss_total_w``, latch and SoC as
+    arrays (at least 1-D).  It runs the kernel's operations in order, in place,
+    with masks on its comparisons and ``np.maximum(x, y)`` for ``x if x > y else
+    y`` (both give ``y`` on ties, signed zeros included; ``np.minimum`` likewise)."""
+    battery, egu = models.battery, models.egu
+    curves = curve_lookup(battery.voltage_curve), curve_lookup(battery.resistance_curve)
+    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
+    soc_min, soc_max = battery.soc_min, battery.soc_max
+    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
+    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
+    sustain = models.charge_sustain_soc
+    release = models.charge_sustain_soc + models.charge_release_margin
+
+    def kernel(soc0, latch, p_link_req, p_cmd, dt) -> tuple:
+        soc0 = np.array(soc0, dtype=float, ndmin=1)
+        latch = np.logical_and(latch, ~(soc0 >= release)) | (soc0 < sustain)
+        socs = soc0.ravel().tolist()
+        volt, r = (np.fromiter(map(f, socs), float).reshape(soc0.shape) for f in curves)
+        volt *= n_cells  # pack volts
+        dis_cap = np.minimum((soc0 - soc_min) * coulomb / dt * volt, max_dis)
+        chg_cap = np.minimum((soc_max - soc0) * coulomb / dt * volt, max_chg)
+
+        p_egu = np.maximum(p_link_req - dis_cap, np.where(latch, p_max, p_cmd))
+        np.minimum(p_link_req + chg_cap, p_egu, out=p_egu)
+        np.maximum(p_egu, 0.0, out=p_egu)
+        np.minimum(p_egu, p_max, out=p_egu)
+        current = np.subtract(p_link_req, p_egu)
+        np.maximum(current, -chg_cap, out=current)
+        np.minimum(current, dis_cap, out=current)  # p_batt
+
+        loss = b2 * p_egu
+        loss += b1
+        loss *= p_egu
+        loss += b0
+        np.putmask(loss, ~(p_egu > 0.0), 0.0)  # off at 0 W
+        loss -= p_egu  # engine loss
+        if (loss < 0.0).any():
+            raise ValueError(_NEGATIVE_ENGINE_LOSS.format(loss.min()))
+        current /= volt  # A per cell
+        battery_loss = np.multiply(r, current, out=p_egu)
+        battery_loss *= current
+        battery_loss *= n_cells
+        loss += battery_loss  # p_loss_total
+        current *= dt
+        current /= coulomb
+        soc = np.subtract(soc0, current, out=current)
+        np.maximum(soc, soc_min, out=soc)
+        np.minimum(soc, soc_max, out=soc)
+        return loss, latch, soc
 
     return kernel
 

@@ -1,6 +1,7 @@
 """Dynamic-programming loss bound: exactness, feasibility, and slack."""
 
 import dataclasses
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tugems.config import builtin_cycle
-from tugems.dp import (DpResult, _latched, _stage, dp_baseline, dp_slack_energy_j,
-                       episode_loss_j)
+from tugems.dp import DpResult, dp_baseline, dp_slack_energy_j, episode_loss_j
 from tugems.drive_cycle import DriveCycle
 from tugems.metrics import episode_metrics
-from tugems.powertrain import (Plant, StepOutcome, TractionMotorModel, default_models,
-                               step_kernel)
+from tugems.powertrain import (BatteryModel, Plant, StepOutcome, TractionMotorModel,
+                               array_kernel, default_models, step_kernel)
 from tugems.qlearn import ActionGrid
 
 
@@ -182,31 +182,62 @@ def test_dp_result_is_deterministic(models, actions, flat_cycle):
 
 
 # ---------------------------------------------------------------------------
-# the scalar plant kernel and the DP stage are one model
+# the DP's array twin is the scalar plant kernel, bit for bit
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
-@given(soc=st.floats(min_value=0.2, max_value=0.8), latch=st.booleans(),
-       action=st.integers(0, 10), p_dem=st.floats(min_value=0.0, max_value=253_000.0))
-@example(soc=0.28, latch=False, action=3, p_dem=40_000.0)  # the sustain threshold
-@example(soc=0.2799, latch=False, action=3, p_dem=40_000.0)
-@example(soc=0.2849, latch=True, action=3, p_dem=40_000.0)  # held below the release
-@example(soc=0.285, latch=True, action=3, p_dem=40_000.0)
-def test_scalar_kernel_matches_the_dp_stage(soc, latch, action, p_dem):
-    models, actions = default_models(), ActionGrid.uniform()
-    p_link = models.motor.link_power(p_dem)
-    out = StepOutcome(*step_kernel(models)(soc, latch, p_dem, p_link,
-                                           actions.level(action), 1.0))
-    latched = bool(_latched(models, soc, latch))
-    base = [models.egu.max_power_w] if latched else actions.levels_w
-    cost, soc_next = _stage(models, np.array([soc]), np.asarray(base),
-                            np.array([p_link]), 1.0)
-    column = 0 if latched else action
-    assert (out.engine_loss_w + out.battery_loss_w) * 1.0 == pytest.approx(
-        float(cost[0, column, 0]), rel=1e-12, abs=0.0)
-    assert abs(out.soc - float(soc_next[0, column, 0])) <= 1e-15
-    assert out.forced_charging == latched
+_SUSTAIN_VARIANTS = {
+    "stock": {},
+    "no-release-margin": {"charge_release_margin": 0.0},
+    "sustain-at-soc-min": {"charge_sustain_soc": 0.2},
+    "nothing-latched": {"charge_sustain_soc": 0.2, "charge_release_margin": 0.0},
+    "wide-hysteresis": {"charge_sustain_soc": 0.32, "charge_release_margin": 0.05},
+}
+
+# A pack whose voltage and resistance both bend at several SoCs.
+_BENT_BATTERY = BatteryModel(
+    voltage_curve=((0.2, 3.3), (0.3, 3.52), (0.45, 3.61), (0.7, 3.8), (0.8, 4.05)),
+    resistance_curve=((0.2, 0.045), (0.35, 0.031), (0.6, 0.028), (0.8, 0.034)))
+
+
+_TwinCase = namedtuple("_TwinCase", "socs latch commands demands variant bent dt",
+                       defaults=(False, (25_860.0,), (40_000.0,), "stock", False, 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.builds(
+    _TwinCase,
+    socs=st.lists(st.floats(0.2, 0.8), min_size=1, max_size=4), latch=st.booleans(),
+    commands=st.lists(st.floats(0.0, 86_200.0), min_size=1, max_size=3),
+    demands=st.lists(st.floats(0.0, 253_000.0), min_size=1, max_size=3),
+    variant=st.sampled_from(sorted(_SUSTAIN_VARIANTS)), bent=st.booleans(),
+    dt=st.sampled_from([1.0, 0.5, 2.0])))
+@example(case=_TwinCase([0.28, 0.2799]))  # the sustain point and just below
+@example(case=_TwinCase([0.285, 0.28 + 0.005, 0.2849], latch=True))  # the release point
+@example(case=_TwinCase([0.2, 0.8], commands=(0.0, 86_200.0)))  # the window ends
+@example(case=_TwinCase([0.2, 0.8], latch=True, commands=(0.0, 86_200.0)))
+@example(case=_TwinCase([0.2], latch=True, commands=(0.0,), demands=(253_000.0,)))  # shortfall
+@example(case=_TwinCase([0.5], commands=(-0.0, 0.0), demands=(0.0, 253_000.0)))  # signed zero
+@example(case=_TwinCase([0.3, 0.45, 0.7], commands=(0.0, 43_100.0), bent=True))  # breakpoints
+@example(case=_TwinCase([0.32, 0.37], latch=True, variant="wide-hysteresis"))
+@example(case=_TwinCase([0.2, 0.2001], variant="nothing-latched"))
+def test_array_kernel_is_the_scalar_kernel_bit_for_bit(case):
+    models = dataclasses.replace(default_models(), **_SUSTAIN_VARIANTS[case.variant])
+    if case.bent:
+        models = dataclasses.replace(models, battery=_BENT_BATTERY)
+    socs, latch, commands, demands, dt = case.socs, case.latch, case.commands, case.demands, case.dt
+    links = [models.motor.link_power(p) for p in demands]
+    # the DP's layout: steps x commands x SoC nodes
+    loss, latched, soc_next = array_kernel(models)(
+        np.array(socs), latch, np.array(links)[:, None, None], np.array(commands)[:, None], dt)
+    assert loss.shape == soc_next.shape == (len(demands), len(commands), len(socs))
+    assert latched.shape == (len(socs),)
+    kernel = step_kernel(models)
+    for k, a, s in np.ndindex(loss.shape):
+        out = StepOutcome(*kernel(socs[s], latch, demands[k], links[k], commands[a], dt))
+        assert loss[k, a, s] == out.p_loss_total_w
+        assert latched[s] == out.forced_charging
+        assert soc_next[k, a, s] == out.soc
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +317,6 @@ def _assert_same_solution(cycle, actions, models, initial_soc, soc_nodes):
     assert got.rollout_cost_j == want.rollout_cost_j
     assert got.rollout_end_soc == want.rollout_end_soc
     assert got == want
-
-
-_SUSTAIN_VARIANTS = {
-    "stock": {},
-    "no-release-margin": {"charge_release_margin": 0.0},
-    "sustain-at-soc-min": {"charge_sustain_soc": 0.2},
-    "nothing-latched": {"charge_sustain_soc": 0.2, "charge_release_margin": 0.0},
-    "wide-hysteresis": {"charge_sustain_soc": 0.32, "charge_release_margin": 0.05},
-}
 
 
 @pytest.mark.parametrize("variant", sorted(_SUSTAIN_VARIANTS))

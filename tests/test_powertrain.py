@@ -17,7 +17,7 @@ from tugems.dp import dp_baseline
 from tugems.drive_cycle import DriveCycle
 from tugems.ensemble import run_episodes
 from tugems.powertrain import (BatteryModel, EguModel, Plant, PlantState,
-                               TractionMotorModel, curve_lookup, default_egu,
+                               TractionMotorModel, array_kernel, curve_lookup, default_egu,
                                default_models, egu_efficiency, egu_fuel_power)
 from tugems.qlearn import AGENT_A_STREAM, ActionGrid, Agent, LearnerConfig, StateGrid
 
@@ -88,11 +88,28 @@ def test_egu_fuel_power_range_checked():
         egu_fuel_power(egu, -1.0)
     with pytest.raises(ValueError):
         egu_fuel_power(egu, egu.max_power_w + 1.0)
+    with pytest.raises(ValueError, match="p_egu_cmd_w must be within"):
+        egu_fuel_power(egu, math.nan)
 
 
 def test_egu_model_rejects_decreasing_fuel_curve():
     with pytest.raises(ValueError, match="increasing"):
         EguModel(max_power_w=86_200.0, fuel_b2=0.0, fuel_b1=-1.0, fuel_b0=5e5)
+
+
+@pytest.mark.parametrize("b1, b0", [(2.0, -1.0), (1.0 + 1e-9, -1e-12)])
+def test_egu_model_rejects_a_curve_below_its_output_near_zero(b1, b0):
+    # fuel - p -> fuel_b0 as p -> 0+; with fuel_b0 = -1 W the margin is
+    # positive from 1 W up, yet a 0.5 W command burns less than it delivers
+    with pytest.raises(ValueError, match="fuel power must exceed output power"):
+        EguModel(max_power_w=86_200.0, fuel_b2=0.0, fuel_b1=b1, fuel_b0=b0)
+
+
+def test_egu_model_accepts_a_curve_that_starts_at_zero_and_climbs():
+    EguModel(max_power_w=86_200.0, fuel_b2=1e-6, fuel_b1=1.0, fuel_b0=0.0)  # margin 1e-6 p^2
+    egu = EguModel(max_power_w=86_200.0, fuel_b2=0.0, fuel_b1=2.0, fuel_b0=0.0)
+    plant = Plant(dataclasses.replace(default_models(), egu=egu), 0.5)
+    assert plant.step(0.0, 0.5, 1.0).engine_loss_w == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +173,8 @@ def test_plant_step_rejects_a_fuel_curve_below_output():
     models = dataclasses.replace(default_models(), egu=egu)
     with pytest.raises(ValueError, match="engine loss is negative"):
         Plant(models, 0.5).step(0.0, 8_620.0, 1.0)
+    with pytest.raises(ValueError, match="engine loss is negative"):  # and its array twin
+        array_kernel(models)([0.5], False, models.motor.link_power(0.0), [0.0, 8_620.0], 1.0)
 
 
 def test_plant_step_link_balance_is_exact(models):
