@@ -10,7 +10,7 @@ The package splits along the physical and algorithmic seams:
 * :mod:`tugems.qlearn`: state/action grids, exploration schedules, Q-tables,
   and seeded RNG streams.
 * :mod:`tugems.ensemble`: two-agent action combination policies and the
-  episode loops.
+  episode loop.
 * :mod:`tugems.metrics`: overall energy consumption and efficiency of an
   episode.
 * :mod:`tugems.experiment`: learning runs, weight sweeps, robustness tables,

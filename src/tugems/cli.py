@@ -9,8 +9,11 @@ Subcommands::
                     [--baseline-snapshots DIR]
     tugems dp       --config cfg.yaml --out runs/x
 
-Exit codes: 0 on success, 1 for configuration or argument problems, 2 for
-runtime failures (missing snapshots, infeasible constraints, I/O).
+Exit codes: 0 on success, 1 for configuration or argument problems (a cycle
+file that will not load included), 2 for runtime failures (missing
+snapshots, infeasible constraints, I/O).  Every command builds the config's
+cycles before it creates ``--out``, so each runs exactly the configs
+``validate`` accepts.
 Artifacts (CSV tables, Q-table snapshots, ``manifest.json``) carry no
 timestamps, so rerunning a command over the same config reproduces them
 byte for byte.  Output files, snapshots included, are written atomically
@@ -29,13 +32,13 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .dp import dp_baseline, dp_slack_energy_j
+from .drive_cycle import DriveCycle
 from .ensemble import EnsemblePolicy
 from .experiment import (RunSetup, config_fingerprint, robustness_eval,
                          run_learning, sweep_weights, write_dp_csv,
                          write_learning_curve_csv, write_robustness_csv,
                          write_sweep_csv, write_trace_csv)
-from .qlearn import (RNG_PROTOCOL, Agent, LearnerConfig, load_qtable, make_rng,
-                     save_qtable, write_atomic)
+from .qlearn import RNG_PROTOCOL, Agent, load_qtable, make_rng, save_qtable, write_atomic
 
 __all__ = ["main", "build_parser"]
 
@@ -131,33 +134,48 @@ def _write_manifest(out: Path, command: str, config: RunConfig,
                  json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _prepare(args: argparse.Namespace,
-             seeds: list[int] | None = None) -> tuple[RunConfig, Path]:
-    """Load the config and check a ``--seed`` override, then create ``--out``."""
-    config = load_config(args.config)
+def _load(path: str) -> tuple[RunConfig, DriveCycle, list[DriveCycle]]:
+    """Load the config and build its learning and eval cycles, once each; a
+    cycle that will not build is a config error."""
+    config = load_config(path)
+    cycles = []
+    for key, build in (("config.cycle", config.build_cycle),
+                       ("config.eval.cycles", config.build_eval_cycles)):
+        try:
+            cycles.append(build())
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"{key}: {exc}"]) from exc
+    return config, *cycles
+
+
+def _prepare(args: argparse.Namespace, seeds: list[int] | None = None
+             ) -> tuple[RunConfig, DriveCycle, list[DriveCycle], Path]:
+    """Load the config and its cycles (:func:`_load`), check a ``--seed``
+    override, then create ``--out``."""
+    config, cycle, eval_cycles = _load(args.config)
     if seeds and len(set(seeds)) != len(seeds):
         raise ConfigError([f"--seed: duplicate seeds in {seeds}"])
     if seeds and min(seeds) < 0:
         raise ConfigError([f"--seed: must be >= 0, got {min(seeds)}"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return config, out
+    return config, cycle, eval_cycles, out
 
 
-def _setup(config: RunConfig, episodes: int) -> RunSetup:
-    """The learning-run setup a config describes, with ``episodes`` per run."""
+def _setup(config: RunConfig, cycle: DriveCycle) -> RunSetup:
+    """The learning-run setup a config describes on its built cycle."""
     grid, actions = config.build_grids()
-    return RunSetup(cycle=config.build_cycle(), models=config.build_models(),
+    return RunSetup(cycle=cycle, models=config.build_models(),
                     grid=grid, actions=actions, config_a=config.agent_a,
                     config_b=config.agent_b, policy=config.policy,
-                    mode=config.mode, episodes=episodes,
+                    mode=config.mode, episodes=config.episodes,
                     initial_soc=config.initial_soc)
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    config, out = _prepare(args, args.seed)
+    config, cycle, _, out = _prepare(args, args.seed)
     seeds = tuple(args.seed) if args.seed else config.seeds
-    setup = _setup(config, config.episodes)
+    setup = _setup(config, cycle)
     artifacts: list[str] = []
     finals = {}
     for seed in seeds:
@@ -194,9 +212,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config, out = _prepare(args)
-    rows = sweep_weights(_setup(config, config.sweep_episodes),
-                         repeats=config.sweep_repeats,
+    config, cycle, _, out = _prepare(args)
+    setup = dataclasses.replace(_setup(config, cycle), episodes=config.sweep_episodes)
+    rows = sweep_weights(setup, repeats=config.sweep_repeats,
                          base_seed=config.sweep_base_seed, workers=args.workers)
     write_atomic(out / "sweep.csv", write_sweep_csv(rows))
     best = max(rows, key=lambda r: r.mean_eff)
@@ -208,13 +226,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_snapshot(snap_dir: Path, name: str) -> Path:
-    """Prefer the unsuffixed snapshot; else the lowest-seed one."""
-    plain = snap_dir / f"qtable_{name}.json"
+def _resolve_snapshot(snap_dir: Path) -> Path:
+    """Agent A's snapshot: the unsuffixed one if present, else the lowest-seed one."""
+    plain = snap_dir / "qtable_A.json"
     if plain.is_file():
         return plain
     seeded = []
-    for candidate in snap_dir.glob(f"qtable_{name}_seed*.json"):
+    for candidate in snap_dir.glob("qtable_A_seed*.json"):
         suffix = candidate.stem.rsplit("_seed", 1)[1]
         try:
             seeded.append((int(suffix), candidate))
@@ -225,15 +243,16 @@ def _resolve_snapshot(snap_dir: Path, name: str) -> Path:
     return plain
 
 
-def _load_agent(path: Path, name: str, config: RunConfig,
-                fallback: LearnerConfig) -> tuple[Agent, str, dict]:
-    """Rebuild a frozen agent from a snapshot; returns it with a method label
-    and the snapshot's ``extra`` block."""
+def _load_agent(path: Path, name: str, config: RunConfig) -> tuple[Agent, str, dict]:
+    """Rebuild frozen agent ``name`` ("A" or "B") from a snapshot, falling back
+    on the config's learner for what the snapshot leaves out; returns it with a
+    method label and the snapshot's ``extra`` block."""
     if not path.is_file():
         raise FileNotFoundError(
             f"snapshot {path} not found; run 'tugems learn' first")
     grid, actions = config.build_grids()
     q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
+    fallback = config.agent_a if name == "A" else config.agent_b
     learner = (fallback if schedule is None
                else dataclasses.replace(fallback, schedule=schedule))
     agent = Agent(name=name, q=q, config=learner, rng=make_rng(0, 0))
@@ -242,14 +261,14 @@ def _load_agent(path: Path, name: str, config: RunConfig,
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config, out = _prepare(args)
+    config, _, eval_cycles, out = _prepare(args)
     snap_dir = Path(args.snapshots)
-    path_a = _resolve_snapshot(snap_dir, "A")
-    agent_a, label_a, extra_a = _load_agent(path_a, "A", config, config.agent_a)
+    path_a = _resolve_snapshot(snap_dir)
+    agent_a, label_a, extra_a = _load_agent(path_a, "A", config)
     ensemble = {"A": agent_a}
     path_b = path_a.with_name(path_a.name.replace("_A", "_B", 1))  # same seed as A
     if path_b.is_file():
-        agent_b, _, extra_b = _load_agent(path_b, "B", config, config.agent_b)
+        agent_b, _, extra_b = _load_agent(path_b, "B", config)
         differ = [k for k in ("label", "mode", "seed") if extra_a.get(k) != extra_b.get(k)]
         if differ:
             raise ValueError(f"snapshots {path_a} and {path_b} do not pair: "
@@ -258,14 +277,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif extra_a.get("mode") == "ensemble":
         raise ValueError(f"snapshot {path_b}, the ensemble partner of {path_a}, not found")
     if args.baseline_snapshots:
-        base_path = _resolve_snapshot(Path(args.baseline_snapshots), "A")
-        baseline, base_label, _ = _load_agent(base_path, "A", config, config.agent_a)
+        base_path = _resolve_snapshot(Path(args.baseline_snapshots))
+        baseline, base_label, _ = _load_agent(base_path, "A", config)
     else:
         baseline, base_label = agent_a, label_a
     grid, actions = config.build_grids()
     policy = config.policy if "B" in ensemble else EnsemblePolicy.weighted(1.0)
-    rows = robustness_eval(ensemble, baseline, policy,
-                           config.build_eval_cycles(),
+    rows = robustness_eval(ensemble, baseline, policy, eval_cycles,
                            list(config.eval_initial_socs),
                            config.build_models(), grid, actions,
                            baseline_method=base_label)
@@ -281,8 +299,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_dp(args: argparse.Namespace) -> int:
-    config, out = _prepare(args)
-    cycle = config.build_cycle()
+    config, cycle, _, out = _prepare(args)
     models = config.build_models()
     _, actions = config.build_grids()
     result = dp_baseline(cycle, actions, models, config.initial_soc,
@@ -303,14 +320,7 @@ def _cmd_dp(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    # The cycles learn and eval will load: a missing or malformed file is a config error.
-    for key, build in (("config.cycle", config.build_cycle),
-                       ("config.eval.cycles", config.build_eval_cycles)):
-        try:
-            build()
-        except (OSError, ValueError) as exc:
-            raise ConfigError([f"{key}: {exc}"]) from exc
+    config, _, _ = _load(args.config)
     print(f"OK: {config.label} ({config_fingerprint(config.to_dict())})")
     return EXIT_OK
 

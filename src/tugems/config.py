@@ -59,9 +59,9 @@ class _Key(NamedTuple):
     """One config key: where it sits in the file, where its value goes, and
     what it accepts.
 
-    ``field`` names a ``RunConfig`` attribute, or ``policy.<name>`` /
-    ``plant.<name>`` for a key that builds the ensemble policy or overrides
-    a plant parameter.  A ``many`` key takes a non-empty list of such values.
+    ``field`` names a ``RunConfig`` attribute, or ``policy.<name>`` for a
+    key that builds the ensemble policy.  A ``many`` key takes a non-empty
+    list of such values.
     """
 
     section: str  # "" for a top-level key
@@ -73,9 +73,6 @@ class _Key(NamedTuple):
     choices: Sequence[str] | None = None
     many: bool = False
 
-
-_PLANT_KEYS = ("soc_ref", "charge_sustain_soc", "charge_release_margin",
-               "soc_penalty_coeff", "reward_baseline")
 
 # The config schema: every key but the agent sub-schema, in file order.
 _KEYS = (
@@ -93,7 +90,6 @@ _KEYS = (
     _Key("ensemble", "kind", "policy.kind", str, choices=POLICY_KINDS),
     _Key("ensemble", "mu", "policy.mu", float, 0.0, 1.0),
     _Key("ensemble", "t", "policy.t", float, 0.0, 1.0),
-    *(_Key("plant", key, f"plant.{key}", float) for key in _PLANT_KEYS),
     _Key("sweep", "repeats", "sweep_repeats", int, low=1),
     _Key("sweep", "base_seed", "sweep_base_seed", int, low=0),
     _Key("sweep", "episodes", "sweep_episodes", int, low=1),
@@ -132,7 +128,6 @@ class RunConfig:
     agent_b: LearnerConfig = field(
         default_factory=lambda: LearnerConfig(schedule=E2ESchedule.exponential()))
     policy: EnsemblePolicy = field(default_factory=lambda: EnsemblePolicy.weighted(0.5))
-    plant_overrides: tuple[tuple[str, float], ...] = ()
     sweep_repeats: int = 25
     sweep_base_seed: int = 0
     sweep_episodes: int = 125
@@ -142,10 +137,7 @@ class RunConfig:
     dp_soc_nodes: int = 101
 
     def build_models(self) -> PlantModels:
-        models = default_models()
-        if self.plant_overrides:
-            models = dataclasses.replace(models, **dict(self.plant_overrides))
-        return models
+        return default_models()
 
     def build_grids(self) -> tuple[StateGrid, ActionGrid]:
         grid = StateGrid.uniform(self.p_dem_bins, self.soc_bins)
@@ -168,14 +160,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Canonical plain-data form, used for the run fingerprint."""
-        plant = dict(self.plant_overrides)
         out: dict = {section: {} for section in _SECTIONS}
         for row in _KEYS:
             owner, _, name = row.field.rpartition(".")
-            if owner == "plant":  # only the parameters the config overrides
-                if name in plant:
-                    out["plant"][name] = plant[name]
-                continue
             value = getattr(self.policy if owner else self, name)
             out[row.section][row.key] = list(value) if row.many else value
         out.update(out.pop(""))
@@ -293,21 +280,14 @@ def parse_config(data: object) -> RunConfig:
     seeds = values.get("seeds", ())
     if len(set(seeds)) != len(seeds):
         problems.append(f"config.run.seeds: duplicate seeds in {list(seeds)!r}")
-    owned: dict[str, dict] = {"policy": {}, "plant": {}}
-    for name in [name for name in values if "." in name]:
-        owner, _, attr = name.partition(".")
-        owned[owner][attr] = values.pop(name)
-    values["policy"] = dataclasses.replace(DEFAULT_CONFIG.policy, **owned["policy"])
-    values["plant_overrides"] = tuple(owned["plant"].items())
+    policy = {name.partition(".")[2]: values.pop(name) for name in list(values) if "." in name}
+    values["policy"] = dataclasses.replace(DEFAULT_CONFIG.policy, **policy)
     if problems:
         raise ConfigError(problems)
     config = RunConfig(**values)
 
     # The battery window needs the built models; surface it the same way.
-    try:
-        battery = config.build_models().battery
-    except ValueError as exc:
-        raise ConfigError([f"config.plant: {exc}"]) from exc
+    battery = config.build_models().battery
     for section, key, soc in [("run", "initial_soc", config.initial_soc),
                               *(("eval", "initial_socs", s) for s in config.eval_initial_socs)]:
         try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,13 +137,13 @@ def load_cycle(path: str | Path) -> DriveCycle:
         demand.append(p)
     if len(times) >= 2:
         dt = times[1] - times[0]
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise CycleError(
                 f"{path}: row 3: time must increase (t goes {times[0]!r} -> {times[1]!r})")
         tol = 1e-6 * max(1.0, abs(dt))
         for i in range(1, len(times)):
             step = times[i] - times[i - 1]
-            if abs(step - dt) > tol:
+            if not abs(step - dt) <= tol:
                 raise CycleError(
                     f"{path}: row {i + 2}: non-uniform time step "
                     f"{step!r} s (expected {dt!r} s)")
@@ -172,16 +173,16 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("segments must not be empty")
-        if self.noise_amplitude_w < 0.0:
+        if not self.noise_amplitude_w >= 0.0:
             raise ValueError(
                 f"noise_amplitude_w must be non-negative, got {self.noise_amplitude_w}")
         for level, hold in self.segments:
-            if hold <= 0.0:
-                raise ValueError(f"segment hold must be positive, got {hold}")
-            if level - self.noise_amplitude_w < 0.0:
+            if not 0.0 < hold < math.inf:
+                raise ValueError(f"segment hold must be positive and finite, got {hold}")
+            if not level - self.noise_amplitude_w >= 0.0:
                 raise ValueError(
                     f"segment level {level} W minus noise goes below 0 W")
-            if level + self.noise_amplitude_w > CYCLE_POWER_MAX_W:
+            if not level + self.noise_amplitude_w <= CYCLE_POWER_MAX_W:
                 raise ValueError(
                     f"segment level {level} W plus noise exceeds the "
                     f"{CYCLE_POWER_MAX_W:.0f} W envelope")
@@ -192,12 +193,10 @@ def synth_cycle(spec: SynthSpec) -> DriveCycle:
 
     The same spec (including seed) always yields the same samples.
     """
-    levels: list[float] = []
-    for level, hold in spec.segments:
-        levels.extend([level] * int(round(hold)))
-    if not levels:
+    levels, holds = zip(*spec.segments)
+    demand = np.repeat(np.array(levels, dtype=np.float64), [int(round(h)) for h in holds])
+    if not demand.size:
         raise CycleError("segments were too short to produce a sample")
-    demand = np.array(levels, dtype=np.float64)
     if spec.noise_amplitude_w > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
         noise = rng.uniform(-spec.noise_amplitude_w, spec.noise_amplitude_w,

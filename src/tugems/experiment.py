@@ -48,6 +48,8 @@ __all__ = [
 
 SINGLE_MODE = "single"
 ENSEMBLE_MODE = "ensemble"
+# The weighted-combination proportions a sweep grids: mu = 0.1 .. 0.9.
+SWEEP_PROPORTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
 def default_agent_configs() -> tuple[LearnerConfig, LearnerConfig]:
@@ -94,7 +96,6 @@ class RunSetup:
 class RunResult:
     """Per-episode metrics of one seeded run, plus the trained agents."""
 
-    mode: str
     episodes: list[EpisodeMetrics]
     agents: dict[str, Agent]
     wall_clock_s: float
@@ -125,7 +126,7 @@ def run_learning(setup: RunSetup, seed: int,
     results = run_episodes(setup.cycle, tuple(agents.values()), range(setup.episodes),
                            setup.models, setup.initial_soc, setup.grid, setup.actions,
                            setup.policy, combiner_rng, record_traces=record_final_traces)
-    return RunResult(mode=setup.mode, episodes=[r.metrics for r in results], agents=agents,
+    return RunResult(episodes=[r.metrics for r in results], agents=agents,
                      wall_clock_s=time.perf_counter() - started,
                      final_traces=results[-1].traces)
 
@@ -165,12 +166,10 @@ def _sweep_repeat(args: tuple[RunSetup, int]) -> float:
     return eff
 
 
-def sweep_weights(setup: RunSetup,
-                  proportions: tuple[float, ...] = tuple(round(0.1 * i, 1)
-                                                         for i in range(1, 10)),
-                  repeats: int = 25, base_seed: int = 0,
+def sweep_weights(setup: RunSetup, repeats: int = 25, base_seed: int = 0,
                   workers: int = 1) -> list[SweepRow]:
-    """Grid the weighted-combination proportion and average over repeats.
+    """Grid the weighted-combination proportion over ``SWEEP_PROPORTIONS``
+    and average over repeats.
 
     Each cell runs ``setup`` in ensemble mode under the weighted policy of
     its proportion.  Every proportion row reuses the same ``repeats`` seeds
@@ -183,7 +182,7 @@ def sweep_weights(setup: RunSetup,
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(replace(setup, mode=ENSEMBLE_MODE, policy=EnsemblePolicy.weighted(mu)),
-              base_seed + r) for mu in proportions for r in range(repeats)]
+              base_seed + r) for mu in SWEEP_PROPORTIONS for r in range(repeats)]
     if workers > 1:  # map yields results in task order
         with ProcessPoolExecutor(max_workers=workers) as pool:
             effs = list(pool.map(_sweep_repeat, tasks, chunksize=1))
@@ -191,7 +190,7 @@ def sweep_weights(setup: RunSetup,
         effs = [_sweep_repeat(t) for t in tasks]
     return [SweepRow(mu=mu, mean_eff=float(row.mean()), std_eff=float(row.std()),
                      repeats=repeats)
-            for mu, row in zip(proportions, np.reshape(effs, (len(proportions), repeats)))]
+            for mu, row in zip(SWEEP_PROPORTIONS, np.reshape(effs, (-1, repeats)))]
 
 
 @dataclass(frozen=True)

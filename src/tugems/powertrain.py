@@ -47,6 +47,9 @@ _TORQUE_PER_W_RPM = 9.55
 
 _SECONDS_PER_HOUR = 3600.0
 
+# Reward per unit of SoC the pack ends a step below ``PlantModels.soc_ref``.
+_SOC_PENALTY = 500.0
+
 _NEGATIVE_ENGINE_LOSS = ("engine loss is negative ({:.6g} W); the EGU fuel curve "
                          "violates its fuel-power > output-power invariant")
 
@@ -89,21 +92,19 @@ class TractionMotorModel:
     narrow low-speed band, so a single reference speed is adequate.
     """
 
-    nominal_power_w: float = 245_000.0
     rated_speed_rpm: float = 3000.0
-    # The default loss coefficients: 95 % efficiency at rated torque, 85 % at
-    # 10 % of it, and 3.5 kW idle loss, solved for (c2, c1) at this rating.
+    # The default loss coefficients: 95 % efficiency at the 245 kW / 3000 rpm
+    # rating point, 85 % at 10 % of its torque, and 3.5 kW idle loss, solved
+    # for (c2, c1).
     loss_c2: float = float.fromhex("0x1.1599bd4dc5ea8p-9")  # W/(N.m)^2
     loss_c1: float = float.fromhex("0x1.4c9bc9b0eba52p+3")  # W/(N.m)
     loss_c0: float = 3500.0  # W
 
     def __post_init__(self) -> None:
-        if self.nominal_power_w <= 0.0:
-            raise ValueError(f"nominal_power_w must be positive, got {self.nominal_power_w}")
-        if self.rated_speed_rpm <= 0.0:
+        if not self.rated_speed_rpm > 0.0:
             raise ValueError(f"rated_speed_rpm must be positive, got {self.rated_speed_rpm}")
         for name in ("loss_c2", "loss_c1", "loss_c0"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def loss_at_power(self, power_w: float) -> float:
@@ -147,7 +148,7 @@ class EguModel:
     fuel_b0: float  # W
 
     def __post_init__(self) -> None:
-        if self.max_power_w <= 0.0:
+        if not self.max_power_w > 0.0:
             raise ValueError(f"max_power_w must be positive, got {self.max_power_w}")
         # The load curve must rise monotonically and always cost more fuel
         # power than it returns electrically: a quadratic's margin is checked
@@ -155,7 +156,7 @@ class EguModel:
         # coefficients (b0, b1 - 1, b2) must be positive.
         d0 = self.fuel_b1  # derivative at 0
         d1 = 2.0 * self.fuel_b2 * self.max_power_w + self.fuel_b1
-        if d0 <= 0.0 or d1 <= 0.0:
+        if not (d0 > 0.0 and d1 > 0.0):
             raise ValueError(
                 "fuel curve must be strictly increasing on [0, max_power_w]; "
                 f"derivative spans {d0:.6g}..{d1:.6g}")
@@ -165,7 +166,7 @@ class EguModel:
             if 0.0 < vertex < self.max_power_w:
                 margins.append(self._curve(vertex) - vertex)
         near_zero = (self.fuel_b0, self.fuel_b1 - 1.0, self.fuel_b2) > (0.0, 0.0, 0.0)
-        if min(margins) <= 0.0 or not near_zero:
+        if not (min(margins) > 0.0 and near_zero):
             raise ValueError("fuel power must exceed output power on (0, max_power_w]")
 
     def check_command(self, p_egu_cmd_w: float) -> None:
@@ -213,21 +214,21 @@ class BatteryModel:
     max_discharge_power_w: float = 150_000.0
 
     def __post_init__(self) -> None:
-        if self.cell_capacity_ah <= 0.0:
+        if not self.cell_capacity_ah > 0.0:
             raise ValueError(f"cell_capacity_ah must be positive, got {self.cell_capacity_ah}")
-        if self.num_cells < 1:
+        if not self.num_cells >= 1:
             raise ValueError(f"num_cells must be at least 1, got {self.num_cells}")
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
             raise ValueError(
                 f"need 0 <= soc_min < soc_max <= 1, got {self.soc_min}, {self.soc_max}")
-        if self.max_charge_power_w < 0.0 or self.max_discharge_power_w < 0.0:
+        if not (self.max_charge_power_w >= 0.0 and self.max_discharge_power_w >= 0.0):
             raise ValueError("pack power limits must be non-negative")
         for soc in (self.soc_min, self.soc_max, *(x for x, _ in self.voltage_curve)):
-            if self.cell_voltage(soc) <= 0.0:
+            if not self.cell_voltage(soc) > 0.0:
                 raise ValueError(f"cell voltage must be positive, is not at soc={soc}")
         resistance = curve_lookup(self.resistance_curve)
         for soc in (self.soc_min, self.soc_max, *(x for x, _ in self.resistance_curve)):
-            if resistance(soc) < 0.0:
+            if not resistance(soc) >= 0.0:
                 raise ValueError(f"cell resistance must be non-negative, is not at soc={soc}")
 
     def check_in_window(self, name: str, soc: float) -> None:
@@ -254,18 +255,13 @@ class PlantModels:
     soc_ref: float = 0.28
     charge_sustain_soc: float = 0.28
     charge_release_margin: float = 0.005
-    reward_baseline: float = 0.0
-    soc_penalty_coeff: float = 500.0
 
     def __post_init__(self) -> None:
         self.battery.check_in_window("soc_ref", self.soc_ref)
         self.battery.check_in_window("charge_sustain_soc", self.charge_sustain_soc)
-        if self.charge_release_margin < 0.0:
+        if not self.charge_release_margin >= 0.0:
             raise ValueError(
                 f"charge_release_margin must be non-negative, got {self.charge_release_margin}")
-        if self.soc_penalty_coeff < 0.0:
-            raise ValueError(
-                f"soc_penalty_coeff must be non-negative, got {self.soc_penalty_coeff}")
 
 
 @dataclass
@@ -334,8 +330,7 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     served_from_link = models.motor.power_from_link
     sustain = models.charge_sustain_soc
     release = models.charge_sustain_soc + models.charge_release_margin
-    baseline, soc_ref = models.reward_baseline, models.soc_ref
-    penalty = models.soc_penalty_coeff
+    soc_ref = models.soc_ref
 
     def kernel(soc0: float, latch: bool, p_dem: float, p_link_req: float,
                p_cmd: float, dt: float) -> tuple:
@@ -382,9 +377,9 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
         soc = soc if soc < soc_max else soc_max
 
         p_loss_total = engine_loss + battery_loss  # never negative, see above
-        reward = baseline - p_loss_total / 1000.0
+        reward = -p_loss_total / 1000.0
         if soc < soc_ref:
-            reward -= penalty * (soc_ref - soc)
+            reward -= _SOC_PENALTY * (soc_ref - soc)
         return (p_egu, p_batt, p_link, p_served, p_dem - p_served, current, fuel,
                 engine_loss, battery_loss, traction_loss, p_loss_total, reward,
                 latch, soc, p_batt != p_batt_unclamped)

@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .drive_cycle import CYCLE_POWER_MAX_W
+
 __all__ = [
-    "P_DEM_STATE_MAX_W",
     "SOC_STATE_MIN",
     "SOC_STATE_MAX",
     "SCHEDULE_KINDS",
@@ -52,8 +53,7 @@ __all__ = [
     "RNG_PROTOCOL",
 ]
 
-# State-space envelope shared with the drive-cycle demand bound.
-P_DEM_STATE_MAX_W = 253_000.0
+# State-space envelope: SoC here, demand up to the drive-cycle bound CYCLE_POWER_MAX_W.
 SOC_STATE_MIN = 0.2
 SOC_STATE_MAX = 0.8
 
@@ -104,7 +104,7 @@ class StateGrid:
     def __init__(self, p_dem_edges_w: object, soc_edges: object) -> None:
         p_edges = tuple(float(x) for x in p_dem_edges_w)
         s_edges = tuple(float(x) for x in soc_edges)
-        self._check_axis("p_dem_edges_w", p_edges, 0.0, P_DEM_STATE_MAX_W)
+        self._check_axis("p_dem_edges_w", p_edges, 0.0, CYCLE_POWER_MAX_W)
         self._check_axis("soc_edges", s_edges, SOC_STATE_MIN, SOC_STATE_MAX)
         self.p_dem_edges_w = p_edges
         self.soc_edges = s_edges
@@ -125,7 +125,7 @@ class StateGrid:
     @classmethod
     def uniform(cls, n_p_dem: int = 23, n_soc: int = 25) -> "StateGrid":
         """Uniform grid over the full envelope; defaults 23 x 25 bins."""
-        return cls(np.linspace(0.0, P_DEM_STATE_MAX_W, n_p_dem + 1),
+        return cls(np.linspace(0.0, CYCLE_POWER_MAX_W, n_p_dem + 1),
                    np.linspace(SOC_STATE_MIN, SOC_STATE_MAX, n_soc + 1))
 
     @property

@@ -57,7 +57,6 @@ def test_full_config_overrides_everything():
             "b": {"schedule": {"kind": "constant", "initial": 0.4}},
         },
         "ensemble": {"kind": "random", "t": 0.25},
-        "plant": {"soc_ref": 0.3},
         "sweep": {"repeats": 5, "base_seed": 2, "episodes": 20},
         "eval": {"cycles": ["PRDC-2-synthetic"], "initial_socs": [0.4]},
         "dp": {"soc_nodes": 51},
@@ -71,8 +70,6 @@ def test_full_config_overrides_everything():
     assert config.agent_b.schedule.initial == 0.4
     assert config.policy.kind == "random"
     assert config.policy.t == 0.25
-    assert config.plant_overrides == (("soc_ref", 0.3),)
-    assert config.build_models().soc_ref == 0.3
     assert config.sweep_repeats == 5
     assert config.eval_cycles == ("PRDC-2-synthetic",)
     assert config.dp_soc_nodes == 51
@@ -162,8 +159,6 @@ def test_seed_list_validation():
 @pytest.mark.parametrize("data,key", [
     ({"ensemble": {"kind": "weighted", "mu": math.nan}}, "config.ensemble.mu"),
     ({"ensemble": {"kind": "random", "t": math.inf}}, "config.ensemble.t"),
-    ({"plant": {"reward_baseline": math.inf}}, "config.plant.reward_baseline"),
-    ({"plant": {"charge_release_margin": math.inf}}, "config.plant.charge_release_margin"),
     ({"run": {"initial_soc": 10 ** 400}}, "config.run.initial_soc"),
     ({"agents": {"a": {"discount": math.nan}}}, "config.agents.a.discount"),
     ({"agents": {"b": {"schedule": {"kind": "reciprocal", "decay_rate": math.inf}}}},
@@ -174,7 +169,7 @@ def test_seed_list_validation():
     ({"run": {"seeds": [0, -1]}}, "config.run.seeds"),
     ({"agents": {"b": {"schedule": {"kind": "exponential", "decay_rate": 0.1}}}},
      "config.agents.b.schedule: exponential schedule takes no decay_rate"),
-], ids=["mu-nan", "t-inf", "baseline-inf", "margin-inf", "soc-huge-int",
+], ids=["mu-nan", "t-inf", "soc-huge-int",
         "discount-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed",
         "foreign-schedule-parameter"])
 def test_non_finite_numbers_and_negative_seeds_are_named(data, key):
@@ -278,8 +273,6 @@ _CONFIG = st.fixed_dictionaries({}, optional={
     "grids": _section(["p_dem_bins", "soc_bins", "action_levels"]),
     "agents": _section(["a", "b"], _AGENT),
     "ensemble": _section(["kind", "mu", "delta", "t"]),
-    "plant": _section(["soc_ref", "charge_sustain_soc", "charge_release_margin",
-                       "soc_penalty_coeff", "reward_baseline"]),
     "sweep": _section(["repeats", "base_seed", "episodes"]),
     "eval": _section(["cycles", "initial_socs"]),
     "dp": _section(["soc_nodes"]),
@@ -290,8 +283,6 @@ _FIELDS = [(section, key) for section, keys in (
     ("run", ["episodes", "initial_soc", "seeds"]),
     ("grids", ["p_dem_bins", "soc_bins", "action_levels"]),
     ("ensemble", ["mu", "t"]),
-    ("plant", ["soc_ref", "charge_sustain_soc", "charge_release_margin",
-               "soc_penalty_coeff", "reward_baseline"]),
     ("sweep", ["repeats", "base_seed", "episodes"]), ("eval", ["initial_socs"]),
     ("dp", ["soc_nodes"])) for key in keys]
 _ONE_FIELD = st.one_of(
@@ -385,9 +376,9 @@ def _write_config(tmp, base, **sections):
 
 @pytest.mark.parametrize("sections,key", [
     ({"ensemble": {"kind": "weighted", "mu": math.nan}}, "config.ensemble.mu"),
-    ({"plant": {"reward_baseline": math.inf}}, "config.plant.reward_baseline"),
+    ({"plant": {"soc_ref": 0.3}}, "config.plant: unknown key"),
     ({"run": {"episodes": 1, "seeds": [-1]}}, "config.run.seeds"),
-], ids=["mu-nan", "baseline-inf", "negative-seed"])
+], ids=["mu-nan", "plant-section", "negative-seed"])
 def test_learn_and_validate_reject_bad_numbers_as_config_errors(workspace, capsys,
                                                                 sections, key):
     tmp, cfg = workspace
@@ -408,7 +399,7 @@ def test_learn_rejects_a_negative_seed_override(workspace, capsys):
 
 
 @pytest.mark.parametrize("case", ["missing", "nan", "missing-eval"])
-def test_validate_loads_the_cycles_learn_and_eval_will_use(workspace, capsys, case):
+def test_every_command_rejects_a_bad_cycle_file_as_validate_does(workspace, capsys, case):
     tmp, cfg = workspace
     nan_csv = tmp / "nan.csv"
     nan_csv.write_text("t_s,p_dem_w\n0,1000\n1,nan\n")
@@ -419,17 +410,17 @@ def test_validate_loads_the_cycles_learn_and_eval_will_use(workspace, capsys, ca
                          "nope.csv"),
     }[case]
     bad = _write_config(tmp, cfg, **sections)
-    assert main(["validate", "--config", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert key in err and name in err
-    # learn and eval keep the runtime exit code for the same file
-    run = tmp / "run"
-    if case == "missing-eval":
-        assert main(["learn", "--config", str(cfg), "--out", str(run)]) == 0
-        assert main(["eval", "--config", str(bad), "--out", str(tmp / "ev"),
-                     "--snapshots", str(run)]) == 2
-    else:
-        assert main(["learn", "--config", str(bad), "--out", str(run)]) == 2
+    for command in ("validate", "learn", "sweep", "eval", "dp"):
+        out = tmp / f"out-{command}"
+        argv = [command, "--config", str(bad)]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        if command == "eval":
+            argv += ["--snapshots", str(tmp)]
+        assert main(argv) == 1, command
+        err = capsys.readouterr().err
+        assert key in err and name in err, (command, err)
+        assert not out.exists(), command  # checked before --out is created
 
 
 def test_usage_errors_exit_with_the_validation_code():

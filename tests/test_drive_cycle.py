@@ -179,10 +179,12 @@ def test_load_names_row_with_non_numeric_field(tmp_path):
         load_cycle(path)
 
 
-def test_load_names_row_with_non_uniform_spacing(tmp_path):
+# A NaN timestamp makes a NaN step, which must fail the spacing check too.
+@pytest.mark.parametrize("times, row", [("0 1 2.5", 4), ("0 1 nan 3", 4), ("0 1 2 nan", 5)])
+def test_load_names_row_with_non_uniform_spacing(tmp_path, times, row):
     path = tmp_path / "u.csv"
-    path.write_text("t_s,p_dem_w\n0,1\n1,2\n2.5,3\n")
-    with pytest.raises(CycleError, match="row 4"):
+    path.write_text("t_s,p_dem_w\n" + "".join(f"{t},1\n" for t in times.split()))
+    with pytest.raises(CycleError, match=f"row {row}: non-uniform time step"):
         load_cycle(path)
 
 

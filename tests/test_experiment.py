@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tugems.ensemble import EnsemblePolicy
-from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, RunSetup,
+from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, SWEEP_PROPORTIONS, RunSetup,
                                config_fingerprint, default_agent_configs,
                                evaluate_policy, robustness_eval, run_learning,
                                savings, sweep_weights, write_learning_curve_csv,
@@ -150,7 +150,6 @@ def test_run_learning_modes_and_final_property(models, grid, actions,
     single = run_learning(_setup(bumpy_cycle, models, grid, actions,
                                  mode=SINGLE_MODE), seed=0)
     assert set(single.agents) == {"A"}
-    assert single.mode == SINGLE_MODE
     ensemble = run_learning(_setup(bumpy_cycle, models, grid, actions), seed=0)
     assert set(ensemble.agents) == {"A", "B"}
     assert len(ensemble.episodes) == 3
@@ -198,8 +197,8 @@ def test_sweep_rows_match_individually_run_repeats(models, grid, actions,
     # the sweep replaces the setup's mode and policy in every cell
     rows = sweep_weights(_setup(bumpy_cycle, models, grid, actions, mode=SINGLE_MODE,
                                 episodes=2),
-                         proportions=(0.3, 0.7), repeats=2, base_seed=10)
-    assert [r.mu for r in rows] == [0.3, 0.7]
+                         repeats=2, base_seed=10)
+    assert [r.mu for r in rows] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     for row in rows:
         assert row.repeats == 2
         effs = []
@@ -216,11 +215,10 @@ def test_sweep_rows_match_individually_run_repeats(models, grid, actions,
 
 def test_sweep_is_worker_count_invariant(models, grid, actions, flat_cycle):
     setup = _setup(flat_cycle, models, grid, actions, episodes=1)
-    kwargs = dict(proportions=(0.2, 0.8, 0.5), repeats=3, base_seed=3)
-    serial = sweep_weights(setup, workers=1, **kwargs)
-    parallel = sweep_weights(setup, workers=2, **kwargs)
+    serial = sweep_weights(setup, repeats=3, base_seed=3, workers=1)
+    parallel = sweep_weights(setup, repeats=3, base_seed=3, workers=2)
     assert serial == parallel
-    assert [r.mu for r in parallel] == [0.2, 0.8, 0.5]
+    assert [r.mu for r in parallel] == list(SWEEP_PROPORTIONS)
 
 
 def test_sweep_rejects_zero_repeats(models, grid, actions, flat_cycle):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from tugems.config import parse_config
 from tugems.dp import dp_baseline
-from tugems.drive_cycle import DriveCycle
+from tugems.drive_cycle import DriveCycle, SynthSpec
 from tugems.ensemble import run_episodes
-from tugems.powertrain import (BatteryModel, EguModel, Plant, PlantState,
+from tugems.powertrain import (BatteryModel, EguModel, Plant, PlantModels, PlantState,
                                TractionMotorModel, array_kernel, curve_lookup, default_egu,
                                default_models, egu_efficiency, egu_fuel_power)
 from tugems.qlearn import AGENT_A_STREAM, ActionGrid, Agent, LearnerConfig, StateGrid
@@ -27,10 +27,11 @@ from tugems.qlearn import AGENT_A_STREAM, ActionGrid, Agent, LearnerConfig, Stat
 
 
 def test_motor_loss_calibration_hits_both_efficiency_targets():
-    # c0 is the 3.5 kW idle loss; with it fixed, the two targets fix (c2, c1)
+    # c0 is the 3.5 kW idle loss; with it fixed, the two targets at the
+    # 245 kW rating point fix (c2, c1)
     motor = TractionMotorModel()
     assert motor.loss_c0 == 3500.0
-    for p, eta in ((motor.nominal_power_w, 0.95), (0.1 * motor.nominal_power_w, 0.85)):
+    for p, eta in ((245_000.0, 0.95), (24_500.0, 0.85)):
         assert p / (p + motor.loss_at_power(p)) == pytest.approx(eta, rel=1e-12, abs=0.0)
 
 
@@ -146,7 +147,6 @@ def test_battery_rejects_bad_window():
     (0.8, 150_000.0, 0.0),        # top edge, discharging
 ])
 def test_plant_step_physics_at_operating_points(models, soc0, demand, cmd):
-    models = dataclasses.replace(models, reward_baseline=5.0)
     battery, dt = models.battery, 1.0
     plant = Plant(models, soc0)
     out = plant.step(demand, cmd, dt)
@@ -160,9 +160,9 @@ def test_plant_step_physics_at_operating_points(models, soc0, demand, cmd):
         rel=1e-12)
     loss = out.engine_loss_w + out.battery_loss_w
     assert out.p_loss_total_w == loss
-    penalty = models.soc_penalty_coeff * max(0.0, models.soc_ref - out.soc)
+    penalty = 500.0 * max(0.0, models.soc_ref - out.soc)
     assert (penalty > 0.0) == (soc0 < models.soc_ref)
-    assert out.reward == pytest.approx(5.0 - loss / 1000.0 - penalty, rel=1e-12, abs=1e-12)
+    assert out.reward == pytest.approx(-loss / 1000.0 - penalty, rel=1e-12, abs=1e-12)
     assert plant.state.soc == out.soc and plant.state.steps == 1
     assert battery.soc_min <= out.soc <= battery.soc_max
 
@@ -359,6 +359,33 @@ def test_battery_model_survives_pickling_and_compares_by_value():
 def test_plant_models_validates_soc_ref():
     with pytest.raises(ValueError):
         dataclasses.replace(default_models(), soc_ref=0.1)
+
+
+@pytest.mark.parametrize("model, kwargs, match", [
+    (EguModel, dict(max_power_w=math.nan, fuel_b2=0.0, fuel_b1=2.0, fuel_b0=1.0),
+     "max_power_w must be positive, got nan"),
+    (EguModel, dict(max_power_w=86_200.0, fuel_b2=math.nan, fuel_b1=2.0, fuel_b0=1.0),
+     "strictly increasing"),
+    (TractionMotorModel, dict(rated_speed_rpm=math.nan), "rated_speed_rpm must be positive"),
+    (TractionMotorModel, dict(loss_c2=math.nan), "loss_c2 must be non-negative"),
+    (TractionMotorModel, dict(loss_c1=math.nan), "loss_c1 must be non-negative"),
+    (TractionMotorModel, dict(loss_c0=math.nan), "loss_c0 must be non-negative"),
+    (BatteryModel, dict(cell_capacity_ah=math.nan), "cell_capacity_ah must be positive"),
+    (BatteryModel, dict(max_charge_power_w=math.nan), "pack power limits"),
+    (BatteryModel, dict(max_discharge_power_w=math.nan), "pack power limits"),
+    (PlantModels, dict(motor=TractionMotorModel(), egu=default_egu(), battery=BatteryModel(),
+                       charge_release_margin=math.nan), "charge_release_margin"),
+    (SynthSpec, dict(segments=((1_000.0, math.nan),)), "segment hold must be positive"),
+    (SynthSpec, dict(segments=((math.nan, 10.0),)), "segment level nan W minus noise"),
+    (SynthSpec, dict(segments=((1_000.0, 10.0),), noise_amplitude_w=math.nan),
+     "noise_amplitude_w must be non-negative"),
+], ids=["egu-max-power", "egu-b2", "motor-speed", "motor-c2", "motor-c1", "motor-c0",
+        "battery-capacity", "battery-charge-limit", "battery-discharge-limit",
+        "release-margin", "synth-hold", "synth-level", "synth-noise"])
+def test_model_constructors_reject_nan(model, kwargs, match):
+    # every comparison with NaN is False, so each check must be one that NaN fails
+    with pytest.raises(ValueError, match=match):
+        model(**kwargs)
 
 
 def test_plant_step_rejects_a_nan_command(models):
