@@ -244,17 +244,15 @@ def _resolve_snapshot(snap_dir: Path) -> Path:
 
 
 def _load_agent(path: Path, name: str, config: RunConfig) -> tuple[Agent, str, dict]:
-    """Rebuild frozen agent ``name`` ("A" or "B") from a snapshot, falling back
-    on the config's learner for what the snapshot leaves out; returns it with a
-    method label and the snapshot's ``extra`` block."""
+    """Rebuild frozen agent ``name`` ("A" or "B") from a snapshot around the
+    config's learner, which a frozen episode never reads; returns it with a
+    method label (the snapshot's schedule kind) and its ``extra`` block."""
     if not path.is_file():
         raise FileNotFoundError(
             f"snapshot {path} not found; run 'tugems learn' first")
     grid, actions = config.build_grids()
     q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
-    fallback = config.agent_a if name == "A" else config.agent_b
-    learner = (fallback if schedule is None
-               else dataclasses.replace(fallback, schedule=schedule))
+    learner = config.agent_a if name == "A" else config.agent_b
     agent = Agent(name=name, q=q, config=learner, rng=make_rng(0, 0))
     label = schedule.kind if schedule is not None else "baseline"
     return agent, label, extra

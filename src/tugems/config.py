@@ -1,7 +1,10 @@
 """YAML run configuration.
 
 The file is a plain mapping with a handful of sections; every key is
-optional and falls back to the stock experiment values.  Unknown keys are
+optional and falls back to the stock experiment values.  A config sets only
+what an experiment varies: the state grid, the action ladder and the
+learners' learning rate and discount are fixed for every run, and an agent
+sets only its exploration schedule.  Unknown keys are
 hard errors (reported with their dotted path) so a typo like
 ``episods: 250`` cannot silently run the default.  ``load_config`` raises
 ``ConfigError`` carrying *all* problems found, not just the first.
@@ -21,8 +24,7 @@ Example::
       initial_soc: 0.5
       seeds: [0, 1, 2]
     agents:
-      a: {learning_rate: 0.5, discount: 0.95,
-          schedule: {kind: step, initial: 0.8, factor: 0.5, width: 10}}
+      a: {schedule: {kind: step, initial: 0.8, factor: 0.5, width: 10}}
       b: {schedule: {kind: exponential, initial: 0.8}}
     ensemble:
       kind: weighted
@@ -74,7 +76,7 @@ class _Key(NamedTuple):
     many: bool = False
 
 
-# The config schema: every key but the agent sub-schema, in file order.
+# The config schema: every key but the agents' schedules, in file order.
 _KEYS = (
     _Key("", "label", "label", str),
     _Key("cycle", "builtin", "cycle_builtin", str,
@@ -84,9 +86,6 @@ _KEYS = (
     _Key("run", "episodes", "episodes", int, low=1),
     _Key("run", "initial_soc", "initial_soc", float, 0.0, 1.0),
     _Key("run", "seeds", "seeds", int, low=0, many=True),
-    _Key("grids", "p_dem_bins", "p_dem_bins", int, low=2),
-    _Key("grids", "soc_bins", "soc_bins", int, low=2),
-    _Key("grids", "action_levels", "action_levels", int, low=2),
     _Key("ensemble", "kind", "policy.kind", str, choices=POLICY_KINDS),
     _Key("ensemble", "mu", "policy.mu", float, 0.0, 1.0),
     _Key("ensemble", "t", "policy.t", float, 0.0, 1.0),
@@ -97,8 +96,6 @@ _KEYS = (
     _Key("eval", "initial_socs", "eval_initial_socs", float, many=True),
     _Key("dp", "soc_nodes", "dp_soc_nodes", int, low=3),
 )
-_AGENT_KEYS = (_Key("agents", "learning_rate", "learning_rate", float, 1e-12, 1.0),
-               _Key("agents", "discount", "discount", float, 0.0, 1.0))
 
 _SECTIONS: dict[str, list[_Key]] = {}
 for _row in _KEYS:
@@ -120,9 +117,6 @@ class RunConfig:
     episodes: int = 125
     initial_soc: float = 0.5
     seeds: tuple[int, ...] = (0,)
-    p_dem_bins: int = 23
-    soc_bins: int = 25
-    action_levels: int = 11
     agent_a: LearnerConfig = field(
         default_factory=lambda: LearnerConfig(schedule=E2ESchedule.step()))
     agent_b: LearnerConfig = field(
@@ -140,9 +134,8 @@ class RunConfig:
         return default_models()
 
     def build_grids(self) -> tuple[StateGrid, ActionGrid]:
-        grid = StateGrid.uniform(self.p_dem_bins, self.soc_bins)
-        actions = ActionGrid.uniform(n_levels=self.action_levels)
-        return grid, actions
+        """The state grid and action ladder, fixed for every run."""
+        return StateGrid.uniform(), ActionGrid.uniform()
 
     def build_cycle(self) -> DriveCycle:
         if self.cycle_path is not None:
@@ -166,10 +159,8 @@ class RunConfig:
             value = getattr(self.policy if owner else self, name)
             out[row.section][row.key] = list(value) if row.many else value
         out.update(out.pop(""))
-        out["agents"] = {
-            name: {**{row.key: getattr(agent, row.field) for row in _AGENT_KEYS},
-                   "schedule": agent.schedule.to_dict()}
-            for name, agent in (("a", self.agent_a), ("b", self.agent_b))}
+        out["agents"] = {name: {"schedule": agent.schedule.to_dict()}
+                         for name, agent in (("a", self.agent_a), ("b", self.agent_b))}
         return out
 
 
@@ -240,17 +231,18 @@ def _read(data: object, path: str, rows: Sequence[_Key], problems: list[str],
 
 def _agent(data: object, path: str, problems: list[str],
            default: LearnerConfig) -> LearnerConfig:
-    values = _read(data, path, _AGENT_KEYS, problems, {"schedule"})
-    schedule = default.schedule
-    sched = data.get("schedule") if isinstance(data, dict) else None
+    """An agent section: its schedule replaces the default's."""
+    section = _want_mapping(data, path, problems)
+    _check_keys(section, {"schedule"}, path, problems)
+    sched = section.get("schedule")
     if isinstance(sched, dict):
         try:
-            schedule = E2ESchedule.from_dict(dict(sched))
+            return dataclasses.replace(default, schedule=E2ESchedule.from_dict(dict(sched)))
         except ValueError as exc:
             problems.append(f"{path}.schedule: {exc}")
     else:
         _want_mapping(sched, f"{path}.schedule", problems)  # None keeps the default
-    return dataclasses.replace(default, schedule=schedule, **values)
+    return default
 
 
 def parse_config(data: object) -> RunConfig:

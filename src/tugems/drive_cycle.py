@@ -84,6 +84,9 @@ def validate_cycle(dt_s: float, demand_w: np.ndarray) -> list[str]:
     problems: list[str] = []
     if not np.isfinite(dt_s) or dt_s <= 0.0:
         problems.append(f"dt_s must be a positive finite number, got {dt_s}")
+    if demand_w.ndim != 1:
+        problems.append(f"demand must be a 1-D array, got shape {demand_w.shape}")
+        return problems
     if demand_w.size == 0:
         problems.append("cycle has no samples")
     bad = np.flatnonzero(~np.isfinite(demand_w))

@@ -207,11 +207,12 @@ def robustness_eval(ensemble_agents: dict[str, Agent], baseline_agent: Agent,
                     policy: EnsemblePolicy, cycles: list[DriveCycle],
                     initial_socs: list[float], models: PlantModels,
                     grid: StateGrid, actions: ActionGrid,
-                    baseline_method: str = "exponential") -> list[RobustnessRow]:
+                    baseline_method: str) -> list[RobustnessRow]:
     """Frozen-policy comparison across unseen cycles and initial SoCs.
 
     For every (cycle, initial SoC) pair, two rows come back: the
-    single-agent baseline (savings 0 by construction) and the ensemble,
+    single-agent baseline (savings 0 by construction), labelled
+    ``baseline_method``, and the ensemble, labelled by its policy kind,
     with savings measured against that same pair's baseline OEC.  Tables
     are never updated, so repeated calls give identical rows.
     """

@@ -7,10 +7,7 @@ Under that definition the ledger closes exactly::
 
     oec == traction output + engine loss + battery loss + traction loss
 
-up to float accumulation, which the tests bound at 1e-6 relative.  A second
-OEC figure converts the SoC swing to J through the cell voltage at the
-episode-mean SoC; it is recorded for comparison only and differs from the
-exact figure by the resistive term and the integration shortcut.
+up to float accumulation, which the tests bound at 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ class EpisodeMetrics:
 
     energy_efficiency: float | None  # traction output / OEC; None when nothing was drawn
     oec_j: float
-    oec_delta_soc_j: float  # comparison figure, SoC swing valued at mean-SoC voltage
     start_soc: float
     end_soc: float
     mean_soc: float
@@ -52,13 +48,16 @@ class EpisodeMetrics:
             raise ValueError(f"oec_j must be non-negative, got {self.oec_j}")
 
 
-def episode_metrics(state: PlantState, battery: BatteryModel, start_soc: float,
+def episode_metrics(state: PlantState, _battery: BatteryModel, start_soc: float,
                     mean_soc: float, total_reward: float) -> EpisodeMetrics:
-    """Assemble :class:`EpisodeMetrics` from an episode-end plant state."""
+    """Assemble :class:`EpisodeMetrics` from an episode-end plant state.
+
+    The ledger alone makes the figures; the unread battery argument keeps
+    the positional signature that callers, the acceptance suite among them,
+    pass.
+    """
     oec = (state.cumulative_fuel_energy + state.cumulative_battery_draw
            + state.cumulative_battery_loss)
-    delta_soc_draw = ((start_soc - state.soc) * battery.coulomb_capacity
-                      * battery.cell_voltage(mean_soc) * battery.num_cells)  # J
     total_loss = (state.cumulative_engine_loss + state.cumulative_battery_loss
                   + state.cumulative_traction_loss)
     # A lossless zero-demand run draws nothing, and the ratio is undefined.
@@ -67,7 +66,6 @@ def episode_metrics(state: PlantState, battery: BatteryModel, start_soc: float,
     return EpisodeMetrics(
         energy_efficiency=efficiency,
         oec_j=oec,
-        oec_delta_soc_j=state.cumulative_fuel_energy + delta_soc_draw,
         start_soc=start_soc,
         end_soc=state.soc,
         mean_soc=mean_soc,

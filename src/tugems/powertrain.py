@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "EGU_RATED_POWER_W",
     "curve_lookup",
     "TractionMotorModel",
     "EguModel",
@@ -41,6 +42,8 @@ __all__ = [
     "default_egu",
     "default_models",
 ]
+
+EGU_RATED_POWER_W = 86_200.0  # the stock EGU's rated output, top of the action ladder
 
 # Torque (N.m) of a shaft delivering P watts at n rpm: T = 9550 * (P/1000) / n.
 _TORQUE_PER_W_RPM = 9.55
@@ -489,7 +492,7 @@ def default_egu() -> EguModel:
     """The stock 86.2 kW EGU; its load curve is a fixed constant."""
     # The quadratic through the factory anchors 13.0 / 18.6 / 24.1 L/h at
     # 50 / 75 / 100 % load, as fuel power at 0.87 kg/L and 44 MJ/kg.
-    return EguModel(86_200.0, float.fromhex("-0x1.3350d2623ca16p-20"),
+    return EguModel(EGU_RATED_POWER_W, float.fromhex("-0x1.3350d2623ca16p-20"),
                     float.fromhex("0x1.717a3d0f53093p+1"),
                     float.fromhex("0x1.f26ffffffff6dp+13"))
 

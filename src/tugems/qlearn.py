@@ -2,7 +2,7 @@
 
 The controller state is the pair (power demand, SoC), discretized on a
 rectangular grid; actions are a fixed ladder of EGU output levels.  The
-exploration threshold theta follows one of four decay schedules in the
+exploration threshold theta follows one of three decay schedules in the
 episode index k and is frozen for the whole episode.  Action selection is
 threshold-greedy: given T ~ U(0,1), exploit (argmax, lowest index on ties)
 when T >= theta, otherwise take a uniform random action.  A learning episode
@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .drive_cycle import CYCLE_POWER_MAX_W
+from .powertrain import EGU_RATED_POWER_W
 
 __all__ = [
     "SOC_STATE_MIN",
@@ -58,7 +59,7 @@ SOC_STATE_MIN = 0.2
 SOC_STATE_MAX = 0.8
 
 # Each schedule kind and the parameters it takes besides ``initial``.
-_KIND_PARAMS = {"constant": (), "exponential": (), "step": ("factor", "width"),
+_KIND_PARAMS = {"exponential": (), "step": ("factor", "width"),
                 "reciprocal": ("decay_rate",)}
 SCHEDULE_KINDS = tuple(_KIND_PARAMS)
 
@@ -164,8 +165,10 @@ class ActionGrid:
         self.levels_w = levels
 
     @classmethod
-    def uniform(cls, max_power_w: float = 86_200.0, n_levels: int = 11) -> "ActionGrid":
-        """Uniformly spaced levels from 0 to max power, endpoints included."""
+    def uniform(cls, max_power_w: float = EGU_RATED_POWER_W,
+                n_levels: int = 11) -> "ActionGrid":
+        """Uniformly spaced levels from 0 to max power, endpoints included;
+        defaults 11 levels up to the stock EGU's rating."""
         return cls(np.linspace(0.0, max_power_w, n_levels))
 
     @property
@@ -205,11 +208,11 @@ class E2ESchedule:
     Kinds, with k the 0-based episode index and ``initial`` the starting
     threshold alpha_1:
 
-    * ``constant``:     theta = alpha_1
     * ``exponential``:  theta = alpha_1 ** max(k, 1)   (k counts from 1)
     * ``step``:         theta = alpha_1 * factor ** round((1 + k) / width),
       rounding half away from zero
-    * ``reciprocal``:   theta = alpha_1 / (1 + decay_rate * k)
+    * ``reciprocal``:   theta = alpha_1 / (1 + decay_rate * k); with
+      ``decay_rate`` 0 it is a fixed theta = alpha_1
 
     All kinds give theta = alpha_1 at k = 0 and never rise with k.  A kind
     takes only its own parameters; the others stay None.
@@ -247,10 +250,6 @@ class E2ESchedule:
                     f"reciprocal schedule needs a finite decay_rate >= 0, got {self.decay_rate}")
 
     @classmethod
-    def constant(cls, initial: float = 0.8) -> "E2ESchedule":
-        return cls(kind="constant", initial=initial)
-
-    @classmethod
     def exponential(cls, initial: float = 0.8) -> "E2ESchedule":
         return cls(kind="exponential", initial=initial)
 
@@ -282,8 +281,6 @@ def e2e_value(schedule: E2ESchedule, k: int) -> float:
     if k < 0:
         raise ValueError(f"episode index must be non-negative, got {k}")
     a1 = schedule.initial
-    if schedule.kind == "constant":
-        return a1
     if schedule.kind == "exponential":
         return a1 ** max(k, 1)
     if schedule.kind == "step":

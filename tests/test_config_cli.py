@@ -49,12 +49,10 @@ def test_full_config_overrides_everything():
         "cycle": {"builtin": "PRDC-3-synthetic"},
         "run": {"mode": "single", "episodes": 10, "initial_soc": 0.6,
                 "seeds": [4, 5]},
-        "grids": {"p_dem_bins": 10, "soc_bins": 8, "action_levels": 5},
         "agents": {
-            "a": {"learning_rate": 0.3, "discount": 0.9,
-                  "schedule": {"kind": "reciprocal", "initial": 0.7,
+            "a": {"schedule": {"kind": "reciprocal", "initial": 0.7,
                                "decay_rate": 0.2}},
-            "b": {"schedule": {"kind": "constant", "initial": 0.4}},
+            "b": {"schedule": {"kind": "reciprocal", "initial": 0.4, "decay_rate": 0.0}},
         },
         "ensemble": {"kind": "random", "t": 0.25},
         "sweep": {"repeats": 5, "base_seed": 2, "episodes": 20},
@@ -66,28 +64,27 @@ def test_full_config_overrides_everything():
     assert config.mode == "single"
     assert config.seeds == (4, 5)
     assert config.agent_a.schedule.kind == "reciprocal"
-    assert config.agent_a.learning_rate == 0.3
     assert config.agent_b.schedule.initial == 0.4
     assert config.policy.kind == "random"
     assert config.policy.t == 0.25
     assert config.sweep_repeats == 5
     assert config.eval_cycles == ("PRDC-2-synthetic",)
     assert config.dp_soc_nodes == 51
-    grid, actions = config.build_grids()
-    assert grid.n_states == 80
-    assert actions.n_actions == 5
+    grid, actions = config.build_grids()  # fixed for every run
+    assert grid.n_states == 23 * 25
+    assert actions.n_actions == 11
 
 
 def test_unknown_keys_are_all_reported_with_dotted_paths():
     problems = _problems({
         "episods": 250,
         "run": {"mode": "ensemble", "warmup": 3},
-        "grids": {"p_dem_bin": 23},
+        "agents": {"b": {"discount": 0.9}},
     })
     joined = "\n".join(problems)
     assert "config.episods: unknown key" in joined
     assert "config.run.warmup: unknown key" in joined
-    assert "config.grids.p_dem_bin: unknown key" in joined
+    assert "config.agents.b.discount: unknown key" in joined
     assert len(problems) == 3
 
 
@@ -104,7 +101,7 @@ def test_cycle_dt_s_is_an_unknown_key():
 
 def test_schedule_initial_out_of_range_is_named():
     problems = _problems({
-        "agents": {"a": {"schedule": {"kind": "constant", "initial": 1.3}}}})
+        "agents": {"a": {"schedule": {"kind": "exponential", "initial": 1.3}}}})
     assert len(problems) == 1
     assert problems[0].startswith("config.agents.a.schedule")
     assert "initial" in problems[0]
@@ -160,7 +157,8 @@ def test_seed_list_validation():
     ({"ensemble": {"kind": "weighted", "mu": math.nan}}, "config.ensemble.mu"),
     ({"ensemble": {"kind": "random", "t": math.inf}}, "config.ensemble.t"),
     ({"run": {"initial_soc": 10 ** 400}}, "config.run.initial_soc"),
-    ({"agents": {"a": {"discount": math.nan}}}, "config.agents.a.discount"),
+    ({"agents": {"a": {"schedule": {"kind": "exponential", "initial": math.nan}}}},
+     "config.agents.a.schedule: initial must be in (0, 1], got nan"),
     ({"agents": {"b": {"schedule": {"kind": "reciprocal", "decay_rate": math.inf}}}},
      "config.agents.b.schedule"),
     ({"agents": {"b": {"schedule": {"kind": "step", "factor": 0.5, "width": math.nan}}}},
@@ -170,7 +168,7 @@ def test_seed_list_validation():
     ({"agents": {"b": {"schedule": {"kind": "exponential", "decay_rate": 0.1}}}},
      "config.agents.b.schedule: exponential schedule takes no decay_rate"),
 ], ids=["mu-nan", "t-inf", "soc-huge-int",
-        "discount-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed",
+        "initial-nan", "decay-inf", "width-nan", "eval-soc-nan", "negative-seed",
         "foreign-schedule-parameter"])
 def test_non_finite_numbers_and_negative_seeds_are_named(data, key):
     problems = _problems(data)
@@ -261,16 +259,14 @@ def _section(keys, values=_VALUE):
 
 
 # A valid parameter set for each schedule kind.
-_KIND_PARAMS = {"constant": {}, "exponential": {}, "step": {"factor": 0.5, "width": 10},
+_KIND_PARAMS = {"exponential": {}, "step": {"factor": 0.5, "width": 10},
                 "reciprocal": {"decay_rate": 0.1}}
 _SCHEDULE = _section(["kind", "initial", "factor", "width", "decay_rate"])
-_AGENT = _section(["learning_rate", "discount", "schedule"],
-                  st.one_of(_LEAF, _SCHEDULE))
+_AGENT = _section(["schedule"], st.one_of(_LEAF, _SCHEDULE))
 _CONFIG = st.fixed_dictionaries({}, optional={
     "label": _LEAF,
     "cycle": _section(["builtin", "path"]),
     "run": _section(["mode", "episodes", "initial_soc", "seeds"]),
-    "grids": _section(["p_dem_bins", "soc_bins", "action_levels"]),
     "agents": _section(["a", "b"], _AGENT),
     "ensemble": _section(["kind", "mu", "delta", "t"]),
     "sweep": _section(["repeats", "base_seed", "episodes"]),
@@ -281,14 +277,11 @@ _CONFIG = st.fixed_dictionaries({}, optional={
 # One field set on the stock config: a bad value is then the only problem.
 _FIELDS = [(section, key) for section, keys in (
     ("run", ["episodes", "initial_soc", "seeds"]),
-    ("grids", ["p_dem_bins", "soc_bins", "action_levels"]),
     ("ensemble", ["mu", "t"]),
     ("sweep", ["repeats", "base_seed", "episodes"]), ("eval", ["initial_socs"]),
     ("dp", ["soc_nodes"])) for key in keys]
 _ONE_FIELD = st.one_of(
     st.tuples(st.sampled_from(_FIELDS), _VALUE).map(lambda f: {f[0][0]: {f[0][1]: f[1]}}),
-    st.tuples(st.sampled_from(["learning_rate", "discount"]), _VALUE).map(
-        lambda f: {"agents": {"a": {f[0]: f[1]}}}),
     st.tuples(st.sampled_from(list(_KIND_PARAMS)),
               st.sampled_from(["initial", "factor", "width", "decay_rate"]), _VALUE).map(
         lambda f: {"agents": {"b": {"schedule": {"kind": f[0], **_KIND_PARAMS[f[0]],
@@ -297,7 +290,7 @@ _ONE_FIELD = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.one_of(_CONFIG, _ONE_FIELD))
-@example(data={"agents": {"b": {"schedule": {"kind": "constant", "initial": 1.0, "factor": 0.5,
+@example(data={"agents": {"b": {"schedule": {"kind": "exponential", "initial": 1.0, "factor": 0.5,
                                              "width": 10, "decay_rate": 0.1}}}})
 @example(data={"ensemble": {"kind": "random", "mu": 0.3}})
 @example(data={"ensemble": {"kind": "weighted", "t": 0.2}})
@@ -378,7 +371,15 @@ def _write_config(tmp, base, **sections):
     ({"ensemble": {"kind": "weighted", "mu": math.nan}}, "config.ensemble.mu"),
     ({"plant": {"soc_ref": 0.3}}, "config.plant: unknown key"),
     ({"run": {"episodes": 1, "seeds": [-1]}}, "config.run.seeds"),
-], ids=["mu-nan", "plant-section", "negative-seed"])
+    # The state grid, the action ladder and the learner rates are fixed.
+    ({"grids": {"p_dem_bins": 23}}, "config.grids: unknown key"),
+    ({"agents": {"a": {"learning_rate": 0.5}}}, "config.agents.a.learning_rate: unknown key"),
+    # A fixed theta is a reciprocal schedule with decay_rate 0.
+    ({"agents": {"a": {"schedule": {"kind": "constant"}}}},
+     "config.agents.a.schedule: kind must be one of "
+     "('exponential', 'step', 'reciprocal'), got 'constant'"),
+], ids=["mu-nan", "plant-section", "negative-seed", "grids-section",
+        "agent-learning-rate", "constant-schedule"])
 def test_learn_and_validate_reject_bad_numbers_as_config_errors(workspace, capsys,
                                                                 sections, key):
     tmp, cfg = workspace
@@ -677,7 +678,9 @@ def test_a_boolean_schedule_width_is_a_config_error(workspace, capsys):
     (lambda sched: sched.update(initial="x"), "initial must be a number, got 'x'"),
     (lambda sched: sched.pop("kind"), "kind is missing"),
     (lambda sched: sched.update(decay_rate=0.1), "step schedule takes no decay_rate"),
-], ids=["string-initial", "no-kind", "foreign-parameter"])
+    (lambda sched: sched.update(kind="constant"),
+     "kind must be one of ('exponential', 'step', 'reciprocal'), got 'constant'"),
+], ids=["string-initial", "no-kind", "foreign-parameter", "constant-kind"])
 def test_eval_on_a_malformed_snapshot_schedule_exits_with_the_runtime_code(
         workspace, capsys, edit, message):
     tmp, cfg = workspace

@@ -83,8 +83,10 @@ def test_validate_rejects_empty_cycle():
     (0.0, [10_000.0], "dt_s must be a positive finite number"),
     (-1.0, [10_000.0], "dt_s must be a positive finite number"),
     (np.nan, [10_000.0], "dt_s must be a positive finite number"),
+    (1.0, [[2e4] * 3] * 4, r"demand must be a 1-D array, got shape \(4, 3\)"),
+    (1.0, 2e4, r"demand must be a 1-D array, got shape \(\)"),
 ], ids=["nan", "inf", "-inf", "negative", "over-envelope", "empty", "dt-0", "dt-neg",
-        "dt-nan"])
+        "dt-nan", "2-d", "scalar"])
 def test_cycle_construction_rejects_invalid_traces(dt, demand, match):
     with pytest.raises(CycleError, match=match):
         DriveCycle(dt, np.array(demand, dtype=np.float64), "bad")

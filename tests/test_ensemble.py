@@ -479,7 +479,8 @@ def test_agent_a_does_not_depend_on_agent_b_schedule(models, grid, actions,
     # stay the same whether agent B always explores or hardly ever does
     runs = [_episode_traces(bumpy_cycle, models, grid, actions,
                             LearnerConfig(schedule=schedule))
-            for schedule in (E2ESchedule.constant(1.0), E2ESchedule.constant(0.01),
+            for schedule in (E2ESchedule.reciprocal(1.0, decay_rate=0.0),
+                             E2ESchedule.reciprocal(0.01, decay_rate=0.0),
                              E2ESchedule.step(0.9, 0.5, 1))]
     (traces, agent_a), others = runs[0], runs[1:]
     for other_traces, other_a in others:

@@ -277,7 +277,8 @@ def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
     monkeypatch.setattr("tugems.experiment.evaluate_policy", counting)
     rows = robustness_eval({"A": agent}, agent, EnsemblePolicy.weighted(1.0),
                            cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
-                           models=models, grid=grid, actions=actions)
+                           models=models, grid=grid, actions=actions,
+                           baseline_method=agent.config.schedule.kind)
     assert len(calls) == 4  # one per (cycle, SoC), not two
     assert len(rows) == 8
     for base_row, cand_row in zip(rows[0::2], rows[1::2]):
@@ -340,7 +341,7 @@ def test_trace_csv_layout(models, grid, actions, flat_cycle):
 def test_none_efficiency_renders_as_an_empty_field():
     from tugems.metrics import EpisodeMetrics
     metrics = EpisodeMetrics(
-        energy_efficiency=None, oec_j=0.0, oec_delta_soc_j=0.0, start_soc=0.5,
+        energy_efficiency=None, oec_j=0.0, start_soc=0.5,
         end_soc=0.5, mean_soc=0.5, total_loss_j=0.0, engine_loss_j=0.0,
         battery_loss_j=0.0, traction_loss_j=0.0, fuel_energy_j=0.0,
         battery_draw_j=0.0, traction_output_j=0.0, shortfall_j=0.0, total_reward=0.0, forced_charge_steps=0, steps=0)

@@ -66,7 +66,6 @@ def test_no_function_parameter_goes_unread(path):
 # Functions defined in src but loaded nowhere in it, each with its reason.
 UNCALLED_ALLOWED = {
     "error": "argparse calls the parser's error method",
-    "constant": "the E2ESchedule constructor for a fixed theta, as the other kinds have",
     "p_dem_bin": "the scalar oracle for run_episodes' vectorized demand bins",
 }
 

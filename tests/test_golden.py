@@ -37,7 +37,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "31e504363f86d93632dc1df9461e590e255f4cbd0513b669f48d186121ab831b",
         "run/manifest.json":
-            "c09a5b61b291e5ecdd7f49d66bedb8455ee40e8eb9066718720a6b83de78bd4b",
+            "48244130ca4fa9e352c341f0e49384cc8964acfc3c9f437e4e5878d5cc47fe10",
         "run/qtable_A_seed0.json":
             "aedfd199027a6d8c429d803e7c147bfdbaf0fa892f63215ec1d625c850b7b955",
         "run/qtable_A_seed1.json":
@@ -51,13 +51,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "cd0d169fdcee8536fd0b595e4359806dd14f8ff0362a9904df9c3d7fd3c8bbab",
         "eval/manifest.json":
-            "cc30ce0a81f32fea37241800b2523e3e227f60a515eafe9d080b625adc71f7ef",
+            "bef05dd5cef934042c0d4968053f2131d1db63adb8c759a16f78d4c38a9fca52",
         "eval/robustness.csv":
             "a6f65ec6ff04ea588d29640a3f627be034f93c0d79337f5dee74162f260bb888",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "9cc8ea16452e3b1880d0a22ee25defebd2bbadfd76d21e353849f3818147a083",
+            "4e8e96e402b005c55ea1ab197e1699faf994562b90939fb81e475c42bd9e0816",
     },
     "ensemble-random": {
         "run/learning_curve_seed0.csv":
@@ -65,7 +65,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "80b6ee190f02dff7d1a3fbfa01cfd74b824829bee0bd5b58b470775788c4265f",
         "run/manifest.json":
-            "8951e3f8535c3e81058b5126774b6d30b6981d34c861d977f51d717fd2c97026",
+            "0aa85a5f932ac6493cd832e671744b3b52f43f80982e82c79f8a1febdfa1700d",
         "run/qtable_A_seed0.json":
             "577527c5afc64ca00608293af2e7f6e9e6f830c15ec40f9e845cbd8b8940c678",
         "run/qtable_A_seed1.json":
@@ -79,13 +79,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "59ff39a92c2ec5e8c84aab9e5983ebc7bb9716e7327a1be906c9e45310564a69",
         "eval/manifest.json":
-            "7a18b6444481fa91e2eaaf95cb9f8e0812b74567ea6b397448ef8e88c8779b60",
+            "3e7f338e898011735ac63d748b0468bdaf11ac46a7e677de330bf2e67edb30dc",
         "eval/robustness.csv":
             "ec800491d0133da62fdd31440527b26f6a93bf95fe5af6adc9b537ebc35de4d0",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "5a83be8ef8c4de52ee5ff6fec2eb7fe8bcbd28dc8b2865bcf8c34bed75808c52",
+            "33d14eadcd5e9e8c0a8af9d60b1b84ef6038fa1f30b94d64ab94da9c0ca1cbff",
     },
     "ensemble-weighted": {
         "run/learning_curve_seed0.csv":
@@ -93,7 +93,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "28020a0c7134191cfac768569067a84a446e822eb5e7295b0f98ad0b4ab370ae",
         "run/manifest.json":
-            "38e5a7acb7b93bacb344015f3dec98330763561ad4975190bdd1019521fd5fa7",
+            "ff217bf93ba22929ebc56ad1e1967d247c4adff2d3c597969c5627fcfbb28c17",
         "run/qtable_A_seed0.json":
             "fc0dc13a90466ad1b2dbf0f0eb27710fddab8061026129b8b2ff026773aff18e",
         "run/qtable_A_seed1.json":
@@ -107,13 +107,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "aa91f1e4c8a77fb71875636a860dac353d8d7a720cd975df69758cedc3304fca",
         "eval/manifest.json":
-            "4ad79abedf9fcc7861898504cf328dc99120d9a4b62c390d53474788726434d4",
+            "43d946e7d8d9e5e9f551a9624238f29787d3f1eae89407c091a07948e687ebdc",
         "eval/robustness.csv":
             "bc71cb3d1eee2c13ec911d00b7a8e073b34bc74800e2b5088a879f4a434c2485",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "cf37726360fead2be9f64f7e8dc2d899d961a8a645d724c7eceff0b56c3ab84f",
+            "dc5cd91ea7be276615196dd824f866de3c67cfaeb2c1f729b7f12f311e9ae5b5",
     },
     "single": {
         "run/learning_curve_seed0.csv":
@@ -121,7 +121,7 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "3dff1eac2e2afc7963d47f4e7366ff8a70e995357a250c115cf5743e20dfeecc",
         "run/manifest.json":
-            "32d0d8422dbed26aa5d20d684a6ca27e85991b6a25d0dde46afd9d4612780f77",
+            "c7a646fdb231dbabb14f43c4501ca12afc50d457fbedfab0e2e5ebfd7e769f72",
         "run/qtable_A_seed0.json":
             "366d4de932fc4c8c5bb9d2ab8b64a83206985c3410ca103ff90987b57ec5cfc1",
         "run/qtable_A_seed1.json":
@@ -131,13 +131,13 @@ GOLDEN = {
         "run/trace_seed1.csv":
             "922c8142a872fa6813f0dc6c03856dbf31cad744ba0e539dcf81ad3c58a50650",
         "eval/manifest.json":
-            "5c0eec2959b5753c2e968c1fe0a238074fbd8e5de1c928fe3cdb5302db11c699",
+            "0e8476a518c979607ba841983892c1e1283a57b423d62eebbfc991db47666dae",
         "eval/robustness.csv":
             "3fe6cce34c5aea26df6c7ebe923499ed03e2a56d0833f8e9d370fabf9312136a",
         "dp/dp.csv":
             "05c313bede751c70b75940c0d39088f409fc5909d3b617b9a591580d7eb372ff",
         "dp/manifest.json":
-            "4f17a59586783f481608e217f55be35b9079fe60c2da5cc527a5b98dffba0a9a",
+            "d9a791febd049e95bf63b1b08bf63a3fae2f12a5b56ef1427c5705816186ce6c",
     },
 }
 

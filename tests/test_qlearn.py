@@ -132,17 +132,17 @@ def test_reciprocal_schedule_example():
     assert e2e_value(sched, 10) == pytest.approx(0.4, abs=1e-12)  # 0.8 / (1 + 1)
 
 
-def test_constant_schedule_never_moves():
-    sched = E2ESchedule.constant(0.3)
+def test_zero_decay_reciprocal_schedule_never_moves():
+    sched = E2ESchedule.reciprocal(0.3, decay_rate=0.0)
     assert [e2e_value(sched, k) for k in (0, 1, 50)] == [0.3, 0.3, 0.3]
 
 
 @pytest.mark.parametrize("sched", [
-    E2ESchedule.constant(0.8),
+    E2ESchedule.reciprocal(0.8, decay_rate=0.0),
     E2ESchedule.exponential(0.8),
     E2ESchedule.step(0.8, 0.5, 10),
     E2ESchedule.reciprocal(0.8, 0.1),
-], ids=lambda s: s.kind)
+], ids=["zero-decay", "exponential", "step", "reciprocal"])
 def test_schedules_start_at_initial_and_never_rise(sched):
     values = [e2e_value(sched, k) for k in range(501)]
     assert values[0] == pytest.approx(0.8, abs=1e-12)
@@ -162,9 +162,9 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="kind"):
         E2ESchedule(kind="linear")
     with pytest.raises(ValueError, match="initial"):
-        E2ESchedule.constant(1.3)
+        E2ESchedule.reciprocal(1.3, decay_rate=0.0)
     with pytest.raises(ValueError, match="initial"):
-        E2ESchedule.constant(0.0)
+        E2ESchedule.reciprocal(0.0, decay_rate=0.0)
     with pytest.raises(ValueError, match="factor"):
         E2ESchedule(kind="step", factor=1.5, width=10)
     with pytest.raises(ValueError, match="width"):
@@ -172,30 +172,31 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="decay_rate"):
         E2ESchedule(kind="reciprocal", decay_rate=-0.1)
     with pytest.raises(ValueError, match="non-negative"):
-        e2e_value(E2ESchedule.constant(0.5), -1)
+        e2e_value(E2ESchedule.reciprocal(0.5, decay_rate=0.0), -1)
 
 
 def test_schedule_dict_round_trip():
-    for sched in (E2ESchedule.constant(0.7), E2ESchedule.exponential(0.8),
+    for sched in (E2ESchedule.reciprocal(0.7, decay_rate=0.0), E2ESchedule.exponential(0.8),
                   E2ESchedule.step(0.8, 0.5, 10), E2ESchedule.reciprocal(0.8, 0.1)):
         assert E2ESchedule.from_dict(sched.to_dict()) == sched
     with pytest.raises(ValueError, match="unknown schedule keys"):
-        E2ESchedule.from_dict({"kind": "constant", "initial": 0.5, "speed": 2})
+        E2ESchedule.from_dict({"kind": "exponential", "initial": 0.5, "speed": 2})
     with pytest.raises(ValueError, match="unknown schedule keys: \\[1, 'x'\\]"):
-        E2ESchedule.from_dict({"kind": "constant", 1: 0, "x": 0})
+        E2ESchedule.from_dict({"kind": "exponential", 1: 0, "x": 0})
 
 
 @pytest.mark.parametrize("data,match", [
     ({"initial": 0.5}, "kind is missing"),
-    ({"kind": "constant", "initial": "x"}, "initial must be a number, got 'x'"),
-    ({"kind": "constant", "initial": None}, "initial must be a number, got None"),
+    ({"kind": "exponential", "initial": "x"}, "initial must be a number, got 'x'"),
+    ({"kind": "exponential", "initial": None}, "initial must be a number, got None"),
     ({"kind": "step", "factor": 0.5, "width": True}, "width must be a number, got True"),
     ({"kind": "reciprocal", "decay_rate": [0.1]}, "decay_rate must be a number"),
-    ({"kind": "constant", "initial": 1.0, "factor": 0.5, "width": 10, "decay_rate": 0.1},
-     "constant schedule takes no factor, width, decay_rate"),
+    ({"kind": "exponential", "initial": 1.0, "factor": 0.5, "width": 10, "decay_rate": 0.1},
+     "exponential schedule takes no factor, width, decay_rate"),
     ({"kind": "exponential", "decay_rate": 0.1}, "exponential schedule takes no decay_rate"),
     ({"kind": "step", "factor": 0.5, "width": 2, "decay_rate": 0.1},
      "step schedule takes no decay_rate"),
+    ({"kind": "constant", "initial": 0.5}, "kind must be one of .*, got 'constant'"),
 ])
 def test_schedule_from_dict_owns_the_schema(data, match):
     with pytest.raises(ValueError, match=match):
@@ -205,10 +206,10 @@ def test_schedule_from_dict_owns_the_schema(data, match):
 @pytest.mark.parametrize("fields,match", [
     ({"kind": "step", "factor": 0.5, "width": True}, "width must be a number, got True"),
     ({"kind": "step", "factor": "0.5", "width": 2}, "factor must be a number, got '0.5'"),
-    ({"kind": "constant", "initial": None}, "initial must be a number, got None"),
-    ({"kind": "constant", "initial": False}, "initial must be a number, got False"),
+    ({"kind": "exponential", "initial": None}, "initial must be a number, got None"),
+    ({"kind": "exponential", "initial": False}, "initial must be a number, got False"),
     ({"kind": "reciprocal", "decay_rate": [0.1]}, "decay_rate must be a number"),
-    ({"kind": "constant", "factor": "x"}, "factor must be a number, got 'x'"),
+    ({"kind": "exponential", "factor": "x"}, "factor must be a number, got 'x'"),
 ])
 def test_schedule_constructor_checks_value_types(fields, match):
     with pytest.raises(ValueError, match=match):
