@@ -13,7 +13,7 @@ Exit codes: 0 on success, 1 for configuration or argument problems (a cycle
 file that will not load included), 2 for runtime failures (missing
 snapshots, infeasible constraints, I/O).  Every command builds the config's
 cycles before it creates ``--out``, so each runs exactly the configs
-``validate`` accepts.
+``validate`` accepts; ``eval`` also loads and pairs its snapshots first.
 Artifacts (CSV tables, Q-table snapshots, ``manifest.json``) carry no
 timestamps, so rerunning a command over the same config reproduces them
 byte for byte.  Output files, snapshots included, are written atomically
@@ -28,6 +28,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
@@ -259,7 +261,11 @@ def _load_agent(path: Path, name: str, config: RunConfig) -> tuple[Agent, str, d
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config, _, eval_cycles, out = _prepare(args)
+    """Load and pair the snapshots, then create ``--out``.  Agent B must
+    agree with agent A on the label, mode and seed of its ``extra`` block
+    and on every Q-value, and runs on A's table, as in the run that wrote
+    them; an ensemble-mode A needs its B."""
+    config, _, eval_cycles = _load(args.config)
     snap_dir = Path(args.snapshots)
     path_a = _resolve_snapshot(snap_dir)
     agent_a, label_a, extra_a = _load_agent(path_a, "A", config)
@@ -268,9 +274,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if path_b.is_file():
         agent_b, _, extra_b = _load_agent(path_b, "B", config)
         differ = [k for k in ("label", "mode", "seed") if extra_a.get(k) != extra_b.get(k)]
+        if not np.array_equal(agent_b.q.values, agent_a.q.values):
+            differ.append("Q-values")
         if differ:
             raise ValueError(f"snapshots {path_a} and {path_b} do not pair: "
                              f"their {', '.join(differ)} differ")
+        agent_b.q = agent_a.q
         ensemble["B"] = agent_b
     elif extra_a.get("mode") == "ensemble":
         raise ValueError(f"snapshot {path_b}, the ensemble partner of {path_a}, not found")
@@ -279,6 +288,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         baseline, base_label, _ = _load_agent(base_path, "A", config)
     else:
         baseline, base_label = agent_a, label_a
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     grid, actions = config.build_grids()
     policy = config.policy if "B" in ensemble else EnsemblePolicy.weighted(1.0)
     rows = robustness_eval(ensemble, baseline, policy, eval_cycles,

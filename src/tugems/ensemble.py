@@ -4,18 +4,21 @@ Two Q-learning agents observe the same state and each propose an EGU power
 level; a combination rule picks the action the plant executes.  Three rules
 are provided:
 
-* ``maximum``: take the proposal whose own Q-value is higher (tie: agent A),
+* ``maximum``: take the proposal whose Q-value in the shared table is
+  higher (tie: agent A),
 * ``random``: take agent A's proposal with probability 1 - t,
 * ``weighted``: blend the two power levels as mu*p_A + (1 - mu)*p_B and snap
   to the nearest grid level (tie: lower power).
 
 The executed action earns one reward, and both agents learn from that same
-(state, executed action, reward, next state) transition.  Degenerate
-settings reduce exactly to a single agent: ``weighted`` with mu = 1 and
-``random`` with t = 0 reproduce agent A's solo trajectory bit for bit
-because every consumer draws from its own named RNG stream, one block per
-episode (RNG protocol v2, see :func:`tugems.qlearn.exploration_draws`).
-:func:`run_episodes` is the one episode loop; a learning run is one call.
+(state, executed action, reward, next state) transition alike, so they
+share one Q-table, updated once per step, and differ only in how they
+explore while learning.  Degenerate settings reduce exactly to a single
+agent: ``weighted`` with mu = 1 and ``random`` with t = 0 reproduce agent
+A's solo trajectory bit for bit because every consumer draws from its own
+named RNG stream, one block per episode (RNG protocol v2, see
+:func:`tugems.qlearn.exploration_draws`).  :func:`run_episodes` is the one
+episode loop; a learning run is one call.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ CHOOSER_BLEND = "blend"
 class EnsemblePolicy:
     """Parameters of the action-combination rule.
 
-    ``t`` applies to ``random`` (probability of taking agent B) and ``mu``
-    to ``weighted`` (proportion of agent A; agent B gets ``1 - mu``).  Both
-    are range-checked and kept under every kind.
+    ``maximum`` executes the proposal of higher value in the agents' one
+    table (tie: agent A), ``t`` applies to ``random`` (probability of taking
+    agent B) and ``mu`` to ``weighted`` (proportion of agent A; agent B gets
+    ``1 - mu``).  Both weights are range-checked and kept under every kind.
     """
 
     kind: str
@@ -114,28 +118,38 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     """Run the full cycle once per index in ``episodes`` under one agent or a
     two-agent ensemble: one result each, traces (if asked for) on the last.
 
-    With two agents, ``policy`` combines the proposals (``combiner_rng``
-    feeds ``random``) and both learn from the executed transition; one
-    agent's proposal is executed as is, mirrored into both trace columns
-    with chooser "A".  With ``learn``, exploration thresholds follow each
-    agent's schedule at the episode index, frozen for the episode, and each
-    agent draws its episode's block up front (:func:`exploration_draws`);
-    without it, the tables stay frozen and each proposal is its state's first
-    greedy action (no agent draws).  ``random`` draws one combiner uniform
-    per step, per episode up front.  Every episode starts from
-    ``initial_soc`` with the charge-sustain latch off.  The last sample
-    bootstraps from its own demand.  Ladder, initial SoC and tables (finite)
-    are checked before any draw, and the cycle's inputs and the ``weighted``
-    blend table built, once per call; every step then calls the plant
-    kernel directly.  The tables become Python rows once on entry (frozen,
-    only for ``maximum``), written back once on return when ``learn`` is
-    set, and each row's maximum and first argmax are kept current under
-    every update (:func:`_set_entry`).
+    Two agents hold one ``QTable`` and equal learning rate and discount
+    (checked before any draw, as ``ValueError``): ``policy`` combines their
+    proposals (``combiner_rng`` feeds ``random``) and the table makes one TD
+    update per step on the executed transition.  One agent's proposal is
+    executed as is, mirrored into both trace columns with chooser "A".
+    With ``learn``, exploration thresholds follow each agent's schedule at
+    the episode index, frozen for the episode, and each agent draws its
+    episode's block up front (:func:`exploration_draws`); without it, the
+    table stays frozen and each proposal is its state's first greedy action
+    (no agent draws), so every rule executes agent A's greedy action.
+    ``random`` draws one combiner uniform per step, per episode up front.
+    Every episode starts from ``initial_soc`` with the charge-sustain latch
+    off.  The last sample bootstraps from its own demand.  Ladder, initial
+    SoC and table (finite) are checked before any draw, and the cycle's
+    inputs and the ``weighted`` blend table built, once per call; every step
+    then calls the plant kernel directly.  The table becomes Python rows
+    once on entry (frozen, only for ``maximum``), written back once on
+    return when ``learn`` is set, and each row's maximum and first argmax
+    are kept current under every update (:func:`_set_entry`).
     """
     agent_a, agent_b = agents[0], agents[-1]
     two = len(agents) == 2
-    if two and policy is None:
-        raise ValueError("policy is required for a two-agent episode, got None")
+    if two:
+        if policy is None:
+            raise ValueError("policy is required for a two-agent episode, got None")
+        if agent_b.q is not agent_a.q:
+            raise ValueError("the two agents must share one Q-table, got distinct tables")
+        differ = [key for key in ("learning_rate", "discount")
+                  if getattr(agent_a.config, key) != getattr(agent_b.config, key)]
+        if differ:
+            raise ValueError(f"the two agents must learn alike, got a different "
+                             f"{' and '.join(differ)}")
     kind = policy.kind if two else None
     if kind == "random" and combiner_rng is None:
         raise ValueError("combiner_rng is required for the 'random' policy, got None")
@@ -144,9 +158,8 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     for level in levels:
         models.egu.check_command(level)
     models.battery.check_in_window("initial_soc", initial_soc)
-    bad_q = [a.name for a in agents if not np.isfinite(a.q.values).all()]
-    if bad_q:
-        raise ValueError(f"Q-values must be finite, got non-finite entries in {bad_q[0]}'s table")
+    if not np.isfinite(agent_a.q.values).all():
+        raise ValueError("Q-values must be finite, got non-finite entries in the table")
 
     # Per-cycle inputs: demand, its link power, and each step's next-state
     # row offset from the demand bins (the last sample bootstraps from itself).
@@ -156,18 +169,13 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     p_bins = np.clip(np.searchsorted(grid.p_dem_edges_w, demand_w, side="right") - 1,
                      0, grid.n_p_dem - 1)
     offsets = (np.append(p_bins[1:], p_bins[-1]) * n_soc).tolist()
-    # Per table: its rows (read by learning and maximum), each row's first
+    # The table's rows (read by learning and maximum), each row's first
     # argmax and, when learning, its maximum.
-    shared = agent_b.q.values is agent_a.q.values
-    compare = kind == "maximum"
-    rows_a, arg_a, top_a = _table_lists(agent_a, learn, compare)
-    rows_b, arg_b, top_b = ((rows_a, arg_a, top_a) if shared
-                            else _table_lists(agent_b, learn, compare))
+    rows, arg, top = _table_lists(agent_a.q.values, learn, kind == "maximum")
     if kind == "weighted":  # the snapped blend depends on the two actions only
         blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
-    lr_a, gamma_a = agent_a.config.learning_rate, agent_a.config.discount
-    lr_b, gamma_b = agent_b.config.learning_rate, agent_b.config.discount
+    lr, gamma = agent_a.config.learning_rate, agent_a.config.discount
     soc_edges = grid.soc_edges
     kernel = step_kernel(models)
 
@@ -188,21 +196,23 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
         soc, latch, forced_steps = initial_soc, False, 0
         state = int(p_bins[0]) * n_soc + grid.soc_bin(soc)
         for i in range(n):
+            greedy = arg[state]
             action_a = explore_a[i]
             if action_a < 0:
-                action_a = arg_a[state]
+                action_a = greedy
             if not two:
                 action_b = final = action_a
                 chooser = CHOOSER_A
             else:
                 action_b = explore_b[i]
                 if action_b < 0:
-                    action_b = arg_b[state]
+                    action_b = greedy
                 if kind == "weighted":
                     final, chooser = blend[action_a][action_b], CHOOSER_BLEND
-                elif kind == "maximum":  # own-value comparison, ties to agent A
+                elif kind == "maximum":  # one table's values, ties to agent A
+                    row = rows[state]
                     final, chooser = ((action_a, CHOOSER_MAX_A)
-                                      if rows_a[state][action_a] >= rows_b[state][action_b]
+                                      if row[action_a] >= row[action_b]
                                       else (action_b, CHOOSER_MAX_B))
                 else:
                     final = action_b if pick_b[i] else action_a
@@ -223,13 +233,9 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
             s_bin = 0 if s_bin < 0 else (soc_top if s_bin > soc_top else s_bin)
             next_state = offsets[i] + s_bin
             if learn:
-                row = rows_a[state]
-                _set_entry(row, top_a, arg_a, state, final, row[final] + lr_a * (
-                    reward + gamma_a * top_a[next_state] - row[final]))
-                if two:
-                    row = rows_b[state]
-                    _set_entry(row, top_b, arg_b, state, final, row[final] + lr_b * (
-                        reward + gamma_b * top_b[next_state] - row[final]))
+                row = rows[state]
+                _set_entry(row, top, arg, state, final, row[final] + lr * (
+                    reward + gamma * top[next_state] - row[final]))
             total_reward += reward
             soc_sum += soc
             if traces is not None:
@@ -248,18 +254,15 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
             traces=traces))
 
     if learn:
-        agent_a.q.values[:] = rows_a
-        if not shared:
-            agent_b.q.values[:] = rows_b
+        agent_a.q.values[:] = rows
     return results
 
 
-def _table_lists(agent: Agent, learn: bool,
+def _table_lists(values: np.ndarray, learn: bool,
                  compare: bool) -> tuple[list | None, list, list | None]:
-    """``agent``'s finite table as Python rows (for ``learn`` or ``compare``),
-    each row's first argmax and, for ``learn``, its maximum: the entry there,
-    so its zero has ``max(row)``'s sign."""
-    values = agent.q.values
+    """A finite table's ``values`` as Python rows (for ``learn`` or
+    ``compare``), each row's first argmax and, for ``learn``, its maximum:
+    the entry there, so its zero has ``max(row)``'s sign."""
     arg = values.argmax(axis=1).tolist()
     rows = values.tolist() if learn or compare else None
     return rows, arg, ([row[a] for row, a in zip(rows, arg)] if learn else None)

@@ -1,7 +1,7 @@
 """Learning runs, weight sweeps, robustness tables, and their CSV forms.
 
-A "run" is a fixed number of episodes on one cycle with one seed; agents
-keep their tables across episodes while the plant restarts from the
+A "run" is a fixed number of episodes on one cycle with one seed; the agents
+keep their one table across episodes while the plant restarts from the
 configured initial SoC every episode.  Seed handling is explicit
 throughout: agent A, agent B and the action combiner each draw from a
 named stream split off the run seed, so identical configs reproduce
@@ -109,19 +109,22 @@ class RunResult:
 def run_learning(setup: RunSetup, seed: int,
                  record_final_traces: bool = False) -> RunResult:
     """Train for ``setup.episodes`` episodes under one seed, in one
-    :func:`run_episodes` call (tables converted once per run).
+    :func:`run_episodes` call (the table converted once per run).
 
     In single mode only agent A exists and the combination policy is moot.
-    Episode metrics are collected for every episode; per-step traces, when
-    asked for, only for the last one (they are bulky).
+    In ensemble mode agent B is built around agent A's ``QTable``, with its
+    own schedule and its own RNG stream: both learn from every executed
+    transition, so the run keeps one table and the agents differ only in
+    how they explore.  Episode metrics are collected for every episode;
+    per-step traces, when asked for, only for the last one (they are bulky).
     """
     started = time.perf_counter()
     agents = {"A": Agent.create("A", setup.grid, setup.actions, setup.config_a,
                                 seed, AGENT_A_STREAM)}
     combiner_rng = None
     if setup.mode == ENSEMBLE_MODE:
-        agents["B"] = Agent.create("B", setup.grid, setup.actions, setup.config_b,
-                                   seed, AGENT_B_STREAM)
+        agents["B"] = Agent(name="B", q=agents["A"].q, config=setup.config_b,
+                            rng=make_rng(seed, AGENT_B_STREAM))
         combiner_rng = make_rng(seed, COMBINER_STREAM)
     results = run_episodes(setup.cycle, tuple(agents.values()), range(setup.episodes),
                            setup.models, setup.initial_soc, setup.grid, setup.actions,
@@ -140,7 +143,9 @@ def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
 
     With one agent in ``agents`` the episode is plain greedy single-agent
     control; with two, proposals go through the combination policy (whose
-    ``random`` kind draws from the combiner stream of seed 0).
+    ``random`` kind draws from the combiner stream of seed 0).  The two
+    share one table, so both propose its greedy action and every rule
+    executes it: the episode equals agent A's alone.
     """
     team = (agents["A"], agents["B"]) if "B" in agents else (agents["A"],)
     return run_episodes(cycle, team, range(1), models, initial_soc, grid, actions, policy,
@@ -214,7 +219,10 @@ def robustness_eval(ensemble_agents: dict[str, Agent], baseline_agent: Agent,
     single-agent baseline (savings 0 by construction), labelled
     ``baseline_method``, and the ensemble, labelled by its policy kind,
     with savings measured against that same pair's baseline OEC.  Tables
-    are never updated, so repeated calls give identical rows.
+    are never updated, so repeated calls give identical rows.  A frozen
+    ensemble runs its one table's greedy policy (:func:`evaluate_policy`),
+    so against its own agent A it saves exactly 0; a saving needs a
+    ``baseline_agent`` trained separately.
     """
     rows: list[RobustnessRow] = []
     # Agent A alone as the baseline: the ensemble episode is the baseline's.

@@ -580,6 +580,70 @@ def test_eval_pairs_agent_b_with_agent_a_by_seed(workspace, capsys):
     assert "do not pair" in err and "seed" in err
 
 
+def _bump_first_value(path):
+    doc = json.loads(path.read_text())
+    doc["values"][0][0] += 1.0
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed", "missing-partner", "seed",
+                                  "q-values", "missing-baseline"])
+def test_eval_checks_its_snapshots_before_it_creates_out(workspace, capsys, case):
+    tmp, cfg = workspace
+    run_dir = tmp / "multi"
+    assert main(["learn", "--config", str(cfg), "--out", str(run_dir),
+                 "--seed", "3", "--seed", "4"]) == 0
+    snap_a, snap_b = run_dir / "qtable_A_seed3.json", run_dir / "qtable_B_seed3.json"
+    snapshots, extra = run_dir, []
+    if case == "missing":
+        snapshots = tmp / "nowhere"
+        message = "run 'tugems learn' first"
+    elif case == "malformed":
+        snap_a.write_text("{")
+        message = f"tugems: {snap_a}: "
+    elif case == "missing-partner":
+        snap_b.unlink()
+        message = f"snapshot {snap_b}, the ensemble partner of {snap_a}, not found"
+    elif case == "seed":
+        shutil.copy(run_dir / "qtable_B_seed4.json", snap_b)
+        message = f"snapshots {snap_a} and {snap_b} do not pair: their seed"
+    elif case == "q-values":  # the one table of a run is saved twice, equal
+        _bump_first_value(snap_b)
+        message = f"snapshots {snap_a} and {snap_b} do not pair: their Q-values differ"
+    else:
+        extra = ["--baseline-snapshots", str(tmp / "nowhere")]
+        message = "run 'tugems learn' first"
+    out = tmp / "ev"
+    code = main(["eval", "--config", str(cfg), "--out", str(out),
+                 "--snapshots", str(snapshots), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["weighted", "maximum", "random"])
+def test_eval_ensemble_rows_equal_their_own_agent_a_baseline(workspace, kind):
+    # frozen agents on one table both propose its greedy action, so every
+    # rule executes agent A's greedy policy and saves exactly nothing
+    tmp, cfg = workspace
+    variant = _write_config(tmp, cfg, cycle={"builtin": "PRDC-1-synthetic"},
+                            ensemble={"kind": kind},
+                            eval={"cycles": ["PRDC-2-synthetic"],
+                                  "initial_socs": [0.3, 0.6]})
+    run_dir, out = tmp / "run", tmp / "ev"
+    assert main(["learn", "--config", str(variant), "--out", str(run_dir)]) == 0
+    assert main(["eval", "--config", str(variant), "--out", str(out),
+                 "--snapshots", str(run_dir)]) == 0
+    rows = [line.split(",") for line in
+            (out / "robustness.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for base, cand in zip(rows[0::2], rows[1::2]):
+        assert (base[2], cand[2]) == ("step", kind)
+        assert cand[3:5] == base[3:5]  # end_soc, oec_mj
+        assert float(cand[5]) == 0.0
+
+
 def test_eval_runs_a_single_mode_snapshot_without_agent_b(workspace):
     tmp, cfg = workspace
     single_cfg = _write_config(tmp, cfg, run={"mode": "single", "episodes": 2})

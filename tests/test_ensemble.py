@@ -90,14 +90,19 @@ def _episode(cycle, agents, k, *args, **kwargs):
     return run_episodes(cycle, agents, range(k, k + 1), *args, **kwargs)[0]
 
 
-def _make_agents(grid, actions, seed=0, lr=0.5, gamma=0.95):
-    config_a = LearnerConfig(learning_rate=lr, discount=gamma,
-                             schedule=E2ESchedule.step(0.8, 0.5, 10))
-    config_b = LearnerConfig(learning_rate=lr, discount=gamma,
-                             schedule=E2ESchedule.exponential(0.8))
+def _pair(grid, actions, seed, config_a, config_b):
+    """Agent A and agent B on A's table, each on its own stream, as in a run."""
     agent_a = Agent.create("A", grid, actions, config_a, seed, AGENT_A_STREAM)
-    agent_b = Agent.create("B", grid, actions, config_b, seed, AGENT_B_STREAM)
+    agent_b = Agent("B", agent_a.q, config_b, make_rng(seed, AGENT_B_STREAM))
     return agent_a, agent_b
+
+
+def _make_agents(grid, actions, seed=0, lr=0.5, gamma=0.95):
+    return _pair(grid, actions, seed,
+                 LearnerConfig(learning_rate=lr, discount=gamma,
+                               schedule=E2ESchedule.step(0.8, 0.5, 10)),
+                 LearnerConfig(learning_rate=lr, discount=gamma,
+                               schedule=E2ESchedule.exponential(0.8)))
 
 
 def _one_step(models, grid, actions, agents, soc0, p_dem_w, learn=True):
@@ -109,16 +114,16 @@ def _one_step(models, grid, actions, agents, soc0, p_dem_w, learn=True):
                     learn=learn, record_traces=True).traces[0]
 
 
-def test_episode_step_updates_both_tables_at_the_executed_action(
+def test_episode_step_updates_the_shared_table_once_at_the_executed_action(
         models, grid, actions):
+    # one TD update from a blank table: 0 + 0.5 * (reward + 0.95 * 0 - 0);
+    # a second update of the same entry would read 0.75 * reward
     agent_a, agent_b = _make_agents(grid, actions)
     trace = _one_step(models, grid, actions, (agent_a, agent_b), 0.5, 40_000.0)
-    for q in (agent_a.q, agent_b.q):
-        touched = np.argwhere(q.values != 0.0)
-        assert touched.shape == (1, 2)
-        assert tuple(touched[0]) == (trace.state, trace.action_final)
-        assert q.values[trace.state, trace.action_final] == pytest.approx(
-            0.5 * trace.reward)
+    touched = np.argwhere(agent_a.q.values != 0.0)
+    assert touched.shape == (1, 2)
+    assert tuple(touched[0]) == (trace.state, trace.action_final)
+    assert agent_a.q.values[trace.state, trace.action_final] == 0.5 * trace.reward
 
 
 def test_episode_step_forced_charging_overrides_the_chosen_action(
@@ -132,22 +137,10 @@ def test_episode_step_forced_charging_overrides_the_chosen_action(
     assert trace.p_batt_w < 0.0           # surplus charges the pack
 
 
-def test_episode_step_learn_false_leaves_tables_blank(models, grid, actions):
-    agent_a, agent_b = _make_agents(grid, actions)
-    _one_step(models, grid, actions, (agent_a, agent_b), 0.5, 40_000.0, learn=False)
-    assert not agent_a.q.values.any()
-    assert not agent_b.q.values.any()
-
-
-def test_equal_hyperparameters_keep_both_tables_identical(
-        models, grid, actions, bumpy_cycle):
-    # both agents learn from the same executed transitions, so with equal
-    # learning rate and discount their tables can never diverge
-    agent_a, agent_b = _make_agents(grid, actions, seed=3)
-    run_episodes(bumpy_cycle, (agent_a, agent_b), range(3), models, 0.5, grid, actions,
-                 EnsemblePolicy(kind="maximum"), make_rng(3, COMBINER_STREAM))
-    np.testing.assert_array_equal(agent_a.q.values, agent_b.q.values)
-    assert agent_a.q.values.any()
+def test_episode_step_learn_false_leaves_the_table_blank(models, grid, actions):
+    agents = _make_agents(grid, actions)
+    _one_step(models, grid, actions, agents, 0.5, 40_000.0, learn=False)
+    assert not agents[0].q.values.any()
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +164,12 @@ def test_episode_runs_are_deterministic(models, grid, actions, bumpy_cycle):
         last = run_episodes(bumpy_cycle, (agent_a, agent_b), range(4), models, 0.5, grid,
                             actions, EnsemblePolicy(kind="random", t=0.4),
                             make_rng(8, COMBINER_STREAM))[-1]
-        return last.metrics, agent_a.q.values.copy(), agent_b.q.values.copy()
+        return last.metrics, agent_a.q.values.copy()
 
-    m1, qa1, qb1 = run_once()
-    m2, qa2, qb2 = run_once()
+    m1, q1 = run_once()
+    m2, q2 = run_once()
     assert m1 == m2
-    np.testing.assert_array_equal(qa1, qa2)
-    np.testing.assert_array_equal(qb1, qb2)
+    np.testing.assert_array_equal(q1, q2)
 
 
 def test_traces_record_the_executed_step(models, grid, actions, flat_cycle):
@@ -224,25 +216,29 @@ def test_greedy_episode_ignores_exploration_and_learning(
     assert r1.metrics == r2.metrics  # episode index and rng are irrelevant
 
 
-@pytest.mark.parametrize("n_agents", [1, 2])
-def test_frozen_episode_takes_each_tables_first_greedy_action(models, grid, actions,
-                                                              bumpy_cycle, n_agents):
-    agents = _make_agents(grid, actions, seed=3)[:n_agents]
-    rng = np.random.default_rng(11)
-    for agent in agents:  # three values per table: nearly every row has ties
-        agent.q.values[:] = rng.integers(-2, 1, agent.q.values.shape)
-    agents[0].q.values[::2] = 0.0  # and every other row of A is one tie
-    before = [agent.q.values.copy() for agent in agents]
+@pytest.mark.parametrize("policy", [
+    EnsemblePolicy.weighted(0.3),
+    EnsemblePolicy(kind="maximum"),
+    EnsemblePolicy(kind="random", t=0.6),
+    None,
+], ids=["weighted", "maximum", "random", "single"])
+def test_frozen_episode_executes_the_tables_first_greedy_action(models, grid, actions,
+                                                                bumpy_cycle, policy):
+    # both agents propose the one table's greedy action, so every rule
+    # executes agent A's greedy policy
+    agents = _make_agents(grid, actions, seed=3)[:1 if policy is None else 2]
+    q = agents[0].q.values
+    q[:] = np.random.default_rng(11).integers(-2, 1, q.shape)  # nearly every row ties
+    q[::2] = 0.0  # and every other row is one tie
+    before = q.copy()
     result = _episode(bumpy_cycle, agents, 0, models, 0.5, grid,
-                      actions, EnsemblePolicy.weighted(0.5),
-                      make_rng(0, COMBINER_STREAM), learn=False, record_traces=True)
-    q_a, q_b = agents[0].q.values, agents[-1].q.values
+                      actions, policy, make_rng(0, COMBINER_STREAM), learn=False,
+                      record_traces=True)
     assert len({trace.state for trace in result.traces}) > 1
     for trace in result.traces:
-        assert trace.action_a == int(q_a[trace.state].argmax())
-        assert trace.action_b == int(q_b[trace.state].argmax())
-    for agent, values in zip(agents, before):
-        np.testing.assert_array_equal(agent.q.values, values)
+        greedy = int(q[trace.state].argmax())
+        assert trace.action_a == trace.action_b == trace.action_final == greedy
+    np.testing.assert_array_equal(q, before)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +254,7 @@ def _solo_run(grid, actions, cycle, models, seed, stream, config, episodes):
 
 def _ensemble_run(grid, actions, cycle, models, seed, policy, episodes,
                   config_a, config_b):
-    agent_a = Agent.create("A", grid, actions, config_a, seed, AGENT_A_STREAM)
-    agent_b = Agent.create("B", grid, actions, config_b, seed, AGENT_B_STREAM)
+    agent_a, agent_b = _pair(grid, actions, seed, config_a, config_b)
     results = run_episodes(cycle, (agent_a, agent_b), range(episodes), models, 0.5, grid,
                            actions, policy, make_rng(seed, COMBINER_STREAM))
     return agent_a, agent_b, [r.metrics for r in results]
@@ -310,9 +305,9 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
                        learn):
     """Step by step through threshold_greedy/q_update, combine_weighted, the
     maximum and random rules written out, and Plant.step, with the tables in
-    numpy throughout; each episode's random values are drawn up front (the
-    agents' through exploration_draws) and handed to the primitives step by
-    step."""
+    numpy throughout and one q_update per distinct table; each episode's
+    random values are drawn up front (the agents' through exploration_draws)
+    and handed to the primitives step by step."""
     plant.reset(soc0)
     demand = [float(p) for p in cycle.demand_w]
     n = len(demand)
@@ -345,7 +340,7 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
         out = plant.step(p, actions.level(final), cycle.dt_s)
         next_state = index(demand[min(i + 1, n - 1)], out.soc)
         if learn:
-            for agent in agents:
+            for agent in {id(a.q): a for a in agents}.values():
                 q_update(agent.q, state, final, out.reward, next_state, agent.config)
         total += out.reward
         soc_sum += out.soc
@@ -360,19 +355,14 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
     None,
 ], ids=["weighted", "maximum", "random", "single"])
 @pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
-@pytest.mark.parametrize("shared", [False, True], ids=["own-tables", "shared-table"])
 @pytest.mark.parametrize("soc0", [0.5, 0.285], ids=["mid-soc", "charge-sustain"])
 def test_run_episode_matches_the_step_by_step_primitives(
-        models, grid, actions, bumpy_cycle, policy, learn, shared, soc0):
+        models, grid, actions, bumpy_cycle, policy, learn, soc0):
     def make(seed):
-        # coarse integer tables tie often, within rows and across agents
+        # a coarse integer table ties often, within rows and across proposals
         agent_a, agent_b = _make_agents(grid, actions, seed=seed)
-        rng = np.random.default_rng(seed)
-        agent_a.q.values[:] = rng.integers(-2, 3, size=agent_a.q.values.shape)
-        if shared:
-            agent_b.q = agent_a.q
-        else:
-            agent_b.q.values[:] = rng.integers(-2, 3, size=agent_b.q.values.shape)
+        agent_a.q.values[:] = np.random.default_rng(seed).integers(
+            -2, 3, size=agent_a.q.values.shape)
         return (agent_a,) if policy is None else (agent_a, agent_b)
 
     fast, slow = make(6), make(6)
@@ -393,24 +383,19 @@ def test_run_episode_matches_the_step_by_step_primitives(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("policy,shared", [
-    (None, False),
-    (EnsemblePolicy.weighted(0.3), False),
-    (EnsemblePolicy(kind="maximum"), False),
-    (EnsemblePolicy(kind="random", t=0.4), False),
-    (EnsemblePolicy(kind="maximum"), True),
-], ids=["single", "weighted", "maximum", "random", "shared-table"])
+@pytest.mark.parametrize("policy", [
+    None,
+    EnsemblePolicy.weighted(0.3),
+    EnsemblePolicy(kind="maximum"),
+    EnsemblePolicy(kind="random", t=0.4),
+], ids=["single", "weighted", "maximum", "random"])
 @pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
 def test_run_episodes_equals_successive_one_episode_calls(models, grid, actions,
-                                                          bumpy_cycle, policy, shared,
-                                                          learn):
+                                                          bumpy_cycle, policy, learn):
     def make():
         agents = _make_agents(grid, actions, seed=12)
-        rng = np.random.default_rng(12)  # ties, zeros of both signs
-        for agent in agents:
-            agent.q.values[:] = rng.choice([-1.0, -0.0, 0.0, 0.5], agent.q.values.shape)
-        if shared:
-            agents[1].q = agents[0].q
+        q = agents[0].q.values  # ties, zeros of both signs
+        q[:] = np.random.default_rng(12).choice([-1.0, -0.0, 0.0, 0.5], q.shape)
         return agents[:1] if policy is None else agents
 
     k0, m = 3, 4
@@ -439,8 +424,7 @@ _ENTRIES = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0])
 @settings(max_examples=300, deadline=None)
 def test_set_entry_keeps_each_rows_maximum_and_first_argmax(values, updates):
     # the cache starts from the numpy table, as in run_episodes
-    agent = SimpleNamespace(q=SimpleNamespace(values=np.array(values)))
-    rows, arg, top = _table_lists(agent, learn=True, compare=False)
+    rows, arg, top = _table_lists(np.array(values), learn=True, compare=False)
 
     def check():  # bit for bit: a cached -0.0 must not stand for 0.0
         for s, row in enumerate(rows):
@@ -461,9 +445,9 @@ def test_set_entry_keeps_each_rows_maximum_and_first_argmax(values, updates):
 
 
 def _episode_traces(cycle, models, grid, actions, config_b, episodes=4):
-    config_a = LearnerConfig(schedule=E2ESchedule.step(0.8, 0.5, 10))
-    agent_a = Agent.create("A", grid, actions, config_a, 5, AGENT_A_STREAM)
-    agent_b = Agent.create("B", grid, actions, config_b, 5, AGENT_B_STREAM)
+    agent_a, agent_b = _pair(grid, actions, 5,
+                             LearnerConfig(schedule=E2ESchedule.step(0.8, 0.5, 10)),
+                             config_b)
     traces = [[(tr.state, tr.action_a, tr.action_final, tr.reward, tr.soc)
                for tr in _episode(cycle, (agent_a, agent_b), k, models, 0.5, grid,
                                   actions, EnsemblePolicy.weighted(1.0),
@@ -574,12 +558,13 @@ def test_learning_rejects_non_finite_q_values_under_every_kind(models, grid, act
                                                               flat_cycle, policy):
     # the cached row maxima equal max(row) only on finite rows
     agents = _make_agents(grid, actions)[:1 if policy is None else 2]
-    agents[-1].q.values[7, 3] = np.nan
-    before = agents[-1].rng.bit_generator.state
-    with pytest.raises(ValueError, match=f"non-finite entries in {agents[-1].name}'s"):
+    agents[0].q.values[7, 3] = np.nan
+    before = [agent.rng.bit_generator.state for agent in agents]
+    with pytest.raises(ValueError, match="non-finite entries in the table"):
         run_episodes(flat_cycle, agents, range(5), models, 0.5, grid, actions,
                      policy, make_rng(0, COMBINER_STREAM))
-    assert agents[-1].rng.bit_generator.state == before  # checked before any draw
+    # checked before any draw
+    assert [agent.rng.bit_generator.state for agent in agents] == before
 
 
 @pytest.mark.parametrize("soc0", [0.05, 0.9, float("nan")])
@@ -595,7 +580,7 @@ def test_an_initial_soc_outside_the_battery_window_raises_before_any_draw(
                      EnsemblePolicy(kind="random", t=0.5), combiner)
     assert [agent.rng.bit_generator.state for agent in agents] == streams
     assert combiner.bit_generator.state == combiner_state
-    assert (agents[0].q.values == 1.0).all() and not agents[1].q.values.any()
+    assert (agents[0].q.values == 1.0).all()
 
 
 def test_two_agents_without_a_policy_name_the_policy(models, grid, actions, flat_cycle):
@@ -609,3 +594,37 @@ def test_random_policy_without_a_combiner_rng_names_it(models, grid, actions, fl
     with pytest.raises(ValueError, match="combiner_rng is required"):
         _episode(flat_cycle, _make_agents(grid, actions), 0, models, 0.5, grid, actions,
                  EnsemblePolicy(kind="random", t=0.5), None, learn)
+
+
+def _assert_rejected_before_any_draw(models, grid, actions, cycle, agents, match):
+    combiner = make_rng(0, COMBINER_STREAM)
+    streams = [agent.rng.bit_generator.state for agent in agents]
+    for learn in (True, False):
+        with pytest.raises(ValueError, match=match):
+            run_episodes(cycle, agents, range(2), models, 0.5, grid, actions,
+                         EnsemblePolicy(kind="random", t=0.5), combiner, learn)
+    assert [agent.rng.bit_generator.state for agent in agents] == streams
+    assert combiner.bit_generator.state == make_rng(0, COMBINER_STREAM).bit_generator.state
+
+
+def test_two_agents_on_distinct_tables_are_rejected_before_any_draw(models, grid,
+                                                                     actions, flat_cycle):
+    # equal values are not enough: the loop keeps and updates one table
+    agent_a, agent_b = _make_agents(grid, actions)
+    agent_b.q = Agent.create("B", grid, actions, agent_b.config, 0, AGENT_B_STREAM).q
+    _assert_rejected_before_any_draw(models, grid, actions, flat_cycle, (agent_a, agent_b),
+                                     "must share one Q-table, got distinct tables")
+
+
+@pytest.mark.parametrize("lr,gamma,problem", [
+    (0.25, 0.95, "learning_rate"),
+    (0.5, 0.9, "discount"),
+    (0.25, 0.9, "learning_rate and discount"),
+], ids=["learning-rate", "discount", "both"])
+def test_a_shared_table_with_unlike_learners_is_rejected_before_any_draw(
+        models, grid, actions, flat_cycle, lr, gamma, problem):
+    agent_a, agent_b = _make_agents(grid, actions)
+    agent_b.config = LearnerConfig(learning_rate=lr, discount=gamma,
+                                   schedule=agent_b.config.schedule)
+    _assert_rejected_before_any_draw(models, grid, actions, flat_cycle, (agent_a, agent_b),
+                                     f"must learn alike, got a different {problem}$")

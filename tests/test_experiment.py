@@ -15,7 +15,8 @@ from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, SWEEP_PROPORTIONS, Ru
                                write_trace_csv)
 from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
-from tugems.qlearn import ActionGrid
+from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, ActionGrid, exploration_draws,
+                           make_rng)
 
 # ---------------------------------------------------------------------------
 # episode metrics
@@ -139,8 +140,6 @@ def test_run_learning_is_deterministic(models, grid, actions, bumpy_cycle):
     assert r1.episodes == r2.episodes
     np.testing.assert_array_equal(r1.agents["A"].q.values,
                                   r2.agents["A"].q.values)
-    np.testing.assert_array_equal(r1.agents["B"].q.values,
-                                  r2.agents["B"].q.values)
     r3 = run_learning(setup, seed=6)
     assert r3.episodes != r1.episodes
 
@@ -155,6 +154,23 @@ def test_run_learning_modes_and_final_property(models, grid, actions,
     assert len(ensemble.episodes) == 3
     assert ensemble.final is ensemble.episodes[-1]
     assert ensemble.wall_clock_s > 0.0
+
+
+def test_run_learning_builds_agent_b_on_agent_a_table(models, grid, actions,
+                                                     bumpy_cycle):
+    # both agents learn every executed transition alike, so one table serves
+    # both; agent B keeps its own schedule and its own stream
+    setup = _setup(bumpy_cycle, models, grid, actions)
+    agents = run_learning(setup, seed=4).agents
+    assert agents["B"].q is agents["A"].q
+    assert agents["A"].q.values.any()
+    assert agents["A"].config is setup.config_a
+    assert agents["B"].config is setup.config_b
+    for name, stream in (("A", AGENT_A_STREAM), ("B", AGENT_B_STREAM)):
+        fresh = make_rng(4, stream)
+        for _ in range(setup.episodes):
+            exploration_draws(fresh, len(bumpy_cycle), actions.n_actions)
+        assert agents[name].rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_run_learning_traces_cover_the_last_episode_only(models, grid, actions,
@@ -262,6 +278,25 @@ def test_robustness_rows_pair_baseline_and_candidate(models, grid, actions,
                             initial_socs=[0.3, 0.5], models=models, grid=grid,
                             actions=actions, baseline_method="exponential")
     assert again == rows  # frozen policies, no table drift
+
+
+@pytest.mark.parametrize("policy", [
+    EnsemblePolicy.weighted(0.3),
+    EnsemblePolicy(kind="maximum"),
+    EnsemblePolicy(kind="random", t=0.6),
+], ids=["weighted", "maximum", "random"])
+def test_a_frozen_ensemble_saves_nothing_against_its_own_agent_a(
+        models, grid, actions, bumpy_cycle, flat_cycle, policy):
+    # both agents propose the one table's greedy action, which every rule executes
+    trained = run_learning(_setup(bumpy_cycle, models, grid, actions), seed=1)
+    rows = robustness_eval(trained.agents, trained.agents["A"], policy,
+                           cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
+                           models=models, grid=grid, actions=actions,
+                           baseline_method="step")
+    for base_row, cand_row in zip(rows[0::2], rows[1::2]):
+        assert cand_row.method == policy.kind
+        assert (cand_row.end_soc, cand_row.oec_mj, cand_row.savings_pct) == (
+            base_row.end_soc, base_row.oec_mj, 0.0)
 
 
 def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(

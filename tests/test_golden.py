@@ -12,6 +12,7 @@ directory, because manifests record them verbatim.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -170,7 +171,20 @@ def _run_case(name: str) -> dict[str, str]:
     return digests
 
 
+def _without_schedule(path: Path) -> bytes:
+    """A snapshot's bytes less its one ``"schedule"`` header entry."""
+    stripped, count = re.subn(rb'"schedule": \{[^}]*\}, ', b"", path.read_bytes())
+    assert count == 1, path
+    return stripped
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_artifacts_match_golden_fingerprints(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run_case(name) == GOLDEN[name]
+    if CASES[name]["mode"] == "ensemble":
+        # one table per run: agent B's snapshot differs from A's only in the
+        # schedule it explored by
+        for seed in (0, 1):
+            assert (_without_schedule(Path(f"run/qtable_A_seed{seed}.json"))
+                    == _without_schedule(Path(f"run/qtable_B_seed{seed}.json")))
