@@ -20,7 +20,9 @@ forward pass at full generator power detects genuine infeasibility.
 
 The backward pass keeps the ``T x 2 x S`` value table and stages a block of
 steps per call over distinct rows only: a node's two latch modes share one
-row unless the latch engages there.  Scratch is ``O(block x S x A)``, and
+row unless the latch engages there.  The free and the latched stage each
+prepare their nodes' SoC terms (latch, battery curves, power caps) once per
+solve, and every block reuses them.  Scratch is ``O(block x S x A)``, and
 each float operation is the per-step form's, so results are bit-identical.
 """
 
@@ -128,15 +130,17 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     # latched rows (full power, mode-1 table) those it holds in mode 1: runs
     # of ascending nodes, split at the count the twin latches from each mode.
     stage = array_kernel(models)
-    n_sus, n_rel = stage(nodes, np.array([[False], [True]]), 0.0, 0.0, dt)[1].sum(axis=1).tolist()
+    n_sus, n_rel = stage(nodes, np.array([[False], [True]]), dt)(0.0, 0.0)[1].sum(axis=1).tolist()
+    free_stage = stage(nodes[n_sus:], False, dt)
+    held_stage = stage(nodes[:n_rel], True, dt)
     terminal = price * np.maximum(0.0, end_floor - nodes)
     values = np.empty((n_steps + 1, 2, soc_nodes))
     values[n_steps] = np.stack([terminal, terminal])
     for stop in range(n_steps, 0, -_BLOCK_STEPS):
         start = max(0, stop - _BLOCK_STEPS)
         block = links[start:stop, None, None]
-        cost_f, _, next_f = stage(nodes[n_sus:], False, block, levels[:, None], dt)
-        cost_l, _, next_l = stage(nodes[:n_rel], True, block, p_top, dt)
+        cost_f, _, next_f = free_stage(block, levels[:, None])
+        cost_l, _, next_l = held_stage(block, p_top)
         cost_f *= dt  # J
         cost_l *= dt
         for k in range(stop - start - 1, -1, -1):

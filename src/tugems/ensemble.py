@@ -19,6 +19,19 @@ A's solo trajectory bit for bit because every consumer draws from its own
 named RNG stream, one block per episode (RNG protocol v2, see
 :func:`tugems.qlearn.exploration_draws`).  :func:`run_episodes` is the one
 episode loop; a learning run is one call.
+
+On the one table both greedy proposals are the row's first argmax, so a
+rule matters only on steps where an agent explores (theta_A, theta_B):
+
+* ``maximum`` executes an action valued below the row maximum only when
+  both agents explore, so it explores at theta_A * theta_B,
+* ``random`` executes an exploration pick at (1 - t) * theta_A + t * theta_B,
+* ``weighted`` can leave the greedy action when either agent explores;
+  with one explorer the snapped blend lies between the greedy level and
+  the pick, pulled toward the greedy level.
+
+Under the stock schedules (step decay for A, exponential for B) theta_A *
+theta_B is 0.64, 0.13, 0.0023 and 6.6e-6 in episodes 0, 5, 20 and 40.
 """
 
 from __future__ import annotations

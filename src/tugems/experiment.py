@@ -145,7 +145,8 @@ def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
     control; with two, proposals go through the combination policy (whose
     ``random`` kind draws from the combiner stream of seed 0).  The two
     share one table, so both propose its greedy action and every rule
-    executes it: the episode equals agent A's alone.
+    executes it: the episode equals agent A's alone, which is why
+    :func:`robustness_eval` need not run it against a baseline on that table.
     """
     team = (agents["A"], agents["B"]) if "B" in agents else (agents["A"],)
     return run_episodes(cycle, team, range(1), models, initial_soc, grid, actions, policy,
@@ -222,11 +223,14 @@ def robustness_eval(ensemble_agents: dict[str, Agent], baseline_agent: Agent,
     are never updated, so repeated calls give identical rows.  A frozen
     ensemble runs its one table's greedy policy (:func:`evaluate_policy`),
     so against its own agent A it saves exactly 0; a saving needs a
-    ``baseline_agent`` trained separately.
+    ``baseline_agent`` trained separately.  When every ensemble agent holds
+    the baseline agent's ``QTable`` object (``eval``'s default baseline, or
+    single mode), the ensemble row reuses the baseline episode instead of
+    running it again; a distinct table, even one of equal values, runs both.
     """
     rows: list[RobustnessRow] = []
-    # Agent A alone as the baseline: the ensemble episode is the baseline's.
-    alone = list(ensemble_agents) == ["A"] and ensemble_agents["A"] is baseline_agent
+    # Every agent on the baseline's table: the ensemble episode is the baseline's.
+    alone = all(agent.q is baseline_agent.q for agent in ensemble_agents.values())
     for cycle in cycles:
         for soc0 in initial_socs:
             base = evaluate_policy(cycle, {"A": baseline_agent},

@@ -390,14 +390,19 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     return kernel
 
 
-def array_kernel(models: PlantModels) -> Callable[..., tuple]:
+def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
     """Build :func:`step_kernel`'s array twin, equal to it bit for bit.
 
-    ``kernel(soc, latch, p_link_req_w, p_egu_cmd_w, dt_s)`` broadcasts its
-    arguments and returns the kernel's ``p_loss_total_w``, latch and SoC as
-    arrays (at least 1-D).  It runs the kernel's operations in order, in place,
-    with masks on its comparisons and ``np.maximum(x, y)`` for ``x if x > y else
-    y`` (both give ``y`` on ties, signed zeros included; ``np.minimum`` likewise)."""
+    ``array_kernel(models)(soc, latch, dt_s)`` prepares a stage: it resolves
+    the latch and maps the battery curves, pack volts and power caps over the
+    SoCs once, and returns ``step(p_link_req_w, p_egu_cmd_w)``.  ``step``
+    broadcasts its arguments against the SoCs and returns the kernel's
+    ``p_loss_total_w``, latch and SoC as arrays (at least 1-D; the latch is
+    the prepared one, read-only).  It runs the kernel's operations in order,
+    in place on its own arrays only (never on the prepared ones), with masks
+    on its comparisons and ``np.maximum(x, y)`` for ``x if x > y else y``
+    (both give ``y`` on ties, signed zeros included; ``np.minimum``
+    likewise)."""
     battery, egu = models.battery, models.egu
     curves = curve_lookup(battery.voltage_curve), curve_lookup(battery.resistance_curve)
     n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
@@ -407,44 +412,48 @@ def array_kernel(models: PlantModels) -> Callable[..., tuple]:
     sustain = models.charge_sustain_soc
     release = models.charge_sustain_soc + models.charge_release_margin
 
-    def kernel(soc0, latch, p_link_req, p_cmd, dt) -> tuple:
+    def stage(soc0, latch, dt) -> Callable[..., tuple]:
         soc0 = np.array(soc0, dtype=float, ndmin=1)
         latch = np.logical_and(latch, ~(soc0 >= release)) | (soc0 < sustain)
+        latch.flags.writeable = False  # every step returns it
         socs = soc0.ravel().tolist()
         volt, r = (np.fromiter(map(f, socs), float).reshape(soc0.shape) for f in curves)
         volt *= n_cells  # pack volts
         dis_cap = np.minimum((soc0 - soc_min) * coulomb / dt * volt, max_dis)
         chg_cap = np.minimum((soc_max - soc0) * coulomb / dt * volt, max_chg)
 
-        p_egu = np.maximum(p_link_req - dis_cap, np.where(latch, p_max, p_cmd))
-        np.minimum(p_link_req + chg_cap, p_egu, out=p_egu)
-        np.maximum(p_egu, 0.0, out=p_egu)
-        np.minimum(p_egu, p_max, out=p_egu)
-        current = np.subtract(p_link_req, p_egu)
-        np.maximum(current, -chg_cap, out=current)
-        np.minimum(current, dis_cap, out=current)  # p_batt
+        def step(p_link_req, p_cmd) -> tuple:
+            p_egu = np.maximum(p_link_req - dis_cap, np.where(latch, p_max, p_cmd))
+            np.minimum(p_link_req + chg_cap, p_egu, out=p_egu)
+            np.maximum(p_egu, 0.0, out=p_egu)
+            np.minimum(p_egu, p_max, out=p_egu)
+            current = np.subtract(p_link_req, p_egu)
+            np.maximum(current, -chg_cap, out=current)
+            np.minimum(current, dis_cap, out=current)  # p_batt
 
-        loss = b2 * p_egu
-        loss += b1
-        loss *= p_egu
-        loss += b0
-        np.putmask(loss, ~(p_egu > 0.0), 0.0)  # off at 0 W
-        loss -= p_egu  # engine loss
-        if (loss < 0.0).any():
-            raise ValueError(_NEGATIVE_ENGINE_LOSS.format(loss.min()))
-        current /= volt  # A per cell
-        battery_loss = np.multiply(r, current, out=p_egu)
-        battery_loss *= current
-        battery_loss *= n_cells
-        loss += battery_loss  # p_loss_total
-        current *= dt
-        current /= coulomb
-        soc = np.subtract(soc0, current, out=current)
-        np.maximum(soc, soc_min, out=soc)
-        np.minimum(soc, soc_max, out=soc)
-        return loss, latch, soc
+            loss = b2 * p_egu
+            loss += b1
+            loss *= p_egu
+            loss += b0
+            np.putmask(loss, ~(p_egu > 0.0), 0.0)  # off at 0 W
+            loss -= p_egu  # engine loss
+            if (loss < 0.0).any():
+                raise ValueError(_NEGATIVE_ENGINE_LOSS.format(loss.min()))
+            current /= volt  # A per cell
+            battery_loss = np.multiply(r, current, out=p_egu)
+            battery_loss *= current
+            battery_loss *= n_cells
+            loss += battery_loss  # p_loss_total
+            current *= dt
+            current /= coulomb
+            soc = np.subtract(soc0, current, out=current)
+            np.maximum(soc, soc_min, out=soc)
+            np.minimum(soc, soc_max, out=soc)
+            return loss, latch, soc
 
-    return kernel
+        return step
+
+    return stage
 
 
 class Plant:

@@ -1,6 +1,7 @@
 """Dynamic-programming loss bound: exactness, feasibility, and slack."""
 
 import dataclasses
+import inspect
 from collections import namedtuple
 
 import numpy as np
@@ -228,8 +229,8 @@ def test_array_kernel_is_the_scalar_kernel_bit_for_bit(case):
     socs, latch, commands, demands, dt = case.socs, case.latch, case.commands, case.demands, case.dt
     links = [models.motor.link_power(p) for p in demands]
     # the DP's layout: steps x commands x SoC nodes
-    loss, latched, soc_next = array_kernel(models)(
-        np.array(socs), latch, np.array(links)[:, None, None], np.array(commands)[:, None], dt)
+    loss, latched, soc_next = array_kernel(models)(np.array(socs), latch, dt)(
+        np.array(links)[:, None, None], np.array(commands)[:, None])
     assert loss.shape == soc_next.shape == (len(demands), len(commands), len(socs))
     assert latched.shape == (len(socs),)
     kernel = step_kernel(models)
@@ -238,6 +239,37 @@ def test_array_kernel_is_the_scalar_kernel_bit_for_bit(case):
         assert loss[k, a, s] == out.p_loss_total_w
         assert latched[s] == out.forced_charging
         assert soc_next[k, a, s] == out.soc
+
+
+def _bits(array):
+    return array.shape, array.dtype, array.tobytes()
+
+
+@pytest.mark.parametrize("latch", [False, True])
+@pytest.mark.parametrize("bent", [False, True])
+def test_a_prepared_stage_steps_any_block_as_a_freshly_prepared_one(latch, bent):
+    models = default_models()
+    if bent:
+        models = dataclasses.replace(models, battery=_BENT_BATTERY)
+    stage = array_kernel(models)
+    nodes, dt = np.linspace(0.2, 0.8, 61), 0.5
+    demands = (np.linspace(0.0, 253_000.0, 16), np.array([0.0, 40_000.0, 220_000.0]))
+    ladders = (np.asarray(ActionGrid.uniform().levels_w), np.array([0.0, 25_860.0, 86_200.0]))
+    blocks = [(models.motor.link_power(d)[:, None, None], c[:, None])
+              for d, c in zip(demands, ladders)]
+    for order in (blocks, blocks[::-1]):
+        prepared = stage(nodes, latch, dt)
+        hoisted = {name: value.copy() for name, value
+                   in inspect.getclosurevars(prepared).nonlocals.items()
+                   if isinstance(value, np.ndarray)}
+        assert {"soc0", "latch", "volt", "r", "dis_cap", "chg_cap"} <= set(hoisted)
+        for links, commands in order:
+            got = prepared(links, commands)
+            want = stage(nodes, latch, dt)(links, commands)
+            assert list(map(_bits, got)) == list(map(_bits, want))
+        for name, value in inspect.getclosurevars(prepared).nonlocals.items():
+            if name in hoisted:
+                assert _bits(value) == _bits(hoisted[name]), name
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,21 @@ def test_combine_weighted_pure_weights_reproduce_each_agent(actions):
         assert combine_weighted(a, b, 0.0, actions) == b
 
 
-def test_combine_weighted_agreement_is_a_fixed_point(actions):
-    assert combine_weighted(5, 5, 0.42, actions) == 5
+# Ladders of distinct milliwatt levels up to the stock rating.  The blend of a
+# level with itself lands within a few ulps of it, so only levels that close
+# to a neighbour (never a ladder in use) could snap away.
+_LADDERS = st.one_of(
+    st.just(ActionGrid.uniform()),
+    st.lists(st.integers(1, 86_200_000), min_size=1, max_size=20, unique=True).map(
+        lambda mw: ActionGrid((0.0, *sorted(x / 1000.0 for x in mw)))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), ladder=_LADDERS, mu=st.floats(0.0, 1.0))
+def test_combine_weighted_agreement_is_a_fixed_point(data, ladder, mu):
+    # frozen agents on one table agree, so eval may skip the ensemble episode
+    a = data.draw(st.integers(0, ladder.n_actions - 1), label="action")
+    assert combine_weighted(a, a, mu, ladder) == a
 
 
 def test_combine_weighted_halfway_tie_snaps_lower(actions):

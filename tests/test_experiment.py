@@ -15,8 +15,8 @@ from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, SWEEP_PROPORTIONS, Ru
                                write_trace_csv)
 from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
-from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, ActionGrid, exploration_draws,
-                           make_rng)
+from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, ActionGrid, Agent, QTable,
+                           exploration_draws, make_rng)
 
 # ---------------------------------------------------------------------------
 # episode metrics
@@ -299,10 +299,8 @@ def test_a_frozen_ensemble_saves_nothing_against_its_own_agent_a(
             base_row.end_soc, base_row.oec_mj, 0.0)
 
 
-def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
-        models, grid, actions, bumpy_cycle, flat_cycle, monkeypatch):
-    agent = run_learning(_setup(bumpy_cycle, models, grid, actions,
-                                mode=SINGLE_MODE), seed=0).agents["A"]
+def _count_eval_episodes(monkeypatch) -> list:
+    """Record the cycle label of every ``evaluate_policy`` call ``robustness_eval`` makes."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -310,6 +308,14 @@ def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
         return evaluate_policy(*args, **kwargs)
 
     monkeypatch.setattr("tugems.experiment.evaluate_policy", counting)
+    return calls
+
+
+def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
+        models, grid, actions, bumpy_cycle, flat_cycle, monkeypatch):
+    agent = run_learning(_setup(bumpy_cycle, models, grid, actions,
+                                mode=SINGLE_MODE), seed=0).agents["A"]
+    calls = _count_eval_episodes(monkeypatch)
     rows = robustness_eval({"A": agent}, agent, EnsemblePolicy.weighted(1.0),
                            cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
                            models=models, grid=grid, actions=actions,
@@ -319,6 +325,44 @@ def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
     for base_row, cand_row in zip(rows[0::2], rows[1::2]):
         assert (cand_row.end_soc, cand_row.oec_mj) == (base_row.end_soc, base_row.oec_mj)
         assert cand_row.savings_pct == 0.0
+
+
+_RULES = [EnsemblePolicy.weighted(0.3), EnsemblePolicy(kind="maximum"),
+          EnsemblePolicy(kind="random", t=0.6)]
+
+
+@pytest.mark.parametrize("baseline, episodes_per_pair", [
+    ("own-agent-a", 1),         # the ensemble's own table: the candidate is the baseline
+    ("separately-trained", 2),
+    ("equal-values-copy", 2),   # the skip rule is table identity, not value equality
+])
+@pytest.mark.parametrize("policy", _RULES, ids=["weighted", "maximum", "random"])
+def test_ensemble_eval_skips_the_candidate_only_on_the_baseline_table(
+        models, grid, actions, bumpy_cycle, flat_cycle, monkeypatch, policy,
+        baseline, episodes_per_pair):
+    trained = run_learning(_setup(bumpy_cycle, models, grid, actions), seed=1)
+    agent_a = trained.agents["A"]
+    if baseline == "own-agent-a":
+        base_agent = agent_a
+    elif baseline == "separately-trained":
+        base_agent = run_learning(_setup(bumpy_cycle, models, grid, actions,
+                                         mode=SINGLE_MODE), seed=0).agents["A"]
+    else:
+        copy = QTable(agent_a.q.n_states, agent_a.q.n_actions)
+        copy.values[:] = agent_a.q.values
+        base_agent = Agent("A", copy, agent_a.config, make_rng(0, AGENT_A_STREAM))
+    calls = _count_eval_episodes(monkeypatch)
+    rows = robustness_eval(trained.agents, base_agent, policy,
+                           cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
+                           models=models, grid=grid, actions=actions,
+                           baseline_method="step")
+    assert len(calls) == 4 * episodes_per_pair
+    assert len(rows) == 8
+    if baseline != "separately-trained":  # the same greedy policy either way
+        for base_row, cand_row in zip(rows[0::2], rows[1::2]):
+            assert cand_row.method == policy.kind
+            assert (cand_row.end_soc, cand_row.oec_mj, cand_row.savings_pct) == (
+                base_row.end_soc, base_row.oec_mj, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_plant_step_rejects_a_fuel_curve_below_output():
     with pytest.raises(ValueError, match="engine loss is negative"):
         Plant(models, 0.5).step(0.0, 8_620.0, 1.0)
     with pytest.raises(ValueError, match="engine loss is negative"):  # and its array twin
-        array_kernel(models)([0.5], False, models.motor.link_power(0.0), [0.0, 8_620.0], 1.0)
+        array_kernel(models)([0.5], False, 1.0)(models.motor.link_power(0.0), [0.0, 8_620.0])
 
 
 def test_plant_step_link_balance_is_exact(models):
