@@ -18,12 +18,16 @@ relaxation never pays off by more than interpolation noise; a finite price
 from absorbing huge interpolation error out of the penalized cell.  A
 forward pass at full generator power detects genuine infeasibility.
 
-The backward pass keeps the ``T x 2 x S`` value table and stages a block of
-steps per call over distinct rows only: a node's two latch modes share one
-row unless the latch engages there.  The free and the latched stage each
-prepare their nodes' SoC terms (latch, battery curves, power caps) once per
-solve, and every block reuses them.  Scratch is ``O(block x S x A)``, and
-each float operation is the per-step form's, so results are bit-identical.
+The backward pass stages distinct rows only: a node's two latch modes share
+one row unless the latch engages there.  The free and the latched stage
+each prepare their nodes' SoC terms (latch, battery curves, power caps)
+once per solve.  The latched rows take one command, full power, and are
+staged once for all steps; the free rows are staged a block of steps per
+call.  The recursion writes the value table in place.  It keeps the mode-0
+row of every step (the rollout and ``cost_j`` read them) and one rolling
+mode-1 row: ``(T + 1) x S`` values, plus ``O(T x S)`` for the latched stage
+and ``O(block x S x A)`` scratch.  Each float operation is the per-step
+form's, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ __all__ = ["DpResult", "dp_baseline", "dp_slack_energy_j", "episode_loss_j"]
 # round-trip terms; pricing it at 3 keeps deficits strictly unprofitable.
 _DEFICIT_PRICE_PER_J = 3.0
 
-# Steps per backward-pass twin call.  Blocks of 8 to 64 steps solved PRDC-1
-# and PRDC-4 equally fast within noise, and 1 step took 1.7x as long; 16
-# keeps each (16, 101, 11) scratch array near 140 kB.
-_BLOCK_STEPS = 16
+# Steps per free-stage twin call.  With the latched rows staged once per
+# solve, blocks of 16, 32 and 64 steps ran the backward pass within 3 % of
+# one another at the median and 32 was fastest at the minimum, while 128
+# was slower; each (32, 87, 11) scratch array is about 240 kB.
+_BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -125,32 +130,34 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     price = (_DEFICIT_PRICE_PER_J * battery.coulomb_capacity
              * battery.cell_voltage(end_floor) * battery.num_cells)
 
-    # Backward pass; the rollout reads every step's value table.  Free rows
-    # (ladder, mode-0 table) cover the nodes the latch spares in mode 0,
-    # latched rows (full power, mode-1 table) those it holds in mode 1: runs
-    # of ascending nodes, split at the count the twin latches from each mode.
+    # Backward pass; the rollout reads every step's mode-0 row.  Free rows
+    # (ladder, mode-0 row) cover the nodes the latch spares in mode 0,
+    # latched rows (full power, mode-1 row) those it holds in mode 1: runs of
+    # ascending nodes, split at the count the twin latches from each mode.
+    # The latched rows take one command, so they are staged once for all
+    # steps; the free rows, one block of steps at a time.
     stage = array_kernel(models)
-    n_sus, n_rel = stage(nodes, np.array([[False], [True]]), dt)(0.0, 0.0)[1].sum(axis=1).tolist()
+    n_sus, n_rel = (int(stage(nodes, mode, dt)(0.0, 0.0)[1].sum()) for mode in (False, True))
     free_stage = stage(nodes[n_sus:], False, dt)
-    held_stage = stage(nodes[:n_rel], True, dt)
+    cost_l, _, next_l = stage(nodes[:n_rel], True, dt)(links, p_top)
+    cost_l *= dt  # J
     terminal = price * np.maximum(0.0, end_floor - nodes)
-    values = np.empty((n_steps + 1, 2, soc_nodes))
-    values[n_steps] = np.stack([terminal, terminal])
+    values = np.empty((n_steps + 1, soc_nodes))  # mode 0, every step
+    values[n_steps] = terminal
+    held = terminal.copy()  # mode 1, rolled back one step at a time
     for stop in range(n_steps, 0, -_BLOCK_STEPS):
         start = max(0, stop - _BLOCK_STEPS)
-        block = links[start:stop, None, None]
-        cost_f, _, next_f = free_stage(block, levels[:, None])
-        cost_l, _, next_l = held_stage(block, p_top)
-        cost_f *= dt  # J
-        cost_l *= dt
+        cost_f, _, next_f = free_stage(links[start:stop, None], levels)
+        cost_f *= dt
         for k in range(stop - start - 1, -1, -1):
-            free = (cost_f[k] + np.interp(next_f[k], nodes, values[start + k + 1, 0])).min(axis=0)
-            held = cost_l[k, 0] + np.interp(next_l[k, 0], nodes, values[start + k + 1, 1])
-            row = values[start + k]
-            row[0, :n_sus], row[0, n_sus:] = held[:n_sus], free
-            row[1, :n_rel], row[1, n_rel:] = held, free[n_rel - n_sus:]
+            t = start + k
+            free = np.interp(next_f[k], nodes, values[t + 1])
+            np.add(cost_f[k], free, out=free).min(axis=0, out=values[t, n_sus:])
+            np.add(cost_l[t], np.interp(next_l[t], nodes, held), out=held[:n_rel])
+            values[t, :n_sus] = held[:n_sus]
+            held[n_rel:] = values[t, n_rel:]
 
-    cost_j = float(np.interp(initial_soc, nodes, values[0][0]))
+    cost_j = float(np.interp(initial_soc, nodes, values[0]))
 
     # Greedy rollout on the kernel by loss plus interpolated cost-to-go (no
     # snapping to a node); out[10], [12], [13] are the loss, latch and SoC.
@@ -164,7 +171,7 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
         if not out[12]:
             outs = [out, *(kernel(soc, latch, p, link, level, dt)
                            for level in actions.levels_w[1:])]
-            to_go = np.interp([o[13] for o in outs], nodes, values[t + 1, 0]).tolist()
+            to_go = np.interp([o[13] for o in outs], nodes, values[t + 1]).tolist()
             totals = [o[10] * dt + v for o, v in zip(outs, to_go)]
             a = totals.index(min(totals))
             out = outs[a]

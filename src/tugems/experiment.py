@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,6 +189,8 @@ def sweep_weights(setup: RunSetup, repeats: int = 25, base_seed: int = 0,
     tasks = [(replace(setup, mode=ENSEMBLE_MODE, policy=EnsemblePolicy.weighted(mu)),
               base_seed + r) for mu in SWEEP_PROPORTIONS for r in range(repeats)]
     if workers > 1:  # map yields results in task order
+        # imported here: multiprocessing costs every other command ~2 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             effs = list(pool.map(_sweep_repeat, tasks, chunksize=1))
     else:
@@ -258,20 +259,13 @@ def config_fingerprint(data: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _fmt(x: object) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
+    """CSV text, ``None`` as an empty field and floats (numpy's too) as the
+    shortest repr that round-trips."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -393,16 +393,24 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
 def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
     """Build :func:`step_kernel`'s array twin, equal to it bit for bit.
 
-    ``array_kernel(models)(soc, latch, dt_s)`` prepares a stage: it resolves
-    the latch and maps the battery curves, pack volts and power caps over the
+    ``array_kernel(models)(soc, latch, dt_s)`` prepares a stage over a 1-D
+    array of SoCs (``latch``: one flag, or one per SoC): it resolves the
+    latch and maps the battery curves, pack volts and power caps over the
     SoCs once, and returns ``step(p_link_req_w, p_egu_cmd_w)``.  ``step``
-    broadcasts its arguments against the SoCs and returns the kernel's
-    ``p_loss_total_w``, latch and SoC as arrays (at least 1-D; the latch is
-    the prepared one, read-only).  It runs the kernel's operations in order,
-    in place on its own arrays only (never on the prepared ones), with masks
-    on its comparisons and ``np.maximum(x, y)`` for ``x if x > y else y``
-    (both give ``y`` on ties, signed zeros included; ``np.minimum``
-    likewise)."""
+    broadcasts its two arguments against each other, appends the SoC axis
+    and returns the kernel's ``p_loss_total_w``, latch and SoC as arrays
+    (the latch is the prepared one, 1-D and read-only).
+
+    The engine side of the step (the EGU clamp chain, battery power, fuel
+    and engine loss) reads a SoC only through its latch and its two power
+    caps, so it runs once per distinct column of those three, by their exact
+    bits (-0.0 is not 0.0), and one ``take`` expands it over the SoCs: the
+    stock pack's 87 free DP nodes are 2 columns, its 1 387 of a 1 601-node
+    grid 3.  Current, battery loss and next SoC stay per SoC.  It runs the
+    kernel's operations in order, in place on its own arrays only (never on
+    the prepared ones), with masks on its comparisons and ``np.maximum(x,
+    y)`` for ``x if x > y else y`` (both give ``y`` on ties, signed zeros
+    included; ``np.minimum`` likewise)."""
     battery, egu = models.battery, models.egu
     curves = curve_lookup(battery.voltage_curve), curve_lookup(battery.resistance_curve)
     n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
@@ -416,31 +424,44 @@ def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
         soc0 = np.array(soc0, dtype=float, ndmin=1)
         latch = np.logical_and(latch, ~(soc0 >= release)) | (soc0 < sustain)
         latch.flags.writeable = False  # every step returns it
-        socs = soc0.ravel().tolist()
-        volt, r = (np.fromiter(map(f, socs), float).reshape(soc0.shape) for f in curves)
+        socs = soc0.tolist()
+        volt, r = (np.fromiter(map(f, socs), float, len(socs)) for f in curves)
         volt *= n_cells  # pack volts
         dis_cap = np.minimum((soc0 - soc_min) * coulomb / dt * volt, max_dis)
         chg_cap = np.minimum((soc_max - soc0) * coulomb / dt * volt, max_chg)
+        # Number the distinct (latch, dis_cap, chg_cap) columns in order of
+        # first occurrence; ``column[s]`` is SoC s's column.
+        ids: dict[tuple, int] = {}
+        column = np.array([ids.setdefault(key, len(ids)) for key in zip(
+            latch.tolist(), dis_cap.view(np.int64).tolist(), chg_cap.view(np.int64).tolist())],
+            dtype=np.intp)
+        first = np.unique(column, return_index=True)[1]
+        latch_c, dis_c, chg_c = latch[first], dis_cap[first], chg_cap[first]
 
         def step(p_link_req, p_cmd) -> tuple:
-            p_egu = np.maximum(p_link_req - dis_cap, np.where(latch, p_max, p_cmd))
-            np.minimum(p_link_req + chg_cap, p_egu, out=p_egu)
+            p_link_req = np.asarray(p_link_req, dtype=float)[..., None]
+            p_egu = np.maximum(p_link_req - dis_c,
+                               np.where(latch_c, p_max, np.asarray(p_cmd)[..., None]))
+            np.minimum(p_link_req + chg_c, p_egu, out=p_egu)
             np.maximum(p_egu, 0.0, out=p_egu)
             np.minimum(p_egu, p_max, out=p_egu)
-            current = np.subtract(p_link_req, p_egu)
-            np.maximum(current, -chg_cap, out=current)
-            np.minimum(current, dis_cap, out=current)  # p_batt
+            p_batt = np.subtract(p_link_req, p_egu)
+            np.maximum(p_batt, -chg_c, out=p_batt)
+            np.minimum(p_batt, dis_c, out=p_batt)
 
-            loss = b2 * p_egu
-            loss += b1
-            loss *= p_egu
-            loss += b0
-            np.putmask(loss, ~(p_egu > 0.0), 0.0)  # off at 0 W
-            loss -= p_egu  # engine loss
-            if (loss < 0.0).any():
-                raise ValueError(_NEGATIVE_ENGINE_LOSS.format(loss.min()))
+            engine_loss = b2 * p_egu
+            engine_loss += b1
+            engine_loss *= p_egu
+            engine_loss += b0
+            np.putmask(engine_loss, ~(p_egu > 0.0), 0.0)  # off at 0 W
+            engine_loss -= p_egu
+            if (engine_loss < 0.0).any():
+                raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss.min()))
+            # Per SoC from here on.
+            loss = engine_loss.take(column, axis=-1)
+            current = p_batt.take(column, axis=-1)
             current /= volt  # A per cell
-            battery_loss = np.multiply(r, current, out=p_egu)
+            battery_loss = np.multiply(r, current)
             battery_loss *= current
             battery_loss *= n_cells
             loss += battery_loss  # p_loss_total

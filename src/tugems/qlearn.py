@@ -150,7 +150,20 @@ class StateGrid:
 
 
 class ActionGrid:
-    """Ascending ladder of EGU power commands (W), level 0 meaning off."""
+    """Ascending ladder of EGU power commands (W), level 0 meaning off.
+
+    Adjacent levels must differ by at least 2**-48 of the higher one, and
+    the lowest positive level must be a normal float.  Then every level p is
+    a fixed point of a blend with itself, ``nearest(mu*p + (1 - mu)*p) ==
+    p`` for any ``mu`` in [0, 1], which ``robustness_eval`` relies on.  With
+    u = 2**-53, the blend's four rounded operations land it within 6u*p of
+    p (an underflowing product errs by at most 2**-1075 <= u*p), while both
+    neighbours lie at least 31u*p away (32u*p less the check's own
+    rounding).  So the blend is over four times closer to p than to either
+    neighbour, and ``nearest``'s two differences keep that order: the one
+    to p is exact (Sterbenz), the other is rounded monotonically.  Levels a
+    few ulps apart fail this: the blend can snap to a neighbour.
+    """
 
     __slots__ = ("levels_w",)
 
@@ -162,6 +175,11 @@ class ActionGrid:
             raise ValueError("action levels must be strictly ascending")
         if levels[0] != 0.0:
             raise ValueError(f"the first action level must be 0 W (off), got {levels[0]}")
+        if levels[1] < sys.float_info.min or any(
+                b - a < b * 2**-48 for a, b in zip(levels, levels[1:])):
+            raise ValueError("action levels too close: adjacent levels must differ by at "
+                             "least 2**-48 of the higher one, and the lowest positive "
+                             f"level must be at least {sys.float_info.min} W")
         self.levels_w = levels
 
     @classmethod

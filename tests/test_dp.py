@@ -1,7 +1,6 @@
 """Dynamic-programming loss bound: exactness, feasibility, and slack."""
 
 import dataclasses
-import inspect
 from collections import namedtuple
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tugems import dp
 from tugems.config import builtin_cycle
 from tugems.dp import DpResult, dp_baseline, dp_slack_energy_j, episode_loss_j
 from tugems.drive_cycle import DriveCycle
@@ -200,37 +200,53 @@ _BENT_BATTERY = BatteryModel(
     voltage_curve=((0.2, 3.3), (0.3, 3.52), (0.45, 3.61), (0.7, 3.8), (0.8, 4.05)),
     resistance_curve=((0.2, 0.045), (0.35, 0.031), (0.6, 0.028), (0.8, 0.034)))
 
+_BATTERIES = {
+    "stock": BatteryModel(),
+    "bent": _BENT_BATTERY,
+    # a -0.0 charge cap at every SoC beside a +0.0 discharge cap at soc_min
+    "no-charging": BatteryModel(max_charge_power_w=-0.0),
+}
 
-_TwinCase = namedtuple("_TwinCase", "socs latch commands demands variant bent dt",
-                       defaults=(False, (25_860.0,), (40_000.0,), "stock", False, 1.0))
+# SoCs drawn from the window, and from its ends and latch thresholds so
+# that a list repeats some of them.
+_SOCS = st.lists(st.one_of(st.floats(0.2, 0.8), st.sampled_from([0.2, 0.28, 0.285, 0.5, 0.8])),
+                 min_size=1, max_size=12)
+
+_TwinCase = namedtuple("_TwinCase", "socs latch commands demands variant battery dt",
+                       defaults=(False, (25_860.0,), (40_000.0,), "stock", "stock", 1.0))
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=st.builds(
     _TwinCase,
-    socs=st.lists(st.floats(0.2, 0.8), min_size=1, max_size=4), latch=st.booleans(),
+    socs=_SOCS, latch=st.booleans(),
     commands=st.lists(st.floats(0.0, 86_200.0), min_size=1, max_size=3),
     demands=st.lists(st.floats(0.0, 253_000.0), min_size=1, max_size=3),
-    variant=st.sampled_from(sorted(_SUSTAIN_VARIANTS)), bent=st.booleans(),
-    dt=st.sampled_from([1.0, 0.5, 2.0])))
+    variant=st.sampled_from(sorted(_SUSTAIN_VARIANTS)), battery=st.sampled_from(sorted(_BATTERIES)),
+    # from 60 s on, the caps bind away from the window ends
+    dt=st.sampled_from([1.0, 0.5, 2.0, 60.0, 600.0])))
 @example(case=_TwinCase([0.28, 0.2799]))  # the sustain point and just below
 @example(case=_TwinCase([0.285, 0.28 + 0.005, 0.2849], latch=True))  # the release point
 @example(case=_TwinCase([0.2, 0.8], commands=(0.0, 86_200.0)))  # the window ends
 @example(case=_TwinCase([0.2, 0.8], latch=True, commands=(0.0, 86_200.0)))
 @example(case=_TwinCase([0.2], latch=True, commands=(0.0,), demands=(253_000.0,)))  # shortfall
 @example(case=_TwinCase([0.5], commands=(-0.0, 0.0), demands=(0.0, 253_000.0)))  # signed zero
-@example(case=_TwinCase([0.3, 0.45, 0.7], commands=(0.0, 43_100.0), bent=True))  # breakpoints
+@example(case=_TwinCase([0.3, 0.45, 0.7], commands=(0.0, 43_100.0), battery="bent"))  # breakpoints
 @example(case=_TwinCase([0.32, 0.37], latch=True, variant="wide-hysteresis"))
 @example(case=_TwinCase([0.2, 0.2001], variant="nothing-latched"))
+@example(case=_TwinCase([0.2, 0.5, 0.8, 0.5, 0.2], commands=(0.0, 86_200.0),
+                        demands=(0.0, 253_000.0), battery="no-charging"))  # +-0.0 caps
+@example(case=_TwinCase([0.8, 0.2, 0.25, 0.5, 0.75, 0.6, 0.8, 0.3, 0.25, 0.79, 0.21, 0.5],
+                        commands=(0.0, 43_100.0, 86_200.0), demands=(0.0, 60_000.0, 253_000.0),
+                        dt=600.0))  # twelve SoCs, repeats, caps bound inside the window
 def test_array_kernel_is_the_scalar_kernel_bit_for_bit(case):
-    models = dataclasses.replace(default_models(), **_SUSTAIN_VARIANTS[case.variant])
-    if case.bent:
-        models = dataclasses.replace(models, battery=_BENT_BATTERY)
+    models = dataclasses.replace(default_models(), battery=_BATTERIES[case.battery],
+                                 **_SUSTAIN_VARIANTS[case.variant])
     socs, latch, commands, demands, dt = case.socs, case.latch, case.commands, case.demands, case.dt
     links = [models.motor.link_power(p) for p in demands]
     # the DP's layout: steps x commands x SoC nodes
     loss, latched, soc_next = array_kernel(models)(np.array(socs), latch, dt)(
-        np.array(links)[:, None, None], np.array(commands)[:, None])
+        np.array(links)[:, None], np.array(commands))
     assert loss.shape == soc_next.shape == (len(demands), len(commands), len(socs))
     assert latched.shape == (len(socs),)
     kernel = step_kernel(models)
@@ -239,37 +255,48 @@ def test_array_kernel_is_the_scalar_kernel_bit_for_bit(case):
         assert loss[k, a, s] == out.p_loss_total_w
         assert latched[s] == out.forced_charging
         assert soc_next[k, a, s] == out.soc
+        # and the sign of a zero
+        assert np.signbit([loss[k, a, s], soc_next[k, a, s]]).tolist() == \
+            np.signbit([out.p_loss_total_w, out.soc]).tolist()
 
 
 def _bits(array):
     return array.shape, array.dtype, array.tobytes()
 
 
+def _closure_arrays(fn):
+    """Every array a closure holds, directly or inside tuples and lists."""
+    found, todo = [], [cell.cell_contents for cell in fn.__closure__ or ()]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+    return found
+
+
 @pytest.mark.parametrize("latch", [False, True])
 @pytest.mark.parametrize("bent", [False, True])
 def test_a_prepared_stage_steps_any_block_as_a_freshly_prepared_one(latch, bent):
-    models = default_models()
-    if bent:
-        models = dataclasses.replace(models, battery=_BENT_BATTERY)
+    models = dataclasses.replace(default_models(), battery=_BATTERIES["bent" if bent else "stock"])
     stage = array_kernel(models)
     nodes, dt = np.linspace(0.2, 0.8, 61), 0.5
     demands = (np.linspace(0.0, 253_000.0, 16), np.array([0.0, 40_000.0, 220_000.0]))
     ladders = (np.asarray(ActionGrid.uniform().levels_w), np.array([0.0, 25_860.0, 86_200.0]))
-    blocks = [(models.motor.link_power(d)[:, None, None], c[:, None])
-              for d, c in zip(demands, ladders)]
+    blocks = [(models.motor.link_power(d)[:, None], c) for d, c in zip(demands, ladders)]
     for order in (blocks, blocks[::-1]):
         prepared = stage(nodes, latch, dt)
-        hoisted = {name: value.copy() for name, value
-                   in inspect.getclosurevars(prepared).nonlocals.items()
-                   if isinstance(value, np.ndarray)}
-        assert {"soc0", "latch", "volt", "r", "dis_cap", "chg_cap"} <= set(hoisted)
+        held = _closure_arrays(prepared)
+        # the walk reaches what the stage prepared: its SoCs and its latch
+        assert any(_bits(a) == _bits(nodes) for a in held)
+        assert any(a is prepared(0.0, 0.0)[1] for a in held)
+        hoisted = [a.copy() for a in held]
         for links, commands in order:
             got = prepared(links, commands)
             want = stage(nodes, latch, dt)(links, commands)
             assert list(map(_bits, got)) == list(map(_bits, want))
-        for name, value in inspect.getclosurevars(prepared).nonlocals.items():
-            if name in hoisted:
-                assert _bits(value) == _bits(hoisted[name]), name
+        assert list(map(_bits, held)) == list(map(_bits, hoisted))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +380,7 @@ def _assert_same_solution(cycle, actions, models, initial_soc, soc_nodes):
 
 @pytest.mark.parametrize("variant", sorted(_SUSTAIN_VARIANTS))
 @pytest.mark.parametrize("soc_nodes", [3, 7, 61, 101])
-@pytest.mark.parametrize("n_steps", [1, 15, 17, 53])
+@pytest.mark.parametrize("n_steps", [1, 15, 17, 31, 32, 33, 53, 65])  # about one and two blocks
 def test_blocked_solver_equals_the_per_step_solver(actions, variant, soc_nodes, n_steps):
     models = dataclasses.replace(default_models(), **_SUSTAIN_VARIANTS[variant])
     rng = np.random.default_rng(1000 * n_steps + soc_nodes)
@@ -362,6 +389,48 @@ def test_blocked_solver_equals_the_per_step_solver(actions, variant, soc_nodes, 
     cycle = DriveCycle(1.0, rng.uniform(0.0, 150_000.0, n_steps), "random")
     for initial_soc in (0.282, 0.5):
         _assert_same_solution(cycle, actions, models, initial_soc, soc_nodes)
+
+
+@pytest.mark.parametrize("soc_nodes", [61, 101])
+def test_the_wide_hysteresis_band_spans_several_nodes(soc_nodes):
+    # the premise of the wide-hysteresis cases above: the latched rows run
+    # past the free rows' first node by more than one node
+    models = dataclasses.replace(default_models(), **_SUSTAIN_VARIANTS["wide-hysteresis"])
+    nodes = np.linspace(0.2, 0.8, soc_nodes)
+    n_sus, n_rel = (int(array_kernel(models)(nodes, mode, 1.0)(0.0, 0.0)[1].sum())
+                    for mode in (False, True))
+    assert n_rel - n_sus > 1
+
+
+def test_a_solve_stages_the_latched_rows_once_and_the_free_rows_once_per_block(
+        models, actions, monkeypatch):
+    # a timing-free guard on the backward pass's shape of work: the latched
+    # rows take one command and are staged once for all steps, the free rows
+    # once per block (scalar calls only probe the latch)
+    calls = []
+
+    def counting_kernel(plant_models):
+        stage = array_kernel(plant_models)
+
+        def counting_stage(soc, latch, dt):
+            step = stage(soc, latch, dt)
+
+            def counting_step(p_link_req, p_cmd):
+                if np.ndim(p_link_req):
+                    calls.append((bool(latch), len(p_link_req)))
+                return step(p_link_req, p_cmd)
+            return counting_step
+        return counting_stage
+
+    monkeypatch.setattr(dp, "array_kernel", counting_kernel)
+    block = dp._BLOCK_STEPS
+    for n_steps in (1, block - 1, block, block + 1, 2 * block + 1, 300):
+        calls.clear()
+        cycle = DriveCycle(1.0, np.linspace(0.0, 150_000.0, n_steps), "ramp")
+        dp_baseline(cycle, actions, models, 0.282)
+        assert [n for latched, n in calls if latched] == [n_steps]
+        free = [n for latched, n in calls if not latched]
+        assert len(free) == -(-n_steps // block) and sum(free) == n_steps
 
 
 def test_blocked_solver_equals_the_per_step_solver_on_a_builtin_cycle(models, actions):

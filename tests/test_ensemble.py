@@ -1,10 +1,12 @@
 """Action-combination rules and the two-learner episode loop."""
 
+import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tugems.drive_cycle import DriveCycle
@@ -37,7 +39,7 @@ def test_combine_weighted_pure_weights_reproduce_each_agent(actions):
 
 # Ladders of distinct milliwatt levels up to the stock rating.  The blend of a
 # level with itself lands within a few ulps of it, so only levels that close
-# to a neighbour (never a ladder in use) could snap away.
+# to a neighbour could snap away, and ``ActionGrid`` rejects those.
 _LADDERS = st.one_of(
     st.just(ActionGrid.uniform()),
     st.lists(st.integers(1, 86_200_000), min_size=1, max_size=20, unique=True).map(
@@ -50,6 +52,31 @@ def test_combine_weighted_agreement_is_a_fixed_point(data, ladder, mu):
     # frozen agents on one table agree, so eval may skip the ensemble episode
     a = data.draw(st.integers(0, ladder.n_actions - 1), label="action")
     assert combine_weighted(a, a, mu, ladder) == a
+
+
+def _lowest_level_above(lo):
+    """The lowest level ``ActionGrid`` accepts next above ``lo``."""
+    hi = math.nextafter(lo, math.inf)
+    while True:
+        try:
+            ActionGrid((0.0, lo, hi))
+            return hi
+        except ValueError:
+            hi = math.nextafter(hi, math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(low=st.floats(sys.float_info.min, 1e300), n_close=st.integers(1, 4),
+       mu=st.floats(0.0, 1.0))
+@example(low=sys.float_info.min, n_close=4, mu=0.5)
+@example(low=43_100.0, n_close=2, mu=0.3)
+def test_combine_weighted_fixes_every_level_at_the_minimum_spacing(low, n_close, mu):
+    levels = [0.0, low]
+    for _ in range(n_close):
+        levels.append(_lowest_level_above(levels[-1]))
+    ladder = ActionGrid(levels)
+    for a in range(ladder.n_actions):
+        assert combine_weighted(a, a, mu, ladder) == a
 
 
 def test_combine_weighted_halfway_tie_snaps_lower(actions):

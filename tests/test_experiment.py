@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, SWEEP_PROPORTIONS, Ru
                                config_fingerprint, default_agent_configs,
                                evaluate_policy, robustness_eval, run_learning,
                                savings, sweep_weights, write_learning_curve_csv,
-                               write_robustness_csv, write_sweep_csv,
+                               write_dp_csv, write_robustness_csv, write_sweep_csv,
                                write_trace_csv)
 from tugems.metrics import episode_metrics
 from tugems.powertrain import Plant
@@ -391,6 +395,27 @@ def test_sweep_csv_layout():
     assert rows[0] == ["mu", "delta", "mean_eff", "std_eff", "repeats"]
     assert rows[1] == ["0.1", "0.9", "0.5", "0.01", "25"]
     assert rows[2][:2] == ["0.7", "0.3"]  # 1 - 0.7 rounded to 12 places
+
+
+def test_csv_fields_are_each_values_str_and_none_is_empty():
+    # numpy scalars included: a float64 is written as its shortest
+    # round-trip form, like a Python float, not as "np.float64(0.1)"
+    text = write_trace_csv([SimpleNamespace(
+        t_s=np.float64(0.1), state=np.int64(7), action_a=3, action_b=None,
+        action_final=True, chooser="A", reward=-0.0, soc=np.float64(1e-300),
+        p_egu_w=0.1, p_batt_w=2.5, forced_charging=False)])
+    assert text.splitlines()[1] == "0.1,7,3,,True,A,-0.0,1e-300,0.1,2.5,0"
+    assert write_dp_csv([(np.float64(0.0), np.float64(8_620.0)), (1.0, None)]) == \
+        "t_s,p_egu_w\n0.0,8620.0\n1.0,\n"
+
+
+def test_importing_the_cli_leaves_process_pools_unloaded():
+    # only sweep --workers K > 1 needs them; multiprocessing costs ~2 MB
+    code = ("import sys, tugems.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_robustness_csv_layout():

@@ -2,8 +2,10 @@
 
 import copy
 import json
+import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,18 @@ def test_action_grid_rejects_bad_ladders():
         ActionGrid([0.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="first action level must be 0"):
         ActionGrid([10.0, 20.0])
+
+
+def test_action_grid_rejects_levels_too_close_for_a_blend_to_keep_them():
+    # on this ladder, combine_weighted(2, 2, mu) snapped to a neighbour for
+    # about one random mu in twenty
+    level = 43_100.0
+    with pytest.raises(ValueError, match="action levels too close"):
+        ActionGrid([0.0, math.nextafter(level, -math.inf), level,
+                    math.nextafter(level, math.inf)])
+    with pytest.raises(ValueError, match="action levels too close"):
+        ActionGrid([0.0, 5e-324, 1e-323])  # subnormal levels
+    ActionGrid([0.0, sys.float_info.min, 2.0 * sys.float_info.min])
 
 
 def test_action_grid_rejects_a_nan_level():
