@@ -6,7 +6,8 @@ controller can achieve on the cycle with the end SoC at or above the sustain
 reference.  It runs the learners' plant: the backward pass stages blocks of
 steps on :func:`tugems.powertrain.array_kernel`, the plant kernel's exact
 array twin, and the greedy rollout chooses and books each step on
-:func:`tugems.powertrain.step_kernel`.  ``cost_j``, the interpolated value
+:func:`tugems.powertrain.ladder_kernel`, the kernel's scalar form for one
+state and the whole action ladder.  ``cost_j``, the interpolated value
 at the initial SoC, is not a lower bound: linear interpolation overestimates
 the cost-to-go.  From SoC 0.3, 0.5 and 0.7 on the built-in cycles, ``cost_j``
 is up to 1.9 SoC nodes of pack energy above the achievable ``rollout_cost_j``.
@@ -15,8 +16,10 @@ The terminal constraint is a finite linear price on the end-SoC deficit,
 above the steepest saving a joule of battery energy can buy, so the
 relaxation never pays off by more than interpolation noise; a finite price
 (not a near-infinite wall) stops trajectories riding just above the floor
-from absorbing huge interpolation error out of the penalized cell.  A
-forward pass at full generator power detects genuine infeasibility.
+from absorbing huge interpolation error out of the penalized cell.  Full
+generator power maximizes the end SoC, so a rollout that meets the floor
+proves the solve feasible; only one that falls short is followed by a
+forward pass at full power, which detects genuine infeasibility.
 
 The backward pass stages distinct rows only: a node's two latch modes share
 one row unless the latch engages there.  The free and the latched stage
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive_cycle import DriveCycle
-from .powertrain import PlantModels, array_kernel, step_kernel
+from .powertrain import PlantModels, array_kernel, ladder_kernel
 from .qlearn import ActionGrid
 
 __all__ = ["DpResult", "dp_baseline", "dp_slack_energy_j", "episode_loss_j"]
@@ -87,7 +90,11 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
 
     Raises ``ValueError`` if even full generator power throughout the cycle
     cannot meet the floor, if an action level lies outside the EGU rating,
-    or if ``initial_soc`` lies outside the battery window.
+    or if ``initial_soc`` or ``end_soc_min`` lies outside the battery window.
+    The full-power pass runs only when the rollout ends below the floor:
+    full power every step maximizes the end SoC (any other command can only
+    lower the next SoC, and the reachable end SoC is monotone in the current
+    SoC), so a rollout that meets the floor proves that full power does too.
     """
     if soc_nodes < 2:
         raise ValueError(f"soc_nodes must be at least 2, got {soc_nodes}")
@@ -97,6 +104,7 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
         models.egu.check_command(level)
     if end_soc_min is None:
         end_soc_min = models.soc_ref
+    battery.check_in_window("end_soc_min", end_soc_min)
 
     p_top = models.egu.max_power_w
     nodes = np.linspace(battery.soc_min, battery.soc_max, soc_nodes)
@@ -111,21 +119,6 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
     # below the floor would mark trajectories that hold exactly end_soc_min
     # as infeasible.  So the rollout may end up to one node below it.
     end_floor = float(nodes[np.searchsorted(nodes, end_soc_min + 1e-12) - 1])
-
-    # Feasibility check on the exact plant: full power every step maximizes
-    # charging (any other command can only lower the next SoC, and reachable
-    # end SoC is monotone in the current SoC).  The cycle and the checks
-    # above vouch for the kernel's arguments.
-    kernel = step_kernel(models)
-    demand_list, link_list = demand.tolist(), links.tolist()
-    soc, latch = initial_soc, False
-    for p, link in zip(demand_list, link_list):
-        *_, latch, soc, _ = kernel(soc, latch, p, link, p_top, dt)
-    if soc < end_floor - 1e-12:
-        raise ValueError(
-            f"terminal constraint end-SoC >= {end_soc_min} is infeasible for "
-            f"cycle {cycle.label or '<unnamed>'!r} from SoC {initial_soc}: full "
-            f"generator power only reaches {soc:.4f}")
 
     price = (_DEFICIT_PRICE_PER_J * battery.coulomb_capacity
              * battery.cell_voltage(end_floor) * battery.num_cells)
@@ -159,25 +152,37 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
 
     cost_j = float(np.interp(initial_soc, nodes, values[0]))
 
-    # Greedy rollout on the kernel by loss plus interpolated cost-to-go (no
-    # snapping to a node); out[10], [12], [13] are the loss, latch and SoC.
-    # Level 0 runs first; a latched step (full power whatever the command) stops there.
+    # Greedy rollout on the plant by loss plus interpolated cost-to-go (no
+    # snapping to a node): one ladder call per step; a latched step runs at
+    # full power whatever the command, so it returns one outcome, level 0's.
+    # The cycle and the checks above vouch for the ladder's arguments.
+    ladder, levels_w = ladder_kernel(models), actions.levels_w
+    link_list = links.tolist()
     chosen: list[int] = []
     rollout_cost = 0.0
     soc, latch = initial_soc, False
-    for t in range(n_steps):
-        p, link = demand_list[t], link_list[t]
-        a, out = 0, kernel(soc, latch, p, link, actions.levels_w[0], dt)
-        if not out[12]:
-            outs = [out, *(kernel(soc, latch, p, link, level, dt)
-                           for level in actions.levels_w[1:])]
-            to_go = np.interp([o[13] for o in outs], nodes, values[t + 1]).tolist()
-            totals = [o[10] * dt + v for o, v in zip(outs, to_go)]
+    for t, link in enumerate(link_list):
+        losses, latch, socs = ladder(soc, latch, link, levels_w, dt)
+        a = 0
+        if len(losses) > 1:
+            to_go = np.interp(socs, nodes, values[t + 1]).tolist()
+            totals = [loss * dt + v for loss, v in zip(losses, to_go)]
             a = totals.index(min(totals))
-            out = outs[a]
         chosen.append(a)
-        rollout_cost += out[10] * dt  # engine plus battery loss
-        latch, soc = out[12], out[13]
+        rollout_cost += losses[a] * dt  # engine plus battery loss
+        soc = socs[a]
+
+    # Only a rollout that falls short needs the full-power pass (see the
+    # docstring) to tell a floor it misses from an infeasible one.
+    if soc < end_floor - 1e-12:
+        full, full_latch = initial_soc, False
+        for link in link_list:
+            _, full_latch, (full,) = ladder(full, full_latch, link, (p_top,), dt)
+        if full < end_floor - 1e-12:
+            raise ValueError(
+                f"terminal constraint end-SoC >= {end_soc_min} is infeasible for "
+                f"cycle {cycle.label or '<unnamed>'!r} from SoC {initial_soc}: full "
+                f"generator power only reaches {full:.4f}")
 
     return DpResult(cost_j=cost_j, actions=tuple(chosen), rollout_cost_j=rollout_cost,
                     rollout_end_soc=soc, soc_node_spacing=float(nodes[1] - nodes[0]))

@@ -38,6 +38,7 @@ __all__ = [
     "egu_fuel_power",
     "egu_efficiency",
     "step_kernel",
+    "ladder_kernel",
     "array_kernel",
     "default_egu",
     "default_models",
@@ -310,8 +311,10 @@ class StepOutcome:
 
 
 def step_kernel(models: PlantModels) -> Callable[..., tuple]:
-    """Build the one scalar plant step for a parameter bundle
-    (:func:`array_kernel` is its array twin).
+    """Build the one scalar plant step for a parameter bundle, the full
+    form: :func:`ladder_kernel` runs it for one state and a ladder of
+    commands, :func:`array_kernel` over arrays of SoCs, steps and commands,
+    and both return only its loss, latch and SoC, equal bit for bit.
 
     ``kernel(soc, latch, p_dem_w, p_link_req_w, p_egu_cmd_w, dt_s)`` returns
     the fields of :class:`StepOutcome` as a tuple, in declaration order;
@@ -390,8 +393,65 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     return kernel
 
 
+def ladder_kernel(models: PlantModels) -> Callable[..., tuple]:
+    """Build :func:`step_kernel` for one state and several commands, equal to
+    it bit for bit (the scalar counterpart of :func:`array_kernel`).
+
+    ``ladder(soc0, latch, p_link_req_w, p_egu_cmds_w, dt_s)`` resolves the
+    latch and the SoC terms (battery curves, pack volts, power caps) once,
+    then runs the kernel's remaining operations once per command, in order,
+    and returns ``(losses, latch, socs)``: per command the kernel's
+    ``p_loss_total_w`` and next SoC, as lists, and the one resolved latch.
+    A latched step runs at full power whatever the command, so it returns
+    the full-power outcome only: one loss and one SoC.  Like the kernel it
+    checks no arguments, except that a fuel curve below output raises."""
+    battery, egu = models.battery, models.egu
+    cell_voltage = curve_lookup(battery.voltage_curve)
+    resistance = curve_lookup(battery.resistance_curve)
+    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
+    soc_min, soc_max = battery.soc_min, battery.soc_max
+    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
+    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
+    sustain = models.charge_sustain_soc
+    release = models.charge_sustain_soc + models.charge_release_margin
+
+    def ladder(soc0: float, latch: bool, p_link_req: float, p_cmds, dt: float) -> tuple:
+        if latch and soc0 >= release:
+            latch = False
+        if soc0 < sustain:
+            latch = True
+        pack_volt = cell_voltage(soc0) * n_cells  # V
+        dis_cap = (soc0 - soc_min) * coulomb / dt * pack_volt
+        dis_cap = dis_cap if dis_cap < max_dis else max_dis
+        chg_cap = (soc_max - soc0) * coulomb / dt * pack_volt
+        chg_cap = chg_cap if chg_cap < max_chg else max_chg
+        lo, hi, r = p_link_req - dis_cap, p_link_req + chg_cap, resistance(soc0)
+        losses, socs = [], []
+        for p_egu in (p_max,) if latch else p_cmds:
+            p_egu = lo if lo > p_egu else p_egu
+            p_egu = hi if hi < p_egu else p_egu
+            p_egu = p_egu if p_egu > 0.0 else 0.0
+            p_egu = p_egu if p_egu < p_max else p_max
+            p_batt = p_link_req - p_egu
+            p_batt = p_batt if p_batt > -chg_cap else -chg_cap
+            p_batt = p_batt if p_batt < dis_cap else dis_cap
+            fuel = (b2 * p_egu + b1) * p_egu + b0 if p_egu > 0.0 else 0.0  # off at 0 W
+            engine_loss = fuel - p_egu
+            if engine_loss < 0.0:
+                raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss))
+            current = p_batt / pack_volt  # A per cell
+            soc = soc0 - current * dt / coulomb
+            soc = soc if soc > soc_min else soc_min
+            losses.append(engine_loss + r * current * current * n_cells)
+            socs.append(soc if soc < soc_max else soc_max)
+        return losses, latch, socs
+
+    return ladder
+
+
 def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
-    """Build :func:`step_kernel`'s array twin, equal to it bit for bit.
+    """Build :func:`step_kernel`'s array twin, equal to it bit for bit
+    (:func:`ladder_kernel` is the scalar form of the same contract).
 
     ``array_kernel(models)(soc, latch, dt_s)`` prepares a stage over a 1-D
     array of SoCs (``latch``: one flag, or one per SoC): it resolves the

@@ -1,20 +1,25 @@
 """Dynamic-programming loss bound: exactness, feasibility, and slack."""
 
 import dataclasses
+import hashlib
+import math
 from collections import namedtuple
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_cycle_csv
 from tugems import dp
+from tugems.cli import main
 from tugems.config import builtin_cycle
 from tugems.dp import DpResult, dp_baseline, dp_slack_energy_j, episode_loss_j
 from tugems.drive_cycle import DriveCycle
 from tugems.metrics import episode_metrics
 from tugems.powertrain import (BatteryModel, Plant, StepOutcome, TractionMotorModel,
-                               array_kernel, default_models, step_kernel)
+                               array_kernel, default_models, ladder_kernel, step_kernel)
 from tugems.qlearn import ActionGrid
 
 
@@ -176,6 +181,62 @@ def test_dp_detects_an_unreachable_terminal_constraint(models, actions):
         dp_baseline(cycle, actions, models, initial_soc=0.2)
 
 
+def test_dp_checks_the_floor_against_the_battery_window(models, actions):
+    # any command meets a floor below the window, and none one above it;
+    # each is named, not rounded onto a grid node
+    cycle = DriveCycle(1.0, np.full(40, 10_000.0), "flat")
+    for end_soc_min in (0.19, 0.81, math.nan):
+        with pytest.raises(ValueError, match=f"end_soc_min {end_soc_min} outside the battery window"):
+            dp_baseline(cycle, actions, models, 0.5, end_soc_min=end_soc_min)
+    result = dp_baseline(cycle, actions, models, 0.5, end_soc_min=models.battery.soc_min)
+    assert result.rollout_end_soc > models.battery.soc_min
+
+
+def test_a_solve_calls_the_ladder_once_per_step_and_the_full_power_pass_only_when_short(
+        models, actions, monkeypatch):
+    # a timing-free guard on the rollout's shape of work: one ladder call
+    # per step, plus one full-power call per step only when the rollout
+    # ends below the floor
+    calls = []
+
+    def counting_kernel(plant_models):
+        ladder = ladder_kernel(plant_models)
+
+        def counting_ladder(soc, latch, p_link_req, p_cmds, dt):
+            calls.append(tuple(p_cmds))
+            return ladder(soc, latch, p_link_req, p_cmds, dt)
+        return counting_ladder
+
+    monkeypatch.setattr(dp, "ladder_kernel", counting_kernel)
+    full = [(models.egu.max_power_w,)]
+    cycle = DriveCycle(1.0, np.linspace(0.0, 150_000.0, 300), "ramp")
+    assert dp_baseline(cycle, actions, models, 0.5).rollout_end_soc >= models.soc_ref
+    assert calls == [actions.levels_w] * 300
+    calls.clear()
+    # from 0.282 the rollout ends within a node below the floor, which full
+    # power reaches: the pass runs and the solve stands
+    assert dp_baseline(cycle, actions, models, 0.282).rollout_end_soc < models.soc_ref
+    assert calls == [actions.levels_w] * 300 + full * 300
+    calls.clear()
+    drain = DriveCycle(1.0, np.full(30, 250_000.0), "drain")
+    with pytest.raises(ValueError) as error:
+        dp_baseline(drain, actions, models, initial_soc=0.2)
+    assert str(error.value) == (
+        "terminal constraint end-SoC >= 0.28 is infeasible for cycle 'drain' from SoC 0.2: "
+        "full generator power only reaches 0.2000")
+    assert calls == [actions.levels_w] * 30 + full * 30
+
+
+def test_the_dp_command_exits_2_on_an_unreachable_floor(tmp_path, capsys):
+    cycle_path = tmp_path / "drain.csv"
+    write_cycle_csv(DriveCycle(1.0, np.full(30, 250_000.0), "drain"), cycle_path)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({"cycle": {"path": str(cycle_path)},
+                                      "run": {"initial_soc": 0.2}}))
+    assert main(["dp", "--config", str(config), "--out", str(tmp_path / "dp")]) == 2
+    assert "full generator power only reaches 0.2000" in capsys.readouterr().err
+
+
 def test_dp_result_is_deterministic(models, actions, flat_cycle):
     r1 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
     r2 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
@@ -258,6 +319,69 @@ def test_array_kernel_is_the_scalar_kernel_bit_for_bit(case):
         # and the sign of a zero
         assert np.signbit([loss[k, a, s], soc_next[k, a, s]]).tolist() == \
             np.signbit([out.p_loss_total_w, out.soc]).tolist()
+
+
+_LADDER = ActionGrid.uniform().levels_w
+
+_LadderCase = namedtuple("_LadderCase", "soc latch demand commands variant battery dt",
+                         defaults=(False, 40_000.0, _LADDER, "stock", "stock", 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.builds(
+    _LadderCase,
+    soc=st.one_of(st.floats(0.2, 0.8), st.sampled_from([0.2, 0.2799, 0.28, 0.2849, 0.285, 0.8])),
+    latch=st.booleans(), demand=st.floats(0.0, 253_000.0),
+    commands=st.lists(st.one_of(st.floats(0.0, 86_200.0), st.sampled_from(_LADDER)),
+                      min_size=1, max_size=11),
+    variant=st.sampled_from(sorted(_SUSTAIN_VARIANTS)), battery=st.sampled_from(sorted(_BATTERIES)),
+    # from 60 s on, the caps bind away from the window ends
+    dt=st.sampled_from([1.0, 60.0, 600.0])))
+@example(case=_LadderCase(0.28))  # the sustain point and just below
+@example(case=_LadderCase(0.2799))
+@example(case=_LadderCase(0.285, latch=True))  # the release point and just below
+@example(case=_LadderCase(0.2849, latch=True))
+@example(case=_LadderCase(0.2))  # the window ends, latch off and on
+@example(case=_LadderCase(0.2, latch=True))
+@example(case=_LadderCase(0.8))
+@example(case=_LadderCase(0.8, latch=True))
+@example(case=_LadderCase(0.2, latch=True, demand=253_000.0, commands=(0.0,)))  # shortfall
+@example(case=_LadderCase(0.5, demand=0.0, commands=(-0.0, 0.0)))  # signed zero
+@example(case=_LadderCase(0.45, battery="bent"))  # a breakpoint
+@example(case=_LadderCase(0.37, latch=True, variant="wide-hysteresis"))
+@example(case=_LadderCase(0.2, variant="nothing-latched"))
+@example(case=_LadderCase(0.2, demand=0.0, battery="no-charging"))  # +-0.0 caps
+@example(case=_LadderCase(0.8, demand=253_000.0, battery="no-charging"))
+@example(case=_LadderCase(0.5, demand=253_000.0, dt=600.0))  # caps bound inside the window
+@example(case=_LadderCase(0.25, demand=0.0, commands=(86_200.0,), dt=60.0))
+def test_ladder_kernel_is_the_scalar_kernel_bit_for_bit(case):
+    models = dataclasses.replace(default_models(), battery=_BATTERIES[case.battery],
+                                 **_SUSTAIN_VARIANTS[case.variant])
+    link = models.motor.link_power(case.demand)
+    losses, latch, socs = ladder_kernel(models)(case.soc, case.latch, link, case.commands, case.dt)
+    kernel = step_kernel(models)
+    outs = [StepOutcome(*kernel(case.soc, case.latch, case.demand, link, c, case.dt))
+            for c in case.commands]
+    if outs[0].forced_charging:  # full power whatever the command: one outcome
+        outs = outs[:1]
+    assert len(losses) == len(socs) == len(outs)
+    for loss, soc, out in zip(losses, socs, outs):
+        assert latch == out.forced_charging
+        assert loss == out.p_loss_total_w
+        assert soc == out.soc
+        # and the sign of a zero
+        assert np.signbit([loss, soc]).tolist() == np.signbit([out.p_loss_total_w, out.soc]).tolist()
+
+
+@pytest.mark.parametrize("soc,latch", [(0.2, False), (0.25, False), (0.2849, True)])
+def test_a_latched_ladder_step_returns_the_full_power_outcome_only(models, soc, latch):
+    link = models.motor.link_power(60_000.0)
+    out = StepOutcome(*step_kernel(models)(soc, latch, 60_000.0, link, models.egu.max_power_w, 1.0))
+    assert out.forced_charging
+    for n_levels in range(1, 12):
+        losses, latched, socs = ladder_kernel(models)(soc, latch, link, _LADDER[:n_levels], 1.0)
+        assert latched is True
+        assert (losses, socs) == ([out.p_loss_total_w], [out.soc])
 
 
 def _bits(array):
@@ -453,3 +577,57 @@ def test_kernel_steered_rollout_equals_the_stage_steered_one_on_a_full_cycle(mod
         latches.append(out.forced_charging)
     assert (True, False) in set(zip(latches, latches[1:]))
     _assert_same_solution(cycle, actions, models, 0.282, 101)
+
+
+# ---------------------------------------------------------------------------
+# the 12 built-in solves, pinned
+# ---------------------------------------------------------------------------
+
+# float.hex of cost_j, rollout_cost_j and rollout_end_soc, and the sha256 of
+# the rollout's action indices (one byte each), at 101 SoC nodes.
+_BUILTIN_SOLVES = {
+    ('PRDC-1-synthetic', 0.3): ('0x1.f8e3c21f538cdp+26', '0x1.f46dff25dac7cp+26',
+        '0x1.22badcf2abb5ep-2',
+        'a20a0a3dc22f90fb7a43cd12d4d9f6fd084dd2e570a1213984bf7073b334e2fe'),
+    ('PRDC-1-synthetic', 0.5): ('0x1.06195968a12d9p+25', '0x1.e8e19e360d611p+24',
+        '0x1.21b13eb283168p-2',
+        'f803d384119b0b10ca2d83a730423179ddb0eb3caf287fa1f0995cb98f6bcfb4'),
+    ('PRDC-1-synthetic', 0.7): ('0x1.5d944993ea4aap+23', '0x1.5d9760236e4e5p+23',
+        '0x1.cded58a16e876p-2',
+        '3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8'),
+    ('PRDC-2-synthetic', 0.3): ('0x1.0880e777a4fe9p+28', '0x1.081937491ec49p+28',
+        '0x1.2371a622f6ae3p-2',
+        'f18fa47ad35b277b305c4cf425da0d6f92a437b1e0c958181a80cb097592d4ab'),
+    ('PRDC-2-synthetic', 0.5): ('0x1.50c09734d0240p+27', '0x1.4ec6407a55fcdp+27',
+        '0x1.21ae1cf415ae2p-2',
+        '3fba19f51d22a98e57defabb89c18e6a711b6b733a57ef0030f50e60076ca152'),
+    ('PRDC-2-synthetic', 0.7): ('0x1.1a4336ba36fbbp+26', '0x1.0f788a8090f06p+26',
+        '0x1.21aeae3decd73p-2',
+        '52f00fb16c317aaaeb5eb4292769f53d390e7890c8fe564b127e8be6d17713b5'),
+    ('PRDC-3-synthetic', 0.3): ('0x1.3642066a14526p+27', '0x1.3470d03dcde74p+27',
+        '0x1.21a31de3b79aap-2',
+        'b688c40a6d4878e2ed21b15625d90436057ac66db55d8e9bb8632db2109dc050'),
+    ('PRDC-3-synthetic', 0.5): ('0x1.db9eb8c8069a5p+25', '0x1.d2ee1e784f9fcp+25',
+        '0x1.217770138439bp-2',
+        'a5649ab37a5619e5db6c3c115390e9112c48dd72c461cd8196fd63bd53828997'),
+    ('PRDC-3-synthetic', 0.7): ('0x1.02375927efdc5p+21', '0x1.ca2b70ebf9999p+20',
+        '0x1.800879abfc0fcp-2',
+        '62b1fc35f333bdccbe3521e20c2784c404fdcbaaf37fd800a65e474b25dec626'),
+    ('PRDC-4-synthetic', 0.3): ('0x1.0f108b336e21bp+28', '0x1.0ee373737c51dp+28',
+        '0x1.22317d4b66eb9p-2',
+        'fb32494cd4b766b1c68cbc838a4f2e5fdfd7df425b0de909edbfe0efd36f28c6'),
+    ('PRDC-4-synthetic', 0.5): ('0x1.5f0084af45424p+27', '0x1.5d40e48fc5929p+27',
+        '0x1.21b64a0cd7f49p-2',
+        '2207020af56677ea4c0eff4fb6cfb8915e43772b86770dbe3ac71bc24f93f93d'),
+    ('PRDC-4-synthetic', 0.7): ('0x1.368c0a23501ebp+26', '0x1.2c5254c2e151cp+26',
+        '0x1.218e0a177db3bp-2',
+        '7210441444d3a91f052d37e65ef6017cd70dc9719d67acfbdba44f7eff0fb94e'),
+}
+
+
+@pytest.mark.parametrize("cycle_name,initial_soc", sorted(_BUILTIN_SOLVES))
+def test_the_builtin_solves_are_pinned(models, actions, cycle_name, initial_soc):
+    result = dp_baseline(builtin_cycle(cycle_name), actions, models, initial_soc, soc_nodes=101)
+    got = (result.cost_j.hex(), result.rollout_cost_j.hex(), result.rollout_end_soc.hex(),
+           hashlib.sha256(bytes(result.actions)).hexdigest())
+    assert got == _BUILTIN_SOLVES[cycle_name, initial_soc]
