@@ -13,7 +13,7 @@ Exit codes: 0 on success, 1 for configuration or argument problems (a cycle
 file that will not load included), 2 for runtime failures (missing
 snapshots, infeasible constraints, I/O).  Every command builds the config's
 cycles before it creates ``--out``, so each runs exactly the configs
-``validate`` accepts; ``eval`` also loads and pairs its snapshots first.
+``validate`` accepts; ``eval`` also loads its snapshots first.
 Artifacts (CSV tables, Q-table snapshots, ``manifest.json``) carry no
 timestamps, so rerunning a command over the same config reproduces them
 byte for byte.  Output files, snapshots included, are written atomically
@@ -29,13 +29,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .dp import dp_baseline, dp_slack_energy_j
 from .drive_cycle import DriveCycle
-from .ensemble import EnsemblePolicy
 from .experiment import (RunSetup, config_fingerprint, robustness_eval,
                          run_learning, sweep_weights, write_dp_csv,
                          write_learning_curve_csv, write_robustness_csv,
@@ -102,9 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "trained snapshots")
     common(p_eval)
     p_eval.add_argument("--snapshots", required=True, metavar="DIR",
-                        help="directory holding qtable_A.json (and qtable_B.json "
-                             "for ensemble snapshots); multi-seed runs fall "
-                             "back to the lowest _seedN snapshot of A and its B")
+                        help="directory holding qtable_A.json; multi-seed runs "
+                             "fall back to the lowest _seedN snapshot")
     p_eval.add_argument("--baseline-snapshots", metavar="DIR",
                         help="directory holding the baseline qtable_A.json "
                              "(defaults to the ensemble's own agent A)")
@@ -186,13 +182,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         curve = f"learning_curve{tag}.csv"
         write_atomic(out / curve, write_learning_curve_csv(result.episodes))
         artifacts.append(curve)
-        for name, agent in result.agents.items():
-            snap = f"qtable_{name}{tag}.json"
-            save_qtable(out / snap, agent.q, setup.grid, setup.actions,
-                        schedule=agent.config.schedule,
-                        extra={"label": config.label, "seed": seed,
-                               "mode": config.mode, "rng_protocol": RNG_PROTOCOL})
-            artifacts.append(snap)
+        snap = f"qtable_A{tag}.json"  # an ensemble's agent B runs on this table
+        save_qtable(out / snap, result.agents["A"].q, setup.grid, setup.actions,
+                    schedule=config.agent_a.schedule,
+                    extra={"label": config.label, "seed": seed,
+                           "mode": config.mode, "rng_protocol": RNG_PROTOCOL})
+        artifacts.append(snap)
         if args.traces and result.final_traces is not None:
             trace = f"trace{tag}.csv"
             write_atomic(out / trace, write_trace_csv(result.final_traces))
@@ -245,54 +240,37 @@ def _resolve_snapshot(snap_dir: Path) -> Path:
     return plain
 
 
-def _load_agent(path: Path, name: str, config: RunConfig) -> tuple[Agent, str, dict]:
-    """Rebuild frozen agent ``name`` ("A" or "B") from a snapshot around the
-    config's learner, which a frozen episode never reads; returns it with a
-    method label (the snapshot's schedule kind) and its ``extra`` block."""
+def _load_agent(path: Path, config: RunConfig) -> tuple[Agent, str, dict]:
+    """Rebuild frozen agent A from a snapshot around the config's learner,
+    which a frozen episode never reads; returns it with a method label (the
+    snapshot's schedule kind) and its ``extra`` block."""
     if not path.is_file():
         raise FileNotFoundError(
             f"snapshot {path} not found; run 'tugems learn' first")
     grid, actions = config.build_grids()
     q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
-    learner = config.agent_a if name == "A" else config.agent_b
-    agent = Agent(name=name, q=q, config=learner, rng=make_rng(0, 0))
+    agent = Agent(name="A", q=q, config=config.agent_a, rng=make_rng(0, 0))
     label = schedule.kind if schedule is not None else "baseline"
     return agent, label, extra
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    """Load and pair the snapshots, then create ``--out``.  Agent B must
-    agree with agent A on the label, mode and seed of its ``extra`` block
-    and on every Q-value, and runs on A's table, as in the run that wrote
-    them; an ensemble-mode A needs its B."""
+    """Load the snapshots, then create ``--out``.  An ensemble run keeps one
+    table, whose greedy policy every rule executes when frozen, so its rows
+    run that table alone, labelled by the configured rule."""
     config, _, eval_cycles = _load(args.config)
     snap_dir = Path(args.snapshots)
-    path_a = _resolve_snapshot(snap_dir)
-    agent_a, label_a, extra_a = _load_agent(path_a, "A", config)
-    ensemble = {"A": agent_a}
-    path_b = path_a.with_name(path_a.name.replace("_A", "_B", 1))  # same seed as A
-    if path_b.is_file():
-        agent_b, _, extra_b = _load_agent(path_b, "B", config)
-        differ = [k for k in ("label", "mode", "seed") if extra_a.get(k) != extra_b.get(k)]
-        if not np.array_equal(agent_b.q.values, agent_a.q.values):
-            differ.append("Q-values")
-        if differ:
-            raise ValueError(f"snapshots {path_a} and {path_b} do not pair: "
-                             f"their {', '.join(differ)} differ")
-        agent_b.q = agent_a.q
-        ensemble["B"] = agent_b
-    elif extra_a.get("mode") == "ensemble":
-        raise ValueError(f"snapshot {path_b}, the ensemble partner of {path_a}, not found")
+    agent, label, extra = _load_agent(_resolve_snapshot(snap_dir), config)
     if args.baseline_snapshots:
         base_path = _resolve_snapshot(Path(args.baseline_snapshots))
-        baseline, base_label, _ = _load_agent(base_path, "A", config)
+        baseline, base_label, _ = _load_agent(base_path, config)
     else:
-        baseline, base_label = agent_a, label_a
+        baseline, base_label = agent, label
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid, actions = config.build_grids()
-    policy = config.policy if "B" in ensemble else EnsemblePolicy.weighted(1.0)
-    rows = robustness_eval(ensemble, baseline, policy, eval_cycles,
+    method = config.policy.kind if extra.get("mode") == "ensemble" else "weighted"
+    rows = robustness_eval(agent, baseline, method, eval_cycles,
                            list(config.eval_initial_socs),
                            config.build_models(), grid, actions,
                            baseline_method=base_label)

@@ -145,7 +145,7 @@ def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
     ``random`` kind draws from the combiner stream of seed 0).  The two
     share one table, so both propose its greedy action and every rule
     executes it: the episode equals agent A's alone, which is why
-    :func:`robustness_eval` need not run it against a baseline on that table.
+    :func:`robustness_eval` runs a frozen ensemble as its agent A.
     """
     team = (agents["A"], agents["B"]) if "B" in agents else (agents["A"],)
     return run_episodes(cycle, team, range(1), models, initial_soc, grid, actions, policy,
@@ -210,44 +210,44 @@ class RobustnessRow:
     savings_pct: float
 
 
-def robustness_eval(ensemble_agents: dict[str, Agent], baseline_agent: Agent,
-                    policy: EnsemblePolicy, cycles: list[DriveCycle],
-                    initial_socs: list[float], models: PlantModels,
-                    grid: StateGrid, actions: ActionGrid,
+def robustness_eval(agent: Agent, baseline_agent: Agent, method: str,
+                    cycles: list[DriveCycle], initial_socs: list[float],
+                    models: PlantModels, grid: StateGrid, actions: ActionGrid,
                     baseline_method: str) -> list[RobustnessRow]:
     """Frozen-policy comparison across unseen cycles and initial SoCs.
 
     For every (cycle, initial SoC) pair, two rows come back: the
     single-agent baseline (savings 0 by construction), labelled
-    ``baseline_method``, and the ensemble, labelled by its policy kind,
+    ``baseline_method``, and the candidate ``agent``, labelled ``method``,
     with savings measured against that same pair's baseline OEC.  Tables
     are never updated, so repeated calls give identical rows.  A frozen
-    ensemble runs its one table's greedy policy (:func:`evaluate_policy`),
-    so against its own agent A it saves exactly 0; a saving needs a
-    ``baseline_agent`` trained separately.  When every ensemble agent holds
-    the baseline agent's ``QTable`` object (``eval``'s default baseline, or
-    single mode), the ensemble row reuses the baseline episode instead of
-    running it again; a distinct table, even one of equal values, runs both.
+    ensemble runs its one table's greedy policy under every rule
+    (:func:`evaluate_policy`), so its candidate is its agent A, and against
+    that same agent it saves exactly 0; a saving needs a ``baseline_agent``
+    trained separately.  When the candidate holds the baseline agent's
+    ``QTable`` object (``eval``'s default baseline), its row reuses the
+    baseline episode instead of running it again; a distinct table, even
+    one of equal values, runs both.
     """
     rows: list[RobustnessRow] = []
-    # Every agent on the baseline's table: the ensemble episode is the baseline's.
-    alone = all(agent.q is baseline_agent.q for agent in ensemble_agents.values())
+    # The candidate on the baseline's table: its episode is the baseline's.
+    alone = agent.q is baseline_agent.q
+    greedy = EnsemblePolicy.weighted(1.0)
     for cycle in cycles:
         for soc0 in initial_socs:
-            base = evaluate_policy(cycle, {"A": baseline_agent},
-                                   EnsemblePolicy.weighted(1.0), models, grid,
-                                   actions, soc0).metrics
+            base = evaluate_policy(cycle, {"A": baseline_agent}, greedy, models,
+                                   grid, actions, soc0).metrics
             if alone:
                 cand = base
             else:
-                cand = evaluate_policy(cycle, ensemble_agents, policy, models, grid,
+                cand = evaluate_policy(cycle, {"A": agent}, greedy, models, grid,
                                        actions, soc0).metrics
             rows.append(RobustnessRow(
                 cycle=cycle.label, init_soc=soc0, method=baseline_method,
                 end_soc=base.end_soc, oec_mj=base.oec_j / 1e6,
                 savings_pct=0.0))
             rows.append(RobustnessRow(
-                cycle=cycle.label, init_soc=soc0, method=policy.kind,
+                cycle=cycle.label, init_soc=soc0, method=method,
                 end_soc=cand.end_soc, oec_mj=cand.oec_j / 1e6,
                 savings_pct=100.0 * savings(base.oec_j, cand.oec_j)))
     return rows

@@ -155,7 +155,7 @@ class ActionGrid:
     Adjacent levels must differ by at least 2**-48 of the higher one, and
     the lowest positive level must be a normal float.  Then every level p is
     a fixed point of a blend with itself, ``nearest(mu*p + (1 - mu)*p) ==
-    p`` for any ``mu`` in [0, 1], which ``robustness_eval`` relies on.  With
+    p`` for any ``mu`` in [0, 1], which ``eval`` relies on.  With
     u = 2**-53, the blend's four rounded operations land it within 6u*p of
     p (an underflowing product errs by at most 2**-1075 <= u*p), while both
     neighbours lie at least 31u*p away (32u*p less the check's own

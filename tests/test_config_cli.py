@@ -3,7 +3,6 @@
 import json
 import math
 import re
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ from tugems.cli import main
 from tugems.config import DEFAULT_CONFIG, ConfigError, RunConfig, load_config, parse_config
 from tugems.drive_cycle import DriveCycle
 from tugems.experiment import config_fingerprint
+from tugems.qlearn import load_qtable
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -442,7 +442,7 @@ def test_learn_writes_curve_snapshots_and_manifest(workspace, capsys):
     assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "learning_curve.csv").is_file()
     assert (out / "qtable_A.json").is_file()
-    assert (out / "qtable_B.json").is_file()
+    assert not list(out.glob("qtable_B*"))  # the run's one table, saved once
     assert not (out / "trace.csv").exists()
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -450,15 +450,13 @@ def test_learn_writes_curve_snapshots_and_manifest(workspace, capsys):
     assert manifest["command"] == "learn"
     assert manifest["label"] == "cli-test"
     assert manifest["seeds"] == [0]
-    assert manifest["artifacts"] == sorted(
-        ["learning_curve.csv", "qtable_A.json", "qtable_B.json"])
+    assert manifest["artifacts"] == ["learning_curve.csv", "qtable_A.json"]
     assert manifest["config"] == load_config(cfg).to_dict()
     assert manifest["config_fingerprint"] == config_fingerprint(manifest["config"])
     assert "0" in manifest["final_episode"]
     assert manifest["rng_protocol"] == 2
-    for name in ("A", "B"):
-        snapshot = json.loads((out / f"qtable_{name}.json").read_text())
-        assert snapshot["extra"]["rng_protocol"] == 2
+    snapshot = json.loads((out / "qtable_A.json").read_text())
+    assert snapshot["extra"]["rng_protocol"] == 2
     assert not any("time" in key or "date" in key for key in manifest)
     assert "seed 0: final efficiency" in capsys.readouterr().out
 
@@ -472,9 +470,9 @@ def test_learn_is_byte_identical_across_reruns(workspace):
     out1, out2 = tmp / "r1", tmp / "r2"
     assert main(["learn", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["learn", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ("learning_curve.csv", "qtable_A.json", "qtable_B.json",
-                 "manifest.json"):
+    for name in ("learning_curve.csv", "qtable_A.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert not list(out1.glob("qtable_B*")) and not list(out2.glob("qtable_B*"))
 
 
 def test_learn_seed_override_and_per_seed_suffixes(workspace):
@@ -564,36 +562,49 @@ def test_eval_falls_back_to_the_lowest_seed_snapshot(workspace):
             == (direct / "robustness.csv").read_text())
 
 
-def test_eval_pairs_agent_b_with_agent_a_by_seed(workspace, capsys):
+def test_eval_reads_only_agent_a_snapshot(workspace, monkeypatch):
+    # a run saves its one table once; a qtable_B file beside it, as older
+    # runs wrote one, is never opened, even when its values differ
     tmp, cfg = workspace
     run_dir = tmp / "multi"
     assert main(["learn", "--config", str(cfg), "--out", str(run_dir),
                  "--seed", "3", "--seed", "4"]) == 0
-    args = ["eval", "--config", str(cfg), "--out", str(tmp / "ev"),
-            "--snapshots", str(run_dir)]
-    (run_dir / "qtable_B_seed3.json").unlink()
-    assert main(args) == 2  # not silently paired with seed 4's agent B
-    assert "qtable_B_seed3.json" in capsys.readouterr().err
-    shutil.copy(run_dir / "qtable_B_seed4.json", run_dir / "qtable_B_seed3.json")
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "do not pair" in err and "seed" in err
+    snap_a = run_dir / "qtable_A_seed3.json"
+    loads = []
 
+    def counting(path, **kwargs):
+        loads.append(Path(path))
+        return load_qtable(path, **kwargs)
 
-def _bump_first_value(path):
-    doc = json.loads(path.read_text())
+    monkeypatch.setattr("tugems.cli.load_qtable", counting)
+
+    def evaluate(name, *extra):
+        loads.clear()
+        out = tmp / name
+        assert main(["eval", "--config", str(cfg), "--out", str(out),
+                     "--snapshots", str(run_dir), *extra]) == 0
+        return (out / "robustness.csv").read_bytes()
+
+    alone = evaluate("ev-alone")
+    assert loads == [snap_a]
+    stale = run_dir / "qtable_B_seed3.json"
+    doc = json.loads(snap_a.read_text())
+    doc["schedule"] = load_config(cfg).agent_b.schedule.to_dict()
     doc["values"][0][0] += 1.0
-    path.write_text(json.dumps(doc))
+    stale.write_text(json.dumps(doc))
+    assert evaluate("ev-beside") == alone
+    assert loads == [snap_a]
+    evaluate("ev-baseline", "--baseline-snapshots", str(run_dir))
+    assert loads == [snap_a, snap_a]
 
 
-@pytest.mark.parametrize("case", ["missing", "malformed", "missing-partner", "seed",
-                                  "q-values", "missing-baseline"])
+@pytest.mark.parametrize("case", ["missing", "malformed", "missing-baseline"])
 def test_eval_checks_its_snapshots_before_it_creates_out(workspace, capsys, case):
     tmp, cfg = workspace
     run_dir = tmp / "multi"
     assert main(["learn", "--config", str(cfg), "--out", str(run_dir),
                  "--seed", "3", "--seed", "4"]) == 0
-    snap_a, snap_b = run_dir / "qtable_A_seed3.json", run_dir / "qtable_B_seed3.json"
+    snap_a = run_dir / "qtable_A_seed3.json"
     snapshots, extra = run_dir, []
     if case == "missing":
         snapshots = tmp / "nowhere"
@@ -601,15 +612,6 @@ def test_eval_checks_its_snapshots_before_it_creates_out(workspace, capsys, case
     elif case == "malformed":
         snap_a.write_text("{")
         message = f"tugems: {snap_a}: "
-    elif case == "missing-partner":
-        snap_b.unlink()
-        message = f"snapshot {snap_b}, the ensemble partner of {snap_a}, not found"
-    elif case == "seed":
-        shutil.copy(run_dir / "qtable_B_seed4.json", snap_b)
-        message = f"snapshots {snap_a} and {snap_b} do not pair: their seed"
-    elif case == "q-values":  # the one table of a run is saved twice, equal
-        _bump_first_value(snap_b)
-        message = f"snapshots {snap_a} and {snap_b} do not pair: their Q-values differ"
     else:
         extra = ["--baseline-snapshots", str(tmp / "nowhere")]
         message = "run 'tugems learn' first"

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,8 +263,7 @@ def test_robustness_rows_pair_baseline_and_candidate(models, grid, actions,
     trained = run_learning(_setup(bumpy_cycle, models, grid, actions), seed=0)
     baseline = run_learning(_setup(bumpy_cycle, models, grid, actions,
                                    mode=SINGLE_MODE), seed=0)
-    rows = robustness_eval(trained.agents, baseline.agents["A"],
-                           EnsemblePolicy.weighted(0.5),
+    rows = robustness_eval(trained.agents["A"], baseline.agents["A"], "weighted",
                            cycles=[bumpy_cycle, flat_cycle],
                            initial_socs=[0.3, 0.5], models=models, grid=grid,
                            actions=actions, baseline_method="exponential")
@@ -276,31 +276,32 @@ def test_robustness_rows_pair_baseline_and_candidate(models, grid, actions,
         assert cand_row.method == "weighted"
         expected = 100.0 * (base_row.oec_mj - cand_row.oec_mj) / base_row.oec_mj
         assert cand_row.savings_pct == pytest.approx(expected, rel=1e-9)
-    again = robustness_eval(trained.agents, baseline.agents["A"],
-                            EnsemblePolicy.weighted(0.5),
+    again = robustness_eval(trained.agents["A"], baseline.agents["A"], "weighted",
                             cycles=[bumpy_cycle, flat_cycle],
                             initial_socs=[0.3, 0.5], models=models, grid=grid,
                             actions=actions, baseline_method="exponential")
     assert again == rows  # frozen policies, no table drift
 
 
-@pytest.mark.parametrize("policy", [
-    EnsemblePolicy.weighted(0.3),
-    EnsemblePolicy(kind="maximum"),
-    EnsemblePolicy(kind="random", t=0.6),
-], ids=["weighted", "maximum", "random"])
+_RULES = [EnsemblePolicy.weighted(0.3), EnsemblePolicy(kind="maximum"),
+          EnsemblePolicy(kind="random", t=0.6)]
+
+
+@pytest.mark.parametrize("policy", _RULES, ids=["weighted", "maximum", "random"])
 def test_a_frozen_ensemble_saves_nothing_against_its_own_agent_a(
         models, grid, actions, bumpy_cycle, flat_cycle, policy):
-    # both agents propose the one table's greedy action, which every rule executes
-    trained = run_learning(_setup(bumpy_cycle, models, grid, actions), seed=1)
-    rows = robustness_eval(trained.agents, trained.agents["A"], policy,
-                           cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
-                           models=models, grid=grid, actions=actions,
-                           baseline_method="step")
-    for base_row, cand_row in zip(rows[0::2], rows[1::2]):
-        assert cand_row.method == policy.kind
-        assert (cand_row.end_soc, cand_row.oec_mj, cand_row.savings_pct) == (
-            base_row.end_soc, base_row.oec_mj, 0.0)
+    # both agents propose the one table's greedy action, which every rule
+    # executes, so robustness_eval runs a frozen ensemble as its agent A alone
+    setup = replace(_setup(bumpy_cycle, models, grid, actions), policy=policy)
+    trained = run_learning(setup, seed=1)
+    for cycle in (bumpy_cycle, flat_cycle):
+        for soc0 in (0.3, 0.5):
+            ensemble = evaluate_policy(cycle, trained.agents, policy, models, grid,
+                                       actions, soc0)
+            alone = evaluate_policy(cycle, {"A": trained.agents["A"]},
+                                    EnsemblePolicy.weighted(1.0), models, grid,
+                                    actions, soc0)
+            assert ensemble.metrics == alone.metrics
 
 
 def _count_eval_episodes(monkeypatch) -> list:
@@ -320,7 +321,7 @@ def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
     agent = run_learning(_setup(bumpy_cycle, models, grid, actions,
                                 mode=SINGLE_MODE), seed=0).agents["A"]
     calls = _count_eval_episodes(monkeypatch)
-    rows = robustness_eval({"A": agent}, agent, EnsemblePolicy.weighted(1.0),
+    rows = robustness_eval(agent, agent, "weighted",
                            cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
                            models=models, grid=grid, actions=actions,
                            baseline_method=agent.config.schedule.kind)
@@ -329,10 +330,6 @@ def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
     for base_row, cand_row in zip(rows[0::2], rows[1::2]):
         assert (cand_row.end_soc, cand_row.oec_mj) == (base_row.end_soc, base_row.oec_mj)
         assert cand_row.savings_pct == 0.0
-
-
-_RULES = [EnsemblePolicy.weighted(0.3), EnsemblePolicy(kind="maximum"),
-          EnsemblePolicy(kind="random", t=0.6)]
 
 
 @pytest.mark.parametrize("baseline, episodes_per_pair", [
@@ -344,7 +341,8 @@ _RULES = [EnsemblePolicy.weighted(0.3), EnsemblePolicy(kind="maximum"),
 def test_ensemble_eval_skips_the_candidate_only_on_the_baseline_table(
         models, grid, actions, bumpy_cycle, flat_cycle, monkeypatch, policy,
         baseline, episodes_per_pair):
-    trained = run_learning(_setup(bumpy_cycle, models, grid, actions), seed=1)
+    setup = replace(_setup(bumpy_cycle, models, grid, actions), policy=policy)
+    trained = run_learning(setup, seed=1)
     agent_a = trained.agents["A"]
     if baseline == "own-agent-a":
         base_agent = agent_a
@@ -356,7 +354,7 @@ def test_ensemble_eval_skips_the_candidate_only_on_the_baseline_table(
         copy.values[:] = agent_a.q.values
         base_agent = Agent("A", copy, agent_a.config, make_rng(0, AGENT_A_STREAM))
     calls = _count_eval_episodes(monkeypatch)
-    rows = robustness_eval(trained.agents, base_agent, policy,
+    rows = robustness_eval(agent_a, base_agent, policy.kind,
                            cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
                            models=models, grid=grid, actions=actions,
                            baseline_method="step")

@@ -12,7 +12,6 @@ directory, because manifests record them verbatim.
 """
 
 import hashlib
-import re
 from pathlib import Path
 
 import pytest
@@ -38,15 +37,11 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "31e504363f86d93632dc1df9461e590e255f4cbd0513b669f48d186121ab831b",
         "run/manifest.json":
-            "48244130ca4fa9e352c341f0e49384cc8964acfc3c9f437e4e5878d5cc47fe10",
+            "de4d8b1da32d7fb7f1c3b7be054003f7771fde462d8e6a0810fc382f9dced945",
         "run/qtable_A_seed0.json":
             "aedfd199027a6d8c429d803e7c147bfdbaf0fa892f63215ec1d625c850b7b955",
         "run/qtable_A_seed1.json":
             "04e055a75bdeeb0ef9dad7baddafbc07342d3e07841bc83ce03654eea0894f7b",
-        "run/qtable_B_seed0.json":
-            "036ec8d52c8740d3cdfeb251ae2576e5e735d6fdf7b87ff5dcae4e5cb025b547",
-        "run/qtable_B_seed1.json":
-            "31ca69d88247548c9a3775b39389fd44bde6fc0e0de29382d1cb9c0ac8368eeb",
         "run/trace_seed0.csv":
             "5ab03fd55b0c39cd59cc61ef258f18c676176c91cc6f06a0c7f095e935508a08",
         "run/trace_seed1.csv":
@@ -66,15 +61,11 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "80b6ee190f02dff7d1a3fbfa01cfd74b824829bee0bd5b58b470775788c4265f",
         "run/manifest.json":
-            "0aa85a5f932ac6493cd832e671744b3b52f43f80982e82c79f8a1febdfa1700d",
+            "e186c0bc520b73f96dc7c723c7b92ac99930622dec9fd371ca1b22843d0951c6",
         "run/qtable_A_seed0.json":
             "577527c5afc64ca00608293af2e7f6e9e6f830c15ec40f9e845cbd8b8940c678",
         "run/qtable_A_seed1.json":
             "3de18a4dadc401d75c2416cbca12274ae6146f554300bd3996b1c026e821607f",
-        "run/qtable_B_seed0.json":
-            "f231e680f6a69619804703d74f2dc7b630e48982b1522ea14e1bcd62ae9dddda",
-        "run/qtable_B_seed1.json":
-            "3d91ccfefc110a7acdc4bf5adea1c446a67a74a917613dce76ede9b9dfa18cf9",
         "run/trace_seed0.csv":
             "d4944a2aea9c47f4ab22cf1f5bc715562c21042602b0b1bf5aa8d97b49245dec",
         "run/trace_seed1.csv":
@@ -94,15 +85,11 @@ GOLDEN = {
         "run/learning_curve_seed1.csv":
             "28020a0c7134191cfac768569067a84a446e822eb5e7295b0f98ad0b4ab370ae",
         "run/manifest.json":
-            "ff217bf93ba22929ebc56ad1e1967d247c4adff2d3c597969c5627fcfbb28c17",
+            "9da8cc688d640f7f3851b5c67a7a810467443f936eb2946be2fa730bcd7bf84e",
         "run/qtable_A_seed0.json":
             "fc0dc13a90466ad1b2dbf0f0eb27710fddab8061026129b8b2ff026773aff18e",
         "run/qtable_A_seed1.json":
             "0a819e5a31fa88417841b5923d2ec7da53ad8753c2e2b96b3cf590527dd05d14",
-        "run/qtable_B_seed0.json":
-            "f0a56cf19d630220c34f4d5d154d88d3cf0f5c18de9ff36031e67ddb7effd7af",
-        "run/qtable_B_seed1.json":
-            "0fffef29980f4d3d378ce7b75794b5f704ce98ab5450f2e1f12446c14b6527c9",
         "run/trace_seed0.csv":
             "1e2c9df81ba581edcbe09d136c65bbbd2d3c37fab610fb842a724500b9ba24c2",
         "run/trace_seed1.csv":
@@ -171,20 +158,7 @@ def _run_case(name: str) -> dict[str, str]:
     return digests
 
 
-def _without_schedule(path: Path) -> bytes:
-    """A snapshot's bytes less its one ``"schedule"`` header entry."""
-    stripped, count = re.subn(rb'"schedule": \{[^}]*\}, ', b"", path.read_bytes())
-    assert count == 1, path
-    return stripped
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_artifacts_match_golden_fingerprints(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run_case(name) == GOLDEN[name]
-    if CASES[name]["mode"] == "ensemble":
-        # one table per run: agent B's snapshot differs from A's only in the
-        # schedule it explored by
-        for seed in (0, 1):
-            assert (_without_schedule(Path(f"run/qtable_A_seed{seed}.json"))
-                    == _without_schedule(Path(f"run/qtable_B_seed{seed}.json")))
