@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -257,15 +258,17 @@ def _load_agent(path: Path, config: RunConfig) -> tuple[Agent, str, dict]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     """Load the snapshots, then create ``--out``.  An ensemble run keeps one
     table, whose greedy policy every rule executes when frozen, so its rows
-    run that table alone, labelled by the configured rule."""
+    run that table alone, labelled by the configured rule.  A baseline that
+    is the candidate's own file is the candidate's agent, loaded once."""
     config, _, eval_cycles = _load(args.config)
     snap_dir = Path(args.snapshots)
-    agent, label, extra = _load_agent(_resolve_snapshot(snap_dir), config)
-    if args.baseline_snapshots:
-        base_path = _resolve_snapshot(Path(args.baseline_snapshots))
-        baseline, base_label, _ = _load_agent(base_path, config)
-    else:
+    path = _resolve_snapshot(snap_dir)
+    agent, label, extra = _load_agent(path, config)
+    base_path = _resolve_snapshot(Path(args.baseline_snapshots or snap_dir))
+    if base_path.is_file() and os.path.samefile(base_path, path):
         baseline, base_label = agent, label
+    else:
+        baseline, base_label, _ = _load_agent(base_path, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid, actions = config.build_grids()

@@ -18,7 +18,11 @@ agent: ``weighted`` with mu = 1 and ``random`` with t = 0 reproduce agent
 A's solo trajectory bit for bit because every consumer draws from its own
 named RNG stream, one block per episode (RNG protocol v2, see
 :func:`tugems.qlearn.exploration_draws`).  :func:`run_episodes` is the one
-episode loop; a learning run is one call.
+episode loop; a learning run is one call.  It runs the plant step and the
+TD update inline, beside the combination rules, as one fused step: the
+scalar :func:`tugems.powertrain.step_kernel` written out once more,
+operation for operation, which the tests pin to ``Plant.step``,
+``q_update`` and ``threshold_greedy`` with ``==``.
 
 On the one table both greedy proposals are the row's first argmax, so a
 rule matters only on steps where an agent explores (theta_A, theta_B):
@@ -43,7 +47,8 @@ import numpy as np
 
 from .drive_cycle import DriveCycle
 from .metrics import EpisodeMetrics, episode_metrics
-from .powertrain import PlantModels, PlantState, step_kernel
+from .powertrain import (_NEGATIVE_ENGINE_LOSS, _SOC_PENALTY, PlantModels, PlantState,
+                         curve_lookup)
 from .qlearn import ActionGrid, Agent, StateGrid, e2e_value, exploration_draws
 
 __all__ = [
@@ -145,11 +150,16 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     Every episode starts from ``initial_soc`` with the charge-sustain latch
     off.  The last sample bootstraps from its own demand.  Ladder, initial
     SoC and table (finite) are checked before any draw, and the cycle's
-    inputs and the ``weighted`` blend table built, once per call; every step
-    then calls the plant kernel directly.  The table becomes Python rows
-    once on entry (frozen, only for ``maximum``), written back once on
-    return when ``learn`` is set, and each row's maximum and first argmax
-    are kept current under every update (:func:`_set_entry`).
+    inputs, the ``weighted`` blend table and the plant's constants and
+    curve closures bound, once per call.  Each step then runs
+    :func:`~tugems.powertrain.step_kernel`'s operations inline, in its order
+    and with its conditional forms, with no call and no outcome tuple.  The
+    table becomes Python rows once on entry (frozen, only for ``maximum``),
+    written back once on return when ``learn`` is set, and each row's
+    maximum and first argmax are kept equal to ``max(row)`` and
+    ``row.index(max(row))`` under every TD update, also inline.  A trace's
+    chooser is derived from the rule and the two actions, on traced steps
+    only.
     """
     agent_a, agent_b = agents[0], agents[-1]
     two = len(agents) == 2
@@ -190,7 +200,18 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
                   for b in range(n_actions)] for a in range(n_actions)]
     lr, gamma = agent_a.config.learning_rate, agent_a.config.discount
     soc_edges = grid.soc_edges
-    kernel = step_kernel(models)
+    # step_kernel's constants and curve closures, bound as it binds them.
+    battery, egu = models.battery, models.egu
+    cell_voltage = curve_lookup(battery.voltage_curve)
+    resistance = curve_lookup(battery.resistance_curve)
+    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
+    soc_min, soc_max = battery.soc_min, battery.soc_max
+    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
+    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
+    served_from_link = models.motor.power_from_link
+    sustain = models.charge_sustain_soc
+    release = models.charge_sustain_soc + models.charge_release_margin
+    soc_ref = models.soc_ref
 
     results = []
     for k in episodes:
@@ -208,50 +229,98 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
         draw_j = short_j = total_reward = soc_sum = 0.0
         soc, latch, forced_steps = initial_soc, False, 0
         state = int(p_bins[0]) * n_soc + grid.soc_bin(soc)
-        for i in range(n):
+        for i, p_dem, p_link_req, offset, action_a, action_b in zip(
+                range(n), demand, links, offsets, explore_a, explore_b):
             greedy = arg[state]
-            action_a = explore_a[i]
             if action_a < 0:
                 action_a = greedy
             if not two:
                 action_b = final = action_a
-                chooser = CHOOSER_A
             else:
-                action_b = explore_b[i]
                 if action_b < 0:
                     action_b = greedy
                 if kind == "weighted":
-                    final, chooser = blend[action_a][action_b], CHOOSER_BLEND
+                    final = blend[action_a][action_b]
                 elif kind == "maximum":  # one table's values, ties to agent A
                     row = rows[state]
-                    final, chooser = ((action_a, CHOOSER_MAX_A)
-                                      if row[action_a] >= row[action_b]
-                                      else (action_b, CHOOSER_MAX_B))
+                    final = action_a if row[action_a] >= row[action_b] else action_b
                 else:
                     final = action_b if pick_b[i] else action_a
-                    chooser = CHOOSER_A if final == action_a else CHOOSER_B
-            (p_egu, p_batt, _, p_served, shortfall, _, fuel, engine_loss, battery_loss,
-             traction_loss, _, reward, latch, soc, _) = kernel(
-                soc, latch, demand[i], links[i], levels[final], dt)
+
+            # The plant step: step_kernel's operations, in its order and
+            # with its conditional forms (see there).
+            soc0 = soc
+            if latch and soc0 >= release:
+                latch = False
+            if soc0 < sustain:
+                latch = True
+            p_egu = p_max if latch else levels[final]
+            pack_volt = cell_voltage(soc0) * n_cells  # V
+            dis_cap = (soc0 - soc_min) * coulomb / dt * pack_volt
+            dis_cap = dis_cap if dis_cap < max_dis else max_dis
+            chg_cap = (soc_max - soc0) * coulomb / dt * pack_volt
+            chg_cap = chg_cap if chg_cap < max_chg else max_chg
+            lo = p_link_req - dis_cap
+            p_egu = lo if lo > p_egu else p_egu
+            hi = p_link_req + chg_cap
+            p_egu = hi if hi < p_egu else p_egu
+            p_egu = p_egu if p_egu > 0.0 else 0.0
+            p_egu = p_egu if p_egu < p_max else p_max
+            p_batt_unclamped = p_link_req - p_egu
+            p_batt = p_batt_unclamped if p_batt_unclamped > -chg_cap else -chg_cap
+            p_batt = p_batt if p_batt < dis_cap else dis_cap
+            p_link = p_egu + p_batt
+            p_served = (served_from_link(p_link) if p_batt_unclamped > dis_cap
+                        else p_dem)
+            fuel = (b2 * p_egu + b1) * p_egu + b0 if p_egu > 0.0 else 0.0
+            engine_loss = fuel - p_egu
+            if engine_loss < 0.0:
+                raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss))
+            current = p_batt / pack_volt  # A per cell
+            battery_loss = resistance(soc0) * current * current * n_cells
+            soc = soc0 - current * dt / coulomb
+            soc = soc if soc > soc_min else soc_min
+            soc = soc if soc < soc_max else soc_max
+            reward = -(engine_loss + battery_loss) / 1000.0
+            if soc < soc_ref:
+                reward -= _SOC_PENALTY * (soc_ref - soc)
+
             fuel_j += fuel * dt
             engine_j += engine_loss * dt
             battery_j += battery_loss * dt
-            traction_j += traction_loss * dt
+            traction_j += (p_link - p_served) * dt
             served_j += p_served * dt
             draw_j += p_batt * dt
-            short_j += shortfall * dt
+            short_j += (p_dem - p_served) * dt
             forced_steps += latch
 
             s_bin = bisect_right(soc_edges, soc) - 1
             s_bin = 0 if s_bin < 0 else (soc_top if s_bin > soc_top else s_bin)
-            next_state = offsets[i] + s_bin
+            next_state = offset + s_bin
             if learn:
+                # The TD update; the row's maximum and first argmax stay
+                # max(row) and row.index(max(row)): a new or equal-and-earlier
+                # maximum takes over, and only a fallen maximum rescans the row.
                 row = rows[state]
-                _set_entry(row, top, arg, state, final, row[final] + lr * (
-                    reward + gamma * top[next_state] - row[final]))
+                value = row[final]
+                row[final] = value = value + lr * (reward + gamma * top[next_state] - value)
+                first = arg[state]
+                if value > top[state] or (value == top[state] and final <= first):
+                    top[state], arg[state] = value, final
+                elif final == first:
+                    top[state] = best = max(row)
+                    arg[state] = row.index(best)
             total_reward += reward
             soc_sum += soc
             if traces is not None:
+                if kind is None:
+                    chooser = CHOOSER_A
+                elif kind == "weighted":
+                    chooser = CHOOSER_BLEND
+                elif kind == "maximum":
+                    chooser = CHOOSER_MAX_A if final == action_a else CHOOSER_MAX_B
+                else:
+                    chooser = CHOOSER_A if final == action_a else CHOOSER_B
                 traces.append(EnsembleStepTrace(
                     t_s=i * dt, state=state, action_a=action_a, action_b=action_b,
                     action_final=final, chooser=chooser, reward=reward, soc=soc,
@@ -279,20 +348,6 @@ def _table_lists(values: np.ndarray, learn: bool,
     arg = values.argmax(axis=1).tolist()
     rows = values.tolist() if learn or compare else None
     return rows, arg, ([row[a] for row, a in zip(rows, arg)] if learn else None)
-
-
-def _set_entry(row: list, top: list, arg: list, state: int, action: int,
-               value: float) -> None:
-    """Write ``value`` at ``action`` of ``row`` (the row of ``state``) and
-    keep ``top[state]``/``arg[state]`` equal to ``max(row)`` and
-    ``row.index(max(row))``; only a fallen maximum rescans the row."""
-    row[action] = value
-    first = arg[state]
-    if value > top[state] or (value == top[state] and action <= first):
-        top[state], arg[state] = value, action
-    elif action == first:
-        top[state] = best = max(row)
-        arg[state] = row.index(best)
 
 
 def _explore_actions(agent: Agent, episode_index: int, n: int, n_actions: int) -> list[int]:

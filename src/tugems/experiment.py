@@ -188,6 +188,7 @@ def sweep_weights(setup: RunSetup, repeats: int = 25, base_seed: int = 0,
         raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(replace(setup, mode=ENSEMBLE_MODE, policy=EnsemblePolicy.weighted(mu)),
               base_seed + r) for mu in SWEEP_PROPORTIONS for r in range(repeats)]
+    workers = min(workers, len(tasks))  # a pool may start all its workers at once
     if workers > 1:  # map yields results in task order
         # imported here: multiprocessing costs every other command ~2 MB
         from concurrent.futures import ProcessPoolExecutor
@@ -225,9 +226,10 @@ def robustness_eval(agent: Agent, baseline_agent: Agent, method: str,
     (:func:`evaluate_policy`), so its candidate is its agent A, and against
     that same agent it saves exactly 0; a saving needs a ``baseline_agent``
     trained separately.  When the candidate holds the baseline agent's
-    ``QTable`` object (``eval``'s default baseline), its row reuses the
-    baseline episode instead of running it again; a distinct table, even
-    one of equal values, runs both.
+    ``QTable`` object (``eval``'s default baseline, or a baseline snapshot
+    that is the candidate's own file), its row reuses the baseline episode
+    instead of running it again; a distinct table, even one of equal
+    values, runs both.
     """
     rows: list[RobustnessRow] = []
     # The candidate on the baseline's table: its episode is the baseline's.

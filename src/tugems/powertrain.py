@@ -315,6 +315,8 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     form: :func:`ladder_kernel` runs it for one state and a ladder of
     commands, :func:`array_kernel` over arrays of SoCs, steps and commands,
     and both return only its loss, latch and SoC, equal bit for bit.
+    :func:`tugems.ensemble.run_episodes` runs its operations inline, fused
+    with the learning step; its tests check it against :class:`Plant`.
 
     ``kernel(soc, latch, p_dem_w, p_link_req_w, p_egu_cmd_w, dt_s)`` returns
     the fields of :class:`StepOutcome` as a tuple, in declaration order;

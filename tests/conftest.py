@@ -1,5 +1,6 @@
 """Shared fixtures: stock models, grids, and small deterministic cycles, plus
-a cycle CSV writer."""
+a pack with bent battery curves, a cycle CSV writer and a counter of eval
+episodes."""
 
 from pathlib import Path
 
@@ -7,8 +8,15 @@ import numpy as np
 import pytest
 
 from tugems.drive_cycle import DriveCycle
-from tugems.powertrain import PlantModels, default_models
+from tugems.experiment import evaluate_policy
+from tugems.powertrain import BatteryModel, PlantModels, default_models
 from tugems.qlearn import ActionGrid, StateGrid
+
+
+# A pack whose voltage and resistance both bend at several SoCs.
+BENT_BATTERY = BatteryModel(
+    voltage_curve=((0.2, 3.3), (0.3, 3.52), (0.45, 3.61), (0.7, 3.8), (0.8, 4.05)),
+    resistance_curve=((0.2, 0.045), (0.35, 0.031), (0.6, 0.028), (0.8, 0.034)))
 
 
 def write_cycle_csv(cycle: DriveCycle, path: str | Path) -> None:
@@ -17,6 +25,18 @@ def write_cycle_csv(cycle: DriveCycle, path: str | Path) -> None:
     lines = ["t_s,p_dem_w", *(f"{i * cycle.dt_s!r},{p!r}"
                               for i, p in enumerate(cycle.demand_w.tolist()))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def count_eval_episodes(monkeypatch) -> list:
+    """Record the cycle label of every ``evaluate_policy`` call ``robustness_eval`` makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].label)
+        return evaluate_policy(*args, **kwargs)
+
+    monkeypatch.setattr("tugems.experiment.evaluate_policy", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

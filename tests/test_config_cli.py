@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_cycle_csv
+from conftest import count_eval_episodes, write_cycle_csv
 from tugems.cli import main
 from tugems.config import DEFAULT_CONFIG, ConfigError, RunConfig, load_config, parse_config
 from tugems.drive_cycle import DriveCycle
@@ -562,6 +562,18 @@ def test_eval_falls_back_to_the_lowest_seed_snapshot(workspace):
             == (direct / "robustness.csv").read_text())
 
 
+def _count_loads(monkeypatch) -> list:
+    """Record the path of every snapshot the CLI loads."""
+    loads = []
+
+    def counting(path, **kwargs):
+        loads.append(Path(path))
+        return load_qtable(path, **kwargs)
+
+    monkeypatch.setattr("tugems.cli.load_qtable", counting)
+    return loads
+
+
 def test_eval_reads_only_agent_a_snapshot(workspace, monkeypatch):
     # a run saves its one table once; a qtable_B file beside it, as older
     # runs wrote one, is never opened, even when its values differ
@@ -570,13 +582,7 @@ def test_eval_reads_only_agent_a_snapshot(workspace, monkeypatch):
     assert main(["learn", "--config", str(cfg), "--out", str(run_dir),
                  "--seed", "3", "--seed", "4"]) == 0
     snap_a = run_dir / "qtable_A_seed3.json"
-    loads = []
-
-    def counting(path, **kwargs):
-        loads.append(Path(path))
-        return load_qtable(path, **kwargs)
-
-    monkeypatch.setattr("tugems.cli.load_qtable", counting)
+    loads = _count_loads(monkeypatch)
 
     def evaluate(name, *extra):
         loads.clear()
@@ -594,8 +600,40 @@ def test_eval_reads_only_agent_a_snapshot(workspace, monkeypatch):
     stale.write_text(json.dumps(doc))
     assert evaluate("ev-beside") == alone
     assert loads == [snap_a]
-    evaluate("ev-baseline", "--baseline-snapshots", str(run_dir))
-    assert loads == [snap_a, snap_a]
+    copy_dir = tmp / "copy"
+    copy_dir.mkdir()
+    copy = copy_dir / snap_a.name
+    copy.write_bytes(snap_a.read_bytes())
+    evaluate("ev-baseline", "--baseline-snapshots", str(copy_dir))
+    assert loads == [snap_a, copy]
+
+
+def test_eval_against_its_own_snapshot_loads_and_runs_it_once(workspace, monkeypatch):
+    # a baseline that is the candidate's own file, by any path, is the
+    # candidate's agent: one load and one episode per (cycle, SoC), as
+    # without the flag, and the same bytes
+    tmp, cfg = workspace
+    variant = _write_config(tmp, cfg, eval={"cycles": [str(tmp / "cycle.csv")],
+                                            "initial_socs": [0.3, 0.6]})
+    run_dir = tmp / "run"
+    assert main(["learn", "--config", str(variant), "--out", str(run_dir)]) == 0
+    (tmp / "link").symlink_to(run_dir, target_is_directory=True)
+    loads = _count_loads(monkeypatch)
+    episodes = count_eval_episodes(monkeypatch)
+
+    def evaluate(name, *extra):
+        loads.clear()
+        episodes.clear()
+        out = tmp / name
+        assert main(["eval", "--config", str(variant), "--out", str(out),
+                     "--snapshots", str(run_dir), *extra]) == 0
+        return (out / "robustness.csv").read_bytes()
+
+    alone = evaluate("ev-alone")
+    assert (len(loads), len(episodes)) == (1, 2)
+    for baseline in (run_dir, tmp / "link"):
+        assert evaluate(f"ev-{baseline.name}", "--baseline-snapshots", str(baseline)) == alone
+        assert (len(loads), len(episodes)) == (1, 2)
 
 
 @pytest.mark.parametrize("case", ["missing", "malformed", "missing-baseline"])

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_cycle_csv
+from conftest import BENT_BATTERY, write_cycle_csv
 from tugems import dp
 from tugems.cli import main
 from tugems.config import builtin_cycle
@@ -256,14 +256,9 @@ _SUSTAIN_VARIANTS = {
     "wide-hysteresis": {"charge_sustain_soc": 0.32, "charge_release_margin": 0.05},
 }
 
-# A pack whose voltage and resistance both bend at several SoCs.
-_BENT_BATTERY = BatteryModel(
-    voltage_curve=((0.2, 3.3), (0.3, 3.52), (0.45, 3.61), (0.7, 3.8), (0.8, 4.05)),
-    resistance_curve=((0.2, 0.045), (0.35, 0.031), (0.6, 0.028), (0.8, 0.034)))
-
 _BATTERIES = {
     "stock": BatteryModel(),
-    "bent": _BENT_BATTERY,
+    "bent": BENT_BATTERY,
     # a -0.0 charge cap at every SoC beside a +0.0 discharge cap at soc_min
     "no-charging": BatteryModel(max_charge_power_w=-0.0),
 }

@@ -1,7 +1,9 @@
 """Action-combination rules and the two-learner episode loop."""
 
+import dataclasses
 import math
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BENT_BATTERY
 from tugems.drive_cycle import DriveCycle
-from tugems.ensemble import (EnsemblePolicy, _set_entry, _table_lists, combine_weighted,
-                             run_episodes)
+from tugems.ensemble import EnsemblePolicy, EnsembleStepTrace, combine_weighted, run_episodes
 from tugems.metrics import episode_metrics
-from tugems.powertrain import Plant
+from tugems.powertrain import (BatteryModel, Plant, default_egu, default_models,
+                               step_kernel)
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
                            e2e_value, exploration_draws, make_rng,
@@ -342,12 +345,14 @@ def test_degenerate_policies_reproduce_agent_b(models, grid, actions,
 
 
 def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, combiner,
-                       learn):
+                       learn, outcomes=None):
     """Step by step through threshold_greedy/q_update, combine_weighted, the
     maximum and random rules written out, and Plant.step, with the tables in
     numpy throughout and one q_update per distinct table; each episode's
     random values are drawn up front (the agents' through exploration_draws)
-    and handed to the primitives step by step."""
+    and handed to the primitives step by step.  Returns the metrics and the
+    episode's traces; ``outcomes``, if given, collects each step's SoC and
+    latch before the step, its command and its ``StepOutcome``."""
     plant.reset(soc0)
     demand = [float(p) for p in cycle.demand_w]
     n = len(demand)
@@ -362,32 +367,114 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
         return grid.p_dem_bin(p_dem_w) * grid.n_soc + grid.soc_bin(soc)
 
     total = soc_sum = 0.0
+    traces = []
     for i, p in enumerate(demand):
         state = index(p, plant.state.soc)
         props = [threshold_greedy(a.q, state, theta, float(u[i]), int(x[i]))
                  for a, theta, (u, x) in zip(agents, thetas, draws)]
         if len(agents) == 1:
-            final = props[0]
+            final, chooser = props[0], "A"
+            props *= 2
         elif policy.kind == "weighted":
-            final = combine_weighted(*props, policy.mu, actions)
+            final, chooser = combine_weighted(*props, policy.mu, actions), "blend"
         elif policy.kind == "maximum":  # own-value comparison, ties to agent A
             a, b = props
-            final = (a if agents[0].q.values[state, a] >= agents[1].q.values[state, b]
-                     else b)
+            final, chooser = ((a, "max-A")
+                              if agents[0].q.values[state, a] >= agents[1].q.values[state, b]
+                              else (b, "max-B"))
         else:  # agent A when the draw clears t
             a, b = props
             final = a if ys[i] >= policy.t else b
+            chooser = "A" if final == a else "B"
+        before = plant.state.soc, plant.state.forced_charging
         out = plant.step(p, actions.level(final), cycle.dt_s)
+        if outcomes is not None:
+            outcomes.append((*before, actions.level(final), out))
         next_state = index(demand[min(i + 1, n - 1)], out.soc)
         if learn:
             for agent in {id(a.q): a for a in agents}.values():
                 q_update(agent.q, state, final, out.reward, next_state, agent.config)
         total += out.reward
         soc_sum += out.soc
+        traces.append(EnsembleStepTrace(
+            t_s=i * cycle.dt_s, state=state, action_a=props[0], action_b=props[1],
+            action_final=final, chooser=chooser, reward=out.reward, soc=out.soc,
+            p_egu_w=out.p_egu_w, p_batt_w=out.p_batt_w, forced_charging=out.forced_charging))
     return episode_metrics(plant.state, plant.models.battery, soc0,
-                           soc_sum / n, total)
+                           soc_sum / n, total), traces
 
 
+# Packs for the fused loop's plant step: voltage bending at several SoCs
+# beside a sloped resistance, and a 40-cell pack that crosses its window in
+# a few 1 s steps, so that its power caps bind inside the window (as 60 and
+# 600 s steps make the stock pack's do), demand falls short and the
+# charge-sustain latch engages, holds and releases.
+_LOOP_BATTERIES = {
+    "stock": BatteryModel(),
+    "bent": BENT_BATTERY,
+    "small-pack": BatteryModel(num_cells=40),
+}
+
+# Starting tables: coarse integers tie often, within rows and across
+# proposals; the other also holds zeros of both signs.
+_LOOP_TABLES = {
+    "integers": lambda rng, shape: rng.integers(-2, 3, size=shape),
+    "signed-zeros": lambda rng, shape: rng.choice([-1.0, -0.0, 0.0, 0.5], shape),
+}
+
+# the bumpy_cycle fixture's demand
+_BUMPY = (0.0,) * 10 + (35_000.0,) * 25 + (120_000.0,) * 15 + (220_000.0,) * 10 \
+    + (18_000.0,) * 20 + (0.0,) * 10
+
+# Thresholds a run lands on exactly: the window ends, where the caps stop
+# a draining or charging pack, as the sustain or the release point.
+_LOOP_SUSTAIN = {
+    "stock": {},
+    "sustain-at-soc-min": {"charge_sustain_soc": 0.2},
+    "release-at-soc-max": {"charge_sustain_soc": 0.8, "charge_release_margin": 0.0},
+}
+
+# A learning rate of 1e-300 leaves an integer entry as it is, so its
+# updates land on tied row maxima, before and after the first argmax.
+_LoopCase = namedtuple("_LoopCase", "demands dt battery table seed sustain lr",
+                       defaults=(_BUMPY, 1.0, "stock", "integers", 6, "stock", 0.5))
+
+
+def _loop_models(case):
+    return dataclasses.replace(default_models(), battery=_LOOP_BATTERIES[case.battery],
+                               **_LOOP_SUSTAIN[case.sustain])
+
+
+# Between them these reach every branch the loop inlines (checked by
+# test_the_loop_examples_reach_every_inlined_branch).
+_LOOP_EXAMPLES = [
+    _LoopCase(),
+    _LoopCase(battery="small-pack", table="signed-zeros"),
+    _LoopCase((253_000.0, 0.0, 35_000.0, 0.0, 120_000.0, 0.0), dt=600.0, seed=3),
+    _LoopCase((0.0, 60_000.0, 0.0, 253_000.0, 5_000.0) * 3, dt=60.0, battery="bent",
+              table="signed-zeros", seed=9),
+    _LoopCase(battery="small-pack", sustain="sustain-at-soc-min"),
+    _LoopCase((0.0, 20_000.0) * 4, dt=60.0, battery="small-pack", sustain="release-at-soc-max"),
+    _LoopCase(lr=1e-300),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.builds(
+    _LoopCase,
+    demands=st.lists(st.one_of(st.floats(0.0, 253_000.0),
+                               st.sampled_from([0.0, 35_000.0, 120_000.0, 253_000.0])),
+                     min_size=1, max_size=30),
+    dt=st.sampled_from([1.0, 60.0, 600.0]), battery=st.sampled_from(sorted(_LOOP_BATTERIES)),
+    table=st.sampled_from(sorted(_LOOP_TABLES)), seed=st.integers(0, 2**16),
+    sustain=st.sampled_from(sorted(_LOOP_SUSTAIN)), lr=st.sampled_from([0.5, 1e-300])))
+@example(case=_LOOP_EXAMPLES[0])
+@example(case=_LOOP_EXAMPLES[1])
+@example(case=_LOOP_EXAMPLES[2])
+@example(case=_LOOP_EXAMPLES[3])
+@example(case=_LOOP_EXAMPLES[4])
+@example(case=_LOOP_EXAMPLES[5])
+@example(case=_LOOP_EXAMPLES[6])
 @pytest.mark.parametrize("policy", [
     EnsemblePolicy.weighted(0.3),
     EnsemblePolicy(kind="maximum"),
@@ -396,26 +483,87 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
 ], ids=["weighted", "maximum", "random", "single"])
 @pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
 @pytest.mark.parametrize("soc0", [0.5, 0.285], ids=["mid-soc", "charge-sustain"])
-def test_run_episode_matches_the_step_by_step_primitives(
-        models, grid, actions, bumpy_cycle, policy, learn, soc0):
-    def make(seed):
-        # a coarse integer table ties often, within rows and across proposals
-        agent_a, agent_b = _make_agents(grid, actions, seed=seed)
-        agent_a.q.values[:] = np.random.default_rng(seed).integers(
-            -2, 3, size=agent_a.q.values.shape)
+def test_run_episode_matches_the_step_by_step_primitives(grid, actions, policy, learn,
+                                                         soc0, case):
+    # == on the metrics, the last episode's traces, the table's bits and
+    # every RNG state, over three episodes
+    models = _loop_models(case)
+    cycle = DriveCycle(case.dt, np.array(case.demands), "case")
+
+    def make():
+        agent_a, agent_b = _make_agents(grid, actions, seed=case.seed, lr=case.lr)
+        agent_a.q.values[:] = _LOOP_TABLES[case.table](
+            np.random.default_rng(case.seed), agent_a.q.values.shape)
         return (agent_a,) if policy is None else (agent_a, agent_b)
 
-    fast, slow = make(6), make(6)
+    fast, slow = make(), make()
+    combiner, combiner_slow = (make_rng(case.seed, COMBINER_STREAM) for _ in range(2))
+    got = run_episodes(cycle, fast, range(3), models, soc0, grid, actions, policy,
+                       combiner, learn, record_traces=True)
     for k in range(3):
-        got = _episode(bumpy_cycle, fast, k, models, soc0, grid, actions,
-                       policy, make_rng(6 + k, COMBINER_STREAM), learn).metrics
-        want = _reference_episode(bumpy_cycle, slow, k, Plant(models, soc0), soc0, grid,
-                                  actions, policy, make_rng(6 + k, COMBINER_STREAM),
-                                  learn)
-        assert got == want
-        for a, b in zip(fast, slow):
-            np.testing.assert_array_equal(a.q.values, b.q.values)
-            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        want, traces = _reference_episode(cycle, slow, k, Plant(models, soc0), soc0, grid,
+                                          actions, policy, combiner_slow, learn)
+        assert got[k].metrics == want
+    assert got[-1].traces == traces
+    for a, b in zip(fast, slow):
+        assert a.q.values.tobytes() == b.q.values.tobytes()
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert combiner.bit_generator.state == combiner_slow.bit_generator.state
+
+
+def test_the_loop_examples_reach_every_inlined_branch(grid, actions):
+    seen = set()
+    for case in _LOOP_EXAMPLES:
+        models = _loop_models(case)
+        battery = models.battery
+        sustain = models.charge_sustain_soc
+        release = sustain + models.charge_release_margin
+        agents = _make_agents(grid, actions, seed=case.seed, lr=case.lr)
+        agents[0].q.values[:] = _LOOP_TABLES[case.table](
+            np.random.default_rng(case.seed), agents[0].q.values.shape)
+        outcomes = []
+        for k in range(3):
+            _reference_episode(DriveCycle(case.dt, np.array(case.demands), "case"), agents,
+                               k, Plant(models, 0.285), 0.285, grid, actions,
+                               EnsemblePolicy.weighted(0.3), make_rng(0, COMBINER_STREAM),
+                               True, outcomes)
+        for soc0, latch, command, out in outcomes:
+            seen.add(("latch", latch, out.forced_charging))
+            if soc0 == sustain and not latch:
+                seen.add("at the sustain point")
+            if soc0 == release and latch:
+                seen.add("at the release point")
+            if out.saturated and battery.soc_min < soc0 < battery.soc_max and abs(
+                    out.p_batt_w) < battery.max_discharge_power_w:
+                seen.add("cap binds inside the window")
+            if not out.forced_charging and out.p_egu_w != command:
+                seen.add("EGU raised" if out.p_egu_w > command else "EGU lowered")
+            if out.shortfall_w > 0.0:
+                seen.add("shortfall")
+            if out.p_egu_w == 0.0:
+                seen.add("engine off")
+            if out.soc < models.soc_ref:
+                seen.add("SoC penalty")
+    assert seen >= {("latch", False, True), ("latch", True, True), ("latch", True, False),
+                    ("latch", False, False), "cap binds inside the window", "EGU raised",
+                    "EGU lowered", "shortfall", "engine off", "SoC penalty",
+                    "at the sustain point", "at the release point"}
+
+
+def test_run_episodes_rejects_a_fuel_curve_below_output_as_the_kernel_does(
+        grid, actions, flat_cycle):
+    egu = default_egu()
+    object.__setattr__(egu, "fuel_b0", -1e6)  # bypass the model's own check
+    models = dataclasses.replace(default_models(), egu=egu)
+    agent = _make_agents(grid, actions)[0]
+    agent.q.values[:, 1] = 1.0  # every greedy action is the first running level
+    p_dem = float(flat_cycle.demand_w[0])
+    with pytest.raises(ValueError, match="engine loss is negative") as want:
+        step_kernel(models)(0.5, False, p_dem, models.motor.link_power(p_dem),
+                            actions.level(1), flat_cycle.dt_s)
+    with pytest.raises(ValueError) as got:
+        run_episodes(flat_cycle, (agent,), range(1), models, 0.5, grid, actions, learn=False)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +601,6 @@ def test_run_episodes_equals_successive_one_episode_calls(models, grid, actions,
         assert a.q.values.tobytes() == b.q.values.tobytes()
         assert a.rng.random() == b.rng.random()
     assert combiner.random() == combiner_parts.random()
-
-
-_ENTRIES = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0])
-
-
-@given(values=st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=3),
-       updates=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), _ENTRIES),
-                        max_size=40))
-@settings(max_examples=300, deadline=None)
-def test_set_entry_keeps_each_rows_maximum_and_first_argmax(values, updates):
-    # the cache starts from the numpy table, as in run_episodes
-    rows, arg, top = _table_lists(np.array(values), learn=True, compare=False)
-
-    def check():  # bit for bit: a cached -0.0 must not stand for 0.0
-        for s, row in enumerate(rows):
-            assert np.float64(top[s]).tobytes() == np.float64(max(row)).tobytes()
-            assert arg[s] == row.index(max(row))
-
-    check()
-    for state, action, value in updates:
-        state %= len(rows)
-        _set_entry(rows[state], top, arg, state, action, value)
-        assert rows[state][action] is value
-        check()
 
 
 # ---------------------------------------------------------------------------

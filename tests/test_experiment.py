@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import count_eval_episodes
 from tugems.ensemble import EnsemblePolicy
 from tugems.experiment import (ENSEMBLE_MODE, SINGLE_MODE, SWEEP_PROPORTIONS, RunSetup,
                                config_fingerprint, default_agent_configs,
@@ -242,6 +243,32 @@ def test_sweep_is_worker_count_invariant(models, grid, actions, flat_cycle):
     assert [r.mu for r in parallel] == list(SWEEP_PROPORTIONS)
 
 
+@pytest.mark.parametrize("workers, started", [(2, 2), (18, 18), (5000, 18)])
+def test_sweep_starts_no_more_workers_than_cells(models, grid, actions, flat_cycle,
+                                                 monkeypatch, workers, started):
+    # a fake pool that records its size and maps serially: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    setup = _setup(flat_cycle, models, grid, actions, episodes=1)
+    rows = sweep_weights(setup, repeats=2, base_seed=3, workers=workers)  # 18 cells
+    assert sizes == [started]
+    assert rows == sweep_weights(setup, repeats=2, base_seed=3, workers=1)
+
+
 def test_sweep_rejects_zero_repeats(models, grid, actions, flat_cycle):
     with pytest.raises(ValueError, match="repeats"):
         sweep_weights(_setup(flat_cycle, models, grid, actions), repeats=0)
@@ -304,23 +331,11 @@ def test_a_frozen_ensemble_saves_nothing_against_its_own_agent_a(
             assert ensemble.metrics == alone.metrics
 
 
-def _count_eval_episodes(monkeypatch) -> list:
-    """Record the cycle label of every ``evaluate_policy`` call ``robustness_eval`` makes."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].label)
-        return evaluate_policy(*args, **kwargs)
-
-    monkeypatch.setattr("tugems.experiment.evaluate_policy", counting)
-    return calls
-
-
 def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
         models, grid, actions, bumpy_cycle, flat_cycle, monkeypatch):
     agent = run_learning(_setup(bumpy_cycle, models, grid, actions,
                                 mode=SINGLE_MODE), seed=0).agents["A"]
-    calls = _count_eval_episodes(monkeypatch)
+    calls = count_eval_episodes(monkeypatch)
     rows = robustness_eval(agent, agent, "weighted",
                            cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
                            models=models, grid=grid, actions=actions,
@@ -353,7 +368,7 @@ def test_ensemble_eval_skips_the_candidate_only_on_the_baseline_table(
         copy = QTable(agent_a.q.n_states, agent_a.q.n_actions)
         copy.values[:] = agent_a.q.values
         base_agent = Agent("A", copy, agent_a.config, make_rng(0, AGENT_A_STREAM))
-    calls = _count_eval_episodes(monkeypatch)
+    calls = count_eval_episodes(monkeypatch)
     rows = robustness_eval(agent_a, base_agent, policy.kind,
                            cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],
                            models=models, grid=grid, actions=actions,
