@@ -250,7 +250,7 @@ def _load_agent(path: Path, config: RunConfig) -> tuple[Agent, str, dict]:
             f"snapshot {path} not found; run 'tugems learn' first")
     grid, actions = config.build_grids()
     q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
-    agent = Agent(name="A", q=q, config=config.agent_a, rng=make_rng(0, 0))
+    agent = Agent(q=q, config=config.agent_a, rng=make_rng(0, 0))
     label = schedule.kind if schedule is not None else "baseline"
     return agent, label, extra
 

@@ -48,7 +48,7 @@ import numpy as np
 from .drive_cycle import DriveCycle
 from .metrics import EpisodeMetrics, episode_metrics
 from .powertrain import (_NEGATIVE_ENGINE_LOSS, _SOC_PENALTY, PlantModels, PlantState,
-                         curve_lookup)
+                         _plant_constants)
 from .qlearn import ActionGrid, Agent, StateGrid, e2e_value, exploration_draws
 
 __all__ = [
@@ -151,7 +151,8 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     off.  The last sample bootstraps from its own demand.  Ladder, initial
     SoC and table (finite) are checked before any draw, and the cycle's
     inputs, the ``weighted`` blend table and the plant's constants and
-    curve closures bound, once per call.  Each step then runs
+    curve closures bound, once per call, the last by the kernels' one
+    binding, ``powertrain._plant_constants``.  Each step then runs
     :func:`~tugems.powertrain.step_kernel`'s operations inline, in its order
     and with its conditional forms, with no call and no outcome tuple.  The
     table becomes Python rows once on entry (frozen, only for ``maximum``),
@@ -200,18 +201,10 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
                   for b in range(n_actions)] for a in range(n_actions)]
     lr, gamma = agent_a.config.learning_rate, agent_a.config.discount
     soc_edges = grid.soc_edges
-    # step_kernel's constants and curve closures, bound as it binds them.
-    battery, egu = models.battery, models.egu
-    cell_voltage = curve_lookup(battery.voltage_curve)
-    resistance = curve_lookup(battery.resistance_curve)
-    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
-    soc_min, soc_max = battery.soc_min, battery.soc_max
-    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
-    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
-    served_from_link = models.motor.power_from_link
-    sustain = models.charge_sustain_soc
-    release = models.charge_sustain_soc + models.charge_release_margin
-    soc_ref = models.soc_ref
+    # The plant's constants and curve closures, from the kernels' one binding.
+    (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
+     p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
+    served_from_link, soc_ref = models.motor.power_from_link, models.soc_ref
 
     results = []
     for k in episodes:

@@ -118,11 +118,11 @@ def run_learning(setup: RunSetup, seed: int,
     per-step traces, when asked for, only for the last one (they are bulky).
     """
     started = time.perf_counter()
-    agents = {"A": Agent.create("A", setup.grid, setup.actions, setup.config_a,
-                                seed, AGENT_A_STREAM)}
+    agents = {"A": Agent.create(setup.grid, setup.actions, setup.config_a, seed,
+                                AGENT_A_STREAM)}
     combiner_rng = None
     if setup.mode == ENSEMBLE_MODE:
-        agents["B"] = Agent(name="B", q=agents["A"].q, config=setup.config_b,
+        agents["B"] = Agent(q=agents["A"].q, config=setup.config_b,
                             rng=make_rng(seed, AGENT_B_STREAM))
         combiner_rng = make_rng(seed, COMBINER_STREAM)
     results = run_episodes(setup.cycle, tuple(agents.values()), range(setup.episodes),

@@ -268,6 +268,16 @@ class PlantModels:
                 f"charge_release_margin must be non-negative, got {self.charge_release_margin}")
 
 
+def _plant_constants(models: PlantModels) -> tuple:
+    """What every written form of the step binds once per build (coulomb in A.s)."""
+    battery, egu = models.battery, models.egu
+    return (curve_lookup(battery.voltage_curve), curve_lookup(battery.resistance_curve),
+            battery.num_cells, battery.coulomb_capacity, battery.soc_min, battery.soc_max,
+            battery.max_discharge_power_w, battery.max_charge_power_w,
+            egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0, models.charge_sustain_soc,
+            models.charge_sustain_soc + models.charge_release_margin)
+
+
 @dataclass
 class PlantState:
     """Mutable integration state of one simulated run."""
@@ -316,7 +326,9 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     commands, :func:`array_kernel` over arrays of SoCs, steps and commands,
     and both return only its loss, latch and SoC, equal bit for bit.
     :func:`tugems.ensemble.run_episodes` runs its operations inline, fused
-    with the learning step; its tests check it against :class:`Plant`.
+    with the learning step; its tests check it against :class:`Plant`.  All
+    four bind the plant once per build through ``_plant_constants``: each
+    parameter in one place, the per-step operations written in four.
 
     ``kernel(soc, latch, p_dem_w, p_link_req_w, p_egu_cmd_w, dt_s)`` returns
     the fields of :class:`StepOutcome` as a tuple, in declaration order;
@@ -328,17 +340,9 @@ def step_kernel(models: PlantModels) -> Callable[..., tuple]:
     reported as shortfall.  The kernel checks no arguments and keeps no
     state.  Its conditionals reproduce builtin ``min``/``max`` exactly.
     """
-    battery, egu = models.battery, models.egu
-    cell_voltage = curve_lookup(battery.voltage_curve)
-    resistance = curve_lookup(battery.resistance_curve)
-    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
-    soc_min, soc_max = battery.soc_min, battery.soc_max
-    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
-    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
-    served_from_link = models.motor.power_from_link
-    sustain = models.charge_sustain_soc
-    release = models.charge_sustain_soc + models.charge_release_margin
-    soc_ref = models.soc_ref
+    (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
+     p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
+    served_from_link, soc_ref = models.motor.power_from_link, models.soc_ref
 
     def kernel(soc0: float, latch: bool, p_dem: float, p_link_req: float,
                p_cmd: float, dt: float) -> tuple:
@@ -406,16 +410,10 @@ def ladder_kernel(models: PlantModels) -> Callable[..., tuple]:
     ``p_loss_total_w`` and next SoC, as lists, and the one resolved latch.
     A latched step runs at full power whatever the command, so it returns
     the full-power outcome only: one loss and one SoC.  Like the kernel it
-    checks no arguments, except that a fuel curve below output raises."""
-    battery, egu = models.battery, models.egu
-    cell_voltage = curve_lookup(battery.voltage_curve)
-    resistance = curve_lookup(battery.resistance_curve)
-    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
-    soc_min, soc_max = battery.soc_min, battery.soc_max
-    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
-    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
-    sustain = models.charge_sustain_soc
-    release = models.charge_sustain_soc + models.charge_release_margin
+    checks no arguments, except that a fuel curve below output raises.
+    Constants: the kernel's binding, ``_plant_constants``."""
+    (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
+     p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
 
     def ladder(soc0: float, latch: bool, p_link_req: float, p_cmds, dt: float) -> tuple:
         if latch and soc0 >= release:
@@ -472,22 +470,17 @@ def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
     kernel's operations in order, in place on its own arrays only (never on
     the prepared ones), with masks on its comparisons and ``np.maximum(x,
     y)`` for ``x if x > y else y`` (both give ``y`` on ties, signed zeros
-    included; ``np.minimum`` likewise)."""
-    battery, egu = models.battery, models.egu
-    curves = curve_lookup(battery.voltage_curve), curve_lookup(battery.resistance_curve)
-    n_cells, coulomb = battery.num_cells, battery.coulomb_capacity  # coulomb in A.s
-    soc_min, soc_max = battery.soc_min, battery.soc_max
-    max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
-    p_max, b2, b1, b0 = egu.max_power_w, egu.fuel_b2, egu.fuel_b1, egu.fuel_b0
-    sustain = models.charge_sustain_soc
-    release = models.charge_sustain_soc + models.charge_release_margin
+    included; ``np.minimum`` likewise).  Constants: ``_plant_constants``."""
+    (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
+     p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
 
     def stage(soc0, latch, dt) -> Callable[..., tuple]:
         soc0 = np.array(soc0, dtype=float, ndmin=1)
         latch = np.logical_and(latch, ~(soc0 >= release)) | (soc0 < sustain)
         latch.flags.writeable = False  # every step returns it
         socs = soc0.tolist()
-        volt, r = (np.fromiter(map(f, socs), float, len(socs)) for f in curves)
+        volt, r = (np.fromiter(map(f, socs), float, len(socs))
+                   for f in (cell_voltage, resistance))
         volt *= n_cells  # pack volts
         dis_cap = np.minimum((soc0 - soc_min) * coulomb / dt * volt, max_dis)
         chg_cap = np.minimum((soc_max - soc0) * coulomb / dt * volt, max_chg)

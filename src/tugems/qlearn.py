@@ -399,15 +399,14 @@ def q_update(q: QTable, state: int, action: int, reward: float, next_state: int,
 class Agent:
     """A learner: Q-table, hyperparameters, and its own named RNG stream."""
 
-    name: str
     q: QTable
     config: LearnerConfig
     rng: np.random.Generator
 
     @classmethod
-    def create(cls, name: str, grid: StateGrid, actions: ActionGrid,
-               config: LearnerConfig, seed: int, stream: int) -> "Agent":
-        return cls(name=name, q=QTable(grid.n_states, actions.n_actions), config=config,
+    def create(cls, grid: StateGrid, actions: ActionGrid, config: LearnerConfig,
+               seed: int, stream: int) -> "Agent":
+        return cls(q=QTable(grid.n_states, actions.n_actions), config=config,
                    rng=make_rng(seed, stream))
 
 

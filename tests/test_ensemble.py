@@ -135,8 +135,8 @@ def _episode(cycle, agents, k, *args, **kwargs):
 
 def _pair(grid, actions, seed, config_a, config_b):
     """Agent A and agent B on A's table, each on its own stream, as in a run."""
-    agent_a = Agent.create("A", grid, actions, config_a, seed, AGENT_A_STREAM)
-    agent_b = Agent("B", agent_a.q, config_b, make_rng(seed, AGENT_B_STREAM))
+    agent_a = Agent.create(grid, actions, config_a, seed, AGENT_A_STREAM)
+    agent_b = Agent(agent_a.q, config_b, make_rng(seed, AGENT_B_STREAM))
     return agent_a, agent_b
 
 
@@ -290,7 +290,7 @@ def test_frozen_episode_executes_the_tables_first_greedy_action(models, grid, ac
 
 
 def _solo_run(grid, actions, cycle, models, seed, stream, config, episodes):
-    agent = Agent.create("solo", grid, actions, config, seed, stream)
+    agent = Agent.create(grid, actions, config, seed, stream)
     results = run_episodes(cycle, (agent,), range(episodes), models, 0.5, grid, actions)
     return agent, [r.metrics for r in results]
 
@@ -405,14 +405,16 @@ def _reference_episode(cycle, agents, k, plant, soc0, grid, actions, policy, com
 
 
 # Packs for the fused loop's plant step: voltage bending at several SoCs
-# beside a sloped resistance, and a 40-cell pack that crosses its window in
+# beside a sloped resistance, a 40-cell pack that crosses its window in
 # a few 1 s steps, so that its power caps bind inside the window (as 60 and
 # 600 s steps make the stock pack's do), demand falls short and the
-# charge-sustain latch engages, holds and releases.
+# charge-sustain latch engages, holds and releases, and a pack whose two
+# power limits differ, so that a step reading one for the other is seen.
 _LOOP_BATTERIES = {
     "stock": BatteryModel(),
     "bent": BENT_BATTERY,
     "small-pack": BatteryModel(num_cells=40),
+    "uneven-caps": BatteryModel(max_discharge_power_w=120_000.0, max_charge_power_w=60_000.0),
 }
 
 # Starting tables: coarse integers tie often, within rows and across
@@ -456,6 +458,7 @@ _LOOP_EXAMPLES = [
     _LoopCase(battery="small-pack", sustain="sustain-at-soc-min"),
     _LoopCase((0.0, 20_000.0) * 4, dt=60.0, battery="small-pack", sustain="release-at-soc-max"),
     _LoopCase(lr=1e-300),
+    _LoopCase((253_000.0, 0.0) * 10, battery="uneven-caps", seed=4),
 ]
 
 
@@ -475,6 +478,7 @@ _LOOP_EXAMPLES = [
 @example(case=_LOOP_EXAMPLES[4])
 @example(case=_LOOP_EXAMPLES[5])
 @example(case=_LOOP_EXAMPLES[6])
+@example(case=_LOOP_EXAMPLES[7])
 @pytest.mark.parametrize("policy", [
     EnsemblePolicy.weighted(0.3),
     EnsemblePolicy(kind="maximum"),
@@ -516,6 +520,7 @@ def test_the_loop_examples_reach_every_inlined_branch(grid, actions):
     for case in _LOOP_EXAMPLES:
         models = _loop_models(case)
         battery = models.battery
+        max_dis, max_chg = battery.max_discharge_power_w, battery.max_charge_power_w
         sustain = models.charge_sustain_soc
         release = sustain + models.charge_release_margin
         agents = _make_agents(grid, actions, seed=case.seed, lr=case.lr)
@@ -533,9 +538,11 @@ def test_the_loop_examples_reach_every_inlined_branch(grid, actions):
                 seen.add("at the sustain point")
             if soc0 == release and latch:
                 seen.add("at the release point")
-            if out.saturated and battery.soc_min < soc0 < battery.soc_max and abs(
-                    out.p_batt_w) < battery.max_discharge_power_w:
+            if out.saturated and battery.soc_min < soc0 < battery.soc_max and (
+                    -max_chg < out.p_batt_w < max_dis):
                 seen.add("cap binds inside the window")
+            if max_dis != max_chg and out.p_batt_w in (max_dis, -max_chg):
+                seen.add("discharge limit binds" if out.p_batt_w > 0.0 else "charge limit binds")
             if not out.forced_charging and out.p_egu_w != command:
                 seen.add("EGU raised" if out.p_egu_w > command else "EGU lowered")
             if out.shortfall_w > 0.0:
@@ -547,7 +554,8 @@ def test_the_loop_examples_reach_every_inlined_branch(grid, actions):
     assert seen >= {("latch", False, True), ("latch", True, True), ("latch", True, False),
                     ("latch", False, False), "cap binds inside the window", "EGU raised",
                     "EGU lowered", "shortfall", "engine off", "SoC penalty",
-                    "at the sustain point", "at the release point"}
+                    "at the sustain point", "at the release point", "discharge limit binds",
+                    "charge limit binds"}
 
 
 def test_run_episodes_rejects_a_fuel_curve_below_output_as_the_kernel_does(
@@ -775,7 +783,7 @@ def test_two_agents_on_distinct_tables_are_rejected_before_any_draw(models, grid
                                                                      actions, flat_cycle):
     # equal values are not enough: the loop keeps and updates one table
     agent_a, agent_b = _make_agents(grid, actions)
-    agent_b.q = Agent.create("B", grid, actions, agent_b.config, 0, AGENT_B_STREAM).q
+    agent_b.q = Agent.create(grid, actions, agent_b.config, 0, AGENT_B_STREAM).q
     _assert_rejected_before_any_draw(models, grid, actions, flat_cycle, (agent_a, agent_b),
                                      "must share one Q-table, got distinct tables")
 

@@ -367,7 +367,7 @@ def test_ensemble_eval_skips_the_candidate_only_on_the_baseline_table(
     else:
         copy = QTable(agent_a.q.n_states, agent_a.q.n_actions)
         copy.values[:] = agent_a.q.values
-        base_agent = Agent("A", copy, agent_a.config, make_rng(0, AGENT_A_STREAM))
+        base_agent = Agent(copy, agent_a.config, make_rng(0, AGENT_A_STREAM))
     calls = count_eval_episodes(monkeypatch)
     rows = robustness_eval(agent_a, base_agent, policy.kind,
                            cycles=[bumpy_cycle, flat_cycle], initial_socs=[0.3, 0.5],

@@ -168,6 +168,17 @@ def test_plant_step_physics_at_operating_points(models, soc0, demand, cmd):
     assert battery.soc_min <= out.soc <= battery.soc_max
 
 
+@pytest.mark.parametrize("demand,cmd,p_batt", [
+    (250_000.0, 0.0, 120_000.0),   # the discharge cap binds
+    (0.0, 86_200.0, -60_000.0),    # the charge cap binds
+], ids=["discharge", "charge"])
+def test_plant_step_holds_each_pack_power_cap_to_its_own_limit(demand, cmd, p_batt):
+    # uneven limits, so a step that reads one cap for the other cannot pass
+    battery = BatteryModel(max_discharge_power_w=120_000.0, max_charge_power_w=60_000.0)
+    models = dataclasses.replace(default_models(), battery=battery)
+    assert Plant(models, 0.5).step(demand, cmd, 1.0).p_batt_w == p_batt
+
+
 def test_plant_step_rejects_a_fuel_curve_below_output():
     egu = default_egu()
     object.__setattr__(egu, "fuel_b0", -1e6)  # bypass the model's own check
@@ -416,7 +427,7 @@ def test_plant_step_rejects_a_nan_command(models):
 
 def _run_episodes(models, soc, actions):
     grid = StateGrid.uniform()
-    agent = Agent.create("A", grid, actions, LearnerConfig(), 0, AGENT_A_STREAM)
+    agent = Agent.create(grid, actions, LearnerConfig(), 0, AGENT_A_STREAM)
     run_episodes(DriveCycle(1.0, np.full(5, 1_000.0), "tiny"), (agent,), range(1),
                  models, soc, grid, actions)
 

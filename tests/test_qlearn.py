@@ -426,11 +426,11 @@ def test_threshold_greedy_explores_exactly_below_theta():
 def test_agent_create_wires_grid_config_and_stream():
     grid = StateGrid.uniform(n_p_dem=4, n_soc=3)
     actions = ActionGrid.uniform(n_levels=5)
-    agent = Agent.create("A", grid, actions, LearnerConfig(), seed=9, stream=0)
+    agent = Agent.create(grid, actions, LearnerConfig(), seed=9, stream=0)
     assert agent.q.n_states == 12
     assert agent.q.n_actions == 5
     assert agent.q.values[0].argmax() == 0  # blank table ties to action 0
-    twin = Agent.create("A", grid, actions, LearnerConfig(), seed=9, stream=0)
+    twin = Agent.create(grid, actions, LearnerConfig(), seed=9, stream=0)
     assert (select_action(agent.q, 0, 1.0, agent.rng)
             == select_action(twin.q, 0, 1.0, twin.rng))
 
