@@ -34,7 +34,8 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .dp import dp_baseline, dp_slack_energy_j
 from .drive_cycle import DriveCycle
-from .experiment import (RunSetup, config_fingerprint, robustness_eval,
+from .ensemble import POLICY_KINDS
+from .experiment import (ENSEMBLE_MODE, RunSetup, config_fingerprint, robustness_eval,
                          run_learning, sweep_weights, write_dp_csv,
                          write_learning_curve_csv, write_robustness_csv,
                          write_sweep_csv, write_trace_csv)
@@ -184,10 +185,11 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         write_atomic(out / curve, write_learning_curve_csv(result.episodes))
         artifacts.append(curve)
         snap = f"qtable_A{tag}.json"  # an ensemble's agent B runs on this table
+        rule = {"rule": config.policy.kind} if config.mode == ENSEMBLE_MODE else {}
         save_qtable(out / snap, result.agents["A"].q, setup.grid, setup.actions,
                     schedule=config.agent_a.schedule,
-                    extra={"label": config.label, "seed": seed,
-                           "mode": config.mode, "rng_protocol": RNG_PROTOCOL})
+                    extra={"label": config.label, "seed": seed, "mode": config.mode,
+                           "rng_protocol": RNG_PROTOCOL, **rule})
         artifacts.append(snap)
         if args.traces and result.final_traces is not None:
             trace = f"trace{tag}.csv"
@@ -241,38 +243,38 @@ def _resolve_snapshot(snap_dir: Path) -> Path:
     return plain
 
 
-def _load_agent(path: Path, config: RunConfig) -> tuple[Agent, str, dict]:
-    """Rebuild frozen agent A from a snapshot around the config's learner,
-    which a frozen episode never reads; returns it with a method label (the
-    snapshot's schedule kind) and its ``extra`` block."""
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"snapshot {path} not found; run 'tugems learn' first")
-    grid, actions = config.build_grids()
-    q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
-    agent = Agent(q=q, config=config.agent_a, rng=make_rng(0, 0))
-    label = schedule.kind if schedule is not None else "baseline"
-    return agent, label, extra
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     """Load the snapshots, then create ``--out``.  An ensemble run keeps one
     table, whose greedy policy every rule executes when frozen, so its rows
-    run that table alone, labelled by the configured rule.  A baseline that
-    is the candidate's own file is the candidate's agent, loaded once."""
+    run that table alone, labelled by the rule its snapshot records (the
+    config's ``ensemble`` section is not read).  A baseline that is the
+    candidate's own file is the candidate's agent, loaded once."""
     config, _, eval_cycles = _load(args.config)
+    grid, actions = config.build_grids()
+
+    def load_agent(path: Path) -> tuple[Agent, str, dict]:
+        """Rebuild frozen agent A from a snapshot around the config's learner,
+        which a frozen episode never reads; returns it with a method label (the
+        snapshot's schedule kind) and its ``extra`` block."""
+        if not path.is_file():
+            raise FileNotFoundError(f"snapshot {path} not found; run 'tugems learn' first")
+        q, _, _, schedule, extra = load_qtable(path, expect_grid=grid, expect_actions=actions)
+        agent = Agent(q=q, config=config.agent_a, rng=make_rng(0, 0))
+        return agent, schedule.kind if schedule is not None else "baseline", extra
+
     snap_dir = Path(args.snapshots)
     path = _resolve_snapshot(snap_dir)
-    agent, label, extra = _load_agent(path, config)
+    agent, label, extra = load_agent(path)
+    method = extra.get("rule") if extra.get("mode") == ENSEMBLE_MODE else "weighted"
+    if method not in POLICY_KINDS:
+        raise ValueError(f"{path}: ensemble snapshot records no rule in extra, got {method!r}")
     base_path = _resolve_snapshot(Path(args.baseline_snapshots or snap_dir))
     if base_path.is_file() and os.path.samefile(base_path, path):
         baseline, base_label = agent, label
     else:
-        baseline, base_label, _ = _load_agent(base_path, config)
+        baseline, base_label, _ = load_agent(base_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid, actions = config.build_grids()
-    method = config.policy.kind if extra.get("mode") == "ensemble" else "weighted"
     rows = robustness_eval(agent, baseline, method, eval_cycles,
                            list(config.eval_initial_socs),
                            config.build_models(), grid, actions,

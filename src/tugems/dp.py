@@ -4,9 +4,9 @@ Backward value iteration over a discretized SoC axis (plus the binary
 charge-sustain latch) estimates the least engine-plus-battery loss a
 controller can achieve on the cycle with the end SoC at or above the sustain
 reference.  It runs the learners' plant: the backward pass stages blocks of
-steps on :func:`tugems.powertrain.array_kernel`, the plant kernel's exact
+steps on :func:`tugems.powertrain.array_kernel`, the plant step's exact
 array twin, and the greedy rollout chooses and books each step on
-:func:`tugems.powertrain.ladder_kernel`, the kernel's scalar form for one
+:func:`tugems.powertrain.ladder_kernel`, the step's scalar form for one
 state and the whole action ladder.  ``cost_j``, the interpolated value
 at the initial SoC, is not a lower bound: linear interpolation overestimates
 the cost-to-go.  From SoC 0.3, 0.5 and 0.7 on the built-in cycles, ``cost_j``

@@ -20,8 +20,8 @@ named RNG stream, one block per episode (RNG protocol v2, see
 :func:`tugems.qlearn.exploration_draws`).  :func:`run_episodes` is the one
 episode loop; a learning run is one call.  It runs the plant step and the
 TD update inline, beside the combination rules, as one fused step: the
-scalar :func:`tugems.powertrain.step_kernel` written out once more,
-operation for operation, which the tests pin to ``Plant.step``,
+checked scalar step :meth:`tugems.powertrain.Plant.step` written out once
+more, operation for operation, which the tests pin to ``Plant.step``,
 ``q_update`` and ``threshold_greedy`` with ``==``.
 
 On the one table both greedy proposals are the row's first argmax, so a
@@ -151,10 +151,10 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     off.  The last sample bootstraps from its own demand.  Ladder, initial
     SoC and table (finite) are checked before any draw, and the cycle's
     inputs, the ``weighted`` blend table and the plant's constants and
-    curve closures bound, once per call, the last by the kernels' one
+    curve closures bound, once per call, the last by the step's one
     binding, ``powertrain._plant_constants``.  Each step then runs
-    :func:`~tugems.powertrain.step_kernel`'s operations inline, in its order
-    and with its conditional forms, with no call and no outcome tuple.  The
+    :meth:`~tugems.powertrain.Plant.step`'s operations inline, in its order
+    and with its conditional forms, with no call, no check and no outcome.  The
     table becomes Python rows once on entry (frozen, only for ``maximum``),
     written back once on return when ``learn`` is set, and each row's
     maximum and first argmax are kept equal to ``max(row)`` and
@@ -201,7 +201,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
                   for b in range(n_actions)] for a in range(n_actions)]
     lr, gamma = agent_a.config.learning_rate, agent_a.config.discount
     soc_edges = grid.soc_edges
-    # The plant's constants and curve closures, from the kernels' one binding.
+    # The plant's constants and curve closures, from the step's one binding.
     (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
      p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
     served_from_link, soc_ref = models.motor.power_from_link, models.soc_ref
@@ -240,7 +240,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
                 else:
                     final = action_b if pick_b[i] else action_a
 
-            # The plant step: step_kernel's operations, in its order and
+            # The plant step: Plant.step's operations, in its order and
             # with its conditional forms (see there).
             soc0 = soc
             if latch and soc0 >= release:

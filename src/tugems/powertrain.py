@@ -37,7 +37,6 @@ __all__ = [
     "Plant",
     "egu_fuel_power",
     "egu_efficiency",
-    "step_kernel",
     "ladder_kernel",
     "array_kernel",
     "default_egu",
@@ -251,7 +250,7 @@ class BatteryModel:
 
 @dataclass(frozen=True)
 class PlantModels:
-    """Immutable parameter bundle consumed by :func:`step_kernel`."""
+    """Immutable parameter bundle consumed by :meth:`Plant.step` and its two kernels."""
 
     motor: TractionMotorModel
     egu: EguModel
@@ -320,98 +319,19 @@ class StepOutcome:
     saturated: bool       # battery power was cut by an SoC bound this step
 
 
-def step_kernel(models: PlantModels) -> Callable[..., tuple]:
-    """Build the one scalar plant step for a parameter bundle, the full
-    form: :func:`ladder_kernel` runs it for one state and a ladder of
-    commands, :func:`array_kernel` over arrays of SoCs, steps and commands,
-    and both return only its loss, latch and SoC, equal bit for bit.
-    :func:`tugems.ensemble.run_episodes` runs its operations inline, fused
-    with the learning step; its tests check it against :class:`Plant`.  All
-    four bind the plant once per build through ``_plant_constants``: each
-    parameter in one place, the per-step operations written in four.
-
-    ``kernel(soc, latch, p_dem_w, p_link_req_w, p_egu_cmd_w, dt_s)`` returns
-    the fields of :class:`StepOutcome` as a tuple, in declaration order;
-    ``latch`` is the charge-sustain flag before the step and
-    ``p_link_req_w`` is ``models.motor.link_power(p_dem_w)``.  The step
-    resolves, in order: the charge-sustain override (EGU at full power while
-    SoC is low, with hysteresis on release), battery capability at the
-    current SoC, and any residual the EGU must absorb; demand beyond that is
-    reported as shortfall.  The kernel checks no arguments and keeps no
-    state.  Its conditionals reproduce builtin ``min``/``max`` exactly.
-    """
-    (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
-     p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
-    served_from_link, soc_ref = models.motor.power_from_link, models.soc_ref
-
-    def kernel(soc0: float, latch: bool, p_dem: float, p_link_req: float,
-               p_cmd: float, dt: float) -> tuple:
-        # Charge-sustain override with hysteresis: engage strictly below the
-        # sustain threshold, stay engaged until SoC clears threshold + margin.
-        if latch and soc0 >= release:
-            latch = False
-        if soc0 < sustain:
-            latch = True
-        p_egu = p_max if latch else p_cmd
-
-        # Battery capability this step, shrunk so the SoC window is never left.
-        pack_volt = cell_voltage(soc0) * n_cells  # V
-        dis_cap = (soc0 - soc_min) * coulomb / dt * pack_volt
-        dis_cap = dis_cap if dis_cap < max_dis else max_dis
-        chg_cap = (soc_max - soc0) * coulomb / dt * pack_volt
-        chg_cap = chg_cap if chg_cap < max_chg else max_chg
-
-        # The EGU absorbs whatever the battery cannot, within its own rating.
-        lo = p_link_req - dis_cap
-        p_egu = lo if lo > p_egu else p_egu
-        hi = p_link_req + chg_cap
-        p_egu = hi if hi < p_egu else p_egu
-        p_egu = p_egu if p_egu > 0.0 else 0.0
-        p_egu = p_egu if p_egu < p_max else p_max
-        p_batt_unclamped = p_link_req - p_egu
-        p_batt = p_batt_unclamped if p_batt_unclamped > -chg_cap else -chg_cap
-        p_batt = p_batt if p_batt < dis_cap else dis_cap
-
-        p_link = p_egu + p_batt  # == p_link_req unless demand falls short
-        # On a genuine shortfall, serve the largest demand the link can carry.
-        p_served = served_from_link(p_link) if p_batt_unclamped > dis_cap else p_dem
-        traction_loss = p_link - p_served
-
-        fuel = (b2 * p_egu + b1) * p_egu + b0 if p_egu > 0.0 else 0.0  # off at 0 W
-        engine_loss = fuel - p_egu
-        if engine_loss < 0.0:
-            raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss))
-        current = p_batt / pack_volt  # A per cell
-        battery_loss = resistance(soc0) * current * current * n_cells
-        # Capability clamps above keep this inside the window up to rounding.
-        soc = soc0 - current * dt / coulomb
-        soc = soc if soc > soc_min else soc_min
-        soc = soc if soc < soc_max else soc_max
-
-        p_loss_total = engine_loss + battery_loss  # never negative, see above
-        reward = -p_loss_total / 1000.0
-        if soc < soc_ref:
-            reward -= _SOC_PENALTY * (soc_ref - soc)
-        return (p_egu, p_batt, p_link, p_served, p_dem - p_served, current, fuel,
-                engine_loss, battery_loss, traction_loss, p_loss_total, reward,
-                latch, soc, p_batt != p_batt_unclamped)
-
-    return kernel
-
-
 def ladder_kernel(models: PlantModels) -> Callable[..., tuple]:
-    """Build :func:`step_kernel` for one state and several commands, equal to
+    """Build :meth:`Plant.step` for one state and several commands, equal to
     it bit for bit (the scalar counterpart of :func:`array_kernel`).
 
     ``ladder(soc0, latch, p_link_req_w, p_egu_cmds_w, dt_s)`` resolves the
     latch and the SoC terms (battery curves, pack volts, power caps) once,
-    then runs the kernel's remaining operations once per command, in order,
-    and returns ``(losses, latch, socs)``: per command the kernel's
+    then runs the step's remaining operations once per command, in order,
+    and returns ``(losses, latch, socs)``: per command the step's
     ``p_loss_total_w`` and next SoC, as lists, and the one resolved latch.
     A latched step runs at full power whatever the command, so it returns
-    the full-power outcome only: one loss and one SoC.  Like the kernel it
-    checks no arguments, except that a fuel curve below output raises.
-    Constants: the kernel's binding, ``_plant_constants``."""
+    the full-power outcome only: one loss and one SoC.  Unlike the step it
+    checks no arguments and keeps no state, but a fuel curve below output
+    raises.  Constants: the step's one binding, ``_plant_constants``."""
     (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
      p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
 
@@ -450,7 +370,7 @@ def ladder_kernel(models: PlantModels) -> Callable[..., tuple]:
 
 
 def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
-    """Build :func:`step_kernel`'s array twin, equal to it bit for bit
+    """Build :meth:`Plant.step`'s array twin, equal to it bit for bit
     (:func:`ladder_kernel` is the scalar form of the same contract).
 
     ``array_kernel(models)(soc, latch, dt_s)`` prepares a stage over a 1-D
@@ -458,7 +378,7 @@ def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
     latch and maps the battery curves, pack volts and power caps over the
     SoCs once, and returns ``step(p_link_req_w, p_egu_cmd_w)``.  ``step``
     broadcasts its two arguments against each other, appends the SoC axis
-    and returns the kernel's ``p_loss_total_w``, latch and SoC as arrays
+    and returns the step's ``p_loss_total_w``, latch and SoC as arrays
     (the latch is the prepared one, 1-D and read-only).
 
     The engine side of the step (the EGU clamp chain, battery power, fuel
@@ -467,7 +387,7 @@ def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
     bits (-0.0 is not 0.0), and one ``take`` expands it over the SoCs: the
     stock pack's 87 free DP nodes are 2 columns, its 1 387 of a 1 601-node
     grid 3.  Current, battery loss and next SoC stay per SoC.  It runs the
-    kernel's operations in order, in place on its own arrays only (never on
+    step's operations in order, in place on its own arrays only (never on
     the prepared ones), with masks on its comparisons and ``np.maximum(x,
     y)`` for ``x if x > y else y`` (both give ``y`` on ties, signed zeros
     included; ``np.minimum`` likewise).  Constants: ``_plant_constants``."""
@@ -533,12 +453,12 @@ def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
 
 
 class Plant:
-    """:class:`PlantModels` with a live state and their cached :func:`step_kernel`;
-    construction and :meth:`reset` check the initial SoC against the battery window."""
+    """:class:`PlantModels` with a live state; :meth:`step` is the checked scalar step.
+    Construction and :meth:`reset` check the initial SoC against the battery window."""
 
     def __init__(self, models: PlantModels, initial_soc: float = 0.5) -> None:
         self.models = models
-        self.kernel = step_kernel(models)
+        self._constants = _plant_constants(models)
         self.reset(initial_soc)
 
     def reset(self, initial_soc: float) -> None:
@@ -548,29 +468,85 @@ class Plant:
     def step(self, p_dem_w: float, p_egu_cmd_w: float, dt_s: float) -> StepOutcome:
         """Advance the plant one step under a power demand and an EGU command.
 
-        Validates the arguments, runs the kernel and books the step into
-        :attr:`state`, the energy ledger, which is updated in place.
+        Validates the arguments, runs the step from :attr:`state`'s SoC and
+        latch, and books it into :attr:`state`, the energy ledger, in place.
+        In order: the charge-sustain override, battery capability at the
+        current SoC, and any residual the EGU must absorb; demand beyond that
+        is shortfall.  Its conditionals reproduce builtin ``min``/``max``
+        exactly, and :func:`ladder_kernel`, :func:`array_kernel` and the loop
+        of :func:`tugems.ensemble.run_episodes` equal it bit for bit.
         """
+        models, state, dt = self.models, self.state, dt_s
         if not p_dem_w >= 0.0:
             raise ValueError(f"p_dem_w must be non-negative, got {p_dem_w}")
-        self.models.egu.check_command(p_egu_cmd_w)
-        if not dt_s > 0.0:
-            raise ValueError(f"dt_s must be positive, got {dt_s}")
-        state = self.state
-        out = StepOutcome(*self.kernel(state.soc, state.forced_charging, p_dem_w,
-                                       self.models.motor.link_power(p_dem_w),
-                                       p_egu_cmd_w, dt_s))
-        state.soc, state.forced_charging = out.soc, out.forced_charging
-        state.cumulative_fuel_energy += out.fuel_power_w * dt_s
-        state.cumulative_engine_loss += out.engine_loss_w * dt_s
-        state.cumulative_battery_loss += out.battery_loss_w * dt_s
-        state.cumulative_traction_loss += out.traction_loss_w * dt_s
-        state.cumulative_traction_output += out.p_served_w * dt_s
-        state.cumulative_battery_draw += out.p_batt_w * dt_s
-        state.cumulative_shortfall += out.shortfall_w * dt_s
+        models.egu.check_command(p_egu_cmd_w)
+        if not dt > 0.0:
+            raise ValueError(f"dt_s must be positive, got {dt}")
+        (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
+         p_max, b2, b1, b0, sustain, release) = self._constants
+        soc0, latch = state.soc, state.forced_charging
+        p_link_req = models.motor.link_power(p_dem_w)
+
+        # Charge-sustain override with hysteresis: engage strictly below the
+        # sustain threshold, stay engaged until SoC clears threshold + margin.
+        if latch and soc0 >= release:
+            latch = False
+        if soc0 < sustain:
+            latch = True
+        p_egu = p_max if latch else p_egu_cmd_w
+
+        # Battery capability this step, shrunk so the SoC window is never left.
+        pack_volt = cell_voltage(soc0) * n_cells  # V
+        dis_cap = (soc0 - soc_min) * coulomb / dt * pack_volt
+        dis_cap = dis_cap if dis_cap < max_dis else max_dis
+        chg_cap = (soc_max - soc0) * coulomb / dt * pack_volt
+        chg_cap = chg_cap if chg_cap < max_chg else max_chg
+
+        # The EGU absorbs whatever the battery cannot, within its own rating.
+        lo = p_link_req - dis_cap
+        p_egu = lo if lo > p_egu else p_egu
+        hi = p_link_req + chg_cap
+        p_egu = hi if hi < p_egu else p_egu
+        p_egu = p_egu if p_egu > 0.0 else 0.0
+        p_egu = p_egu if p_egu < p_max else p_max
+        p_batt_unclamped = p_link_req - p_egu
+        p_batt = p_batt_unclamped if p_batt_unclamped > -chg_cap else -chg_cap
+        p_batt = p_batt if p_batt < dis_cap else dis_cap
+
+        p_link = p_egu + p_batt  # == p_link_req unless demand falls short
+        # On a genuine shortfall, serve the largest demand the link can carry.
+        p_served = (models.motor.power_from_link(p_link) if p_batt_unclamped > dis_cap
+                    else p_dem_w)
+
+        fuel = (b2 * p_egu + b1) * p_egu + b0 if p_egu > 0.0 else 0.0  # off at 0 W
+        engine_loss = fuel - p_egu
+        if engine_loss < 0.0:
+            raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss))
+        current = p_batt / pack_volt  # A per cell
+        battery_loss = resistance(soc0) * current * current * n_cells
+        # Capability clamps above keep this inside the window up to rounding.
+        soc = soc0 - current * dt / coulomb
+        soc = soc if soc > soc_min else soc_min
+        soc = soc if soc < soc_max else soc_max
+
+        p_loss_total = engine_loss + battery_loss  # never negative, see above
+        reward = -p_loss_total / 1000.0
+        if soc < models.soc_ref:
+            reward -= _SOC_PENALTY * (models.soc_ref - soc)
+        traction_loss, shortfall = p_link - p_served, p_dem_w - p_served
+        state.soc, state.forced_charging = soc, latch
+        state.cumulative_fuel_energy += fuel * dt
+        state.cumulative_engine_loss += engine_loss * dt
+        state.cumulative_battery_loss += battery_loss * dt
+        state.cumulative_traction_loss += traction_loss * dt
+        state.cumulative_traction_output += p_served * dt
+        state.cumulative_battery_draw += p_batt * dt
+        state.cumulative_shortfall += shortfall * dt
         state.steps += 1
-        state.forced_charge_steps += out.forced_charging
-        return out
+        state.forced_charge_steps += latch
+        return StepOutcome(p_egu, p_batt, p_link, p_served, shortfall, current, fuel, engine_loss,
+                           battery_loss, traction_loss, p_loss_total, reward, latch, soc,
+                           p_batt != p_batt_unclamped)
 
 
 def default_egu() -> EguModel:

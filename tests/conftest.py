@@ -1,6 +1,6 @@
 """Shared fixtures: stock models, grids, and small deterministic cycles, plus
-a pack with bent battery curves, a cycle CSV writer and a counter of eval
-episodes."""
+a pack with bent battery curves, a cycle CSV writer, a counter of eval
+episodes and the stateless plant-step reference."""
 
 from pathlib import Path
 
@@ -9,7 +9,7 @@ import pytest
 
 from tugems.drive_cycle import DriveCycle
 from tugems.experiment import evaluate_policy
-from tugems.powertrain import BatteryModel, PlantModels, default_models
+from tugems.powertrain import BatteryModel, Plant, PlantModels, StepOutcome, default_models
 from tugems.qlearn import ActionGrid, StateGrid
 
 
@@ -25,6 +25,16 @@ def write_cycle_csv(cycle: DriveCycle, path: str | Path) -> None:
     lines = ["t_s,p_dem_w", *(f"{i * cycle.dt_s!r},{p!r}"
                               for i, p in enumerate(cycle.demand_w.tolist()))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def step_from(plant: Plant, soc: float, latch: bool, p_dem_w: float, p_egu_cmd_w: float,
+              dt_s: float) -> StepOutcome:
+    """``plant.step`` from SoC ``soc`` and charge-sustain latch ``latch`` on a
+    fresh ledger: the stateless reference the step's other written forms are
+    tested against.  One plant serves many calls; each resets its state."""
+    plant.reset(soc)
+    plant.state.forced_charging = latch
+    return plant.step(p_dem_w, p_egu_cmd_w, dt_s)
 
 
 def count_eval_episodes(monkeypatch) -> list:

@@ -684,6 +684,42 @@ def test_eval_ensemble_rows_equal_their_own_agent_a_baseline(workspace, kind):
         assert float(cand[5]) == 0.0
 
 
+def test_eval_labels_ensemble_rows_with_the_rule_the_snapshot_records(workspace):
+    # learned under maximum, evaluated with a config saying random: the
+    # snapshot's rule labels the rows, the config's ensemble section is unread
+    tmp, cfg = workspace
+    run_dir, out = tmp / "run", tmp / "ev"
+    learned = _write_config(tmp, cfg, ensemble={"kind": "maximum"})
+    assert main(["learn", "--config", str(learned), "--out", str(run_dir)]) == 0
+    assert json.loads((run_dir / "qtable_A.json").read_text())["extra"]["rule"] == "maximum"
+    evaluated = _write_config(tmp, cfg, ensemble={"kind": "random", "t": 0.3})
+    assert main(["eval", "--config", str(evaluated), "--out", str(out),
+                 "--snapshots", str(run_dir)]) == 0
+    rows = (out / "robustness.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["step", "maximum"]
+
+
+@pytest.mark.parametrize("rule", [None, "best", "missing"])
+def test_eval_rejects_an_ensemble_snapshot_without_its_rule_before_it_creates_out(
+        workspace, capsys, rule):
+    tmp, cfg = workspace
+    run_dir, out = tmp / "run", tmp / "ev"
+    assert main(["learn", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    snap = run_dir / "qtable_A.json"
+    doc = json.loads(snap.read_text())
+    if rule == "missing":
+        del doc["extra"]["rule"]
+    else:
+        doc["extra"]["rule"] = rule
+    snap.write_text(json.dumps(doc))
+    code = main(["eval", "--config", str(cfg), "--out", str(out), "--snapshots", str(run_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"tugems: {snap}: ensemble snapshot records no rule" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_runs_a_single_mode_snapshot_without_agent_b(workspace):
     tmp, cfg = workspace
     single_cfg = _write_config(tmp, cfg, run={"mode": "single", "episodes": 2})

@@ -11,15 +11,15 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BENT_BATTERY, write_cycle_csv
+from conftest import BENT_BATTERY, step_from, write_cycle_csv
 from tugems import dp
 from tugems.cli import main
 from tugems.config import builtin_cycle
 from tugems.dp import DpResult, dp_baseline, dp_slack_energy_j, episode_loss_j
 from tugems.drive_cycle import DriveCycle
 from tugems.metrics import episode_metrics
-from tugems.powertrain import (BatteryModel, Plant, StepOutcome, TractionMotorModel,
-                               array_kernel, default_models, ladder_kernel, step_kernel)
+from tugems.powertrain import (BatteryModel, Plant, TractionMotorModel, array_kernel,
+                               default_models, ladder_kernel)
 from tugems.qlearn import ActionGrid
 
 
@@ -305,9 +305,9 @@ def test_array_kernel_is_the_scalar_kernel_bit_for_bit(case):
         np.array(links)[:, None], np.array(commands))
     assert loss.shape == soc_next.shape == (len(demands), len(commands), len(socs))
     assert latched.shape == (len(socs),)
-    kernel = step_kernel(models)
+    plant = Plant(models)
     for k, a, s in np.ndindex(loss.shape):
-        out = StepOutcome(*kernel(socs[s], latch, demands[k], links[k], commands[a], dt))
+        out = step_from(plant, socs[s], latch, demands[k], commands[a], dt)
         assert loss[k, a, s] == out.p_loss_total_w
         assert latched[s] == out.forced_charging
         assert soc_next[k, a, s] == out.soc
@@ -354,8 +354,8 @@ def test_ladder_kernel_is_the_scalar_kernel_bit_for_bit(case):
                                  **_SUSTAIN_VARIANTS[case.variant])
     link = models.motor.link_power(case.demand)
     losses, latch, socs = ladder_kernel(models)(case.soc, case.latch, link, case.commands, case.dt)
-    kernel = step_kernel(models)
-    outs = [StepOutcome(*kernel(case.soc, case.latch, case.demand, link, c, case.dt))
+    plant = Plant(models)
+    outs = [step_from(plant, case.soc, case.latch, case.demand, c, case.dt)
             for c in case.commands]
     if outs[0].forced_charging:  # full power whatever the command: one outcome
         outs = outs[:1]
@@ -371,7 +371,7 @@ def test_ladder_kernel_is_the_scalar_kernel_bit_for_bit(case):
 @pytest.mark.parametrize("soc,latch", [(0.2, False), (0.25, False), (0.2849, True)])
 def test_a_latched_ladder_step_returns_the_full_power_outcome_only(models, soc, latch):
     link = models.motor.link_power(60_000.0)
-    out = StepOutcome(*step_kernel(models)(soc, latch, 60_000.0, link, models.egu.max_power_w, 1.0))
+    out = step_from(Plant(models), soc, latch, 60_000.0, models.egu.max_power_w, 1.0)
     assert out.forced_charging
     for n_levels in range(1, 12):
         losses, latched, socs = ladder_kernel(models)(soc, latch, link, _LADDER[:n_levels], 1.0)
@@ -564,12 +564,9 @@ def test_kernel_steered_rollout_equals_the_stage_steered_one_on_a_full_cycle(mod
     cycle = builtin_cycle("PRDC-1-synthetic")
     assert len(cycle) == 960
     result = dp_baseline(cycle, actions, models, 0.282)
-    kernel, soc, latches = step_kernel(models), 0.282, [False]
+    plant, latches = Plant(models, 0.282), [False]
     for p, a in zip(cycle.demand_w.tolist(), result.actions):
-        out = StepOutcome(*kernel(soc, latches[-1], p, models.motor.link_power(p),
-                                  actions.level(a), 1.0))
-        soc = out.soc
-        latches.append(out.forced_charging)
+        latches.append(plant.step(p, actions.level(a), 1.0).forced_charging)
     assert (True, False) in set(zip(latches, latches[1:]))
     _assert_same_solution(cycle, actions, models, 0.282, 101)
 

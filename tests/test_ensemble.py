@@ -15,8 +15,7 @@ from conftest import BENT_BATTERY
 from tugems.drive_cycle import DriveCycle
 from tugems.ensemble import EnsemblePolicy, EnsembleStepTrace, combine_weighted, run_episodes
 from tugems.metrics import episode_metrics
-from tugems.powertrain import (BatteryModel, Plant, default_egu, default_models,
-                               step_kernel)
+from tugems.powertrain import BatteryModel, Plant, default_egu, default_models
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
                            ActionGrid, Agent, E2ESchedule, LearnerConfig,
                            e2e_value, exploration_draws, make_rng,
@@ -558,7 +557,7 @@ def test_the_loop_examples_reach_every_inlined_branch(grid, actions):
                     "charge limit binds"}
 
 
-def test_run_episodes_rejects_a_fuel_curve_below_output_as_the_kernel_does(
+def test_run_episodes_rejects_a_fuel_curve_below_output_as_plant_step_does(
         grid, actions, flat_cycle):
     egu = default_egu()
     object.__setattr__(egu, "fuel_b0", -1e6)  # bypass the model's own check
@@ -567,8 +566,7 @@ def test_run_episodes_rejects_a_fuel_curve_below_output_as_the_kernel_does(
     agent.q.values[:, 1] = 1.0  # every greedy action is the first running level
     p_dem = float(flat_cycle.demand_w[0])
     with pytest.raises(ValueError, match="engine loss is negative") as want:
-        step_kernel(models)(0.5, False, p_dem, models.motor.link_power(p_dem),
-                            actions.level(1), flat_cycle.dt_s)
+        Plant(models, 0.5).step(p_dem, actions.level(1), flat_cycle.dt_s)
     with pytest.raises(ValueError) as got:
         run_episodes(flat_cycle, (agent,), range(1), models, 0.5, grid, actions, learn=False)
     assert str(got.value) == str(want.value)

@@ -88,3 +88,27 @@ def test_every_function_is_called_or_allowed():
     used |= {node.name for node in ast.walk(acceptance) if isinstance(node, ast.alias)}
     assert sorted(defined - loaded - used - set(UNCALLED_ALLOWED)) == []
     assert sorted(set(UNCALLED_ALLOWED) - (defined - loaded - used)) == []
+
+
+# The plant fields every written form of the step reads through its one
+# binding, ``powertrain._plant_constants``, and the classes that own them.
+STEP_BOUND_FIELDS = {"max_charge_power_w", "max_discharge_power_w", "fuel_b2", "fuel_b1",
+                     "fuel_b0", "charge_release_margin", "voltage_curve", "resistance_curve"}
+MODEL_CLASSES = {"TractionMotorModel", "EguModel", "BatteryModel", "PlantModels"}
+
+
+def test_step_bound_fields_are_loaded_only_by_the_one_binding():
+    """Within ``src/tugems`` the step-bound fields are loaded only inside
+    ``powertrain._plant_constants`` and the model classes' own bodies, so no
+    written form of the step binds a field of its own."""
+    loads = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for owner in tree.body if path.name == "powertrain.py" and (
+                       isinstance(owner, ast.FunctionDef) and owner.name == "_plant_constants"
+                       or isinstance(owner, ast.ClassDef) and owner.name in MODEL_CLASSES)
+                   for node in ast.walk(owner)}
+        loads += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in STEP_BOUND_FIELDS and id(node) not in allowed]
+    assert loads == []

@@ -39,9 +39,9 @@ GOLDEN = {
         "run/manifest.json":
             "de4d8b1da32d7fb7f1c3b7be054003f7771fde462d8e6a0810fc382f9dced945",
         "run/qtable_A_seed0.json":
-            "aedfd199027a6d8c429d803e7c147bfdbaf0fa892f63215ec1d625c850b7b955",
+            "14a246d7d30f38d6bcb151f8ea1a079e7314d4b365cc6b31b44b2001f8da8365",
         "run/qtable_A_seed1.json":
-            "04e055a75bdeeb0ef9dad7baddafbc07342d3e07841bc83ce03654eea0894f7b",
+            "1b0002d6870f1474722a9ee2da017a020323a22504e0576f2bb1cf5803b98685",
         "run/trace_seed0.csv":
             "5ab03fd55b0c39cd59cc61ef258f18c676176c91cc6f06a0c7f095e935508a08",
         "run/trace_seed1.csv":
@@ -63,9 +63,9 @@ GOLDEN = {
         "run/manifest.json":
             "e186c0bc520b73f96dc7c723c7b92ac99930622dec9fd371ca1b22843d0951c6",
         "run/qtable_A_seed0.json":
-            "577527c5afc64ca00608293af2e7f6e9e6f830c15ec40f9e845cbd8b8940c678",
+            "5a5b1956e32da2e419c1ab14a97f56d6efd086881a6d1dc9c7e875640361ae3d",
         "run/qtable_A_seed1.json":
-            "3de18a4dadc401d75c2416cbca12274ae6146f554300bd3996b1c026e821607f",
+            "034c537031f6f46be61c1d9a9ed4184e371e153628837f37223b0f5610eef2c8",
         "run/trace_seed0.csv":
             "d4944a2aea9c47f4ab22cf1f5bc715562c21042602b0b1bf5aa8d97b49245dec",
         "run/trace_seed1.csv":
@@ -87,9 +87,9 @@ GOLDEN = {
         "run/manifest.json":
             "9da8cc688d640f7f3851b5c67a7a810467443f936eb2946be2fa730bcd7bf84e",
         "run/qtable_A_seed0.json":
-            "fc0dc13a90466ad1b2dbf0f0eb27710fddab8061026129b8b2ff026773aff18e",
+            "81debc1d0e517f62150fc9a073b1f8c3f3aa9e0adfd4bfb4d81904bdf6206b6f",
         "run/qtable_A_seed1.json":
-            "0a819e5a31fa88417841b5923d2ec7da53ad8753c2e2b96b3cf590527dd05d14",
+            "ed64a47f35b91c807cb6c9c3bd9a47a7c19ea5fd9862599c172773c9b0b92592",
         "run/trace_seed0.csv":
             "1e2c9df81ba581edcbe09d136c65bbbd2d3c37fab610fb842a724500b9ba24c2",
         "run/trace_seed1.csv":

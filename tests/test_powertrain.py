@@ -18,8 +18,7 @@ from tugems.drive_cycle import DriveCycle, SynthSpec
 from tugems.ensemble import run_episodes
 from tugems.powertrain import (BatteryModel, EguModel, Plant, PlantModels, PlantState,
                                TractionMotorModel, array_kernel, curve_lookup, default_egu,
-                               default_models, egu_efficiency, egu_fuel_power, ladder_kernel,
-                               step_kernel)
+                               default_models, egu_efficiency, egu_fuel_power, ladder_kernel)
 from tugems.qlearn import AGENT_A_STREAM, ActionGrid, Agent, LearnerConfig, StateGrid
 
 # ---------------------------------------------------------------------------
@@ -189,13 +188,13 @@ def test_plant_step_rejects_a_fuel_curve_below_output():
         array_kernel(models)([0.5], False, 1.0)(models.motor.link_power(0.0), [0.0, 8_620.0])
 
 
-def test_ladder_kernel_rejects_a_fuel_curve_below_output_as_the_kernel_does():
+def test_ladder_kernel_rejects_a_fuel_curve_below_output_as_plant_step_does():
     egu = default_egu()
     object.__setattr__(egu, "fuel_b0", -1e6)  # bypass the model's own check
     models = dataclasses.replace(default_models(), egu=egu)
     link = models.motor.link_power(0.0)
     with pytest.raises(ValueError, match="engine loss is negative") as want:
-        step_kernel(models)(0.5, False, 0.0, link, 8_620.0, 1.0)
+        Plant(models, 0.5).step(0.0, 8_620.0, 1.0)
     with pytest.raises(ValueError) as got:  # the engine-off level passes, the next raises
         ladder_kernel(models)(0.5, False, link, (0.0, 8_620.0), 1.0)
     assert str(got.value) == str(want.value)
