@@ -94,7 +94,7 @@ _KEYS = (
     _Key("sweep", "episodes", "sweep_episodes", int, low=1),
     _Key("eval", "cycles", "eval_cycles", str, many=True),
     _Key("eval", "initial_socs", "eval_initial_socs", float, many=True),
-    _Key("dp", "soc_nodes", "dp_soc_nodes", int, low=3),
+    _Key("dp", "soc_nodes", "dp_soc_nodes", int, low=2),
 )
 
 _SECTIONS: dict[str, list[_Key]] = {}

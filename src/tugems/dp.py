@@ -3,14 +3,15 @@
 Backward value iteration over a discretized SoC axis (plus the binary
 charge-sustain latch) estimates the least engine-plus-battery loss a
 controller can achieve on the cycle with the end SoC at or above the sustain
-reference.  It runs the learners' plant: the backward pass stages blocks of
-steps on :func:`tugems.powertrain.array_kernel`, the plant step's exact
-array twin, and the greedy rollout chooses and books each step on
-:func:`tugems.powertrain.ladder_kernel`, the step's scalar form for one
-state and the whole action ladder.  ``cost_j``, the interpolated value
-at the initial SoC, is not a lower bound: linear interpolation overestimates
-the cost-to-go.  From SoC 0.3, 0.5 and 0.7 on the built-in cycles, ``cost_j``
-is up to 1.9 SoC nodes of pack energy above the achievable ``rollout_cost_j``.
+reference.  It runs the learners' plant.  :func:`dp_solve` runs the backward
+pass once, on :func:`tugems.powertrain.array_kernel` (the step's array twin),
+and returns a rollout: one forward loop that books each step on
+:func:`tugems.powertrain.ladder_kernel` (one state, a ladder of commands).
+:func:`dp_baseline` is one solve rolled out once.  ``cost_j``, the
+interpolated value at the initial SoC, is not a lower bound: linear
+interpolation overestimates the cost-to-go.  From SoC 0.3, 0.5 and 0.7 on
+the built-in cycles, ``cost_j`` is up to 1.9 SoC nodes of pack energy above
+the achievable ``rollout_cost_j``.
 
 The terminal constraint is a finite linear price on the end-SoC deficit,
 above the steepest saving a joule of battery energy can buy, so the
@@ -18,8 +19,8 @@ relaxation never pays off by more than interpolation noise; a finite price
 (not a near-infinite wall) stops trajectories riding just above the floor
 from absorbing huge interpolation error out of the penalized cell.  Full
 generator power maximizes the end SoC, so a rollout that meets the floor
-proves the solve feasible; only one that falls short is followed by a
-forward pass at full power, which detects genuine infeasibility.
+proves the solve feasible.  Only one that falls short runs the full-power
+check: the forward loop over the one-level ladder ``(p_max,)``.
 
 The backward pass stages distinct rows only: a node's two latch modes share
 one row unless the latch engages there.  The free and the latched stage
@@ -36,6 +37,7 @@ form's, so results are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .drive_cycle import DriveCycle
 from .powertrain import PlantModels, array_kernel, ladder_kernel
 from .qlearn import ActionGrid
 
-__all__ = ["DpResult", "dp_baseline", "dp_slack_energy_j", "episode_loss_j"]
+__all__ = ["DpResult", "dp_baseline", "dp_slack_energy_j", "dp_solve", "episode_loss_j"]
 
 # Terminal price in J per J of end-SoC energy deficit.  The most a joule
 # of battery deficit can save is the engine loss of not generating it,
@@ -81,25 +83,25 @@ def episode_loss_j(metrics) -> float:
     return metrics.engine_loss_j + metrics.battery_loss_j
 
 
-def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
-                initial_soc: float, soc_nodes: int = 101,
-                end_soc_min: float | None = None) -> DpResult:
+def dp_solve(cycle: DriveCycle, actions: ActionGrid, models: PlantModels, soc_nodes: int = 101,
+             end_soc_min: float | None = None) -> Callable[[float], DpResult]:
     """Solve the minimum-loss control problem for one cycle on ``soc_nodes``
     SoC nodes across the battery window, with the terminal SoC floor
-    ``end_soc_min`` (default: the models' ``soc_ref``).
+    ``end_soc_min`` (default: the models' ``soc_ref``), backward once, and
+    return ``rollout(initial_soc) -> DpResult``, its greedy forward pass.
 
-    Raises ``ValueError`` if even full generator power throughout the cycle
-    cannot meet the floor, if an action level lies outside the EGU rating,
-    or if ``initial_soc`` or ``end_soc_min`` lies outside the battery window.
-    The full-power pass runs only when the rollout ends below the floor:
-    full power every step maximizes the end SoC (any other command can only
-    lower the next SoC, and the reachable end SoC is monotone in the current
-    SoC), so a rollout that meets the floor proves that full power does too.
+    Raises ``ValueError`` if an action level lies outside the EGU rating or
+    ``end_soc_min`` outside the battery window; the rollout raises it if
+    ``initial_soc`` lies outside the window, or if even full generator power
+    throughout the cycle cannot meet the floor.  That full-power pass runs
+    only when the rollout ends below the floor: full power every step
+    maximizes the end SoC (any other command can only lower the next SoC,
+    and the reachable end SoC is monotone in the current SoC), so a rollout
+    that meets the floor proves that full power does too.
     """
     if soc_nodes < 2:
         raise ValueError(f"soc_nodes must be at least 2, got {soc_nodes}")
     battery = models.battery
-    battery.check_in_window("initial_soc", initial_soc)
     for level in actions.levels_w:
         models.egu.check_command(level)
     if end_soc_min is None:
@@ -150,39 +152,47 @@ def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
             values[t, :n_sus] = held[:n_sus]
             held[n_rel:] = values[t, n_rel:]
 
-    cost_j = float(np.interp(initial_soc, nodes, values[0]))
+    # The one forward pass, on the plant, one ladder call per step: the first
+    # level of least loss plus interpolated cost-to-go (no snapping to a
+    # node).  A latched step runs at full power whatever the command, so it
+    # returns one outcome, level 0's, as does the full-power pass's ladder
+    # (p_top,).  The cycle and the checks above vouch for its arguments.
+    ladder, link_list = ladder_kernel(models), links.tolist()
 
-    # Greedy rollout on the plant by loss plus interpolated cost-to-go (no
-    # snapping to a node): one ladder call per step; a latched step runs at
-    # full power whatever the command, so it returns one outcome, level 0's.
-    # The cycle and the checks above vouch for the ladder's arguments.
-    ladder, levels_w = ladder_kernel(models), actions.levels_w
-    link_list = links.tolist()
-    chosen: list[int] = []
-    rollout_cost = 0.0
-    soc, latch = initial_soc, False
-    for t, link in enumerate(link_list):
-        losses, latch, socs = ladder(soc, latch, link, levels_w, dt)
-        a = 0
-        if len(losses) > 1:
-            to_go = np.interp(socs, nodes, values[t + 1]).tolist()
-            totals = [loss * dt + v for loss, v in zip(losses, to_go)]
-            a = totals.index(min(totals))
-        chosen.append(a)
-        rollout_cost += losses[a] * dt  # engine plus battery loss
-        soc = socs[a]
+    def forward(soc, levels_w):
+        chosen, cost, latch = [], 0.0, False
+        for t, link in enumerate(link_list):
+            losses, latch, socs = ladder(soc, latch, link, levels_w, dt)
+            a = 0
+            if len(losses) > 1:
+                to_go = np.interp(socs, nodes, values[t + 1]).tolist()
+                totals = [loss * dt + v for loss, v in zip(losses, to_go)]
+                a = totals.index(min(totals))
+            chosen.append(a)
+            cost += losses[a] * dt  # engine plus battery loss
+            soc = socs[a]
+        return chosen, cost, soc
 
-    # Only a rollout that falls short needs the full-power pass (see the
-    # docstring) to tell a floor it misses from an infeasible one.
-    if soc < end_floor - 1e-12:
-        full, full_latch = initial_soc, False
-        for link in link_list:
-            _, full_latch, (full,) = ladder(full, full_latch, link, (p_top,), dt)
-        if full < end_floor - 1e-12:
-            raise ValueError(
-                f"terminal constraint end-SoC >= {end_soc_min} is infeasible for "
-                f"cycle {cycle.label or '<unnamed>'!r} from SoC {initial_soc}: full "
-                f"generator power only reaches {full:.4f}")
+    def rollout(initial_soc: float) -> DpResult:
+        battery.check_in_window("initial_soc", initial_soc)
+        chosen, cost, soc = forward(initial_soc, actions.levels_w)
+        # Only a rollout that falls short needs the full-power pass (see the
+        # docstring) to tell a floor it misses from an infeasible one.
+        if soc < end_floor - 1e-12:
+            full = forward(initial_soc, (p_top,))[2]
+            if full < end_floor - 1e-12:
+                raise ValueError(
+                    f"terminal constraint end-SoC >= {end_soc_min} is infeasible for "
+                    f"cycle {cycle.label or '<unnamed>'!r} from SoC {initial_soc}: full "
+                    f"generator power only reaches {full:.4f}")
+        return DpResult(cost_j=float(np.interp(initial_soc, nodes, values[0])),
+                        actions=tuple(chosen), rollout_cost_j=cost, rollout_end_soc=soc,
+                        soc_node_spacing=float(nodes[1] - nodes[0]))
+    return rollout
 
-    return DpResult(cost_j=cost_j, actions=tuple(chosen), rollout_cost_j=rollout_cost,
-                    rollout_end_soc=soc, soc_node_spacing=float(nodes[1] - nodes[0]))
+
+def dp_baseline(cycle: DriveCycle, actions: ActionGrid, models: PlantModels,
+                initial_soc: float, soc_nodes: int = 101,
+                end_soc_min: float | None = None) -> DpResult:
+    """:func:`dp_solve` rolled out once, from ``initial_soc``."""
+    return dp_solve(cycle, actions, models, soc_nodes, end_soc_min)(initial_soc)

@@ -767,6 +767,20 @@ def test_dp_writes_the_reference_schedule(workspace, capsys):
     assert manifest["rollout_cost_j"] > 0.0
 
 
+def test_validate_and_dp_accept_two_soc_nodes_and_reject_one(tmp_path, capsys):
+    # one minimum: validate accepts exactly the grids the solver runs
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"run": {"initial_soc": 0.5}, "dp": {"soc_nodes": 2}}))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["dp", "--config", str(cfg), "--out", str(tmp_path / "dp")]) == 0
+    assert "dp cost 95.1644 MJ (rollout 32.4384 MJ" in capsys.readouterr().out
+    cfg.write_text(yaml.safe_dump({"dp": {"soc_nodes": 1}}))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert "config.dp.soc_nodes: must be >= 2, got 1" in capsys.readouterr().err
+    assert main(["dp", "--config", str(cfg), "--out", str(tmp_path / "dp1")]) == 1
+    assert "config.dp.soc_nodes" in capsys.readouterr().err
+
+
 def test_sweep_writes_one_row_per_proportion(workspace, capsys):
     tmp, cfg = workspace
     out = tmp / "sweep"

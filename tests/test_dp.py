@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from conftest import BENT_BATTERY, step_from, write_cycle_csv
 from tugems import dp
 from tugems.cli import main
-from tugems.config import builtin_cycle
-from tugems.dp import DpResult, dp_baseline, dp_slack_energy_j, episode_loss_j
+from tugems.config import BUILTIN_CYCLE_NAMES, builtin_cycle
+from tugems.dp import DpResult, dp_baseline, dp_slack_energy_j, dp_solve, episode_loss_j
 from tugems.drive_cycle import DriveCycle
 from tugems.metrics import episode_metrics
 from tugems.powertrain import (BatteryModel, Plant, TractionMotorModel, array_kernel,
@@ -241,6 +241,41 @@ def test_dp_result_is_deterministic(models, actions, flat_cycle):
     r1 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
     r2 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# one backward solve, any number of rollouts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cycle_name", BUILTIN_CYCLE_NAMES)
+def test_one_solve_rolled_out_from_three_socs_is_three_baselines(models, actions, cycle_name):
+    cycle = builtin_cycle(cycle_name)
+    rollout = dp_solve(cycle, actions, models)
+    for initial_soc in (0.3, 0.5, 0.7):  # DpResult's == compares every field
+        assert rollout(initial_soc) == dp_baseline(cycle, actions, models, initial_soc)
+
+
+def test_a_short_rollout_and_an_infeasible_floor_come_out_of_one_solve(models, actions):
+    # from 0.282 the ramp's rollout ends below the floor, so the full-power
+    # pass runs on the same solve and the result stands
+    ramp = DriveCycle(1.0, np.linspace(0.0, 150_000.0, 300), "ramp")
+    rollout = dp_solve(ramp, actions, models)
+    short = rollout(0.282)
+    assert short.rollout_end_soc < models.soc_ref
+    assert short == dp_baseline(ramp, actions, models, 0.282)
+    assert rollout(0.5) == dp_baseline(ramp, actions, models, 0.5)
+    # the solve needs no initial SoC, so only the drain's rollout finds it
+    # infeasible, with the message dp_baseline gives
+    drain = DriveCycle(1.0, np.full(30, 250_000.0), "drain")
+    rollout = dp_solve(drain, actions, models)
+    with pytest.raises(ValueError, match="full generator power only reaches 0.2000") as solved:
+        rollout(0.2)
+    with pytest.raises(ValueError) as baseline:
+        dp_baseline(drain, actions, models, 0.2)
+    assert str(solved.value) == str(baseline.value)
+    with pytest.raises(ValueError, match="initial_soc 0.05 outside the battery window"):
+        rollout(0.05)
 
 
 # ---------------------------------------------------------------------------

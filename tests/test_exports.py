@@ -5,6 +5,7 @@ uncalled copy of a function stays behind."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -112,3 +113,22 @@ def test_step_bound_fields_are_loaded_only_by_the_one_binding():
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                   and node.attr in STEP_BOUND_FIELDS and id(node) not in allowed]
     assert loads == []
+
+
+def _mutation_smoke():
+    path = Path(__file__).parent.parent / "tools" / "mutation_smoke.py"
+    spec = importlib.util.spec_from_file_location("mutation_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_smoke_mutant_edits_its_scope_exactly_once():
+    """Each edit of ``tools/mutation_smoke.py`` still matches the code once,
+    so the smoke run (which also runs the guarding tests) cannot pass on an
+    edit that has drifted out of step."""
+    smoke = _mutation_smoke()
+    for mutant in smoke.MUTANTS:
+        source = (smoke.ROOT / "src" / "tugems" / mutant.module).read_text(encoding="utf-8")
+        mutated = smoke.mutate(source, mutant)
+        assert mutated.count(mutant.new) == source.count(mutant.new) + 1
