@@ -296,6 +296,9 @@ def _cmd_dp(args: argparse.Namespace) -> int:
     _, actions = config.build_grids()
     result = dp_baseline(cycle, actions, models, config.initial_soc,
                          soc_nodes=config.dp_soc_nodes)
+    if result.rollout_end_soc < models.soc_ref:  # the solve rounds the floor down to a node
+        print(f"tugems: note: the dp rollout ends at SoC {result.rollout_end_soc:.5f}, below "
+              f"its terminal floor {models.soc_ref}", file=sys.stderr)
     write_atomic(out / "dp.csv", write_dp_csv(
         list(zip(cycle.times().tolist(), map(actions.level, result.actions)))))
     slack = dp_slack_energy_j(models, result.soc_node_spacing)

@@ -6,7 +6,8 @@ controller can achieve on the cycle with the end SoC at or above the sustain
 reference.  It runs the learners' plant.  :func:`dp_solve` runs the backward
 pass once, on :func:`tugems.powertrain.array_kernel` (the step's array twin),
 and returns a rollout: one forward loop that books each step on
-:func:`tugems.powertrain.ladder_kernel` (one state, a ladder of commands).
+:func:`tugems.powertrain.ladder_kernel` (one state, a ladder of commands),
+the step's one scalar form, which ``Plant.step`` runs with one command.
 :func:`dp_baseline` is one solve rolled out once.  ``cost_j``, the
 interpolated value at the initial SoC, is not a lower bound: linear
 interpolation overestimates the cost-to-go.  From SoC 0.3, 0.5 and 0.7 on
@@ -162,7 +163,7 @@ def dp_solve(cycle: DriveCycle, actions: ActionGrid, models: PlantModels, soc_no
     def forward(soc, levels_w):
         chosen, cost, latch = [], 0.0, False
         for t, link in enumerate(link_list):
-            losses, latch, socs = ladder(soc, latch, link, levels_w, dt)
+            losses, latch, socs, _ = ladder(soc, latch, link, levels_w, dt)
             a = 0
             if len(losses) > 1:
                 to_go = np.interp(socs, nodes, values[t + 1]).tolist()

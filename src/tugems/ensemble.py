@@ -20,9 +20,9 @@ named RNG stream, one block per episode (RNG protocol v2, see
 :func:`tugems.qlearn.exploration_draws`).  :func:`run_episodes` is the one
 episode loop; a learning run is one call.  It runs the plant step and the
 TD update inline, beside the combination rules, as one fused step: the
-checked scalar step :meth:`tugems.powertrain.Plant.step` written out once
-more, operation for operation, which the tests pin to ``Plant.step``,
-``q_update`` and ``threshold_greedy`` with ``==``.
+scalar step :func:`tugems.powertrain.ladder_kernel` written out once more,
+operation for operation, which the tests pin to ``Plant.step`` (one ladder
+call), ``q_update`` and ``threshold_greedy`` with ``==``.
 
 On the one table both greedy proposals are the row's first argmax, so a
 rule matters only on steps where an agent explores (theta_A, theta_B):
@@ -153,7 +153,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     inputs, the ``weighted`` blend table and the plant's constants and
     curve closures bound, once per call, the last by the step's one
     binding, ``powertrain._plant_constants``.  Each step then runs
-    :meth:`~tugems.powertrain.Plant.step`'s operations inline, in its order
+    :func:`~tugems.powertrain.ladder_kernel`'s operations inline, in its order
     and with its conditional forms, with no call, no check and no outcome.  The
     table becomes Python rows once on entry (frozen, only for ``maximum``),
     written back once on return when ``learn`` is set, and each row's
@@ -240,7 +240,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
                 else:
                     final = action_b if pick_b[i] else action_a
 
-            # The plant step: Plant.step's operations, in its order and
+            # The plant step: ladder_kernel's operations, in its order and
             # with its conditional forms (see there).
             soc0 = soc
             if latch and soc0 >= release:

@@ -250,7 +250,7 @@ class BatteryModel:
 
 @dataclass(frozen=True)
 class PlantModels:
-    """Immutable parameter bundle consumed by :meth:`Plant.step` and its two kernels."""
+    """Immutable parameter bundle of the plant step's three written forms."""
 
     motor: TractionMotorModel
     egu: EguModel
@@ -320,26 +320,34 @@ class StepOutcome:
 
 
 def ladder_kernel(models: PlantModels) -> Callable[..., tuple]:
-    """Build :meth:`Plant.step` for one state and several commands, equal to
-    it bit for bit (the scalar counterpart of :func:`array_kernel`).
+    """Build the plant step for one state and one or more commands: the one
+    scalar form of the step, which :meth:`Plant.step` runs with one command
+    and :func:`array_kernel` and the loop of
+    :func:`tugems.ensemble.run_episodes` equal bit for bit.
 
     ``ladder(soc0, latch, p_link_req_w, p_egu_cmds_w, dt_s)`` resolves the
     latch and the SoC terms (battery curves, pack volts, power caps) once,
     then runs the step's remaining operations once per command, in order,
-    and returns ``(losses, latch, socs)``: per command the step's
-    ``p_loss_total_w`` and next SoC, as lists, and the one resolved latch.
-    A latched step runs at full power whatever the command, so it returns
-    the full-power outcome only: one loss and one SoC.  Unlike the step it
-    checks no arguments and keeps no state, but a fuel curve below output
-    raises.  Constants: the step's one binding, ``_plant_constants``."""
+    and returns ``(losses, latch, socs, terms)``: per command the step's
+    ``p_loss_total_w`` and next SoC, as lists, the one resolved latch, and
+    the last command's terms ``(p_egu_w, p_batt_w, fuel_power_w,
+    engine_loss_w, cell_current_a, battery_loss_w, dis_cap_w)``, the last
+    being the step's discharge cap.  A latched step runs at full power
+    whatever the command, so it returns the full-power outcome only: one
+    loss, one SoC and the full-power terms.  Its conditionals reproduce
+    builtin ``min``/``max`` exactly.  It checks no arguments and keeps no
+    state, but a fuel curve below output raises.  Constants: the step's
+    one binding, ``_plant_constants``."""
     (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
      p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
 
     def ladder(soc0: float, latch: bool, p_link_req: float, p_cmds, dt: float) -> tuple:
+        # Charge-sustain latch: engage strictly below sustain, release at sustain + margin.
         if latch and soc0 >= release:
             latch = False
         if soc0 < sustain:
             latch = True
+        # Battery capability this step, shrunk so the SoC window is never left.
         pack_volt = cell_voltage(soc0) * n_cells  # V
         dis_cap = (soc0 - soc_min) * coulomb / dt * pack_volt
         dis_cap = dis_cap if dis_cap < max_dis else max_dis
@@ -348,6 +356,7 @@ def ladder_kernel(models: PlantModels) -> Callable[..., tuple]:
         lo, hi, r = p_link_req - dis_cap, p_link_req + chg_cap, resistance(soc0)
         losses, socs = [], []
         for p_egu in (p_max,) if latch else p_cmds:
+            # The EGU absorbs whatever the battery cannot, within its own rating.
             p_egu = lo if lo > p_egu else p_egu
             p_egu = hi if hi < p_egu else p_egu
             p_egu = p_egu if p_egu > 0.0 else 0.0
@@ -360,18 +369,20 @@ def ladder_kernel(models: PlantModels) -> Callable[..., tuple]:
             if engine_loss < 0.0:
                 raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss))
             current = p_batt / pack_volt  # A per cell
-            soc = soc0 - current * dt / coulomb
+            soc = soc0 - current * dt / coulomb  # the caps keep it in the window up to rounding
             soc = soc if soc > soc_min else soc_min
-            losses.append(engine_loss + r * current * current * n_cells)
+            battery_loss = r * current * current * n_cells
+            losses.append(engine_loss + battery_loss)
             socs.append(soc if soc < soc_max else soc_max)
-        return losses, latch, socs
+        return losses, latch, socs, (p_egu, p_batt, fuel, engine_loss, current, battery_loss,
+                                     dis_cap)
 
     return ladder
 
 
 def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
-    """Build :meth:`Plant.step`'s array twin, equal to it bit for bit
-    (:func:`ladder_kernel` is the scalar form of the same contract).
+    """Build the plant step's array twin, equal bit for bit to its scalar
+    form :func:`ladder_kernel` and so to :meth:`Plant.step`.
 
     ``array_kernel(models)(soc, latch, dt_s)`` prepares a stage over a 1-D
     array of SoCs (``latch``: one flag, or one per SoC): it resolves the
@@ -458,7 +469,7 @@ class Plant:
 
     def __init__(self, models: PlantModels, initial_soc: float = 0.5) -> None:
         self.models = models
-        self._constants = _plant_constants(models)
+        self._ladder = ladder_kernel(models)
         self.reset(initial_soc)
 
     def reset(self, initial_soc: float) -> None:
@@ -469,12 +480,12 @@ class Plant:
         """Advance the plant one step under a power demand and an EGU command.
 
         Validates the arguments, runs the step from :attr:`state`'s SoC and
-        latch, and books it into :attr:`state`, the energy ledger, in place.
-        In order: the charge-sustain override, battery capability at the
-        current SoC, and any residual the EGU must absorb; demand beyond that
-        is shortfall.  Its conditionals reproduce builtin ``min``/``max``
-        exactly, and :func:`ladder_kernel`, :func:`array_kernel` and the loop
-        of :func:`tugems.ensemble.run_episodes` equal it bit for bit.
+        latch as one call of the plant's :func:`ladder_kernel` with one
+        command, and books it into :attr:`state`, the energy ledger, in
+        place.  From that command's terms it derives the served power (demand
+        beyond the battery's discharge cap is shortfall), the reward and
+        whether a bound cut the battery power.  :func:`array_kernel` and the
+        loop of :func:`tugems.ensemble.run_episodes` equal it bit for bit.
         """
         models, state, dt = self.models, self.state, dt_s
         if not p_dem_w >= 0.0:
@@ -482,54 +493,15 @@ class Plant:
         models.egu.check_command(p_egu_cmd_w)
         if not dt > 0.0:
             raise ValueError(f"dt_s must be positive, got {dt}")
-        (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
-         p_max, b2, b1, b0, sustain, release) = self._constants
-        soc0, latch = state.soc, state.forced_charging
         p_link_req = models.motor.link_power(p_dem_w)
-
-        # Charge-sustain override with hysteresis: engage strictly below the
-        # sustain threshold, stay engaged until SoC clears threshold + margin.
-        if latch and soc0 >= release:
-            latch = False
-        if soc0 < sustain:
-            latch = True
-        p_egu = p_max if latch else p_egu_cmd_w
-
-        # Battery capability this step, shrunk so the SoC window is never left.
-        pack_volt = cell_voltage(soc0) * n_cells  # V
-        dis_cap = (soc0 - soc_min) * coulomb / dt * pack_volt
-        dis_cap = dis_cap if dis_cap < max_dis else max_dis
-        chg_cap = (soc_max - soc0) * coulomb / dt * pack_volt
-        chg_cap = chg_cap if chg_cap < max_chg else max_chg
-
-        # The EGU absorbs whatever the battery cannot, within its own rating.
-        lo = p_link_req - dis_cap
-        p_egu = lo if lo > p_egu else p_egu
-        hi = p_link_req + chg_cap
-        p_egu = hi if hi < p_egu else p_egu
-        p_egu = p_egu if p_egu > 0.0 else 0.0
-        p_egu = p_egu if p_egu < p_max else p_max
+        (p_loss_total,), latch, (soc,), terms = self._ladder(
+            state.soc, state.forced_charging, p_link_req, (p_egu_cmd_w,), dt)
+        p_egu, p_batt, fuel, engine_loss, current, battery_loss, dis_cap = terms
         p_batt_unclamped = p_link_req - p_egu
-        p_batt = p_batt_unclamped if p_batt_unclamped > -chg_cap else -chg_cap
-        p_batt = p_batt if p_batt < dis_cap else dis_cap
-
         p_link = p_egu + p_batt  # == p_link_req unless demand falls short
         # On a genuine shortfall, serve the largest demand the link can carry.
         p_served = (models.motor.power_from_link(p_link) if p_batt_unclamped > dis_cap
                     else p_dem_w)
-
-        fuel = (b2 * p_egu + b1) * p_egu + b0 if p_egu > 0.0 else 0.0  # off at 0 W
-        engine_loss = fuel - p_egu
-        if engine_loss < 0.0:
-            raise ValueError(_NEGATIVE_ENGINE_LOSS.format(engine_loss))
-        current = p_batt / pack_volt  # A per cell
-        battery_loss = resistance(soc0) * current * current * n_cells
-        # Capability clamps above keep this inside the window up to rounding.
-        soc = soc0 - current * dt / coulomb
-        soc = soc if soc > soc_min else soc_min
-        soc = soc if soc < soc_max else soc_max
-
-        p_loss_total = engine_loss + battery_loss  # never negative, see above
         reward = -p_loss_total / 1000.0
         if soc < models.soc_ref:
             reward -= _SOC_PENALTY * (models.soc_ref - soc)

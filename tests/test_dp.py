@@ -237,6 +237,23 @@ def test_the_dp_command_exits_2_on_an_unreachable_floor(tmp_path, capsys):
     assert "full generator power only reaches 0.2000" in capsys.readouterr().err
 
 
+def test_the_dp_command_notes_a_rollout_below_its_floor(tmp_path, capsys):
+    # from 0.282 the ramp's rollout ends within a node below the floor: one
+    # stderr note names both numbers, and the exit code and artifacts stand
+    cycle_path = tmp_path / "ramp.csv"
+    write_cycle_csv(DriveCycle(1.0, np.linspace(0.0, 150_000.0, 300), "ramp"), cycle_path)
+    for name, cycle, soc, note in (
+            ("ramp", {"path": str(cycle_path)}, 0.282,
+             "tugems: note: the dp rollout ends at SoC 0.27634, below its terminal floor 0.28\n"),
+            ("prdc", {"builtin": "PRDC-1-synthetic"}, 0.5, "")):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(yaml.safe_dump({"cycle": cycle, "run": {"initial_soc": soc}}))
+        out = tmp_path / name
+        assert main(["dp", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == note
+        assert sorted(path.name for path in out.iterdir()) == ["dp.csv", "manifest.json"]
+
+
 def test_dp_result_is_deterministic(models, actions, flat_cycle):
     r1 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
     r2 = dp_baseline(flat_cycle, actions, models, initial_soc=0.5)
@@ -388,7 +405,8 @@ def test_ladder_kernel_is_the_scalar_kernel_bit_for_bit(case):
     models = dataclasses.replace(default_models(), battery=_BATTERIES[case.battery],
                                  **_SUSTAIN_VARIANTS[case.variant])
     link = models.motor.link_power(case.demand)
-    losses, latch, socs = ladder_kernel(models)(case.soc, case.latch, link, case.commands, case.dt)
+    losses, latch, socs, terms = ladder_kernel(models)(case.soc, case.latch, link, case.commands,
+                                                       case.dt)
     plant = Plant(models)
     outs = [step_from(plant, case.soc, case.latch, case.demand, c, case.dt)
             for c in case.commands]
@@ -401,6 +419,12 @@ def test_ladder_kernel_is_the_scalar_kernel_bit_for_bit(case):
         assert soc == out.soc
         # and the sign of a zero
         assert np.signbit([loss, soc]).tolist() == np.signbit([out.p_loss_total_w, out.soc]).tolist()
+    # the terms are the last command's, field by field, signed zeros included
+    last = outs[-1]
+    want = [last.p_egu_w, last.p_batt_w, last.fuel_power_w, last.engine_loss_w,
+            last.cell_current_a, last.battery_loss_w]
+    assert list(terms[:6]) == want
+    assert np.signbit(terms[:6]).tolist() == np.signbit(want).tolist()
 
 
 @pytest.mark.parametrize("soc,latch", [(0.2, False), (0.25, False), (0.2849, True)])
@@ -409,9 +433,12 @@ def test_a_latched_ladder_step_returns_the_full_power_outcome_only(models, soc, 
     out = step_from(Plant(models), soc, latch, 60_000.0, models.egu.max_power_w, 1.0)
     assert out.forced_charging
     for n_levels in range(1, 12):
-        losses, latched, socs = ladder_kernel(models)(soc, latch, link, _LADDER[:n_levels], 1.0)
+        losses, latched, socs, terms = ladder_kernel(models)(soc, latch, link,
+                                                             _LADDER[:n_levels], 1.0)
         assert latched is True
         assert (losses, socs) == ([out.p_loss_total_w], [out.soc])
+        assert terms[:6] == (out.p_egu_w, out.p_batt_w, out.fuel_power_w, out.engine_loss_w,
+                             out.cell_current_a, out.battery_loss_w)
 
 
 def _bits(array):

@@ -236,6 +236,16 @@ def test_forced_charging_engages_below_sustain_and_releases_with_hysteresis(mode
         assert out.forced_charging
     out = plant.step(0.0, 0.0, 1.0)
     assert not out.forced_charging
+    # the boundaries, by absolute value: exactly at the sustain point the
+    # latch stays off, a float below it engages; a latched plant exactly at
+    # the release point releases, a float below it holds
+    sustain = models.charge_sustain_soc
+    release = sustain + models.charge_release_margin
+    for soc, latch, want in ((sustain, False, False), (math.nextafter(sustain, 0.0), False, True),
+                             (release, True, False), (math.nextafter(release, 0.0), True, True)):
+        plant.reset(soc)
+        plant.state.forced_charging = latch
+        assert plant.step(0.0, 0.0, 1.0).forced_charging is want
 
 
 def test_shortfall_reported_not_raised(models):

@@ -41,10 +41,19 @@ MUTANTS = (
            "battery.max_discharge_power_w, battery.max_charge_power_w",
            "battery.max_charge_power_w, battery.max_discharge_power_w",
            "tests/test_powertrain.py"),
-    # the latch engages at the threshold in Plant.step alone (ladder_kernel
-    # and the fused loop have the same line)
-    Mutant("sustain flip", "powertrain.py", "Plant",
+    # one mutant per written form of the step: the latch engages at the
+    # threshold in one form alone, and the tests that pin the forms to each
+    # other must see it
+    Mutant("sustain flip", "powertrain.py", "ladder_kernel",
            "if soc0 < sustain:", "if soc0 <= sustain:", "tests/test_dp.py"),
+    Mutant("array sustain flip", "powertrain.py", "array_kernel",
+           "| (soc0 < sustain)", "| (soc0 <= sustain)", "tests/test_dp.py"),
+    Mutant("loop sustain flip", "ensemble.py", "run_episodes",
+           "if soc0 < sustain:", "if soc0 <= sustain:", "tests/test_ensemble.py"),
+    # the scalar step burns fuel at a commanded 0 W, which the plant's own
+    # tests must see now that Plant.step runs the ladder
+    Mutant("engine-off fuel", "powertrain.py", "ladder_kernel",
+           "b0 if p_egu > 0.0", "b0 if p_egu >= 0.0", "tests/test_powertrain.py"),
     # the DP's one forward loop takes the worst level, not the best
     Mutant("rollout argmax", "dp.py", "dp_solve",
            "totals.index(min(totals))", "totals.index(max(totals))", "tests/test_dp.py"),
