@@ -244,9 +244,8 @@ def _resolve_snapshot(snap_dir: Path) -> Path:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    """Load the snapshots, then create ``--out``.  An ensemble run keeps one
-    table, whose greedy policy every rule executes when frozen, so its rows
-    run that table alone, labelled by the rule its snapshot records (the
+    """Load the snapshots, then create ``--out``.  An ensemble snapshot's
+    rows run its one table, labelled by the rule the snapshot records (the
     config's ``ensemble`` section is not read).  A baseline that is the
     candidate's own file is the candidate's agent, loaded once."""
     config, _, eval_cycles = _load(args.config)

@@ -136,17 +136,17 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     """Run the full cycle once per index in ``episodes`` under one agent or a
     two-agent ensemble: one result each, traces (if asked for) on the last.
 
-    Two agents hold one ``QTable`` and equal learning rate and discount
-    (checked before any draw, as ``ValueError``): ``policy`` combines their
-    proposals (``combiner_rng`` feeds ``random``) and the table makes one TD
-    update per step on the executed transition.  One agent's proposal is
-    executed as is, mirrored into both trace columns with chooser "A".
-    With ``learn``, exploration thresholds follow each agent's schedule at
-    the episode index, frozen for the episode, and each agent draws its
-    episode's block up front (:func:`exploration_draws`); without it, the
-    table stays frozen and each proposal is its state's first greedy action
-    (no agent draws), so every rule executes agent A's greedy action.
-    ``random`` draws one combiner uniform per step, per episode up front.
+    Two agents learn only (a frozen call takes one) and hold one ``QTable``
+    and equal learning rate and discount (checked before any draw, as
+    ``ValueError``): ``policy`` combines their proposals (``combiner_rng``
+    feeds ``random``) and the table makes one TD update per step on the
+    executed transition.  One agent's proposal is executed as is, mirrored
+    into both trace columns with chooser "A".  With ``learn``, exploration
+    thresholds follow each agent's schedule at the episode index, frozen for
+    the episode, and each agent draws its episode's block up front
+    (:func:`exploration_draws`); without it, the table stays frozen and the
+    proposal is its state's first greedy action (no draws).  ``random``
+    draws one combiner uniform per step, per episode up front.
     Every episode starts from ``initial_soc`` with the charge-sustain latch
     off.  The last sample bootstraps from its own demand.  Ladder, initial
     SoC and table (finite) are checked before any draw, and the cycle's
@@ -154,17 +154,19 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     curve closures bound, once per call, the last by the step's one
     binding, ``powertrain._plant_constants``.  Each step then runs
     :func:`~tugems.powertrain.ladder_kernel`'s operations inline, in its order
-    and with its conditional forms, with no call, no check and no outcome.  The
-    table becomes Python rows once on entry (frozen, only for ``maximum``),
-    written back once on return when ``learn`` is set, and each row's
-    maximum and first argmax are kept equal to ``max(row)`` and
-    ``row.index(max(row))`` under every TD update, also inline.  A trace's
-    chooser is derived from the rule and the two actions, on traced steps
-    only.
+    and with its conditional forms, with no call, no check and no outcome.  A
+    learning call turns the table into Python rows once on entry, written
+    back once on return, and keeps each row's maximum and first argmax equal
+    to ``max(row)`` and ``row.index(max(row))`` under every TD update, also
+    inline.  A trace's chooser is derived from the rule and the two actions,
+    on traced steps only.
     """
     agent_a, agent_b = agents[0], agents[-1]
     two = len(agents) == 2
     if two:
+        if not learn:
+            raise ValueError("a frozen episode runs one agent, got two; a frozen "
+                             "ensemble is its agent A")
         if policy is None:
             raise ValueError("policy is required for a two-agent episode, got None")
         if agent_b.q is not agent_a.q:
@@ -193,9 +195,12 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     p_bins = np.clip(np.searchsorted(grid.p_dem_edges_w, demand_w, side="right") - 1,
                      0, grid.n_p_dem - 1)
     offsets = (np.append(p_bins[1:], p_bins[-1]) * n_soc).tolist()
-    # The table's rows (read by learning and maximum), each row's first
-    # argmax and, when learning, its maximum.
-    rows, arg, top = _table_lists(agent_a.q.values, learn, kind == "maximum")
+    # Each row's first argmax and, when learning, the table's rows and each
+    # row's maximum: the entry at the argmax, so its zero has max(row)'s sign.
+    arg = agent_a.q.values.argmax(axis=1).tolist()
+    if learn:
+        rows = agent_a.q.values.tolist()
+        top = [row[a] for row, a in zip(rows, arg)]
     if kind == "weighted":  # the snapped blend depends on the two actions only
         blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
@@ -212,8 +217,8 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
         explore_a = explore_b = [-1] * n
         if learn:
             explore_a = _explore_actions(agent_a, k, n, n_actions)
-            if two:
-                explore_b = _explore_actions(agent_b, k, n, n_actions)
+        if two:
+            explore_b = _explore_actions(agent_b, k, n, n_actions)
         if kind == "random":
             pick_b = (combiner_rng.random(n) < policy.t).tolist()
         traces: list[EnsembleStepTrace] | None = (
@@ -331,16 +336,6 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     if learn:
         agent_a.q.values[:] = rows
     return results
-
-
-def _table_lists(values: np.ndarray, learn: bool,
-                 compare: bool) -> tuple[list | None, list, list | None]:
-    """A finite table's ``values`` as Python rows (for ``learn`` or
-    ``compare``), each row's first argmax and, for ``learn``, its maximum:
-    the entry there, so its zero has ``max(row)``'s sign."""
-    arg = values.argmax(axis=1).tolist()
-    rows = values.tolist() if learn or compare else None
-    return rows, arg, ([row[a] for row, a in zip(rows, arg)] if learn else None)
 
 
 def _explore_actions(agent: Agent, episode_index: int, n: int, n_actions: int) -> list[int]:

@@ -134,23 +134,21 @@ def run_learning(setup: RunSetup, seed: int,
 
 
 def evaluate_policy(cycle: DriveCycle, agents: dict[str, Agent],
-                    policy: EnsemblePolicy, models: PlantModels,
+                    _policy: EnsemblePolicy | None, models: PlantModels,
                     grid: StateGrid, actions: ActionGrid, initial_soc: float,
                     record_traces: bool = False) -> EpisodeResult:
-    """One frozen-policy episode: greedy proposals, no table updates, as a
-    one-episode :func:`run_episodes` call (which builds no row-maximum cache).
+    """One frozen greedy episode of agent A, with no table updates and no
+    draws, as a one-episode :func:`run_episodes` call.
 
-    With one agent in ``agents`` the episode is plain greedy single-agent
-    control; with two, proposals go through the combination policy (whose
-    ``random`` kind draws from the combiner stream of seed 0).  The two
-    share one table, so both propose its greedy action and every rule
-    executes it: the episode equals agent A's alone, which is why
-    :func:`robustness_eval` runs a frozen ensemble as its agent A.
+    A frozen ensemble is its agent A: an agent ``"B"`` must hold A's
+    ``QTable`` (else ``ValueError``), so both propose that table's first
+    greedy action and every rule executes it; the policy is not read.
     """
-    team = (agents["A"], agents["B"]) if "B" in agents else (agents["A"],)
-    return run_episodes(cycle, team, range(1), models, initial_soc, grid, actions, policy,
-                        make_rng(0, COMBINER_STREAM), learn=False,
-                        record_traces=record_traces)[0]
+    agent = agents["A"]
+    if "B" in agents and agents["B"].q is not agent.q:
+        raise ValueError("the two agents must share one Q-table, got distinct tables")
+    return run_episodes(cycle, (agent,), range(1), models, initial_soc, grid, actions,
+                        learn=False, record_traces=record_traces)[0]
 
 
 @dataclass(frozen=True)
@@ -222,9 +220,8 @@ def robustness_eval(agent: Agent, baseline_agent: Agent, method: str,
     ``baseline_method``, and the candidate ``agent``, labelled ``method``,
     with savings measured against that same pair's baseline OEC.  Tables
     are never updated, so repeated calls give identical rows.  A frozen
-    ensemble runs its one table's greedy policy under every rule
-    (:func:`evaluate_policy`), so its candidate is its agent A, and against
-    that same agent it saves exactly 0; a saving needs a ``baseline_agent``
+    ensemble is its agent A (:func:`evaluate_policy`), and against that
+    same agent it saves exactly 0; a saving needs a ``baseline_agent``
     trained separately.  When the candidate holds the baseline agent's
     ``QTable`` object (``eval``'s default baseline, or a baseline snapshot
     that is the candidate's own file), its row reuses the baseline episode
@@ -234,15 +231,14 @@ def robustness_eval(agent: Agent, baseline_agent: Agent, method: str,
     rows: list[RobustnessRow] = []
     # The candidate on the baseline's table: its episode is the baseline's.
     alone = agent.q is baseline_agent.q
-    greedy = EnsemblePolicy.weighted(1.0)
     for cycle in cycles:
         for soc0 in initial_socs:
-            base = evaluate_policy(cycle, {"A": baseline_agent}, greedy, models,
+            base = evaluate_policy(cycle, {"A": baseline_agent}, None, models,
                                    grid, actions, soc0).metrics
             if alone:
                 cand = base
             else:
-                cand = evaluate_policy(cycle, {"A": agent}, greedy, models, grid,
+                cand = evaluate_policy(cycle, {"A": agent}, None, models, grid,
                                        actions, soc0).metrics
             rows.append(RobustnessRow(
                 cycle=cycle.label, init_soc=soc0, method=baseline_method,

@@ -155,7 +155,8 @@ class ActionGrid:
     Adjacent levels must differ by at least 2**-48 of the higher one, and
     the lowest positive level must be a normal float.  Then every level p is
     a fixed point of a blend with itself, ``nearest(mu*p + (1 - mu)*p) ==
-    p`` for any ``mu`` in [0, 1], which ``eval`` relies on.  With
+    p`` for any ``mu`` in [0, 1], so a learning step on which neither agent
+    explores executes the greedy level under ``weighted`` too.  With
     u = 2**-53, the blend's four rounded operations land it within 6u*p of
     p (an underflowing product errs by at most 2**-1075 <= u*p), while both
     neighbours lie at least 31u*p away (32u*p less the check's own
@@ -468,7 +469,8 @@ def load_qtable(path: str | Path,
     ValueError
         Naming ``path``: on a file that is not JSON, a foreign format tag,
         a missing or mistyped key or an entry that is not a number (the key
-        named in the message), ragged or non-finite values, a grid or action
+        named in the message), an integer too large for a float, ragged or
+        non-finite values, a grid or action
         ladder that :class:`StateGrid`/:class:`ActionGrid` reject, or one
         that does not match ``expect_grid``/``expect_actions``.
     """
@@ -498,9 +500,9 @@ def load_qtable(path: str | Path,
     try:
         grid = StateGrid(doc["p_dem_edges_w"], doc["soc_edges"])
         actions = ActionGrid(doc["action_levels_w"])
-    except ValueError as exc:
+        values = np.array(doc["values"], dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # an integer too large for a float
         raise ValueError(f"{path}: {exc}") from None
-    values = np.array(doc["values"], dtype=np.float64)
     if values.ndim != 2 or values.shape != (grid.n_states, actions.n_actions):
         raise ValueError(
             f"{path}: value block of shape {values.shape} does not match "

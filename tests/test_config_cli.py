@@ -636,7 +636,7 @@ def test_eval_against_its_own_snapshot_loads_and_runs_it_once(workspace, monkeyp
         assert (len(loads), len(episodes)) == (1, 2)
 
 
-@pytest.mark.parametrize("case", ["missing", "malformed", "missing-baseline"])
+@pytest.mark.parametrize("case", ["missing", "malformed", "huge-integer", "missing-baseline"])
 def test_eval_checks_its_snapshots_before_it_creates_out(workspace, capsys, case):
     tmp, cfg = workspace
     run_dir = tmp / "multi"
@@ -650,6 +650,11 @@ def test_eval_checks_its_snapshots_before_it_creates_out(workspace, capsys, case
     elif case == "malformed":
         snap_a.write_text("{")
         message = f"tugems: {snap_a}: "
+    elif case == "huge-integer":  # one too large for a float
+        doc = json.loads(snap_a.read_text())
+        doc["values"][0][0] = 10**399
+        snap_a.write_text(json.dumps(doc))
+        message = f"tugems: {snap_a}: int too large to convert to float"
     else:
         extra = ["--baseline-snapshots", str(tmp / "nowhere")]
         message = "run 'tugems learn' first"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import BENT_BATTERY
 from tugems.drive_cycle import DriveCycle
 from tugems.ensemble import EnsemblePolicy, EnsembleStepTrace, combine_weighted, run_episodes
+from tugems.experiment import evaluate_policy
 from tugems.metrics import episode_metrics
 from tugems.powertrain import BatteryModel, Plant, default_egu, default_models
 from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
@@ -51,7 +52,8 @@ _LADDERS = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(data=st.data(), ladder=_LADDERS, mu=st.floats(0.0, 1.0))
 def test_combine_weighted_agreement_is_a_fixed_point(data, ladder, mu):
-    # frozen agents on one table agree, so eval may skip the ensemble episode
+    # both greedy proposals on one table agree, so a learning step on which
+    # neither agent explores executes the greedy level under weighted too
     a = data.draw(st.integers(0, ladder.n_actions - 1), label="action")
     assert combine_weighted(a, a, mu, ladder) == a
 
@@ -180,7 +182,7 @@ def test_episode_step_forced_charging_overrides_the_chosen_action(
 
 
 def test_episode_step_learn_false_leaves_the_table_blank(models, grid, actions):
-    agents = _make_agents(grid, actions)
+    agents = _make_agents(grid, actions)[:1]
     _one_step(models, grid, actions, agents, 0.5, 40_000.0, learn=False)
     assert not agents[0].q.values.any()
 
@@ -246,16 +248,39 @@ def test_random_policy_takes_agent_a_when_the_draw_equals_t(models, grid, action
                 if trace.action_a != trace.action_b} == {"B"}
 
 
+def _explore_episode(models, grid, actions, cycle, y):
+    """Agent A's learning episode 0 alone, every exploration uniform ``y``
+    and every exploration pick level 3."""
+    agent = _make_agents(grid, actions, seed=4)[0]
+    agent.rng = SimpleNamespace(random=lambda n: np.full(n, y),
+                                integers=lambda n_actions, size: np.full(size, 3))
+    result = _episode(cycle, (agent,), 0, models, 0.5, grid, actions, record_traces=True)
+    return result.metrics, result.traces, agent.q.values
+
+
+def test_an_exploration_draw_equal_to_theta_exploits(models, grid, actions, bumpy_cycle):
+    theta = e2e_value(E2ESchedule.step(0.8, 0.5, 10), 0)
+    metrics, traces, q = _explore_episode(models, grid, actions, bumpy_cycle, theta)
+    above = _explore_episode(models, grid, actions, bumpy_cycle, np.nextafter(theta, 1.0))
+    assert any(trace.action_a != 3 for trace in traces)  # some greedy step is not level 3
+    assert (metrics, traces) == above[:2]
+    np.testing.assert_array_equal(q, above[2])
+    # one ulp below theta: every step explores
+    _, traces, _ = _explore_episode(models, grid, actions, bumpy_cycle,
+                                    np.nextafter(theta, 0.0))
+    assert {trace.action_a for trace in traces} == {3}
+
+
 def test_greedy_episode_ignores_exploration_and_learning(
         models, grid, actions, flat_cycle):
-    agents = _make_agents(grid, actions, seed=2)
+    agents = _make_agents(grid, actions, seed=2)[:1]
     before_a = agents[0].q.values.copy()
-    r1 = _episode(flat_cycle, agents, 0, models, 0.5, grid, actions,
-                  EnsemblePolicy.weighted(0.5), make_rng(2, COMBINER_STREAM), learn=False)
-    r2 = _episode(flat_cycle, agents, 99, models, 0.5, grid, actions,
-                  EnsemblePolicy.weighted(0.5), make_rng(77, COMBINER_STREAM), learn=False)
+    rng_a = agents[0].rng.bit_generator.state
+    r1 = _episode(flat_cycle, agents, 0, models, 0.5, grid, actions, learn=False)
+    r2 = _episode(flat_cycle, agents, 99, models, 0.5, grid, actions, learn=False)
     np.testing.assert_array_equal(agents[0].q.values, before_a)
-    assert r1.metrics == r2.metrics  # episode index and rng are irrelevant
+    assert agents[0].rng.bit_generator.state == rng_a
+    assert r1.metrics == r2.metrics  # the episode index is irrelevant
 
 
 @pytest.mark.parametrize("policy", [
@@ -266,16 +291,14 @@ def test_greedy_episode_ignores_exploration_and_learning(
 ], ids=["weighted", "maximum", "random", "single"])
 def test_frozen_episode_executes_the_tables_first_greedy_action(models, grid, actions,
                                                                 bumpy_cycle, policy):
-    # both agents propose the one table's greedy action, so every rule
-    # executes agent A's greedy policy
-    agents = _make_agents(grid, actions, seed=3)[:1 if policy is None else 2]
-    q = agents[0].q.values
+    # evaluate_policy runs a frozen ensemble as its agent A under every rule
+    agents = dict(zip("AB", _make_agents(grid, actions, seed=3)[:1 if policy is None else 2]))
+    q = agents["A"].q.values
     q[:] = np.random.default_rng(11).integers(-2, 1, q.shape)  # nearly every row ties
     q[::2] = 0.0  # and every other row is one tie
     before = q.copy()
-    result = _episode(bumpy_cycle, agents, 0, models, 0.5, grid,
-                      actions, policy, make_rng(0, COMBINER_STREAM), learn=False,
-                      record_traces=True)
+    result = evaluate_policy(bumpy_cycle, agents, policy, models, grid, actions, 0.5,
+                             record_traces=True)
     assert len({trace.state for trace in result.traces}) > 1
     for trace in result.traces:
         greedy = int(q[trace.state].argmax())
@@ -489,7 +512,9 @@ _LOOP_EXAMPLES = [
 def test_run_episode_matches_the_step_by_step_primitives(grid, actions, policy, learn,
                                                          soc0, case):
     # == on the metrics, the last episode's traces, the table's bits and
-    # every RNG state, over three episodes
+    # every RNG state, over three episodes; a frozen call runs agent A
+    # alone, and the reference runs the frozen ensemble under the rule,
+    # which must execute the same episode (its chooser labels aside)
     models = _loop_models(case)
     cycle = DriveCycle(case.dt, np.array(case.demands), "case")
 
@@ -500,6 +525,8 @@ def test_run_episode_matches_the_step_by_step_primitives(grid, actions, policy, 
         return (agent_a,) if policy is None else (agent_a, agent_b)
 
     fast, slow = make(), make()
+    if not learn:
+        fast = fast[:1]
     combiner, combiner_slow = (make_rng(case.seed, COMBINER_STREAM) for _ in range(2))
     got = run_episodes(cycle, fast, range(3), models, soc0, grid, actions, policy,
                        combiner, learn, record_traces=True)
@@ -507,10 +534,14 @@ def test_run_episode_matches_the_step_by_step_primitives(grid, actions, policy, 
         want, traces = _reference_episode(cycle, slow, k, Plant(models, soc0), soc0, grid,
                                           actions, policy, combiner_slow, learn)
         assert got[k].metrics == want
+    if not learn:
+        traces = [dataclasses.replace(trace, chooser="A") for trace in traces]
     assert got[-1].traces == traces
     for a, b in zip(fast, slow):
         assert a.q.values.tobytes() == b.q.values.tobytes()
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    if not learn:  # a frozen call draws nothing
+        combiner_slow = make_rng(case.seed, COMBINER_STREAM)
     assert combiner.bit_generator.state == combiner_slow.bit_generator.state
 
 
@@ -577,13 +608,13 @@ def test_run_episodes_rejects_a_fuel_curve_below_output_as_plant_step_does(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("policy", [
-    None,
-    EnsemblePolicy.weighted(0.3),
-    EnsemblePolicy(kind="maximum"),
-    EnsemblePolicy(kind="random", t=0.4),
-], ids=["single", "weighted", "maximum", "random"])
-@pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
+@pytest.mark.parametrize("learn,policy", [
+    (True, None),
+    (True, EnsemblePolicy.weighted(0.3)),
+    (True, EnsemblePolicy(kind="maximum")),
+    (True, EnsemblePolicy(kind="random", t=0.4)),
+    (False, None),
+], ids=["learn-single", "learn-weighted", "learn-maximum", "learn-random", "greedy-single"])
 def test_run_episodes_equals_successive_one_episode_calls(models, grid, actions,
                                                           bumpy_cycle, policy, learn):
     def make():
@@ -651,13 +682,13 @@ def test_agent_a_does_not_depend_on_agent_b_schedule(models, grid, actions,
 def test_stream_positions_count_learning_episodes_only(models, grid, actions,
                                                        bumpy_cycle, policy):
     # each learning episode consumes exactly one block per stream, whatever
-    # the path; greedy episodes consume nothing from the agent streams
+    # the path; greedy episodes, agent A's alone, consume nothing
     agent_a, agent_b = _make_agents(grid, actions, seed=9)
     combiner = make_rng(9, COMBINER_STREAM)
     n, learned = len(bumpy_cycle), 0
     for k, learn in enumerate([True, False, True, True, False]):
-        _episode(bumpy_cycle, (agent_a, agent_b), k, models, 0.5, grid, actions,
-                 policy, combiner, learn)
+        _episode(bumpy_cycle, (agent_a, agent_b) if learn else (agent_a,), k, models, 0.5,
+                 grid, actions, policy, combiner, learn)
         learned += learn
     for agent, stream in ((agent_a, AGENT_A_STREAM), (agent_b, AGENT_B_STREAM)):
         fresh = make_rng(9, stream)
@@ -666,7 +697,7 @@ def test_stream_positions_count_learning_episodes_only(models, grid, actions,
         assert agent.rng.bit_generator.state == fresh.bit_generator.state
     fresh = make_rng(9, COMBINER_STREAM)
     if policy.kind == "random":
-        fresh.random(5 * n)
+        fresh.random(learned * n)
     assert combiner.bit_generator.state == fresh.bit_generator.state
 
 
@@ -705,10 +736,8 @@ def test_run_episode_rejects_action_levels_above_the_egu_rating(models, grid, fl
 
 @pytest.mark.parametrize("policy,learn", [
     (EnsemblePolicy(kind="maximum"), True),
-    (EnsemblePolicy.weighted(0.5), False),
-    (EnsemblePolicy(kind="random", t=0.5), False),
     (None, False),
-], ids=["maximum", "frozen-weighted", "frozen-random", "frozen-single"])
+], ids=["maximum", "frozen-single"])
 def test_run_episode_rejects_non_finite_q_values_under_maximum(models, grid, actions,
                                                                flat_cycle, policy, learn):
     # maximum compares Q-values and a frozen episode takes each row's argmax
@@ -758,23 +787,29 @@ def test_two_agents_without_a_policy_name_the_policy(models, grid, actions, flat
         _episode(flat_cycle, _make_agents(grid, actions), 0, models, 0.5, grid, actions)
 
 
-@pytest.mark.parametrize("learn", [True, False], ids=["learn", "greedy"])
-def test_random_policy_without_a_combiner_rng_names_it(models, grid, actions, flat_cycle,
-                                                       learn):
+def test_random_policy_without_a_combiner_rng_names_it(models, grid, actions, flat_cycle):
     with pytest.raises(ValueError, match="combiner_rng is required"):
         _episode(flat_cycle, _make_agents(grid, actions), 0, models, 0.5, grid, actions,
-                 EnsemblePolicy(kind="random", t=0.5), None, learn)
+                 EnsemblePolicy(kind="random", t=0.5))
 
 
-def _assert_rejected_before_any_draw(models, grid, actions, cycle, agents, match):
+def _assert_rejected_before_any_draw(models, grid, actions, cycle, agents, match,
+                                     learn=True):
     combiner = make_rng(0, COMBINER_STREAM)
     streams = [agent.rng.bit_generator.state for agent in agents]
-    for learn in (True, False):
-        with pytest.raises(ValueError, match=match):
-            run_episodes(cycle, agents, range(2), models, 0.5, grid, actions,
-                         EnsemblePolicy(kind="random", t=0.5), combiner, learn)
+    with pytest.raises(ValueError, match=match):
+        run_episodes(cycle, agents, range(2), models, 0.5, grid, actions,
+                     EnsemblePolicy(kind="random", t=0.5), combiner, learn)
     assert [agent.rng.bit_generator.state for agent in agents] == streams
     assert combiner.bit_generator.state == make_rng(0, COMBINER_STREAM).bit_generator.state
+
+
+def test_a_frozen_call_with_two_agents_is_rejected_before_any_draw(models, grid, actions,
+                                                                  flat_cycle):
+    # a frozen ensemble is its agent A, which evaluate_policy runs alone
+    _assert_rejected_before_any_draw(models, grid, actions, flat_cycle,
+                                     _make_agents(grid, actions),
+                                     "a frozen episode runs one agent, got two", learn=False)
 
 
 def test_two_agents_on_distinct_tables_are_rejected_before_any_draw(models, grid,

@@ -331,6 +331,17 @@ def test_a_frozen_ensemble_saves_nothing_against_its_own_agent_a(
             assert ensemble.metrics == alone.metrics
 
 
+def test_evaluate_policy_rejects_an_agent_b_on_another_table(models, grid, actions,
+                                                           flat_cycle):
+    # equal values are not enough: a frozen ensemble is its one table
+    agent_a = Agent.create(grid, actions, default_agent_configs()[0], 0, AGENT_A_STREAM)
+    agent_b = Agent(QTable(grid.n_states, actions.n_actions), agent_a.config,
+                    make_rng(0, AGENT_B_STREAM))
+    with pytest.raises(ValueError, match="must share one Q-table, got distinct tables"):
+        evaluate_policy(flat_cycle, {"A": agent_a, "B": agent_b}, EnsemblePolicy.weighted(0.5),
+                        models, grid, actions, 0.5)
+
+
 def test_single_mode_eval_runs_one_episode_per_cycle_and_soc(
         models, grid, actions, bumpy_cycle, flat_cycle, monkeypatch):
     agent = run_learning(_setup(bumpy_cycle, models, grid, actions,

@@ -554,6 +554,22 @@ def test_load_names_a_missing_or_mistyped_key(small_setup, tmp_path, key, bad):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("key", ["values", "p_dem_edges_w"])
+def test_load_names_an_integer_too_large_for_a_float(small_setup, tmp_path, key):
+    # a 400-digit integer is valid JSON but overflows float conversion
+    q, grid, actions = small_setup
+    path = tmp_path / "q.json"
+    save_qtable(path, q, grid, actions)
+    doc = json.loads(path.read_text())
+    if key == "values":
+        doc[key][0][0] = 10**399
+    else:
+        doc[key][-1] = 10**399
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: int too large")):
+        load_qtable(path)
+
+
 def test_load_rejects_a_schedule_that_is_not_a_mapping(small_setup, tmp_path):
     q, grid, actions = small_setup
     path = tmp_path / "q.json"

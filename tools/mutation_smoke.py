@@ -57,6 +57,25 @@ MUTANTS = (
     # the DP's one forward loop takes the worst level, not the best
     Mutant("rollout argmax", "dp.py", "dp_solve",
            "totals.index(min(totals))", "totals.index(max(totals))", "tests/test_dp.py"),
+    # the rules and the TD update, each against the episode loop's tests:
+    # maximum's tie goes to agent B, random takes B when its draw equals t,
+    # random's pick is swapped, the bootstrap reads this state's maximum,
+    # the blend gives agent B mu, and a draw equal to theta explores
+    Mutant("maximum tie", "ensemble.py", "run_episodes",
+           "row[action_a] >= row[action_b]", "row[action_a] > row[action_b]",
+           "tests/test_ensemble.py"),
+    Mutant("random draw at t", "ensemble.py", "run_episodes",
+           "combiner_rng.random(n) < policy.t", "combiner_rng.random(n) <= policy.t",
+           "tests/test_ensemble.py"),
+    Mutant("random pick swap", "ensemble.py", "run_episodes",
+           "action_b if pick_b[i] else action_a", "action_a if pick_b[i] else action_b",
+           "tests/test_ensemble.py"),
+    Mutant("TD bootstrap state", "ensemble.py", "run_episodes",
+           "gamma * top[next_state]", "gamma * top[state]", "tests/test_ensemble.py"),
+    Mutant("blend weight", "ensemble.py", "combine_weighted",
+           "(1.0 - mu) * actions", "mu * actions", "tests/test_ensemble.py"),
+    Mutant("exploration at theta", "ensemble.py", "_explore_actions",
+           "uniforms < theta", "uniforms <= theta", "tests/test_ensemble.py"),
 )
 
 
