@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"tugems: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, ValueError, OSError) as exc:
+    except (FileNotFoundError, ValueError, OSError, MemoryError) as exc:
         print(f"tugems: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -101,6 +101,8 @@ def combine_weighted(action_a: int, action_b: int, mu: float, actions: ActionGri
     the action ladder (tie: lower power)."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be within [0, 1], got {mu}")
+    if action_a == action_b:  # mu*p + (1 - mu)*p may round onto a close neighbour of p
+        return action_a
     blended = mu * actions.level(action_a) + (1.0 - mu) * actions.level(action_b)  # W
     return actions.nearest(blended)
 
@@ -148,18 +150,20 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     proposal is its state's first greedy action (no draws).  ``random``
     draws one combiner uniform per step, per episode up front.
     Every episode starts from ``initial_soc`` with the charge-sustain latch
-    off.  The last sample bootstraps from its own demand.  Ladder, initial
-    SoC and table (finite) are checked before any draw, and the cycle's
-    inputs, the ``weighted`` blend table and the plant's constants and
-    curve closures bound, once per call, the last by the step's one
-    binding, ``powertrain._plant_constants``.  Each step then runs
-    :func:`~tugems.powertrain.ladder_kernel`'s operations inline, in its order
-    and with its conditional forms, with no call, no check and no outcome.  A
-    learning call turns the table into Python rows once on entry, written
-    back once on return, and keeps each row's maximum and first argmax equal
-    to ``max(row)`` and ``row.index(max(row))`` under every TD update, also
-    inline.  A trace's chooser is derived from the rule and the two actions,
-    on traced steps only.
+    off.  The last sample bootstraps from its own demand.  States bin by
+    :class:`~tugems.qlearn.StateGrid`'s rule, over the interior edges: the
+    demand once per call (``searchsorted``), each step's SoC by
+    ``bisect_right``.  Ladder, initial SoC and table (finite) are checked
+    before any draw, and the cycle's inputs, the ``weighted`` blend table
+    and the plant's constants and curve closures bound, once per call, the
+    last by the step's one binding, ``powertrain._plant_constants``.  Each
+    step then runs :func:`~tugems.powertrain.ladder_kernel`'s operations
+    inline, in its order and with its conditional forms, with no call, no
+    check and no outcome.  A learning call turns the table into Python rows
+    once on entry, written back once on return, and keeps each row's maximum
+    and first argmax equal to ``max(row)`` and ``row.index(max(row))`` under
+    every TD update, also inline.  A trace's chooser is derived from the rule
+    and the two actions, on traced steps only.
     """
     agent_a, agent_b = agents[0], agents[-1]
     two = len(agents) == 2
@@ -191,9 +195,8 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
     # row offset from the demand bins (the last sample bootstraps from itself).
     demand = demand_w.tolist()
     links = models.motor.link_power(demand_w).tolist()
-    n_actions, n_soc, soc_top = actions.n_actions, grid.n_soc, grid.n_soc - 1
-    p_bins = np.clip(np.searchsorted(grid.p_dem_edges_w, demand_w, side="right") - 1,
-                     0, grid.n_p_dem - 1)
+    n_actions, n_soc = actions.n_actions, grid.n_soc
+    p_bins = np.searchsorted(grid.p_dem_edges_w[1:-1], demand_w, side="right")
     offsets = (np.append(p_bins[1:], p_bins[-1]) * n_soc).tolist()
     # Each row's first argmax and, when learning, the table's rows and each
     # row's maximum: the entry at the argmax, so its zero has max(row)'s sign.
@@ -205,7 +208,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
         blend = [[combine_weighted(a, b, policy.mu, actions)
                   for b in range(n_actions)] for a in range(n_actions)]
     lr, gamma = agent_a.config.learning_rate, agent_a.config.discount
-    soc_edges = grid.soc_edges
+    soc_cuts = grid.soc_edges[1:-1]  # the interior edges, as StateGrid bins
     # The plant's constants and curve closures, from the step's one binding.
     (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
      p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
@@ -292,9 +295,7 @@ def run_episodes(cycle: DriveCycle, agents: tuple[Agent, ...], episodes: range,
             short_j += (p_dem - p_served) * dt
             forced_steps += latch
 
-            s_bin = bisect_right(soc_edges, soc) - 1
-            s_bin = 0 if s_bin < 0 else (soc_top if s_bin > soc_top else s_bin)
-            next_state = offset + s_bin
+            next_state = offset + bisect_right(soc_cuts, soc)
             if learn:
                 # The TD update; the row's maximum and first argmax stay
                 # max(row) and row.index(max(row)): a new or equal-and-earlier

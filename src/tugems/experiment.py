@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,7 +96,6 @@ class RunResult:
 
     episodes: list[EpisodeMetrics]
     agents: dict[str, Agent]
-    wall_clock_s: float
     final_traces: list | None = None
 
     @property
@@ -117,7 +115,6 @@ def run_learning(setup: RunSetup, seed: int,
     how they explore.  Episode metrics are collected for every episode;
     per-step traces, when asked for, only for the last one (they are bulky).
     """
-    started = time.perf_counter()
     agents = {"A": Agent.create(setup.grid, setup.actions, setup.config_a, seed,
                                 AGENT_A_STREAM)}
     combiner_rng = None
@@ -129,7 +126,6 @@ def run_learning(setup: RunSetup, seed: int,
                            setup.models, setup.initial_soc, setup.grid, setup.actions,
                            setup.policy, combiner_rng, record_traces=record_final_traces)
     return RunResult(episodes=[r.metrics for r in results], agents=agents,
-                     wall_clock_s=time.perf_counter() - started,
                      final_traces=results[-1].traces)
 
 

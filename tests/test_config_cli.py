@@ -786,6 +786,19 @@ def test_validate_and_dp_accept_two_soc_nodes_and_reject_one(tmp_path, capsys):
     assert "config.dp.soc_nodes" in capsys.readouterr().err
 
 
+def test_dp_names_a_node_count_too_large_to_allocate(tmp_path, capsys):
+    # 10**15 nodes ask for petabytes, so the first allocation fails before
+    # any memory is touched
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"run": {"initial_soc": 0.5},
+                                   "dp": {"soc_nodes": 10**15}}))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["dp", "--config", str(cfg), "--out", str(tmp_path / "dp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tugems: Unable to allocate") and err.count("\n") == 1
+
+
 def test_sweep_writes_one_row_per_proportion(workspace, capsys):
     tmp, cfg = workspace
     out = tmp / "sweep"

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
@@ -40,9 +39,8 @@ def test_combine_weighted_pure_weights_reproduce_each_agent(actions):
         assert combine_weighted(a, b, 0.0, actions) == b
 
 
-# Ladders of distinct milliwatt levels up to the stock rating.  The blend of a
-# level with itself lands within a few ulps of it, so only levels that close
-# to a neighbour could snap away, and ``ActionGrid`` rejects those.
+# Ladders of distinct milliwatt levels up to the stock rating.  A level
+# blended with itself is that level, however close its neighbours lie.
 _LADDERS = st.one_of(
     st.just(ActionGrid.uniform()),
     st.lists(st.integers(1, 86_200_000), min_size=1, max_size=20, unique=True).map(
@@ -58,26 +56,16 @@ def test_combine_weighted_agreement_is_a_fixed_point(data, ladder, mu):
     assert combine_weighted(a, a, mu, ladder) == a
 
 
-def _lowest_level_above(lo):
-    """The lowest level ``ActionGrid`` accepts next above ``lo``."""
-    hi = math.nextafter(lo, math.inf)
-    while True:
-        try:
-            ActionGrid((0.0, lo, hi))
-            return hi
-        except ValueError:
-            hi = math.nextafter(hi, math.inf)
-
-
 @settings(max_examples=500, deadline=None)
-@given(low=st.floats(sys.float_info.min, 1e300), n_close=st.integers(1, 4),
-       mu=st.floats(0.0, 1.0))
-@example(low=sys.float_info.min, n_close=4, mu=0.5)
+@given(low=st.floats(5e-324, 1e300), n_close=st.integers(1, 4), mu=st.floats(0.0, 1.0))
+@example(low=5e-324, n_close=4, mu=0.5)  # subnormal levels
 @example(low=43_100.0, n_close=2, mu=0.3)
 def test_combine_weighted_fixes_every_level_at_the_minimum_spacing(low, n_close, mu):
+    # ladders of adjacent floats, where a blend of a level with itself could
+    # round onto a neighbour
     levels = [0.0, low]
     for _ in range(n_close):
-        levels.append(_lowest_level_above(levels[-1]))
+        levels.append(math.nextafter(levels[-1], math.inf))
     ladder = ActionGrid(levels)
     for a in range(ladder.n_actions):
         assert combine_weighted(a, a, mu, ladder) == a
@@ -226,6 +214,23 @@ def test_traces_record_the_executed_step(models, grid, actions, flat_cycle):
         assert trace.chooser in ("max-A", "max-B")
     times = [trace.t_s for trace in result.traces]
     assert times == [float(i) for i in range(len(flat_cycle))]
+
+
+@pytest.mark.parametrize("p_edge", [0, 1], ids=["zero-demand", "demand-on-an-edge"])
+def test_states_on_an_interior_edge_open_the_bin_above(models, grid, p_edge):
+    # level 1 is the demand's link power (3500 W at zero demand), so a table
+    # greedy on it draws p_batt == 0 and holds SoC exactly on an interior edge
+    soc = grid.soc_edges[10]
+    cycle = DriveCycle(1.0, np.full(6, grid.p_dem_edges_w[p_edge]), "on-edge")
+    ladder = ActionGrid((0.0, models.motor.link_power(cycle.demand_w)[0]))
+    agent = Agent.create(grid, ladder, LearnerConfig(), 0, AGENT_A_STREAM)
+    agent.q.values[:, 1] = 1.0
+    traces = run_episodes(cycle, (agent,), range(1), models, soc, grid, ladder,
+                          learn=False, record_traces=True)[0].traces
+    assert [(trace.p_batt_w, trace.soc) for trace in traces] == [(0.0, soc)] * len(cycle)
+    state = grid.p_dem_bin(grid.p_dem_edges_w[p_edge]) * grid.n_soc + grid.soc_bin(soc)
+    assert state == p_edge * grid.n_soc + 10
+    assert [trace.state for trace in traces] == [state] * len(cycle)
 
 
 def _random_episode_traces(models, grid, actions, cycle, t, y):

@@ -159,7 +159,6 @@ def test_run_learning_modes_and_final_property(models, grid, actions,
     assert set(ensemble.agents) == {"A", "B"}
     assert len(ensemble.episodes) == 3
     assert ensemble.final is ensemble.episodes[-1]
-    assert ensemble.wall_clock_s > 0.0
 
 
 def test_run_learning_builds_agent_b_on_agent_a_table(models, grid, actions,

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import re
-import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM,
-                           ActionGrid, Agent, E2ESchedule, LearnerConfig,
+from tugems.drive_cycle import CYCLE_POWER_MAX_W
+from tugems.qlearn import (AGENT_A_STREAM, AGENT_B_STREAM, COMBINER_STREAM, SOC_STATE_MAX,
+                           SOC_STATE_MIN, ActionGrid, Agent, E2ESchedule, LearnerConfig,
                            QTable, StateGrid, e2e_value,
                            exploration_draws, load_qtable, make_rng, q_update,
                            save_qtable, select_action, threshold_greedy, write_atomic)
@@ -46,6 +47,36 @@ def test_binning_clamps_out_of_range_values():
     assert grid.p_dem_bin(3e5) == 22
     assert grid.soc_bin(0.05) == 0
     assert grid.soc_bin(0.95) == 24
+
+
+def _axis(lo, hi):
+    """Edges spanning [lo, hi] with one to eight interior edges."""
+    interior = st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=8, unique=True)
+    return interior.map(lambda xs: (lo, *sorted(xs), hi))
+
+
+def _probes(edges):
+    """Each edge and its two neighbouring floats, both infinities, NaN, or any float."""
+    near = [math.nextafter(e, to) for e in edges for to in (-math.inf, math.inf)]
+    return st.one_of(st.sampled_from([*edges, *near, -math.inf, math.inf, math.nan]),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p_dem_edges=_axis(0.0, CYCLE_POWER_MAX_W),
+       soc_edges=_axis(SOC_STATE_MIN, SOC_STATE_MAX))
+def test_a_bin_is_the_count_of_interior_edges_at_or_below_a_value(data, p_dem_edges,
+                                                                 soc_edges):
+    grid = StateGrid(p_dem_edges, soc_edges)
+    for edges, bin_of in ((grid.p_dem_edges_w, grid.p_dem_bin), (grid.soc_edges, grid.soc_bin)):
+        x = data.draw(_probes(edges))
+        # the spec: bins closed on the left, both ends clamped, the last bin closed
+        spec = bisect_right(edges, x) - 1
+        spec = 0 if spec < 0 else min(spec, len(edges) - 2)
+        # run_episodes' forms: the demand's searchsorted, the SoC's bisect_right
+        vectorized = int(np.searchsorted(edges[1:-1], np.array([x]), side="right")[0])
+        assert bin_of(x) == vectorized == bisect_right(edges[1:-1], x) == spec
 
 
 def test_grid_rejects_bad_edges():
@@ -100,18 +131,6 @@ def test_action_grid_rejects_bad_ladders():
         ActionGrid([0.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="first action level must be 0"):
         ActionGrid([10.0, 20.0])
-
-
-def test_action_grid_rejects_levels_too_close_for_a_blend_to_keep_them():
-    # on this ladder, combine_weighted(2, 2, mu) snapped to a neighbour for
-    # about one random mu in twenty
-    level = 43_100.0
-    with pytest.raises(ValueError, match="action levels too close"):
-        ActionGrid([0.0, math.nextafter(level, -math.inf), level,
-                    math.nextafter(level, math.inf)])
-    with pytest.raises(ValueError, match="action levels too close"):
-        ActionGrid([0.0, 5e-324, 1e-323])  # subnormal levels
-    ActionGrid([0.0, sys.float_info.min, 2.0 * sys.float_info.min])
 
 
 def test_action_grid_rejects_a_nan_level():

@@ -76,6 +76,13 @@ MUTANTS = (
            "(1.0 - mu) * actions", "mu * actions", "tests/test_ensemble.py"),
     Mutant("exploration at theta", "ensemble.py", "_explore_actions",
            "uniforms < theta", "uniforms <= theta", "tests/test_ensemble.py"),
+    # the loop's bins: a demand or an SoC exactly on an interior edge falls
+    # in the bin below it
+    Mutant("demand bin on an edge", "ensemble.py", "run_episodes",
+           'demand_w, side="right")', 'demand_w, side="left")', "tests/test_ensemble.py"),
+    Mutant("soc bin on an edge", "ensemble.py", "run_episodes",
+           "offset + bisect_right(soc_cuts, soc)",
+           "offset + bisect_right(soc_cuts, soc) - (soc in soc_cuts)", "tests/test_ensemble.py"),
 )
 
 
