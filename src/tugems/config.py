@@ -94,7 +94,11 @@ _KEYS = (
     _Key("sweep", "episodes", "sweep_episodes", int, low=1),
     _Key("eval", "cycles", "eval_cycles", str, many=True),
     _Key("eval", "initial_socs", "eval_initial_socs", float, many=True),
-    _Key("dp", "soc_nodes", "dp_soc_nodes", int, low=2),
+    # The solve holds an 8 x (T + 1) x S byte value table, about 374 MB on
+    # PRDC-2 at the bound, the largest count a doubling search from 101
+    # nodes needs (6 401 -> 12 801 -> 25 601); past it a typo asks for
+    # gigabytes and a long run.
+    _Key("dp", "soc_nodes", "dp_soc_nodes", int, low=2, high=25_601),
 )
 
 _SECTIONS: dict[str, list[_Key]] = {}

@@ -26,13 +26,16 @@ check: the forward loop over the one-level ladder ``(p_max,)``.
 The backward pass stages distinct rows only: a node's two latch modes share
 one row unless the latch engages there.  The free and the latched stage
 each prepare their nodes' SoC terms (latch, battery curves, power caps)
-once per solve.  The latched rows take one command, full power, and are
-staged once for all steps; the free rows are staged a block of steps per
-call.  The recursion writes the value table in place.  It keeps the mode-0
-row of every step (the rollout and ``cost_j`` read them) and one rolling
-mode-1 row: ``(T + 1) x S`` values, plus ``O(T x S)`` for the latched stage
-and ``O(block x S x A)`` scratch.  Each float operation is the per-step
-form's, so results are bit-identical.
+once per solve, and both are staged a block of steps per call, the latched
+rows with one command, full power.  A block holds as many steps as keep its
+``(steps, A, free nodes)`` arrays within a fixed element budget, and its
+arrays are released before the next block is staged.  The recursion writes
+the value table in place.  It keeps the mode-0 row of every step (the
+rollout and ``cost_j`` read them) and one rolling mode-1 row: the solve's
+memory is those ``(T + 1) x S`` values plus a few budget-sized scratch
+arrays, whatever T is (one step's arrays, where one step alone passes the
+budget).  Each float operation is the per-step form's, so results are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -54,11 +57,19 @@ __all__ = ["DpResult", "dp_baseline", "dp_slack_energy_j", "dp_solve", "episode_
 # round-trip terms; pricing it at 3 keeps deficits strictly unprofitable.
 _DEFICIT_PRICE_PER_J = 3.0
 
-# Steps per free-stage twin call.  With the latched rows staged once per
-# solve, blocks of 16, 32 and 64 steps ran the backward pass within 3 % of
-# one another at the median and 32 was fastest at the minimum, while 128
-# was slower; each (32, 87, 11) scratch array is about 240 kB.
-_BLOCK_STEPS = 32
+# Elements per scratch array of a backward block (float64, about 240 kB).
+# A block stages as many steps as keep its (steps, levels, free nodes)
+# arrays within it, at least one: 32 steps at the stock 11 levels and 101
+# nodes (87 free), 2 at 1 601 nodes and 1 at 6 401.  So the solve holds its
+# (T + 1) x S value table and a few such arrays at any grid, where a fixed
+# block length (and the whole cycle's latched rows staged at once) held
+# about twice the table at 1 601 nodes and up.  dp_solve's tracemalloc
+# peak on PRDC-2: 2.2 MiB at 101 nodes, 23.3 MiB at 1 601 (table 22.3 MiB),
+# 92 MiB at 6 401 (table 89.3 MiB), against 3.1, 47.6 and 190 MiB that
+# way.  At 101 nodes, blocks of 16, 32 and 64 steps ran the backward pass
+# within 3 % of one another at the median, 32 was fastest at the minimum
+# and 128 slower.
+_SCRATCH_ELEMENTS = 32 * 11 * 87
 
 
 @dataclass(frozen=True)
@@ -130,28 +141,29 @@ def dp_solve(cycle: DriveCycle, actions: ActionGrid, models: PlantModels, soc_no
     # (ladder, mode-0 row) cover the nodes the latch spares in mode 0,
     # latched rows (full power, mode-1 row) those it holds in mode 1: runs of
     # ascending nodes, split at the count the twin latches from each mode.
-    # The latched rows take one command, so they are staged once for all
-    # steps; the free rows, one block of steps at a time.
+    # Both are staged one block of steps at a time (see _SCRATCH_ELEMENTS).
     stage = array_kernel(models)
     n_sus, n_rel = (int(stage(nodes, mode, dt)(0.0, 0.0)[1].sum()) for mode in (False, True))
-    free_stage = stage(nodes[n_sus:], False, dt)
-    cost_l, _, next_l = stage(nodes[:n_rel], True, dt)(links, p_top)
-    cost_l *= dt  # J
+    free_stage, latched_stage = stage(nodes[n_sus:], False, dt), stage(nodes[:n_rel], True, dt)
+    block = max(1, _SCRATCH_ELEMENTS // (len(levels) * (soc_nodes - n_sus)))
     terminal = price * np.maximum(0.0, end_floor - nodes)
     values = np.empty((n_steps + 1, soc_nodes))  # mode 0, every step
     values[n_steps] = terminal
     held = terminal.copy()  # mode 1, rolled back one step at a time
-    for stop in range(n_steps, 0, -_BLOCK_STEPS):
-        start = max(0, stop - _BLOCK_STEPS)
+    for stop in range(n_steps, 0, -block):
+        start = max(0, stop - block)
         cost_f, _, next_f = free_stage(links[start:stop, None], levels)
-        cost_f *= dt
+        cost_l, _, next_l = latched_stage(links[start:stop], p_top)
+        cost_f *= dt  # J
+        cost_l *= dt
         for k in range(stop - start - 1, -1, -1):
             t = start + k
             free = np.interp(next_f[k], nodes, values[t + 1])
             np.add(cost_f[k], free, out=free).min(axis=0, out=values[t, n_sus:])
-            np.add(cost_l[t], np.interp(next_l[t], nodes, held), out=held[:n_rel])
+            np.add(cost_l[k], np.interp(next_l[k], nodes, held), out=held[:n_rel])
             values[t, :n_sus] = held[:n_sus]
             held[n_rel:] = values[t, n_rel:]
+        del cost_f, next_f, cost_l, next_l  # before the next block is staged
 
     # The one forward pass, on the plant, one ladder call per step: the first
     # level of least loss plus interpolated cost-to-go (no snapping to a

@@ -787,16 +787,33 @@ def test_validate_and_dp_accept_two_soc_nodes_and_reject_one(tmp_path, capsys):
 
 
 def test_dp_names_a_node_count_too_large_to_allocate(tmp_path, capsys):
-    # 10**15 nodes ask for petabytes, so the first allocation fails before
-    # any memory is touched
+    # the bound keeps the value table within a few hundred MB: a count past
+    # it is a config error, named before anything is allocated
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({"run": {"initial_soc": 0.5},
-                                   "dp": {"soc_nodes": 10**15}}))
+    cfg.write_text(yaml.safe_dump({"dp": {"soc_nodes": 25_601}}))
     assert main(["validate", "--config", str(cfg)]) == 0
-    capsys.readouterr()
+    for nodes in (25_602, 10**15):
+        cfg.write_text(yaml.safe_dump({"run": {"initial_soc": 0.5},
+                                       "dp": {"soc_nodes": nodes}}))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert f"config.dp.soc_nodes: must be <= 25601, got {nodes}" in capsys.readouterr().err
+        assert main(["dp", "--config", str(cfg), "--out", str(tmp_path / "dp")]) == 1
+        assert "config.dp.soc_nodes" in capsys.readouterr().err
+        assert not (tmp_path / "dp").exists()
+
+
+def test_dp_exits_2_when_the_solve_runs_out_of_memory(tmp_path, capsys, monkeypatch):
+    # a MemoryError is a runtime failure, reported on one line; the solve is
+    # replaced so that nothing is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.0 PiB for an array")
+
+    monkeypatch.setattr("tugems.cli.dp_baseline", out_of_memory)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"run": {"initial_soc": 0.5}}))
     assert main(["dp", "--config", str(cfg), "--out", str(tmp_path / "dp")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("tugems: Unable to allocate") and err.count("\n") == 1
+    assert err == "tugems: Unable to allocate 8.0 PiB for an array\n"
 
 
 def test_sweep_writes_one_row_per_proportion(workspace, capsys):

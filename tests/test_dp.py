@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -559,9 +560,32 @@ def _assert_same_solution(cycle, actions, models, initial_soc, soc_nodes):
     assert got == want
 
 
-@pytest.mark.parametrize("variant", sorted(_SUSTAIN_VARIANTS))
-@pytest.mark.parametrize("soc_nodes", [3, 7, 61, 101])
-@pytest.mark.parametrize("n_steps", [1, 15, 17, 31, 32, 33, 53, 65])  # about one and two blocks
+def _block_steps(models, soc_nodes, n_levels):
+    """Steps per backward block: as many as keep one (steps, levels, free
+    nodes) scratch array within the solver's element budget, at least one."""
+    nodes = np.linspace(models.battery.soc_min, models.battery.soc_max, soc_nodes)
+    n_sus = int(array_kernel(models)(nodes, False, 1.0)(0.0, 0.0)[1].sum())
+    return max(1, dp._SCRATCH_ELEMENTS // (n_levels * (soc_nodes - n_sus)))
+
+
+def _block_edge_cases():
+    """(n_steps, soc_nodes, variant): lengths about one and two blocks of
+    each count's own block b at 61, 101 and 1 601 nodes (b is 1 or 2 at
+    1 601), and short cycles at every count.  The 3- and 7-node blocks run
+    397 to 1 392 steps, which the per-step reference would take seconds to
+    cross."""
+    n_levels = ActionGrid.uniform().n_actions
+    cases = {(n, soc_nodes, variant) for n in (1, 15, 17, 31, 32, 33, 53, 65)
+             for soc_nodes in (3, 7, 61, 101) for variant in _SUSTAIN_VARIANTS}
+    for variant, changes in _SUSTAIN_VARIANTS.items():
+        models = dataclasses.replace(default_models(), **changes)
+        for soc_nodes in (61, 101, 1601):
+            b = _block_steps(models, soc_nodes, n_levels)
+            cases.update((n, soc_nodes, variant) for n in (1, b - 1, b, b + 1, 2 * b + 1) if n)
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("n_steps,soc_nodes,variant", _block_edge_cases())
 def test_blocked_solver_equals_the_per_step_solver(actions, variant, soc_nodes, n_steps):
     models = dataclasses.replace(default_models(), **_SUSTAIN_VARIANTS[variant])
     rng = np.random.default_rng(1000 * n_steps + soc_nodes)
@@ -583,11 +607,12 @@ def test_the_wide_hysteresis_band_spans_several_nodes(soc_nodes):
     assert n_rel - n_sus > 1
 
 
-def test_a_solve_stages_the_latched_rows_once_and_the_free_rows_once_per_block(
-        models, actions, monkeypatch):
-    # a timing-free guard on the backward pass's shape of work: the latched
-    # rows take one command and are staged once for all steps, the free rows
-    # once per block (scalar calls only probe the latch)
+@pytest.mark.parametrize("soc_nodes", [101, 1601])
+def test_a_solve_stages_both_row_kinds_once_per_block(models, actions, monkeypatch, soc_nodes):
+    # a timing-free guard on the backward pass's shape of work: the free and
+    # the latched rows are staged once per block of b steps each, from the
+    # cycle's end, so the block that ends at t = 0 is the short one (scalar
+    # calls only probe the latch)
     calls = []
 
     def counting_kernel(plant_models):
@@ -604,14 +629,40 @@ def test_a_solve_stages_the_latched_rows_once_and_the_free_rows_once_per_block(
         return counting_stage
 
     monkeypatch.setattr(dp, "array_kernel", counting_kernel)
-    block = dp._BLOCK_STEPS
-    for n_steps in (1, block - 1, block, block + 1, 2 * block + 1, 300):
+    b = _block_steps(models, soc_nodes, actions.n_actions)
+    assert b == 32 if soc_nodes == 101 else 1 <= b <= 3
+    for n_steps in sorted({1, max(1, b - 1), b, b + 1, 2 * b + 1, 300}):
         calls.clear()
         cycle = DriveCycle(1.0, np.linspace(0.0, 150_000.0, n_steps), "ramp")
-        dp_baseline(cycle, actions, models, 0.282)
-        assert [n for latched, n in calls if latched] == [n_steps]
-        free = [n for latched, n in calls if not latched]
-        assert len(free) == -(-n_steps // block) and sum(free) == n_steps
+        dp_baseline(cycle, actions, models, 0.282, soc_nodes=soc_nodes)
+        blocks = [min(b, stop) for stop in range(n_steps, 0, -b)]
+        assert sum(blocks) == n_steps
+        assert calls == [(latched, n) for n in blocks for latched in (False, True)]
+
+
+@pytest.mark.parametrize("soc_nodes", [101, 1601])
+def test_a_solve_holds_its_value_table_and_a_few_budget_sized_arrays(models, actions,
+                                                                      soc_nodes):
+    # numpy reports its buffers to tracemalloc.  Beyond the (T + 1) x S
+    # value table a solve holds one block's scratch, a few arrays of the
+    # element budget, and doubling the cycle does not grow it: staging the
+    # latched rows for the whole cycle, or keeping the last block alive while
+    # the next is staged, breaks both bounds
+    budget_bytes = 8 * dp._SCRATCH_ELEMENTS
+    cycle = builtin_cycle("PRDC-3-synthetic")
+    margins = []
+    for n_steps in (300, 600):
+        part = DriveCycle(cycle.dt_s, cycle.demand_w[:n_steps], cycle.label)
+        dp_solve(part, actions, models, soc_nodes=soc_nodes)  # one-off allocations first
+        tracemalloc.start()
+        try:
+            dp_solve(part, actions, models, soc_nodes=soc_nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        margins.append(peak - 8 * (n_steps + 1) * soc_nodes)
+    assert max(margins) < 5 * budget_bytes
+    assert margins[1] - margins[0] < budget_bytes / 10
 
 
 def test_blocked_solver_equals_the_per_step_solver_on_a_builtin_cycle(models, actions):

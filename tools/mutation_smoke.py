@@ -57,6 +57,13 @@ MUTANTS = (
     # the DP's one forward loop takes the worst level, not the best
     Mutant("rollout argmax", "dp.py", "dp_solve",
            "totals.index(min(totals))", "totals.index(max(totals))", "tests/test_dp.py"),
+    # the backward pass keeps the last block's arrays alive while it stages
+    # the next, and its latched rows read the block's neighbouring step
+    Mutant("block kept alive", "dp.py", "dp_solve",
+           "del cost_f, next_f, cost_l, next_l", "pass", "tests/test_dp.py"),
+    Mutant("latched step shift", "dp.py", "dp_solve",
+           "np.interp(next_l[k], nodes, held)", "np.interp(next_l[k - 1], nodes, held)",
+           "tests/test_dp.py"),
     # the rules and the TD update, each against the episode loop's tests:
     # maximum's tie goes to agent B, random takes B when its draw equals t,
     # random's pick is swapped, the bootstrap reads this state's maximum,
