@@ -119,13 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_manifest(out: Path, command: str, config: RunConfig,
                     artifacts: list[str], extra: dict | None = None) -> None:
+    data = config.to_dict()
     doc = {
         "tool": "tugems",
         "tool_version": __version__,
         "command": command,
         "label": config.label,
-        "config_fingerprint": config_fingerprint(config.to_dict()),
-        "config": config.to_dict(),
+        "config_fingerprint": config_fingerprint(data),
+        "config": data,
         "artifacts": sorted(artifacts),
     }
     if extra:

@@ -394,13 +394,14 @@ def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
 
     The engine side of the step (the EGU clamp chain, battery power, fuel
     and engine loss) reads a SoC only through its latch and its two power
-    caps, so it runs once per distinct column of those three, by their exact
-    bits (-0.0 is not 0.0), and one ``take`` expands it over the SoCs: the
-    stock pack's 87 free DP nodes are 2 columns, its 1 387 of a 1 601-node
-    grid 3.  Current, battery loss and next SoC stay per SoC.  It runs the
-    step's operations in order, in place on its own arrays only (never on
-    the prepared ones), with masks on its comparisons and ``np.maximum(x,
-    y)`` for ``x if x > y else y`` (both give ``y`` on ties, signed zeros
+    caps, so it runs once per column, a run of adjacent SoCs alike in those
+    three by their exact bits (-0.0 is not 0.0; alike runs apart are two
+    columns), and one ``take`` expands it over the SoCs: the stock pack's
+    87 free DP nodes are 2 columns, its 1 387 of a 1 601-node grid 3.
+    Current, battery loss and next SoC stay per SoC.  It runs the step's
+    operations in order, in place on its own arrays only (never on the
+    prepared ones), with masks on its comparisons and ``np.maximum(x, y)``
+    for ``x if x > y else y`` (both give ``y`` on ties, signed zeros
     included; ``np.minimum`` likewise).  Constants: ``_plant_constants``."""
     (cell_voltage, resistance, n_cells, coulomb, soc_min, soc_max, max_dis, max_chg,
      p_max, b2, b1, b0, sustain, release) = _plant_constants(models)
@@ -415,13 +416,12 @@ def array_kernel(models: PlantModels) -> Callable[..., Callable[..., tuple]]:
         volt *= n_cells  # pack volts
         dis_cap = np.minimum((soc0 - soc_min) * coulomb / dt * volt, max_dis)
         chg_cap = np.minimum((soc_max - soc0) * coulomb / dt * volt, max_chg)
-        # Number the distinct (latch, dis_cap, chg_cap) columns in order of
-        # first occurrence; ``column[s]`` is SoC s's column.
-        ids: dict[tuple, int] = {}
-        column = np.array([ids.setdefault(key, len(ids)) for key in zip(
-            latch.tolist(), dis_cap.view(np.int64).tolist(), chg_cap.view(np.int64).tolist())],
-            dtype=np.intp)
-        first = np.unique(column, return_index=True)[1]
+        # A column opens where the latch or either cap's bits change from the SoC before.
+        dis_bits, chg_bits = dis_cap.view(np.int64), chg_cap.view(np.int64)
+        opens = np.ones(soc0.shape, dtype=bool)
+        opens[1:] = ((latch[1:] != latch[:-1]) | (dis_bits[1:] != dis_bits[:-1])
+                     | (chg_bits[1:] != chg_bits[:-1]))
+        column, first = np.cumsum(opens) - 1, np.flatnonzero(opens)
         latch_c, dis_c, chg_c = latch[first], dis_cap[first], chg_cap[first]
 
         def step(p_link_req, p_cmd) -> tuple:

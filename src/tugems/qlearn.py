@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import uuid
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -418,7 +417,7 @@ def write_atomic(path: Path, text: str) -> None:
     """Write UTF-8 text to a uniquely named temp file beside ``path``, then
     rename it over ``path``: readers see the old file or the new one, never
     a torn one, and concurrent writers never share a temp file."""
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import step_from
 from tugems.config import parse_config
 from tugems.dp import dp_baseline
 from tugems.drive_cycle import DriveCycle, SynthSpec
@@ -186,6 +187,27 @@ def test_plant_step_rejects_a_fuel_curve_below_output():
         Plant(models, 0.5).step(0.0, 8_620.0, 1.0)
     with pytest.raises(ValueError, match="engine loss is negative"):  # and its array twin
         array_kernel(models)([0.5], False, 1.0)(models.motor.link_power(0.0), [0.0, 8_620.0])
+
+
+def test_array_kernel_steps_alike_runs_apart_as_plant_step_does():
+    # the voltage dips to near 0 at SoC 0.5, so the charge cap saturates on
+    # both sides of that one node: two runs alike in both caps and the latch
+    battery = BatteryModel(voltage_curve=((0.2, 3.6), (0.5, 0.001), (0.8, 3.6)))
+    models = dataclasses.replace(default_models(), battery=battery)
+    nodes, dt = np.linspace(0.3, 0.8, 51), 1.0
+    volts = np.array([battery.cell_voltage(s) for s in nodes]) * battery.num_cells
+    saturated = (battery.soc_max - nodes) * battery.coulomb_capacity / dt * volts \
+        >= battery.max_charge_power_w
+    assert np.count_nonzero(np.diff(saturated.astype(int)) == 1) == 1  # saturated, dip, again
+    assert saturated[0] and not saturated[-1]
+    demands, commands = (0.0, 40_000.0, 253_000.0), (0.0, 43_100.0, 86_200.0)
+    links = np.array([models.motor.link_power(p) for p in demands])[:, None]
+    loss, latched, soc_next = array_kernel(models)(nodes, False, dt)(links, np.array(commands))
+    plant = Plant(models)
+    for k, a, s in np.ndindex(loss.shape):
+        out = step_from(plant, float(nodes[s]), False, demands[k], commands[a], dt)
+        assert (loss[k, a, s].hex(), latched[s], soc_next[k, a, s].hex()) == \
+            (out.p_loss_total_w.hex(), out.forced_charging, out.soc.hex())
 
 
 def test_ladder_kernel_rejects_a_fuel_curve_below_output_as_plant_step_does():

@@ -48,6 +48,10 @@ MUTANTS = (
            "if soc0 < sustain:", "if soc0 <= sustain:", "tests/test_dp.py"),
     Mutant("array sustain flip", "powertrain.py", "array_kernel",
            "| (soc0 < sustain)", "| (soc0 <= sustain)", "tests/test_dp.py"),
+    # the array twin's columns ignore the charge cap, so the soc_max node,
+    # which differs from its neighbour in that cap alone, joins its column
+    Mutant("run boundary without the charge cap", "powertrain.py", "array_kernel",
+           "| (chg_bits[1:] != chg_bits[:-1])", "| False", "tests/test_dp.py"),
     Mutant("loop sustain flip", "ensemble.py", "run_episodes",
            "if soc0 < sustain:", "if soc0 <= sustain:", "tests/test_ensemble.py"),
     # the scalar step burns fuel at a commanded 0 W, which the plant's own
